@@ -15,9 +15,10 @@ from .spectral import (DiagonalizationReport, FilterDiagonal, SpectralSystem,
 from .windows import (WindowSet, cosine_windows, indicator_windows,
                       make_partitions, trivial_window)
 from .solver import (ParamVector, RegularizedSolution, phi_windowed,
-                     residual_norm_windowed, solve_multidata, solve_scalar,
-                     solve_windowed, trace_windowed)
-from .estimators import (NoiseModel, WindowedGcvTerms, estimate_sigma2,
+                     residual_norm_windowed, solve_scalar, solve_windowed,
+                     trace_windowed)
+from .estimators import (MseObjective, NoiseModel, WindowedGcvTerms,
+                         estimate_sigma2,
                          gcv_md_scalar, gcv_scalar, gcv_windowed_decoupled,
                          gcv_windowed_true, gcv_windowed_true_md,
                          mse_learning, upre_md_windowed, upre_scalar,
@@ -40,12 +41,11 @@ __all__ = [
     "WindowSet", "make_partitions", "indicator_windows", "cosine_windows",
     "trivial_window",
     "ParamVector", "RegularizedSolution", "solve_scalar", "solve_windowed",
-    "solve_multidata", "phi_windowed", "residual_norm_windowed",
-    "trace_windowed",
+    "phi_windowed", "residual_norm_windowed", "trace_windowed",
     "NoiseModel", "WindowedGcvTerms", "upre_scalar", "upre_md_windowed",
     "upre_window_separable", "gcv_scalar", "gcv_md_scalar",
     "gcv_windowed_true", "gcv_windowed_true_md", "gcv_windowed_decoupled",
-    "windowed_gcv_terms", "mse_learning", "estimate_sigma2",
+    "windowed_gcv_terms", "MseObjective", "mse_learning", "estimate_sigma2",
     "SearchConfig", "ScalarSearchResult", "VectorSearchResult",
     "minimize_scalar", "minimize_vector", "BOUNDARY_RTOL",
     "DataSet", "gaussian_psf", "laplacian_penalty", "blur", "blur_spectrum",

@@ -22,6 +22,7 @@ import json
 import sys as _sysmod
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -30,9 +31,10 @@ import numpy as np
 from .errors import (ConfigError, EmptyWindowError, InfeasibleError,
                      JointNullSpaceError, KernelSymmetryError,
                      SaturatedTraceError)
-from .estimators import (NoiseModel, estimate_sigma2, gcv_md_scalar,
-                         gcv_windowed_decoupled, gcv_windowed_true_md,
-                         mse_learning, upre_md_windowed, upre_window_separable)
+from .estimators import (MseObjective, NoiseModel, estimate_sigma2,
+                         gcv_md_scalar, gcv_windowed_decoupled,
+                         gcv_windowed_true_md, upre_md_windowed,
+                         upre_window_separable)
 from .optimize import SearchConfig, minimize_scalar, minimize_vector
 from .problems import (DataSet, gaussian_psf, load_corpus, make_dataset,
                        synthetic_image, write_pgm)
@@ -86,14 +88,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        try:
-            raw = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
+        raw = _load_json(path, "config")
         unknown = set(raw) - set(cls._KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -170,6 +165,34 @@ class EstimatorReport:
         return {"config": self.config, "corpus": self.corpus,
                 "params": self.params, "means": self.means,
                 "errors": self.errors, "boundary": self.boundary}
+
+
+def _load_json(path, what: str, keys: Sequence[str] = ()) -> dict:
+    """Read a JSON object holding every dotted key path in `keys`.
+
+    Unreadable files, malformed JSON, a non-object document and a missing
+    key all raise ConfigError naming the file.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} {path} must be a JSON object")
+    _require(doc, keys, f"{what} {path}")
+    return doc
+
+
+def _require(doc: dict, keys: Sequence[str], source: str) -> None:
+    """ConfigError unless every dotted key path in `keys` exists in doc."""
+    for key in keys:
+        node = doc
+        for part in key.split("."):
+            if not isinstance(node, dict) or part not in node:
+                raise ConfigError(f"{source} has no {key!r} entry")
+            node = node[part]
 
 
 def relative_error_pct(xhat: np.ndarray, x: np.ndarray) -> float:
@@ -284,44 +307,55 @@ def cmd_gen(config: ExperimentConfig, verbose: bool = False) -> Path:
 # ---------------------------------------------------------------------------
 
 class _TrainContext:
-    """Everything the estimator objectives need, computed once."""
+    """Everything the estimator objectives need, computed once.
+
+    dhats and noise may be passed in to reuse values computed for a larger
+    context (see `subset`).  The MSE objectives are prepared on first use,
+    once per window set, because they need truth images.
+    """
 
     def __init__(self, config: ExperimentConfig, datasets: list[DataSet],
-                 system: SpectralSystem):
+                 system: SpectralSystem,
+                 dhats: list[np.ndarray] | None = None,
+                 noise: NoiseModel | None = None):
         self.config = config
         self.system = system
         self.datasets = datasets
         self.systems = [system] * len(datasets)
         self.truths = [ds.x_true for ds in datasets]
         self.data = [ds.d for ds in datasets]
-        self.dhats = [system.analyze(d) for d in self.data]
-        if config.sigma_mode == "estimate":
-            sig = [estimate_sigma2(system, dh) for dh in self.dhats]
-        else:
-            sig = [ds.sigma2 for ds in datasets]
-        self.noise = NoiseModel(sig)
+        if dhats is None:
+            dhats = [system.analyze(d) for d in self.data]
+        self.dhats = dhats
+        if noise is None:
+            if config.sigma_mode == "estimate":
+                sig = [estimate_sigma2(system, dh) for dh in self.dhats]
+            else:
+                sig = [ds.sigma2 for ds in datasets]
+            noise = NoiseModel(sig)
+        self.noise = noise
         self.trivial = trivial_window(system)
+        self.windows = _build_windows(config, system)
         self.search = config.search
 
     def subset(self, r: int) -> "_TrainContext":
-        sub = object.__new__(_TrainContext)
-        sub.config = self.config
-        sub.system = self.system
-        sub.datasets = self.datasets[:r]
-        sub.systems = self.systems[:r]
-        sub.truths = self.truths[:r]
-        sub.data = self.data[:r]
-        sub.dhats = self.dhats[:r]
-        sub.noise = NoiseModel(self.noise.sigma2[:r])
-        sub.trivial = self.trivial
-        sub.search = self.search
-        return sub
+        """The context of the first r data sets."""
+        return _TrainContext(self.config, self.datasets[:r], self.system,
+                             dhats=self.dhats[:r],
+                             noise=NoiseModel(self.noise.sigma2[:r]))
+
+    @cached_property
+    def mse_scalar(self) -> MseObjective:
+        return MseObjective(self.systems, self.dhats, self.truths, self.trivial)
+
+    @cached_property
+    def mse_windowed(self) -> MseObjective:
+        return MseObjective(self.systems, self.dhats, self.truths, self.windows)
 
 
 def _scalar_objective(ctx: _TrainContext, name: str):
     if name == "mse":
-        return lambda a: mse_learning(ctx.systems, ctx.data, ctx.truths,
-                                      ctx.trivial, [a], dhats=ctx.dhats)
+        return lambda a: ctx.mse_scalar([a])
     if name == "upre":
         return lambda a: upre_md_windowed(ctx.systems, ctx.dhats, ctx.trivial,
                                           [a], ctx.noise)
@@ -329,10 +363,10 @@ def _scalar_objective(ctx: _TrainContext, name: str):
     return lambda a: gcv_md_scalar(ctx.systems, ctx.dhats, a)
 
 
-def _windowed_objective(ctx: _TrainContext, name: str, windows: WindowSet):
+def _windowed_objective(ctx: _TrainContext, name: str):
+    windows = ctx.windows
     if name == "mse":
-        return lambda v: mse_learning(ctx.systems, ctx.data, ctx.truths,
-                                      windows, v, dhats=ctx.dhats)
+        return ctx.mse_windowed
     if name == "upre":
         return lambda v: upre_md_windowed(ctx.systems, ctx.dhats, windows, v,
                                           ctx.noise)
@@ -364,7 +398,7 @@ def _train_windowed(ctx: _TrainContext, name: str) -> tuple[dict, list]:
     """Windowed training for one estimator: (params fragment, window traces)."""
     config = ctx.config
     P = config.window_count
-    windows = _build_windows(config, ctx.system)
+    windows = ctx.windows
     entry: dict = {"P": P, "window_kind": config.window_kind}
 
     nonoverlap = windows.nonoverlapping
@@ -399,7 +433,7 @@ def _train_windowed(ctx: _TrainContext, name: str) -> tuple[dict, list]:
         # boundary-pinned warm start can trap the simplex in a corner basin
         starts = [ParamVector(warm_alphas), None]
 
-    obj = _windowed_objective(ctx, name, windows)
+    obj = _windowed_objective(ctx, name)
     res = min((minimize_vector(obj, P, ctx.search, warm_start=ws)
                for ws in starts), key=lambda r: r.value)
     entry["alphas"] = [float(a) for a in res.alphas.values]
@@ -462,8 +496,7 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
     }
     params["windows"] = {
         "P": config.window_count, "kind": config.window_kind,
-        "partitions": [float(g) for g in
-                       _build_windows(config, system).partitions],
+        "partitions": [float(g) for g in ctx.windows.partitions],
     }
     path = out / "params.json"
     path.write_text(json.dumps(params, sort_keys=True, indent=1) + "\n")
@@ -498,9 +531,8 @@ def _per_image_best(system: SpectralSystem, datasets: list[DataSet],
     """Per-image minimal error achievable with this window setup (needs truth)."""
     errs = []
     for ds in datasets:
-        dhat = system.analyze(ds.d)
-        obj = lambda v: mse_learning([system], [ds.d], [ds.x_true], windows, v,
-                                     dhats=[dhat])
+        obj = MseObjective([system], [system.analyze(ds.d)], [ds.x_true],
+                           windows)
         if windows.P == 1:
             res = minimize_scalar(lambda a: obj(ParamVector([a])), search)
             best = ParamVector([res.alpha])
@@ -516,10 +548,12 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
     t_start = time.perf_counter()
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        params = json.loads(Path(params_path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read parameters {params_path}: {exc}") from exc
+    params = _load_json(params_path, "parameters",
+                        ("estimators", "corpus.fingerprint", "corpus.label"))
+    for name, entry in params["estimators"].items():
+        _require(entry, ("scalar.alpha", "scalar.boundary", "windowed.alphas",
+                         "windowed.boundary"),
+                 f"estimator {name!r} in parameters {params_path}")
 
     stored = params.get("windows", {})
     if (stored.get("P") != config.window_count
@@ -538,6 +572,12 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
         datasets = _split_datasets(config, split)
         if datasets:
             corpora[split] = datasets
+    fingerprint = _corpus_fingerprint([ds.x_true for ds in corpora["train"]])
+    if fingerprint != params["corpus"]["fingerprint"]:
+        raise ConfigError(
+            f"corpus mismatch: parameters were trained on corpus "
+            f"{params['corpus']['fingerprint']}, this config's training split "
+            f"is {fingerprint}")
 
     errors: dict = {split: {} for split in corpora}
     means: dict = {}
@@ -617,12 +657,10 @@ def cmd_report(report_paths: Sequence, out_dir, verbose: bool = False) -> Path:
     """Reduce validation reports to a markdown table plus plot CSVs."""
     if not report_paths:
         raise ConfigError("empty report set: pass at least one report.json")
-    reports = []
-    for p in report_paths:
-        try:
-            reports.append(json.loads(Path(p).read_text()))
-        except OSError as exc:
-            raise ConfigError(f"cannot read report {p}: {exc}") from exc
+    reports = [_load_json(p, "report", ("config.r_train", "config.window_kind",
+                                        "config.window_count", "corpus.label",
+                                        "means", "errors"))
+               for p in report_paths]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -8,7 +8,8 @@ coefficients dhat = analyze(d):
 * cross-validation (GCV) objectives: scalar, multi-data scalar, the coupled
   windowed form, and the per-window decoupled approximation;
 * the supervised learning objective (mean squared solution error against
-  known truths).
+  known truths), prepared once per search as an `MseObjective`; on the DCT
+  backend it is evaluated in coefficient space, with no transform per call.
 
 Scalar forms keep their constant terms; the multi-data windowed UPRE drops
 alpha-independent constants, so cross-form tests must compare minimizers
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import EmptyWindowError, SaturatedTraceError
 from .solver import ParamVector, phi_windowed
-from .spectral import SpectralSystem, filter_factors
+from .spectral import SpectralSystem, _band_phi, filter_factors
 from .windows import WindowSet
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "gcv_windowed_true_md",
     "gcv_windowed_decoupled",
     "windowed_gcv_terms",
+    "MseObjective",
     "mse_learning",
     "estimate_sigma2",
 ]
@@ -363,29 +365,90 @@ def gcv_windowed_decoupled(systems: Sequence[SpectralSystem],
 # Supervised learning objective
 # ---------------------------------------------------------------------------
 
+class MseObjective:
+    """(1/R) sum_r ||x_win^(r)(alphas) - x_true^(r)||^2 as a function of the
+    parameter vector, prepared once for fixed systems, data coefficients,
+    truths and windows.
+
+    On a system with an orthonormal synthesis (`synthesis_scale` set: the DCT
+    backend) the error is taken in coefficient space by Parseval.  With
+    u = pinv(delta) dhat[:n] / synthesis_scale and t = Q^T x_true,
+
+      ||x_win - x_true||^2 = sum_j (phi_win_j u_j - t_j)^2.
+
+    Indices below ell (u = 0) and from q_star on (phi = 1 in every window) do
+    not depend on the parameters and are summed here once, so a call touches
+    only the active band [ell, q_star) and runs no transform.  Data sets that
+    share a system and a window set share one filter evaluation per call.
+    Other systems (the dense backend) synthesize each solution per call.
+    """
+
+    def __init__(self, systems: Sequence[SpectralSystem],
+                 dhats: Sequence[np.ndarray], truths: Sequence[np.ndarray],
+                 windows) -> None:
+        if truths is None:
+            raise ValueError("missing truths: the learning objective needs x_true")
+        R = len(systems)
+        if R == 0 or not (len(dhats) == len(truths) == R):
+            raise ValueError("systems, data, and truths must have equal, "
+                             "nonzero lengths")
+        wlist = _windows_for(windows, R)
+        self.R = R
+        self.P = wlist[0].P
+        self._const = 0.0
+        self._direct = []
+        groups: dict = {}
+        for sys, dhat, truth, wset in zip(systems, dhats, truths, wlist):
+            if sys.synthesis_scale is None:
+                self._direct.append(
+                    (sys, wset, sys.delta_pinv(), dhat[: sys.n], truth))
+                continue
+            lo, hi = sys.ell, sys.q_star
+            u = sys.delta_pinv() * dhat[: sys.n] / sys.synthesis_scale
+            t = sys.solution_coefficients(truth)
+            tail = wset.weights[:, hi:].sum(axis=0) * u[hi:] - t[hi:]
+            self._const += float(np.sum(t[:lo] ** 2) + np.sum(tail ** 2))
+            group = groups.setdefault((id(sys), id(wset)), (sys, wset, [], []))
+            group[2].append(u[lo:hi])
+            group[3].append(t[lo:hi])
+        # per group: squared spectral values and window weights on the band,
+        # then the stacked u and t rows of its data sets
+        self._bands = [
+            (sys.delta[sys.ell: sys.q_star] ** 2,
+             sys.lam[sys.ell: sys.q_star] ** 2,
+             wset.weights[:, sys.ell: sys.q_star], np.array(us), np.array(ts))
+            for sys, wset, us, ts in groups.values()]
+
+    def __call__(self, alphas) -> float:
+        alphas = _vec(alphas)
+        if alphas.P != self.P:
+            raise ValueError(
+                f"parameter/window count mismatch: {alphas.P} vs {self.P}")
+        total = self._const
+        column = alphas.values[:, None]
+        for d2, lam2, weights, u, t in self._bands:
+            phiw = np.sum(weights * _band_phi(d2, lam2, column), axis=0)
+            total += float(np.sum((phiw * u - t) ** 2))
+        for sys, wset, dpinv, head, truth in self._direct:
+            x = sys.synthesize(phi_windowed(sys, wset, alphas) * dpinv * head)
+            total += float(np.sum((x - truth) ** 2))
+        return total / self.R
+
+
 def mse_learning(systems: Sequence[SpectralSystem], data: Sequence[np.ndarray],
                  truths: Sequence[np.ndarray], windows, alphas,
                  dhats: Sequence[np.ndarray] | None = None) -> float:
     """(1/R) sum_r ||x_win^(r)(alphas) - x_true^(r)||^2.
 
-    Pass precomputed dhats to skip the per-call analyze transforms inside
-    optimization loops.
+    One evaluation of a freshly prepared `MseObjective`; a search should
+    prepare the objective once instead.  Pass precomputed dhats to skip the
+    analyze transforms.
     """
-    alphas = _vec(alphas)
-    if truths is None:
-        raise ValueError("missing truths: the learning objective needs x_true")
-    R = len(systems)
-    if not (len(data) == len(truths) == R):
-        raise ValueError("systems, data, and truths must have equal lengths")
-    wlist = _windows_for(windows, R)
+    if len(data) != len(systems):
+        raise ValueError("systems and data must have equal lengths")
     if dhats is None:
         dhats = [sys.analyze(d) for sys, d in zip(systems, data)]
-    total = 0.0
-    for sys, dhat, truth, wset in zip(systems, dhats, truths, wlist):
-        phiw = phi_windowed(sys, wset, alphas)
-        x = sys.synthesize(phiw * sys.delta_pinv() * dhat[: sys.n])
-        total += float(np.sum((x - truth) ** 2))
-    return total / R
+    return MseObjective(systems, dhats, truths, windows)(alphas)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ sum_p weights[p] * phi(alpha_p).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +23,6 @@ __all__ = [
     "solve_windowed",
     "residual_norm_windowed",
     "trace_windowed",
-    "solve_multidata",
 ]
 
 
@@ -139,13 +137,3 @@ def trace_windowed(sys: SpectralSystem, windows: WindowSet, alphas) -> float:
         acc += float(np.sum(windows.weights[p, mid] * phi[mid]))
     return (sys.n - sys.q_star) + acc
 
-
-def solve_multidata(systems: Sequence[SpectralSystem], data: Sequence[np.ndarray],
-                    windows_list: Sequence[WindowSet], alphas) -> list[RegularizedSolution]:
-    """Block-separable multi-data solve: one shared parameter vector, one
-    window set per system, solved independently per system."""
-    alphas = _as_params(alphas)
-    if not (len(systems) == len(data) == len(windows_list)):
-        raise ValueError("systems, data, and windows must have equal lengths")
-    return [solve_windowed(sys, d, w, alphas)
-            for sys, d, w in zip(systems, data, windows_list)]

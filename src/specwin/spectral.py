@@ -12,7 +12,10 @@ Two backends produce the same `SpectralSystem` interface:
 
 Either way the solution of  min ||A x - d||^2 + alpha^2 ||L x||^2  is
 x = synthesize(phi * pinv(delta) * analyze(d)[:n]) with the filter factors
-phi from `filter_factors`.
+phi from `filter_factors`.  On the DCT backend synthesize is an orthonormal
+transform times a diagonal scale, which the system exposes
+(`synthesis_scale`, `solution_coefficients`) so that solution-space norms can
+be taken in coefficient space.
 """
 
 from __future__ import annotations
@@ -51,6 +54,13 @@ class SpectralSystem:
     analyze maps data vectors to spectral coefficients (length m, sorted
     order); synthesize maps filtered coefficients (length n) back to the
     solution space.
+
+    Where synthesize is an orthonormal transform Q after a diagonal scale,
+    synthesize(c) == Q(c / synthesis_scale), the system carries that scale
+    and the forward map x -> Q^T x (`solution_coefficients`), both in sorted
+    order; by Parseval ||synthesize(c) - x|| equals
+    ||c / synthesis_scale - solution_coefficients(x)||.  The DCT backend has
+    this structure; the dense backend leaves synthesis_scale as None.
     """
 
     m: int
@@ -71,6 +81,9 @@ class SpectralSystem:
     V: Optional[np.ndarray] = field(default=None, repr=False)
     Xt: Optional[np.ndarray] = field(default=None, repr=False)
     Y: Optional[np.ndarray] = field(default=None, repr=False)
+    synthesis_scale: Optional[np.ndarray] = field(default=None, repr=False)
+    _coefficients: Optional[Callable[[np.ndarray], np.ndarray]] = field(
+        default=None, repr=False)
 
     def analyze(self, v: np.ndarray) -> np.ndarray:
         """Spectral coefficients of a data vector (2D input is flattened)."""
@@ -83,6 +96,14 @@ class SpectralSystem:
     def analyze_adjoint(self, c: np.ndarray) -> np.ndarray:
         """Adjoint of analyze; analyze_adjoint(analyze(v)) == v."""
         return self._analyze_adjoint(np.asarray(c, dtype=float))
+
+    def solution_coefficients(self, x: np.ndarray) -> np.ndarray:
+        """Orthonormal coefficients Q^T x of a solution-space vector, in sorted
+        order (2D input is flattened); needs a synthesis_scale."""
+        if self._coefficients is None:
+            raise ValueError(
+                f"the {self.backend} backend has no orthonormal synthesis")
+        return self._coefficients(np.asarray(x, dtype=float))
 
     @property
     def gamma_max_finite(self) -> float:
@@ -326,12 +347,22 @@ def dct_decompose(psf: np.ndarray, penalty: str = "identity") -> SpectralSystem:
         z[perm] = c
         return _idct2((sign * z).reshape(dims))
 
+    def _coef(x: np.ndarray, perm=perm, dims=dims) -> np.ndarray:
+        return _dct2(x.reshape(dims)).ravel()[perm]
+
     return SpectralSystem(
         m=n, n=n, q_star=q_star, ell=ell,
         delta=delta, lam=lam, gamma=gamma, lambda_zero=lambda_zero,
         _analyze=_an, _synthesize=_syn, _analyze_adjoint=_adj,
         backend="dct", dims=dims,
+        synthesis_scale=scale_sorted, _coefficients=_coef,
     )
+
+
+def _band_phi(d2: np.ndarray, lam2: np.ndarray, alpha):
+    """Middle-band filter factors d2 / (d2 + alpha**2 lam2) from the squared
+    spectral values on [ell, q_star); a column of P parameters gives P rows."""
+    return d2 / (d2 + alpha ** 2 * lam2)
 
 
 def filter_factors(sys: SpectralSystem, alpha: float) -> FilterDiagonal:
@@ -347,8 +378,7 @@ def filter_factors(sys: SpectralSystem, alpha: float) -> FilterDiagonal:
     # lam > 0 throughout the middle band: penalty-null directions sort past
     # q_star and rank-deficient forward directions sort below ell
     mid = slice(sys.ell, sys.q_star)
-    d2 = sys.delta[mid] ** 2
-    phi[mid] = d2 / (d2 + alpha ** 2 * sys.lam[mid] ** 2)
+    phi[mid] = _band_phi(sys.delta[mid] ** 2, sys.lam[mid] ** 2, alpha)
     phi[sys.q_star:] = 1.0
     psi = 1.0 - phi
     return FilterDiagonal(phi=phi, psi=psi)

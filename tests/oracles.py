@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import hadamard
 
+from specwin.solver import phi_windowed
 from specwin.spectral import SpectralSystem
 from specwin.windows import WindowSet
 
@@ -104,6 +105,23 @@ def dense_gcv_scalar(A: np.ndarray, L: np.ndarray, d: np.ndarray,
     m = A.shape[0]
     tr = float(np.trace(dense_influence_scalar(A, L, alpha)))
     return (float(r @ r) / m) / (1.0 - tr / m) ** 2
+
+
+def direct_mse(systems, dhats, truths, windows, alphas) -> float:
+    """Supervised objective (1/R) sum_r ||x_win^(r) - x_true^(r)||^2 with every
+    windowed solution synthesized in the solution space.
+
+    This is the direct loop that the coefficient-space evaluation replaces;
+    on dense systems the library still evaluates it exactly this way.
+    """
+    R = len(systems)
+    wlist = [windows] * R if isinstance(windows, WindowSet) else list(windows)
+    total = 0.0
+    for sys, dhat, truth, wset in zip(systems, dhats, truths, wlist):
+        phiw = phi_windowed(sys, wset, alphas)
+        x = sys.synthesize(phiw * sys.delta_pinv() * dhat[: sys.n])
+        total += float(np.sum((x - truth) ** 2))
+    return total / R
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ from specwin.cli import (
     relative_error_pct,
 )
 from specwin.errors import ConfigError
-from specwin.estimators import NoiseModel, upre_md_windowed
+from specwin.estimators import NoiseModel, mse_learning, upre_md_windowed
+from specwin.optimize import minimize_scalar
+from specwin.windows import trivial_window
 
 BASE = {
     "image_size": 8,
@@ -219,6 +221,19 @@ def test_exit_codes(tmp_path, monkeypatch):
     collide.write_text(json.dumps({**BASE, "output_dir": "clobber"}))
     assert main(["--config", str(collide), "gen"]) == 4
 
+    # malformed or incomplete parameter and report files
+    good = _write_config(tmp_path)
+    broken = tmp_path / "broken.json"
+    broken.write_text("{bad")
+    assert main(["--config", str(good), "validate",
+                 "--params", str(broken)]) == 2
+    no_corpus = tmp_path / "no_corpus.json"
+    no_corpus.write_text(json.dumps({
+        "estimators": {}, "windows": {"P": 2, "kind": "nonoverlap_log"}}))
+    assert main(["--config", str(good), "validate",
+                 "--params", str(no_corpus)]) == 2
+    assert main(["report", str(broken)]) == 2
+
 
 def test_validate_window_mismatch(tmp_path, monkeypatch):
     out = _run_pipeline(tmp_path, monkeypatch, workdir="mm")
@@ -230,8 +245,19 @@ def test_validate_window_mismatch(tmp_path, monkeypatch):
         cmd_validate(wrong, out / "params.json")
 
 
+def test_validate_corpus_mismatch(tmp_path, monkeypatch):
+    out = _run_pipeline(tmp_path, monkeypatch, workdir="fp")
+    cfg = ExperimentConfig.from_json(tmp_path / "config.json")
+    from dataclasses import replace
+    monkeypatch.chdir(tmp_path / "fp")
+    with pytest.raises(ConfigError, match="corpus mismatch"):
+        cmd_validate(replace(cfg, seed=99), out / "params.json")
+    assert main(["--config", str(tmp_path / "config.json"), "--seed", "99",
+                 "validate"]) == 2
+
+
 def test_train_r_sweep_and_sigma_estimate(tmp_path, monkeypatch):
-    cfg_path = _write_config(tmp_path, estimators=["upre"], r_train=3,
+    cfg_path = _write_config(tmp_path, estimators=["mse", "upre"], r_train=3,
                              r_sweep=True, sigma_mode="estimate")
     wd = tmp_path / "sweep"
     wd.mkdir()
@@ -240,11 +266,23 @@ def test_train_r_sweep_and_sigma_estimate(tmp_path, monkeypatch):
     cmd_train(cfg)
     trend = (wd / "out" / "trend.csv").read_text().splitlines()
     assert trend[0] == "R,estimator,alpha"
-    assert len(trend) == 1 + 3
-    rs = [int(l.split(",")[0]) for l in trend[1:]]
-    assert rs == [1, 2, 3]
-    alphas = [float(l.split(",")[2]) for l in trend[1:]]
+    assert len(trend) == 1 + 2 * 3
+    rows = [l.split(",") for l in trend[1:]]
+    assert [(int(r), name) for r, name, _ in rows] == [
+        (r, name) for name in ("mse", "upre") for r in (1, 2, 3)]
+    alphas = [float(a) for _, _, a in rows]
     assert all(a > 0 for a in alphas)
+    # each sweep step learns MSE on its own first r training sets
+    system = _build_system(cfg)
+    datasets = _split_datasets(cfg, "train")
+    trivial = trivial_window(system)
+    for r, _, alpha in rows[:3]:
+        sets = datasets[: int(r)]
+        res = minimize_scalar(
+            lambda a: mse_learning([system] * len(sets), [ds.d for ds in sets],
+                                   [ds.x_true for ds in sets], trivial, [a]),
+            cfg.search)
+        assert float(alpha) == pytest.approx(res.alpha, rel=1e-9)
 
 
 def test_report_multiple_and_missing(tmp_path, monkeypatch):

@@ -1,11 +1,15 @@
 """Selection objectives against dense references, the leave-one-out oracle,
 and their documented reductions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from specwin.errors import EmptyWindowError, SaturatedTraceError
 from specwin.estimators import (
+    MseObjective,
     NoiseModel,
     estimate_sigma2,
     gcv_md_scalar,
@@ -20,7 +24,8 @@ from specwin.estimators import (
     windowed_gcv_terms,
 )
 from specwin.solver import solve_windowed
-from specwin.spectral import filter_factors, gsvd
+from specwin.problems import gaussian_psf
+from specwin.spectral import dct_decompose, filter_factors, gsvd
 from specwin.windows import cosine_windows, indicator_windows, make_partitions, trivial_window
 
 from oracles import (
@@ -30,6 +35,7 @@ from oracles import (
     dense_solve_scalar,
     dense_solve_windowed,
     dense_upre_scalar,
+    direct_mse,
     make_diag_system,
     press_windowed_gcv,
     tik_matrices,
@@ -420,6 +426,94 @@ def test_mse_learning_averages_and_validates():
         mse_learning(systems, data, None, wins, [0.4])
     with pytest.raises(ValueError):
         mse_learning(systems, data, truths[:1], wins, [0.4])
+    with pytest.raises(ValueError, match="count mismatch"):
+        mse_learning(systems, data, truths, wins, [0.4, 0.5])
+
+
+def _no_transform(v):
+    raise AssertionError("transform called inside an MSE evaluation")
+
+
+def _box_psf(dims, widths):
+    """Separable centered box blur.  Its reflexive spectrum along a side n
+    vanishes at every frequency k = 2 n j / w below n, which gives ell > 0
+    wherever such a k is an integer."""
+    rows = []
+    for n, w in zip(dims, widths):
+        v = np.zeros(n)
+        v[(n - w) // 2: (n - w) // 2 + w] = 1.0
+        rows.append(v)
+    psf = np.outer(*rows)
+    return psf / psf.sum()
+
+
+@st.composite
+def dct_mse_cases(draw):
+    dims = (draw(st.integers(4, 24)), draw(st.integers(4, 24)))
+    if draw(st.booleans()):
+        # widths share the parity of the side, so the box stays centered
+        widths = [draw(st.sampled_from(range(2 + n % 2, min(n, 7) + 1, 2)))
+                  for n in dims]
+        psf = _box_psf(dims, widths)
+    else:
+        psf = gaussian_psf(draw(st.floats(0.3, 6.0)), dims)
+    sys = dct_decompose(psf, draw(st.sampled_from(["identity", "laplacian"])))
+    P = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from([indicator_windows, cosine_windows]))
+    spacing = draw(st.sampled_from(["linear", "log"]))
+    try:
+        windows = kind(make_partitions(sys, P, spacing), sys, spacing)
+    except EmptyWindowError:
+        assume(False)
+    R = draw(st.integers(1, 4))
+    alphas = [10.0 ** e for e in draw(st.lists(
+        st.floats(-3.0, 3.0), min_size=P, max_size=P))]
+    return sys, windows, R, alphas, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@given(dct_mse_cases())
+@settings(max_examples=80, deadline=None)
+def test_mse_objective_coefficient_space_matches_direct_property(case):
+    sys, windows, R, alphas, seed = case
+    rng = np.random.default_rng(seed)
+    truths = [rng.standard_normal(sys.dims) for _ in range(R)]
+    dhats = [sys.analyze(rng.standard_normal(sys.dims)) for _ in range(R)]
+    ref = direct_mse([sys] * R, dhats, truths, windows, alphas)
+    # the prepared objective may not transform anything
+    blind = replace(sys, _analyze=_no_transform, _synthesize=_no_transform)
+    val = MseObjective([blind] * R, dhats, truths, windows)(alphas)
+    assert abs(val - ref) <= 1e-12 * ref
+
+
+def test_mse_objective_dense_fallback_is_the_direct_loop():
+    systems, data, dhats, _ = _md_problems(seed=179)
+    assert all(s.synthesis_scale is None for s in systems)
+    wins = [indicator_windows(make_partitions(s, 2), s) for s in systems]
+    rng = np.random.default_rng(3)
+    truths = [rng.standard_normal(s.n) for s in systems]
+    obj = MseObjective(systems, dhats, truths, wins)
+    for alphas in ([0.05, 0.7], [1.3, 0.2]):
+        ref = direct_mse(systems, dhats, truths, wins, alphas)
+        assert obj(alphas) == ref
+        assert mse_learning(systems, data, truths, wins, alphas) == ref
+
+
+def test_mse_objective_mixes_backends_and_systems():
+    rng = np.random.default_rng(181)
+    box = dct_decompose(_box_psf((8, 6), (4, 2)), "laplacian")
+    assert box.ell > 0 and box.q_star < box.n
+    blur = dct_decompose(gaussian_psf(1.5, (5, 7)), "identity")
+    dense, _, _, _ = _md_problems(seed=181, specs=((8, 6, "identity"),))
+    systems = [box, blur, dense[0], box]
+    wins = [cosine_windows(make_partitions(s, 3, "log"), s, "log")
+            for s in systems]
+    wins[3] = wins[0]
+    truths = [rng.standard_normal(s.dims or s.n) for s in systems]
+    dhats = [s.analyze(rng.standard_normal(s.m)) for s in systems]
+    obj = MseObjective(systems, dhats, truths, wins)
+    for alphas in ([0.01, 0.3, 5.0], [2.0, 2.0, 0.02]):
+        ref = direct_mse(systems, dhats, truths, wins, alphas)
+        assert abs(obj(alphas) - ref) <= 1e-12 * ref
 
 
 def test_estimate_sigma2_from_spectral_tail():

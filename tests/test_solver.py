@@ -8,7 +8,6 @@ from specwin.solver import (
     ParamVector,
     phi_windowed,
     residual_norm_windowed,
-    solve_multidata,
     solve_scalar,
     solve_windowed,
     trace_windowed,
@@ -164,25 +163,6 @@ def test_dct_solve_matches_dense_eigensolve():
     x_ref = V @ (coef * (V.T @ d.ravel()))
     x_win = solve_windowed(sys, d, win, alphas).x
     assert np.abs(x_win.ravel() - x_ref).max() <= 1e-9
-
-
-def test_solve_multidata_is_per_system():
-    rng = np.random.default_rng(29)
-    systems, data, wins = [], [], []
-    for (m, n, penalty) in CASES[:3]:
-        A, L = tik_matrices(rng, m, n, penalty)
-        sys = gsvd(A, L)
-        systems.append(sys)
-        data.append(rng.standard_normal(m))
-        wins.append(indicator_windows(make_partitions(sys, 2), sys))
-    alphas = [0.3, 1.1]
-    sols = solve_multidata(systems, data, wins, alphas)
-    assert len(sols) == 3
-    for sys, d, win, sol in zip(systems, data, wins, sols):
-        again = solve_windowed(sys, d, win, alphas)
-        assert np.array_equal(sol.x, again.x)
-    with pytest.raises(ValueError):
-        solve_multidata(systems, data[:2], wins, alphas)
 
 
 def test_param_vector_validation():

@@ -59,6 +59,10 @@ def test_gsvd_factors_are_orthonormal(m, n):
     assert np.abs(sys.U.T @ sys.U - np.eye(m)).max() <= 1e-12
     assert np.abs(sys.V.T @ sys.V - np.eye(L.shape[0])).max() <= 1e-12
     assert np.abs(sys.Y @ sys.Xt - np.eye(n)).max() <= 1e-8
+    # Y is not orthonormal up to a diagonal scale
+    assert sys.synthesis_scale is None
+    with pytest.raises(ValueError, match="no orthonormal synthesis"):
+        sys.solution_coefficients(np.zeros(n))
 
 
 @pytest.mark.parametrize("m,n", SIZES)
@@ -188,6 +192,14 @@ def test_dct_backend_transforms_are_orthonormal_and_consistent():
     back = sys.analyze_adjoint(c)
     assert back.shape == dims
     assert np.abs(back - x).max() <= 1e-12
+    # synthesize is orthonormal after the diagonal synthesis scale, so
+    # solution-space distances equal coefficient-space ones
+    t = sys.solution_coefficients(x)
+    assert np.abs(sys.synthesize(sys.synthesis_scale * t) - x).max() <= 1e-12
+    y = rng.standard_normal(sys.n)
+    gap = np.linalg.norm(sys.synthesize(y) - x)
+    assert gap == pytest.approx(
+        np.linalg.norm(y / sys.synthesis_scale - t), rel=1e-12)
 
 
 def test_dct_backend_applies_the_blur_spectrally():
