@@ -37,7 +37,7 @@ from .estimators import (MseObjective, NoiseModel, estimate_sigma2,
                          upre_window_separable)
 from .optimize import SearchConfig, minimize_scalar, minimize_vector
 from .problems import (DataSet, gaussian_psf, load_corpus, make_dataset,
-                       synthetic_image, write_pgm)
+                       read_manifest, synthetic_image, write_pgm)
 from .solver import ParamVector, solve_windowed
 from .spectral import SpectralSystem, dct_decompose
 from .windows import (WindowSet, cosine_windows, indicator_windows,
@@ -216,7 +216,12 @@ def _noise_seed(config: ExperimentConfig, split_idx: int, idx: int) -> int:
 
 def _split_truths(config: ExperimentConfig, split: str) -> list[np.ndarray]:
     """Truth images for one split: external manifest if configured, else the
-    synthetic corpus.  Deterministic ordering either way."""
+    synthetic corpus.  Deterministic ordering either way.
+
+    A manifest (or directory) whose records carry none of the split labels
+    serves every split with all of its records; a labelled manifest serves
+    only its records of this split.
+    """
     split_idx = _SPLITS.index(split)
     manifest = {"train": config.train_manifest,
                 "validation_1": config.validation1_manifest,
@@ -224,10 +229,12 @@ def _split_truths(config: ExperimentConfig, split: str) -> list[np.ndarray]:
     count = config.r_train if split == "train" else config.val_count
     if manifest is not None:
         try:
-            images, _ = load_corpus(manifest, split=split, size=config.image_size)
-        except ValueError:
-            # manifest without per-split labels: take every record
-            images, _ = load_corpus(manifest, split=None, size=config.image_size)
+            labelled = not Path(manifest).is_dir() and any(
+                rec["split"] in _SPLITS for rec in read_manifest(manifest))
+            images, _ = load_corpus(manifest, split=split if labelled else None,
+                                    size=config.image_size)
+        except ValueError as exc:
+            raise ConfigError(f"{split} corpus {manifest}: {exc}") from exc
         if split == "train" and len(images) < config.r_train:
             raise ConfigError(f"r_train={config.r_train} exceeds training "
                               f"corpus size {len(images)}")

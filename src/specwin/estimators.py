@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyWindowError, SaturatedTraceError
-from .solver import ParamVector, phi_windowed
+from .solver import _as_params, _residual_head, _trace, _windowed_filter
 from .spectral import SpectralSystem, _band_phi, filter_factors
 from .windows import WindowSet
 
@@ -88,21 +88,6 @@ class WindowedGcvTerms:
     nu: np.ndarray
 
 
-def _vec(alphas) -> ParamVector:
-    return alphas if isinstance(alphas, ParamVector) else ParamVector(alphas)
-
-
-def _sigma2_scalar(noise) -> float:
-    if isinstance(noise, NoiseModel):
-        if len(noise) != 1:
-            raise ValueError("scalar estimator needs a single-entry NoiseModel")
-        return float(noise.sigma2[0])
-    s2 = float(noise)
-    if not np.isfinite(s2) or s2 < 0.0:
-        raise ValueError(f"noise variance must be finite and >= 0, got {s2}")
-    return s2
-
-
 def _noise_for(noise, R: int) -> np.ndarray:
     model = noise if isinstance(noise, NoiseModel) else NoiseModel(noise)
     if len(model) == 1:
@@ -132,13 +117,30 @@ def _check_md_shapes(systems, dhats) -> None:
             raise ValueError(f"data length {dhat.size} does not match m={sys.m}")
 
 
-def _residual_head(sys: SpectralSystem, dhat: np.ndarray, psi: np.ndarray) -> float:
-    q = sys.q_star
-    return float(np.sum((psi[:q] * dhat[:q]) ** 2))
+def _gcv_ratio(rsum: float, trsum: float, M: int, what: str, alpha: float) -> float:
+    """(rsum / M) / (1 - trsum / M)**2, raising at a saturated trace."""
+    den = (1.0 - trsum / M) ** 2
+    if den < SATURATION_FLOOR:
+        raise SaturatedTraceError(
+            f"saturated trace: {what} {trsum:.6g} ~ M={M} at alpha={alpha:.3g}")
+    return (rsum / M) / den
 
 
-def _scalar_trace(sys: SpectralSystem, phi: np.ndarray) -> float:
-    return (sys.n - sys.q_star) + float(np.sum(phi[sys.ell: sys.q_star]))
+def _window_members(systems, dhats, windows, p: int,
+                    overlap_error: str) -> tuple[int, list[np.ndarray]]:
+    """Checks shared by the per-window forms, then the window count P and
+    window p's member indices in each system."""
+    _check_md_shapes(systems, dhats)
+    wlist = _windows_for(windows, len(systems))
+    P = wlist[0].P
+    if not 0 <= p < P:
+        raise IndexError(f"window index {p} out of range for P={P}")
+    if not all(wset.nonoverlapping for wset in wlist):
+        raise ValueError(overlap_error)
+    members = [wset.member_indices(p) for wset in wlist]
+    if not any(idx.size for idx in members):
+        raise EmptyWindowError(f"window {p} has no members in any system")
+    return P, members
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +153,10 @@ def upre_scalar(sys: SpectralSystem, dhat: np.ndarray, alpha: float, noise) -> f
     (1/m) ||r(alpha)||^2 + (2 sigma^2 / m) trace(influence) - sigma^2,
     constants included.
     """
-    s2 = _sigma2_scalar(noise)
+    s2 = float(_noise_for(noise, 1)[0])
     ff = filter_factors(sys, alpha)
     rnorm = _residual_head(sys, dhat, ff.psi) + float(np.sum(dhat[sys.n:] ** 2))
-    tr = _scalar_trace(sys, ff.phi)
+    tr = _trace(sys, ff.phi)
     m = sys.m
     return rnorm / m + 2.0 * s2 * tr / m - s2
 
@@ -163,12 +165,12 @@ def upre_md_windowed(systems: Sequence[SpectralSystem], dhats: Sequence[np.ndarr
                      windows, alphas, noise) -> float:
     """Multi-data windowed UPRE with a shared parameter vector.
 
-    (1/M) sum_r [ sum_j (sum_p w_j psi_j(alpha_p))^2 dhat_j^2
-                  + 2 sigma_r^2 sum_j sum_p w_j phi_j(alpha_p) ],
-    M = sum_r m_r.  Terms independent of alpha (the beyond-n residual tail
-    and the -sigma^2 offsets) are dropped.
+    (1/M) sum_r [ sum_{j<q_star} (1 - phi_win_j)^2 dhat_j^2
+                  + 2 sigma_r^2 sum_j phi_win_j ],
+    M = sum_r m_r, phi_win = sum_p w^(p) phi(alpha_p).  Terms independent of
+    alpha (the beyond-n residual tail and the -sigma^2 offsets) are dropped.
     """
-    alphas = _vec(alphas)
+    alphas = _as_params(alphas)
     _check_md_shapes(systems, dhats)
     R = len(systems)
     wlist = _windows_for(windows, R)
@@ -176,16 +178,8 @@ def upre_md_windowed(systems: Sequence[SpectralSystem], dhats: Sequence[np.ndarr
     M = sum(sys.m for sys in systems)
     total = 0.0
     for sys, dhat, wset, s in zip(systems, dhats, wlist, s2):
-        if wset.P != alphas.P:
-            raise ValueError(
-                f"parameter/window count mismatch: {alphas.P} vs {wset.P}")
-        swin = np.zeros(sys.n)
-        tr = 0.0
-        for p in range(wset.P):
-            ff = filter_factors(sys, alphas.values[p])
-            swin += wset.weights[p] * ff.psi
-            tr += float(np.sum(wset.weights[p] * ff.phi))
-        total += _residual_head(sys, dhat, swin) + 2.0 * s * tr
+        _, phiw = _windowed_filter(sys, wset, alphas)
+        total += _residual_head(sys, dhat, 1.0 - phiw) + 2.0 * s * _trace(sys, phiw)
     return total / M
 
 
@@ -197,29 +191,15 @@ def upre_window_separable(systems: Sequence[SpectralSystem],
     Valid for non-overlapping windows only; summing over p = 0..P-1
     reproduces upre_md_windowed at the assembled parameter vector exactly.
     """
-    _check_md_shapes(systems, dhats)
-    R = len(systems)
-    wlist = _windows_for(windows, R)
-    s2 = _noise_for(noise, R)
-    P = wlist[0].P
-    if not 0 <= p < P:
-        raise IndexError(f"window index {p} out of range for P={P}")
-    for wset in wlist:
-        if not wset.nonoverlapping:
-            raise ValueError("separable form invalid for overlapping windows")
+    _, members = _window_members(systems, dhats, windows, p,
+                                 "separable form invalid for overlapping windows")
+    s2 = _noise_for(noise, len(systems))
     M = sum(sys.m for sys in systems)
-    members = 0
     total = 0.0
-    for sys, dhat, wset, s in zip(systems, dhats, wlist, s2):
-        idx = wset.member_indices(p)
-        members += idx.size
-        if idx.size == 0:
-            continue
+    for sys, dhat, idx, s in zip(systems, dhats, members, s2):
         ff = filter_factors(sys, alpha)
         total += float(np.sum((ff.psi[idx] * dhat[idx]) ** 2))
         total += 2.0 * s * float(np.sum(ff.phi[idx]))
-    if members == 0:
-        raise EmptyWindowError(f"window {p} has no members in any system")
     return total / M
 
 
@@ -228,16 +208,9 @@ def upre_window_separable(systems: Sequence[SpectralSystem],
 # ---------------------------------------------------------------------------
 
 def gcv_scalar(sys: SpectralSystem, dhat: np.ndarray, alpha: float) -> float:
-    """[(1/m) ||r(alpha)||^2] / [1 - trace(influence)/m]^2."""
-    ff = filter_factors(sys, alpha)
-    rnorm = _residual_head(sys, dhat, ff.psi) + float(np.sum(dhat[sys.n:] ** 2))
-    tr = _scalar_trace(sys, ff.phi)
-    m = sys.m
-    den = (1.0 - tr / m) ** 2
-    if den < SATURATION_FLOOR:
-        raise SaturatedTraceError(
-            f"saturated trace: influence trace {tr:.6g} ~ m={m} at alpha={alpha:.3g}")
-    return (rnorm / m) / den
+    """[(1/m) ||r(alpha)||^2] / [1 - trace(influence)/m]^2, the one-system
+    case of gcv_md_scalar."""
+    return gcv_md_scalar([sys], [dhat], alpha)
 
 
 def gcv_md_scalar(systems: Sequence[SpectralSystem], dhats: Sequence[np.ndarray],
@@ -250,35 +223,35 @@ def gcv_md_scalar(systems: Sequence[SpectralSystem], dhats: Sequence[np.ndarray]
     for sys, dhat in zip(systems, dhats):
         ff = filter_factors(sys, alpha)
         rsum += _residual_head(sys, dhat, ff.psi) + float(np.sum(dhat[sys.n:] ** 2))
-        trsum += _scalar_trace(sys, ff.phi)
-    den = (1.0 - trsum / M) ** 2
-    if den < SATURATION_FLOOR:
-        raise SaturatedTraceError(
-            f"saturated trace: pooled trace {trsum:.6g} ~ M={M} at alpha={alpha:.3g}")
-    return (rsum / M) / den
+        trsum += _trace(sys, ff.phi)
+    return _gcv_ratio(rsum, trsum, M, "pooled trace", alpha)
 
 
 def _true_gcv_filters(sys: SpectralSystem, windows: WindowSet,
-                      alphas: ParamVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack phi(alpha_p) rows and the per-window trace complements mu, nu."""
-    if windows.P != alphas.P:
-        raise ValueError(
-            f"parameter/window count mismatch: {alphas.P} vs {windows.P}")
-    phi = np.stack([filter_factors(sys, a).phi for a in alphas.values])
-    mu = 1.0 - phi.sum(axis=1) / sys.m
-    nu = 1.0 - np.sum(windows.weights * phi, axis=1) / sys.m
+                      alphas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Band phi(alpha_p) rows and the per-window trace complements mu, nu.
+
+    From q_star on every phi is 1, so the window-p sums there are n - q_star
+    (unweighted) and the tail weight of window p, neither depending on alpha.
+    """
+    alphas = _as_params(alphas)
+    rows, _ = _windowed_filter(sys, windows, alphas)
+    lo, hi = sys.ell, sys.q_star
+    mu = 1.0 - (rows.sum(axis=1) + (sys.n - hi)) / sys.m
+    nu = 1.0 - (np.einsum("pj,pj->p", windows.weights[:, lo:hi], rows)
+                + windows.weights[:, hi:].sum(axis=1)) / sys.m
     if np.any(mu <= SATURATION_FLOOR):
         bad = int(np.argmin(mu))
         raise SaturatedTraceError(
             f"saturated window trace: mu[{bad}] <= {SATURATION_FLOOR:g} at "
             f"alpha={alphas.values[bad]:.3g}")
-    return phi, mu, nu
+    return rows, mu, nu
 
 
 def windowed_gcv_terms(sys: SpectralSystem, windows: WindowSet,
                        alphas) -> WindowedGcvTerms:
     """Trace complements mu_p, nu_p entering the coupled windowed GCV."""
-    _, mu, nu = _true_gcv_filters(sys, windows, _vec(alphas))
+    _, mu, nu = _true_gcv_filters(sys, windows, alphas)
     return WindowedGcvTerms(mu=mu, nu=nu)
 
 
@@ -295,12 +268,15 @@ def gcv_windowed_true(sys: SpectralSystem, dhat: np.ndarray, windows: WindowSet,
     per-index weighted correction; with P = 1 the expression collapses to
     gcv_scalar exactly, including rank-deficient systems.
     """
-    alphas = _vec(alphas)
     if dhat.size != sys.m:
         raise ValueError(f"data length {dhat.size} does not match m={sys.m}")
-    phi, mu, nu = _true_gcv_filters(sys, windows, alphas)
+    rows, mu, nu = _true_gcv_filters(sys, windows, alphas)
+    lo, hi = sys.ell, sys.q_star
+    inv_mu = (1.0 / mu)[:, None]
     S = float(np.sum((1.0 - nu) / mu))
-    coef = 1.0 + S - np.sum(windows.weights * phi / mu[:, None], axis=0)
+    coef = np.full(sys.n, 1.0 + S)
+    coef[lo:hi] -= np.einsum("pj,pj->j", windows.weights[:, lo:hi], rows * inv_mu)
+    coef[hi:] -= np.sum(windows.weights[:, hi:] * inv_mu, axis=0)
     head = float(np.sum((coef * dhat[: sys.n]) ** 2))
     tail = (1.0 + S) ** 2 * float(np.sum(dhat[sys.n:] ** 2))
     return (head + tail) / sys.m
@@ -329,36 +305,18 @@ def gcv_windowed_decoupled(systems: Sequence[SpectralSystem],
     tail charged to the last window so P = 1 reduces to gcv_md_scalar.
     Denominator: squared complement of the pooled single-window trace.
     """
-    _check_md_shapes(systems, dhats)
-    R = len(systems)
-    wlist = _windows_for(windows, R)
-    P = wlist[0].P
-    if not 0 <= p < P:
-        raise IndexError(f"window index {p} out of range for P={P}")
-    for wset in wlist:
-        if not wset.nonoverlapping:
-            raise ValueError("decoupled GCV requires non-overlapping windows")
+    P, members = _window_members(systems, dhats, windows, p,
+                                 "decoupled GCV requires non-overlapping windows")
     M = sum(sys.m for sys in systems)
-    members = 0
     num = 0.0
     trsum = 0.0
-    for sys, dhat, wset in zip(systems, dhats, wlist):
-        idx = wset.member_indices(p)
-        members += idx.size
+    for sys, dhat, idx in zip(systems, dhats, members):
         ff = filter_factors(sys, alpha)
-        if idx.size:
-            num += float(np.sum((ff.psi[idx] * dhat[idx]) ** 2))
-            trsum += float(np.sum(ff.phi[idx]))
+        num += float(np.sum((ff.psi[idx] * dhat[idx]) ** 2))
+        trsum += float(np.sum(ff.phi[idx]))
         if p == P - 1:
             num += float(np.sum(dhat[sys.n:] ** 2))
-    if members == 0:
-        raise EmptyWindowError(f"window {p} has no members in any system")
-    den = (1.0 - trsum / M) ** 2
-    if den < SATURATION_FLOOR:
-        raise SaturatedTraceError(
-            f"saturated trace: window {p} trace {trsum:.6g} ~ M={M} at "
-            f"alpha={alpha:.3g}")
-    return (num / M) / den
+    return _gcv_ratio(num, trsum, M, f"window {p} trace", alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +378,7 @@ class MseObjective:
             for sys, wset, us, ts in groups.values()]
 
     def __call__(self, alphas) -> float:
-        alphas = _vec(alphas)
+        alphas = _as_params(alphas)
         if alphas.P != self.P:
             raise ValueError(
                 f"parameter/window count mismatch: {alphas.P} vs {self.P}")
@@ -430,7 +388,7 @@ class MseObjective:
             phiw = np.sum(weights * _band_phi(d2, lam2, column), axis=0)
             total += float(np.sum((phiw * u - t) ** 2))
         for sys, wset, dpinv, head, truth in self._direct:
-            x = sys.synthesize(phi_windowed(sys, wset, alphas) * dpinv * head)
+            x = sys.synthesize(_windowed_filter(sys, wset, alphas)[1] * dpinv * head)
             total += float(np.sum((x - truth) ** 2))
         return total / self.R
 

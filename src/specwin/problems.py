@@ -20,9 +20,8 @@ import numpy as np
 from scipy import ndimage
 from scipy.fft import dctn, idctn
 
-from .spectral import (_first_column_spectrum, laplacian_spectrum,
-                       reflexive_kernel)
-from .errors import KernelSymmetryError
+from .spectral import (_check_doubly_symmetric, _first_column_spectrum,
+                       laplacian_spectrum, reflexive_kernel)
 
 __all__ = [
     "DataSet",
@@ -110,14 +109,7 @@ def blur_spectrum(psf: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     PSF, which is exact for odd sizes and the canonical symmetric extension
     for even ones."""
     psf = np.asarray(psf, dtype=float)
-    if psf.ndim != 2:
-        raise ValueError("PSF must be 2D")
-    tol = 1e-12 * max(np.abs(psf).max(), 1.0)
-    if (np.abs(psf - psf[::-1, :]).max() > tol
-            or np.abs(psf - psf[:, ::-1]).max() > tol):
-        raise KernelSymmetryError(
-            "kernel not diagonalizable by DCT: PSF must be symmetric about "
-            "its center in both axes")
+    _check_doubly_symmetric(psf)
     kern = _embedded_kernel(psf, dims)
     return _first_column_spectrum(reflexive_kernel(kern), dims)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralSystem, filter_factors
+from .spectral import SpectralSystem, _band_phi, filter_factors
 from .windows import WindowSet
 
 __all__ = [
@@ -61,11 +61,40 @@ def _as_params(alphas) -> ParamVector:
     return alphas if isinstance(alphas, ParamVector) else ParamVector(alphas)
 
 
-def _check_pair(windows: WindowSet, alphas: ParamVector) -> None:
+def _windowed_filter(sys: SpectralSystem, windows: WindowSet,
+                     alphas) -> tuple[np.ndarray, np.ndarray]:
+    """The windowed filter of one parameter vector.
+
+    Returns the per-window rows phi(alpha_p) on the active band
+    [ell, q_star), shape (P, q_star - ell), and the effective filter
+    phi_win = sum_p weights[p] * phi(alpha_p) over all n indices.  Every phi
+    is 0 below ell and 1 from q_star on, so phi_win is 0 there and the summed
+    window weights here; only the band depends on the parameters.
+    """
+    alphas = _as_params(alphas)
     if windows.P != alphas.P:
         raise ValueError(
             f"parameter/window count mismatch: {alphas.P} parameters for "
             f"{windows.P} windows")
+    lo, hi = sys.ell, sys.q_star
+    rows = _band_phi(sys.delta[lo:hi] ** 2, sys.lam[lo:hi] ** 2,
+                     alphas.values[:, None])
+    phi_win = np.zeros(sys.n)
+    phi_win[lo:hi] = np.einsum("pj,pj->j", windows.weights[:, lo:hi], rows)
+    phi_win[hi:] = windows.weights[:, hi:].sum(axis=0)
+    return rows, phi_win
+
+
+def _residual_head(sys: SpectralSystem, dhat: np.ndarray, psi: np.ndarray) -> float:
+    """sum over j < q_star of (psi_j dhat_j)**2 for a residual factor psi."""
+    q = sys.q_star
+    return float(np.sum((psi[:q] * dhat[:q]) ** 2))
+
+
+def _trace(sys: SpectralSystem, phi: np.ndarray) -> float:
+    """Influence trace (n - q_star) + sum over the band of a filter phi that
+    is 0 below ell and sums to 1 from q_star on."""
+    return (sys.n - sys.q_star) + float(np.sum(phi[sys.ell: sys.q_star]))
 
 
 def phi_windowed(sys: SpectralSystem, windows: WindowSet,
@@ -75,65 +104,45 @@ def phi_windowed(sys: SpectralSystem, windows: WindowSet,
     The symmetric form W^(1/2) Phi W^(1/2) of the windowed filter equals
     W Phi entrywise because every factor is diagonal.
     """
-    alphas = _as_params(alphas)
-    _check_pair(windows, alphas)
-    out = np.zeros(sys.n)
-    for p in range(windows.P):
-        out += windows.weights[p] * filter_factors(sys, alphas.values[p]).phi
-    return out
+    return _windowed_filter(sys, windows, alphas)[1]
+
+
+def _solution(sys: SpectralSystem, d: np.ndarray,
+              phi: np.ndarray) -> RegularizedSolution:
+    dhat = sys.analyze(d)
+    if dhat.size != sys.m:
+        raise ValueError(f"data length {dhat.size} does not match m={sys.m}")
+    x = sys.synthesize(phi * sys.delta_pinv() * dhat[: sys.n])
+    return RegularizedSolution(x=x, dhat=dhat, phi_win=phi)
 
 
 def solve_scalar(sys: SpectralSystem, d: np.ndarray, alpha: float) -> RegularizedSolution:
     """Tikhonov solution for one scalar parameter."""
-    dhat = sys.analyze(d)
-    if dhat.size != sys.m:
-        raise ValueError(f"data length {dhat.size} does not match m={sys.m}")
-    phi = filter_factors(sys, alpha).phi
-    x = sys.synthesize(phi * sys.delta_pinv() * dhat[: sys.n])
-    return RegularizedSolution(x=x, dhat=dhat, phi_win=phi)
+    return _solution(sys, d, filter_factors(sys, alpha).phi)
 
 
 def solve_windowed(sys: SpectralSystem, d: np.ndarray, windows: WindowSet,
                    alphas) -> RegularizedSolution:
     """Windowed Tikhonov solution with one parameter per window."""
-    alphas = _as_params(alphas)
-    dhat = sys.analyze(d)
-    if dhat.size != sys.m:
-        raise ValueError(f"data length {dhat.size} does not match m={sys.m}")
-    phiw = phi_windowed(sys, windows, alphas)
-    x = sys.synthesize(phiw * sys.delta_pinv() * dhat[: sys.n])
-    return RegularizedSolution(x=x, dhat=dhat, phi_win=phiw)
+    return _solution(sys, d, phi_windowed(sys, windows, alphas))
 
 
 def residual_norm_windowed(sys: SpectralSystem, dhat: np.ndarray,
                            windows: WindowSet, alphas) -> float:
     """Squared data-misfit norm ||A x_win - d||**2 from spectral quantities.
 
-    Equals sum over j <= q_star of (sum_p w_j^p psi_j(alpha_p))**2 dhat_j**2
-    plus the tail sum_{j>n} dhat_j**2.
+    Equals sum over j < q_star of (1 - phi_win_j)**2 dhat_j**2 plus the tail
+    sum_{j>=n} dhat_j**2.  The residual factor 1 - phi_win equals
+    sum_p w_j^p psi_j(alpha_p) because the window weights sum to one at
+    every index (the WindowSet partition of unity).
     """
-    alphas = _as_params(alphas)
-    _check_pair(windows, alphas)
-    swin = np.zeros(sys.n)
-    for p in range(windows.P):
-        swin += windows.weights[p] * filter_factors(sys, alphas.values[p]).psi
-    head = float(np.sum((swin[: sys.q_star] * dhat[: sys.q_star]) ** 2))
-    tail = float(np.sum(dhat[sys.n:] ** 2))
-    return head + tail
+    psi = 1.0 - phi_windowed(sys, windows, alphas)
+    return _residual_head(sys, dhat, psi) + float(np.sum(dhat[sys.n:] ** 2))
 
 
 def trace_windowed(sys: SpectralSystem, windows: WindowSet, alphas) -> float:
     """Trace of the windowed data-resolution (influence) matrix.
 
-    Equals (n - q_star) + sum over ell < j <= q_star of
-    sum_p w_j^p phi_j(alpha_p).
+    Equals (n - q_star) + sum over ell <= j < q_star of phi_win_j.
     """
-    alphas = _as_params(alphas)
-    _check_pair(windows, alphas)
-    mid = slice(sys.ell, sys.q_star)
-    acc = 0.0
-    for p in range(windows.P):
-        phi = filter_factors(sys, alphas.values[p]).phi
-        acc += float(np.sum(windows.weights[p, mid] * phi[mid]))
-    return (sys.n - sys.q_star) + acc
-
+    return _trace(sys, phi_windowed(sys, windows, alphas))

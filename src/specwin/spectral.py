@@ -290,6 +290,19 @@ def laplacian_spectrum(dims: Tuple[int, int]) -> np.ndarray:
     return l1[:, None] + l2[None, :]
 
 
+def _check_doubly_symmetric(psf: np.ndarray) -> None:
+    """ValueError unless the PSF is 2D; KernelSymmetryError unless it equals
+    its flips in both axes to 1e-12 relative to its largest magnitude."""
+    if psf.ndim != 2:
+        raise ValueError("psf must be a 2D array")
+    tol = 1e-12 * np.abs(psf).max()
+    if (np.abs(psf - psf[::-1, :]).max() > tol
+            or np.abs(psf - psf[:, ::-1]).max() > tol):
+        raise KernelSymmetryError(
+            "kernel not diagonalizable by DCT: PSF must be symmetric about "
+            "its center in both axes")
+
+
 def dct_decompose(psf: np.ndarray, penalty: str = "identity") -> SpectralSystem:
     """Simultaneous DCT-II diagonalization of a symmetric blur and a penalty.
 
@@ -299,12 +312,7 @@ def dct_decompose(psf: np.ndarray, penalty: str = "identity") -> SpectralSystem:
     analyze/synthesize transforms.
     """
     psf = np.asarray(psf, dtype=float)
-    if psf.ndim != 2:
-        raise ValueError("psf must be a 2D array")
-    tol = 1e-12 * np.abs(psf).max()
-    if (np.abs(psf - psf[::-1, :]).max() > tol
-            or np.abs(psf - psf[:, ::-1]).max() > tol):
-        raise KernelSymmetryError("kernel not diagonalizable by DCT")
+    _check_doubly_symmetric(psf)
     dims = psf.shape
     n1, n2 = dims
     n = n1 * n2

@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import hadamard
 
-from specwin.solver import phi_windowed
-from specwin.spectral import SpectralSystem
+from specwin.spectral import SpectralSystem, filter_factors
 from specwin.windows import WindowSet
 
 # ---------------------------------------------------------------------------
@@ -107,6 +106,65 @@ def dense_gcv_scalar(A: np.ndarray, L: np.ndarray, d: np.ndarray,
     return (float(r @ r) / m) / (1.0 - tr / m) ** 2
 
 
+# ---------------------------------------------------------------------------
+# windowed spectral quantities by an explicit loop over windows
+# ---------------------------------------------------------------------------
+
+
+def loop_filters(sys: SpectralSystem, windows: WindowSet, alphas):
+    """Window-blended filter and residual factors,
+    sum_p weights[p] * phi(alpha_p) and sum_p weights[p] * psi(alpha_p),
+    one filter_factors call per window."""
+    phi = np.zeros(sys.n)
+    psi = np.zeros(sys.n)
+    for p in range(windows.P):
+        ff = filter_factors(sys, float(alphas[p]))
+        phi += windows.weights[p] * ff.phi
+        psi += windows.weights[p] * ff.psi
+    return phi, psi
+
+
+def loop_residual_windowed(sys: SpectralSystem, dhat: np.ndarray,
+                           windows: WindowSet, alphas) -> float:
+    """||A x_win - d||^2: the blended residual factor on j < q_star plus the
+    data tail beyond n."""
+    _, psi = loop_filters(sys, windows, alphas)
+    q = sys.q_star
+    return float(np.sum((psi[:q] * dhat[:q]) ** 2) + np.sum(dhat[sys.n:] ** 2))
+
+
+def loop_trace_windowed(sys: SpectralSystem, windows: WindowSet, alphas) -> float:
+    """Influence trace as the sum of the blended filter over every index."""
+    return float(np.sum(loop_filters(sys, windows, alphas)[0]))
+
+
+def loop_upre_md_windowed(systems, dhats, windows, alphas, sigma2) -> float:
+    """Multi-data windowed UPRE without its alpha-independent constants."""
+    total = 0.0
+    for sys, dhat, s2 in zip(systems, dhats, sigma2):
+        q = sys.q_star
+        phi, psi = loop_filters(sys, windows, alphas)
+        total += float(np.sum((psi[:q] * dhat[:q]) ** 2))
+        total += 2.0 * s2 * float(np.sum(phi))
+    return total / sum(sys.m for sys in systems)
+
+
+def loop_gcv_windowed_true_md(systems, dhats, windows, alphas) -> float:
+    """Average over data sets of the coupled windowed GCV, from the full
+    (P, n) stack of per-window filters."""
+    vals = []
+    for sys, dhat in zip(systems, dhats):
+        phi = np.stack([filter_factors(sys, float(a)).phi for a in alphas])
+        mu = 1.0 - phi.sum(axis=1) / sys.m
+        nu = 1.0 - np.sum(windows.weights * phi, axis=1) / sys.m
+        S = float(np.sum((1.0 - nu) / mu))
+        coef = 1.0 + S - np.sum(windows.weights * phi / mu[:, None], axis=0)
+        head = float(np.sum((coef * dhat[: sys.n]) ** 2))
+        tail = (1.0 + S) ** 2 * float(np.sum(dhat[sys.n:] ** 2))
+        vals.append((head + tail) / sys.m)
+    return float(np.mean(vals))
+
+
 def direct_mse(systems, dhats, truths, windows, alphas) -> float:
     """Supervised objective (1/R) sum_r ||x_win^(r) - x_true^(r)||^2 with every
     windowed solution synthesized in the solution space.
@@ -118,7 +176,7 @@ def direct_mse(systems, dhats, truths, windows, alphas) -> float:
     wlist = [windows] * R if isinstance(windows, WindowSet) else list(windows)
     total = 0.0
     for sys, dhat, truth, wset in zip(systems, dhats, truths, wlist):
-        phiw = phi_windowed(sys, wset, alphas)
+        phiw, _ = loop_filters(sys, wset, alphas)
         x = sys.synthesize(phiw * sys.delta_pinv() * dhat[: sys.n])
         total += float(np.sum((x - truth) ** 2))
     return total / R

@@ -11,6 +11,7 @@ from specwin.cli import (
     _build_system,
     _build_windows,
     _split_datasets,
+    _split_truths,
     cmd_report,
     cmd_train,
     cmd_validate,
@@ -20,6 +21,7 @@ from specwin.cli import (
 from specwin.errors import ConfigError
 from specwin.estimators import NoiseModel, mse_learning, upre_md_windowed
 from specwin.optimize import minimize_scalar
+from specwin.problems import synthetic_image, write_pgm
 from specwin.windows import trivial_window
 
 BASE = {
@@ -233,6 +235,46 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert main(["--config", str(good), "validate",
                  "--params", str(no_corpus)]) == 2
     assert main(["report", str(broken)]) == 2
+
+    # a labelled manifest with no records for a split, and an image format
+    # the corpus reader does not support
+    _write_corpus(tmp_path, "train_only.csv", ["train", "train"])
+    train_only = _write_config(tmp_path,
+                               validation1_manifest=str(tmp_path / "train_only.csv"))
+    assert main(["--config", str(train_only), "gen"]) == 2
+    (tmp_path / "notes.txt").write_text("not an image")
+    (tmp_path / "txt.csv").write_text("notes.txt,train,0\n")
+    txt = _write_config(tmp_path, train_manifest=str(tmp_path / "txt.csv"))
+    assert main(["--config", str(txt), "gen"]) == 2
+
+
+def _write_corpus(tmp_path, name, splits):
+    """PGM images with a manifest labelling image i with splits[i]."""
+    lines = []
+    for i, split in enumerate(splits):
+        write_pgm(tmp_path / f"{name}_{i}.pgm", synthetic_image(8, seed=i))
+        lines.append(f"{name}_{i}.pgm,{split},{i}")
+    (tmp_path / name).write_text("\n".join(lines) + "\n")
+    return tmp_path / name
+
+
+def test_manifest_split_labels(tmp_path):
+    from dataclasses import replace
+    cfg = ExperimentConfig(image_size=8, xi=1.0, snr_db=10.0, seed=1,
+                           r_train=2, val_count=1)
+    # records carrying none of the split labels serve every split
+    plain = str(_write_corpus(tmp_path, "plain.csv", ["all"] * 3))
+    cfg_plain = replace(cfg, train_manifest=plain, validation1_manifest=plain)
+    assert len(_split_truths(cfg_plain, "train")) == 2
+    assert len(_split_truths(cfg_plain, "validation_1")) == 3
+    # a labelled manifest serves each split only its own records
+    mixed = str(_write_corpus(tmp_path, "mixed.csv",
+                              ["train", "train", "validation_1"]))
+    cfg_mixed = replace(cfg, validation1_manifest=mixed,
+                        validation2_manifest=mixed)
+    assert len(_split_truths(cfg_mixed, "validation_1")) == 1
+    with pytest.raises(ConfigError, match="empty corpus"):
+        _split_truths(cfg_mixed, "validation_2")
 
 
 def test_validate_window_mismatch(tmp_path, monkeypatch):

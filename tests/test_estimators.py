@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from specwin.errors import EmptyWindowError, SaturatedTraceError
 from specwin.estimators import (
@@ -23,7 +23,8 @@ from specwin.estimators import (
     upre_window_separable,
     windowed_gcv_terms,
 )
-from specwin.solver import solve_windowed
+from specwin.solver import (phi_windowed, residual_norm_windowed, solve_windowed,
+                            trace_windowed)
 from specwin.problems import gaussian_psf
 from specwin.spectral import dct_decompose, filter_factors, gsvd
 from specwin.windows import cosine_windows, indicator_windows, make_partitions, trivial_window
@@ -36,6 +37,11 @@ from oracles import (
     dense_solve_windowed,
     dense_upre_scalar,
     direct_mse,
+    loop_filters,
+    loop_gcv_windowed_true_md,
+    loop_residual_windowed,
+    loop_trace_windowed,
+    loop_upre_md_windowed,
     make_diag_system,
     press_windowed_gcv,
     tik_matrices,
@@ -448,7 +454,10 @@ def _box_psf(dims, widths):
 
 
 @st.composite
-def dct_mse_cases(draw):
+def windowed_dct_cases(draw):
+    """A DCT system with ell >= 0 (box PSFs) and q_star <= n (Laplacian
+    penalty), indicator or cosine windows, P and R in 1..4, and parameters
+    across six decades."""
     dims = (draw(st.integers(4, 24)), draw(st.integers(4, 24)))
     if draw(st.booleans()):
         # widths share the parity of the side, so the box stays centered
@@ -471,7 +480,14 @@ def dct_mse_cases(draw):
     return sys, windows, R, alphas, draw(st.integers(0, 2 ** 32 - 1))
 
 
-@given(dct_mse_cases())
+# both deficiencies at once: ell > 0 and q_star < n
+_BOX = dct_decompose(_box_psf((8, 6), (4, 2)), "laplacian")
+DEFICIENT_CASE = (_BOX, cosine_windows(make_partitions(_BOX, 3), _BOX), 3,
+                  [0.01, 0.4, 20.0], 7)
+
+
+@given(windowed_dct_cases())
+@example(DEFICIENT_CASE)
 @settings(max_examples=80, deadline=None)
 def test_mse_objective_coefficient_space_matches_direct_property(case):
     sys, windows, R, alphas, seed = case
@@ -483,6 +499,33 @@ def test_mse_objective_coefficient_space_matches_direct_property(case):
     blind = replace(sys, _analyze=_no_transform, _synthesize=_no_transform)
     val = MseObjective([blind] * R, dhats, truths, windows)(alphas)
     assert abs(val - ref) <= 1e-12 * ref
+
+
+@given(windowed_dct_cases())
+@example(DEFICIENT_CASE)
+@settings(max_examples=80, deadline=None)
+def test_windowed_kernel_matches_per_window_loops_property(case):
+    sys, windows, R, alphas, seed = case
+    rng = np.random.default_rng(seed)
+    dhats = [sys.analyze(rng.standard_normal(sys.dims)) for _ in range(R)]
+    sigma2 = rng.uniform(0.0, 0.1, R)
+    # windowed objectives work on spectral data only: no transform allowed
+    blind = replace(sys, _analyze=_no_transform, _synthesize=_no_transform)
+    phi, _ = loop_filters(sys, windows, alphas)
+    assert np.abs(phi_windowed(blind, windows, alphas) - phi).max() \
+        <= 1e-12 * np.abs(phi).max()
+    pairs = [
+        (residual_norm_windowed(blind, dhats[0], windows, alphas),
+         loop_residual_windowed(sys, dhats[0], windows, alphas)),
+        (trace_windowed(blind, windows, alphas),
+         loop_trace_windowed(sys, windows, alphas)),
+        (upre_md_windowed([blind] * R, dhats, windows, alphas, NoiseModel(sigma2)),
+         loop_upre_md_windowed([sys] * R, dhats, windows, alphas, sigma2)),
+        (gcv_windowed_true_md([blind] * R, dhats, windows, alphas),
+         loop_gcv_windowed_true_md([sys] * R, dhats, windows, alphas)),
+    ]
+    for val, ref in pairs:
+        assert abs(val - ref) <= 1e-12 * abs(ref)
 
 
 def test_mse_objective_dense_fallback_is_the_direct_loop():
