@@ -31,10 +31,8 @@ import numpy as np
 from .errors import (ConfigError, EmptyWindowError, InfeasibleError,
                      JointNullSpaceError, KernelSymmetryError,
                      SaturatedTraceError)
-from .estimators import (MseObjective, NoiseModel, estimate_sigma2,
-                         gcv_md_scalar, gcv_windowed_decoupled,
-                         gcv_windowed_true_md, upre_md_windowed,
-                         upre_window_separable)
+from .estimators import (MseObjective, NoiseModel, PooledObjectives,
+                         estimate_sigma2)
 from .optimize import SearchConfig, minimize_scalar, minimize_vector
 from .problems import (DataSet, gaussian_psf, load_corpus, make_dataset,
                        read_manifest, synthetic_image, write_pgm)
@@ -317,8 +315,9 @@ class _TrainContext:
     """Everything the estimator objectives need, computed once.
 
     dhats and noise may be passed in to reuse values computed for a larger
-    context (see `subset`).  The MSE objectives are prepared on first use,
-    once per window set, because they need truth images.
+    context (see `subset`).  The objectives are prepared on first use, once
+    per window set: the MSE objectives need truth images, and each search
+    evaluates the pooled UPRE/GCV data of its window set.
     """
 
     def __init__(self, config: ExperimentConfig, datasets: list[DataSet],
@@ -359,40 +358,52 @@ class _TrainContext:
     def mse_windowed(self) -> MseObjective:
         return MseObjective(self.systems, self.dhats, self.truths, self.windows)
 
+    @cached_property
+    def pooled_scalar(self) -> PooledObjectives:
+        return PooledObjectives(self.systems, self.dhats, self.trivial, self.noise)
+
+    @cached_property
+    def pooled_windowed(self) -> PooledObjectives:
+        return PooledObjectives(self.systems, self.dhats, self.windows, self.noise)
+
+    @cached_property
+    def pooled_warm(self) -> PooledObjectives:
+        """Pooled data on the indicator windows over the configured
+        partitions, whose separable searches warm-start the coupled ones."""
+        if not self.windows.kind.startswith("cosine"):
+            return self.pooled_windowed
+        spacing = "log" if self.windows.kind.endswith("_log") else "linear"
+        warm = indicator_windows(self.windows.partitions, self.system, spacing)
+        return PooledObjectives(self.systems, self.dhats, warm, self.noise)
+
 
 def _scalar_objective(ctx: _TrainContext, name: str):
     if name == "mse":
         return lambda a: ctx.mse_scalar([a])
     if name == "upre":
-        return lambda a: upre_md_windowed(ctx.systems, ctx.dhats, ctx.trivial,
-                                          [a], ctx.noise)
-    # both GCV variants share the scalar multi-data GCV ancestor
-    return lambda a: gcv_md_scalar(ctx.systems, ctx.dhats, a)
+        return lambda a: ctx.pooled_scalar.upre([a])
+    # both GCV variants share the scalar multi-data GCV ancestor, which is
+    # the decoupled GCV of the single all-ones window
+    return lambda a: ctx.pooled_scalar.gcv_window(0, a)
 
 
 def _windowed_objective(ctx: _TrainContext, name: str):
-    windows = ctx.windows
     if name == "mse":
         return ctx.mse_windowed
     if name == "upre":
-        return lambda v: upre_md_windowed(ctx.systems, ctx.dhats, windows, v,
-                                          ctx.noise)
+        return ctx.pooled_windowed.upre
     if name == "gcv_true":
-        return lambda v: gcv_windowed_true_md(ctx.systems, ctx.dhats, windows, v)
+        return ctx.pooled_windowed.gcv_true
     raise ValueError(f"no coupled objective for {name}")
 
 
 def _train_separable(ctx: _TrainContext, name: str,
-                     windows: WindowSet) -> tuple[list, list, list, list]:
+                     pooled: PooledObjectives) -> tuple[list, list, list, list]:
     """Per-window line searches for the separable/decoupled estimators."""
+    window_objective = pooled.upre_window if name == "upre" else pooled.gcv_window
     alphas, values, flags, traces = [], [], [], []
-    for p in range(windows.P):
-        if name == "upre":
-            obj = lambda a, p=p: upre_window_separable(
-                ctx.systems, ctx.dhats, windows, p, a, ctx.noise)
-        else:
-            obj = lambda a, p=p: gcv_windowed_decoupled(
-                ctx.systems, ctx.dhats, windows, p, a)
+    for p in range(pooled.P):
+        obj = lambda a, p=p: window_objective(p, a)
         res = minimize_scalar(obj, ctx.search)
         alphas.append(res.alpha)
         values.append(res.value)
@@ -410,12 +421,12 @@ def _train_windowed(ctx: _TrainContext, name: str) -> tuple[dict, list]:
 
     nonoverlap = windows.nonoverlapping
     if name in ("upre", "gcv_decoupled") and nonoverlap:
-        alphas, values, flags, traces = _train_separable(ctx, name, windows)
+        alphas, values, flags, traces = _train_separable(
+            ctx, name, ctx.pooled_windowed)
         entry["alphas"] = alphas
         entry["boundary"] = flags
         if name == "upre":
-            entry["value"] = upre_md_windowed(ctx.systems, ctx.dhats, windows,
-                                              alphas, ctx.noise)
+            entry["value"] = ctx.pooled_windowed.upre(alphas)
         else:
             entry["per_window_values"] = values
         return entry, traces
@@ -423,18 +434,13 @@ def _train_windowed(ctx: _TrainContext, name: str) -> tuple[dict, list]:
     # coupled estimators (and overlapping windows): warm start from the
     # matching non-overlapping solution, then simplex-descend the coupled
     # objective
-    spacing = "log" if config.window_kind.endswith("_log") else "linear"
-    if P > 1:
-        warm_windows = indicator_windows(
-            make_partitions(ctx.system, P, spacing), ctx.system, spacing)
-    else:
-        warm_windows = ctx.trivial
     warm_name = "gcv_decoupled" if name.startswith("gcv") else "upre"
     if name == "mse":
         scal = minimize_scalar(_scalar_objective(ctx, "mse"), ctx.search)
         starts = [ParamVector(np.full(P, scal.alpha))]
     else:
-        warm_alphas, _, _, _ = _train_separable(ctx, warm_name, warm_windows)
+        warm_alphas, _, _, _ = _train_separable(ctx, warm_name,
+                                                ctx.pooled_warm)
         # two deterministic starts: the non-overlapping solution and the
         # scalar diagonal; coupled objectives can be multimodal and a
         # boundary-pinned warm start can trap the simplex in a corner basin

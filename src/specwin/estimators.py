@@ -7,6 +7,10 @@ coefficients dhat = analyze(d):
   per-window separable form valid for non-overlapping windows;
 * cross-validation (GCV) objectives: scalar, multi-data scalar, the coupled
   windowed form, and the per-window decoupled approximation;
+* the multi-data forms of both families evaluated from data pooled once per
+  search (`PooledObjectives`): each depends on the data only through the
+  pooled energies sum_r dhat_r**2 and noise sum_r sigma_r**2, so one
+  evaluation costs the same for any number of data sets;
 * the supervised learning objective (mean squared solution error against
   known truths), prepared once per search as an `MseObjective`; on the DCT
   backend it is evaluated in coefficient space, with no transform per call.
@@ -24,9 +28,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyWindowError, SaturatedTraceError
-from .solver import _as_params, _residual_head, _trace, _windowed_filter
-from .spectral import SpectralSystem, _band_phi, filter_factors
-from .windows import WindowSet
+from .solver import (_as_params, _params_for, _residual_head, _trace,
+                     _windowed_filter)
+from .spectral import SpectralSystem, _band_phi, _positive_alpha, filter_factors
+from .windows import WindowSet, trivial_window
 
 __all__ = [
     "SATURATION_FLOOR",
@@ -41,6 +46,7 @@ __all__ = [
     "gcv_windowed_true_md",
     "gcv_windowed_decoupled",
     "windowed_gcv_terms",
+    "PooledObjectives",
     "MseObjective",
     "mse_learning",
     "estimate_sigma2",
@@ -126,23 +132,6 @@ def _gcv_ratio(rsum: float, trsum: float, M: int, what: str, alpha: float) -> fl
     return (rsum / M) / den
 
 
-def _window_members(systems, dhats, windows, p: int,
-                    overlap_error: str) -> tuple[int, list[np.ndarray]]:
-    """Checks shared by the per-window forms, then the window count P and
-    window p's member indices in each system."""
-    _check_md_shapes(systems, dhats)
-    wlist = _windows_for(windows, len(systems))
-    P = wlist[0].P
-    if not 0 <= p < P:
-        raise IndexError(f"window index {p} out of range for P={P}")
-    if not all(wset.nonoverlapping for wset in wlist):
-        raise ValueError(overlap_error)
-    members = [wset.member_indices(p) for wset in wlist]
-    if not any(idx.size for idx in members):
-        raise EmptyWindowError(f"window {p} has no members in any system")
-    return P, members
-
-
 # ---------------------------------------------------------------------------
 # UPRE family
 # ---------------------------------------------------------------------------
@@ -169,18 +158,9 @@ def upre_md_windowed(systems: Sequence[SpectralSystem], dhats: Sequence[np.ndarr
                   + 2 sigma_r^2 sum_j phi_win_j ],
     M = sum_r m_r, phi_win = sum_p w^(p) phi(alpha_p).  Terms independent of
     alpha (the beyond-n residual tail and the -sigma^2 offsets) are dropped.
+    One evaluation of freshly pooled data (`PooledObjectives.upre`).
     """
-    alphas = _as_params(alphas)
-    _check_md_shapes(systems, dhats)
-    R = len(systems)
-    wlist = _windows_for(windows, R)
-    s2 = _noise_for(noise, R)
-    M = sum(sys.m for sys in systems)
-    total = 0.0
-    for sys, dhat, wset, s in zip(systems, dhats, wlist, s2):
-        _, phiw = _windowed_filter(sys, wset, alphas)
-        total += _residual_head(sys, dhat, 1.0 - phiw) + 2.0 * s * _trace(sys, phiw)
-    return total / M
+    return PooledObjectives(systems, dhats, windows, noise).upre(alphas)
 
 
 def upre_window_separable(systems: Sequence[SpectralSystem],
@@ -189,22 +169,13 @@ def upre_window_separable(systems: Sequence[SpectralSystem],
     """Window p's share of the multi-data windowed UPRE.
 
     Valid for non-overlapping windows only; summing over p = 0..P-1
-    reproduces upre_md_windowed at the assembled parameter vector exactly.
+    reproduces upre_md_windowed at the assembled parameter vector.
     """
-    _, members = _window_members(systems, dhats, windows, p,
-                                 "separable form invalid for overlapping windows")
-    s2 = _noise_for(noise, len(systems))
-    M = sum(sys.m for sys in systems)
-    total = 0.0
-    for sys, dhat, idx, s in zip(systems, dhats, members, s2):
-        ff = filter_factors(sys, alpha)
-        total += float(np.sum((ff.psi[idx] * dhat[idx]) ** 2))
-        total += 2.0 * s * float(np.sum(ff.phi[idx]))
-    return total / M
+    return PooledObjectives(systems, dhats, windows, noise).upre_window(p, alpha)
 
 
 # ---------------------------------------------------------------------------
-# GCV family
+# GCV family (the GCV forms do not read the noise variances)
 # ---------------------------------------------------------------------------
 
 def gcv_scalar(sys: SpectralSystem, dhat: np.ndarray, alpha: float) -> float:
@@ -215,43 +186,42 @@ def gcv_scalar(sys: SpectralSystem, dhat: np.ndarray, alpha: float) -> float:
 
 def gcv_md_scalar(systems: Sequence[SpectralSystem], dhats: Sequence[np.ndarray],
                   alpha: float) -> float:
-    """Multi-data scalar GCV: pooled residual over pooled trace complement."""
-    _check_md_shapes(systems, dhats)
-    M = sum(sys.m for sys in systems)
-    rsum = 0.0
-    trsum = 0.0
-    for sys, dhat in zip(systems, dhats):
-        ff = filter_factors(sys, alpha)
-        rsum += _residual_head(sys, dhat, ff.psi) + float(np.sum(dhat[sys.n:] ** 2))
-        trsum += _trace(sys, ff.phi)
-    return _gcv_ratio(rsum, trsum, M, "pooled trace", alpha)
+    """Multi-data scalar GCV: pooled residual over pooled trace complement.
 
-
-def _true_gcv_filters(sys: SpectralSystem, windows: WindowSet,
-                      alphas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Band phi(alpha_p) rows and the per-window trace complements mu, nu.
-
-    From q_star on every phi is 1, so the window-p sums there are n - q_star
-    (unweighted) and the tail weight of window p, neither depending on alpha.
+    This is the decoupled GCV of the single all-ones window.
     """
-    alphas = _as_params(alphas)
-    rows, _ = _windowed_filter(sys, windows, alphas)
-    lo, hi = sys.ell, sys.q_star
-    mu = 1.0 - (rows.sum(axis=1) + (sys.n - hi)) / sys.m
-    nu = 1.0 - (np.einsum("pj,pj->p", windows.weights[:, lo:hi], rows)
-                + windows.weights[:, hi:].sum(axis=1)) / sys.m
+    distinct = {id(sys): sys for sys in systems}
+    trivial = {key: trivial_window(sys) for key, sys in distinct.items()}
+    wlist = [trivial[id(sys)] for sys in systems]
+    return PooledObjectives(systems, dhats, wlist, 0.0).gcv_window(0, alpha)
+
+
+def _trace_complements(rows: np.ndarray, weighted: np.ndarray,
+                       tail_weights: np.ndarray, tail_size: int, m: int,
+                       alphas) -> tuple[np.ndarray, np.ndarray]:
+    """Per-window trace complements mu, nu from the band rows phi(alpha_p)
+    and the weighted rows w^(p) phi(alpha_p); from q_star on every phi is 1,
+    so the window-p sums there are tail_size (unweighted) and
+    tail_weights[p]."""
+    mu = 1.0 - (rows.sum(axis=1) + tail_size) / m
+    nu = 1.0 - (weighted.sum(axis=1) + tail_weights) / m
     if np.any(mu <= SATURATION_FLOOR):
         bad = int(np.argmin(mu))
         raise SaturatedTraceError(
             f"saturated window trace: mu[{bad}] <= {SATURATION_FLOOR:g} at "
             f"alpha={alphas.values[bad]:.3g}")
-    return rows, mu, nu
+    return mu, nu
 
 
 def windowed_gcv_terms(sys: SpectralSystem, windows: WindowSet,
                        alphas) -> WindowedGcvTerms:
     """Trace complements mu_p, nu_p entering the coupled windowed GCV."""
-    _, mu, nu = _true_gcv_filters(sys, windows, alphas)
+    alphas = _as_params(alphas)
+    rows, _ = _windowed_filter(sys, windows, alphas)
+    hi = sys.q_star
+    mu, nu = _trace_complements(
+        rows, windows.weights[:, sys.ell: hi] * rows,
+        windows.weights[:, hi:].sum(axis=1), sys.n - hi, sys.m, alphas)
     return WindowedGcvTerms(mu=mu, nu=nu)
 
 
@@ -268,32 +238,19 @@ def gcv_windowed_true(sys: SpectralSystem, dhat: np.ndarray, windows: WindowSet,
     per-index weighted correction; with P = 1 the expression collapses to
     gcv_scalar exactly, including rank-deficient systems.
     """
-    if dhat.size != sys.m:
-        raise ValueError(f"data length {dhat.size} does not match m={sys.m}")
-    rows, mu, nu = _true_gcv_filters(sys, windows, alphas)
-    lo, hi = sys.ell, sys.q_star
-    inv_mu = (1.0 / mu)[:, None]
-    S = float(np.sum((1.0 - nu) / mu))
-    coef = np.full(sys.n, 1.0 + S)
-    coef[lo:hi] -= np.einsum("pj,pj->j", windows.weights[:, lo:hi], rows * inv_mu)
-    coef[hi:] -= np.sum(windows.weights[:, hi:] * inv_mu, axis=0)
-    head = float(np.sum((coef * dhat[: sys.n]) ** 2))
-    tail = (1.0 + S) ** 2 * float(np.sum(dhat[sys.n:] ** 2))
-    return (head + tail) / sys.m
+    return gcv_windowed_true_md([sys], [dhat], windows, alphas)
 
 
 def gcv_windowed_true_md(systems: Sequence[SpectralSystem],
                          dhats: Sequence[np.ndarray], windows, alphas) -> float:
     """Average of the per-set coupled windowed GCV values.
 
-    A pragmatic surrogate: the coupled form does not pool across data sets
-    the way the scalar GCV does, so multi-data use averages per-set values.
+    The coefficient (1 + S - ...) multiplying each dhat_j depends on the
+    system, the windows and the parameters but not on the data, so the
+    per-set average equals one pooled sum: for data sets sharing a system,
+    the coefficients squared against sum_r dhat_r**2, over m and R.
     """
-    _check_md_shapes(systems, dhats)
-    wlist = _windows_for(windows, len(systems))
-    vals = [gcv_windowed_true(sys, dhat, wset, alphas)
-            for sys, dhat, wset in zip(systems, dhats, wlist)]
-    return float(np.mean(vals))
+    return PooledObjectives(systems, dhats, windows, 0.0).gcv_true(alphas)
 
 
 def gcv_windowed_decoupled(systems: Sequence[SpectralSystem],
@@ -305,18 +262,149 @@ def gcv_windowed_decoupled(systems: Sequence[SpectralSystem],
     tail charged to the last window so P = 1 reduces to gcv_md_scalar.
     Denominator: squared complement of the pooled single-window trace.
     """
-    P, members = _window_members(systems, dhats, windows, p,
-                                 "decoupled GCV requires non-overlapping windows")
-    M = sum(sys.m for sys in systems)
-    num = 0.0
-    trsum = 0.0
-    for sys, dhat, idx in zip(systems, dhats, members):
-        ff = filter_factors(sys, alpha)
-        num += float(np.sum((ff.psi[idx] * dhat[idx]) ** 2))
-        trsum += float(np.sum(ff.phi[idx]))
-        if p == P - 1:
-            num += float(np.sum(dhat[sys.n:] ** 2))
-    return _gcv_ratio(num, trsum, M, f"window {p} trace", alpha)
+    return PooledObjectives(systems, dhats, windows, 0.0).gcv_window(p, alpha)
+
+
+# ---------------------------------------------------------------------------
+# Pooled evaluation
+# ---------------------------------------------------------------------------
+
+class _Group:
+    """Data sets sharing one system and one window set: their pooled sums
+    and the values on the active band [ell, q_star) that evaluations read.
+
+    Every phi is 0 below ell and 1 from q_star on, so there the residual and
+    trace terms do not depend on the parameters and are summed here once.
+    """
+
+    def __init__(self, sys: SpectralSystem, wset: WindowSet,
+                 dhats: list[np.ndarray], sigma2: np.ndarray) -> None:
+        lo, hi, n = sys.ell, sys.q_star, sys.n
+        energy = np.zeros(n)
+        self.beyond = 0.0
+        for dhat in dhats:
+            energy += dhat[:n] ** 2
+            self.beyond += float(dhat[n:] @ dhat[n:])
+        self.count = len(dhats)
+        self.m = sys.m
+        self.s2 = float(np.sum(sigma2))
+        self.below = float(np.sum(energy[:lo]))
+        self.d2 = sys.delta[lo:hi] ** 2
+        self.lam2 = sys.lam[lo:hi] ** 2
+        self.energy = energy[lo:hi]
+        self.weights = wset.weights[:, lo:hi]
+        self.tail_size = n - hi
+        self.tail_energy = energy[hi:]
+        self.tail_weights = wset.weights[:, hi:]
+        self.tail_sums = self.tail_weights.sum(axis=1)
+        self.sizes = np.count_nonzero(wset.weights > 0.0, axis=1)
+        # per window, for the separable forms: the energy below ell and the
+        # band members' values
+        self.separable = wset.nonoverlapping
+        if self.separable:
+            self.below_w = wset.weights[:, :lo] @ energy[:lo]
+            self.members = [(self.d2[idx], self.lam2[idx], self.energy[idx])
+                            for idx in (np.flatnonzero(w) for w in self.weights)]
+
+    def rows(self, alphas) -> np.ndarray:
+        return _band_phi(self.d2, self.lam2, alphas.values[:, None])
+
+    def upre(self, alphas) -> float:
+        phiw = np.einsum("pj,pj->j", self.weights, self.rows(alphas))
+        resid = self.below + float(np.sum((1.0 - phiw) ** 2 * self.energy))
+        trace = self.tail_size + float(np.sum(phiw))
+        return resid + 2.0 * self.s2 * trace
+
+    def window(self, p: int, alpha: float) -> tuple[float, float]:
+        """Window p's pooled squared residual and one set's window trace."""
+        d2, lam2, energy = self.members[p]
+        phi = _band_phi(d2, lam2, alpha)
+        resid = self.below_w[p] + np.sum((1.0 - phi) ** 2 * energy)
+        return float(resid), float(self.tail_sums[p] + np.sum(phi))
+
+    def gcv_true(self, alphas) -> float:
+        """The sum over the group's sets of the coupled windowed GCV."""
+        rows = self.rows(alphas)
+        weighted = self.weights * rows
+        mu, nu = _trace_complements(rows, weighted, self.tail_sums,
+                                    self.tail_size, self.m, alphas)
+        # near saturation the rounding of nu and of w phi / mu is amplified
+        # by 1/mu: sum pairwise and divide, as the per-window reference
+        # does, so that both round alike
+        S = float(np.sum((1.0 - nu) / mu))
+        coef = 1.0 + S - np.divide(weighted, mu[:, None], out=weighted).sum(axis=0)
+        tail = 1.0 + S - np.sum(self.tail_weights / mu[:, None], axis=0)
+        return ((1.0 + S) ** 2 * (self.below + self.beyond)
+                + float(coef @ (coef * self.energy))
+                + float(tail @ (tail * self.tail_energy))) / self.m
+
+
+class PooledObjectives:
+    """The multi-data UPRE and GCV objectives, prepared once for fixed
+    systems, data coefficients, window sets and noise variances.
+
+    Data sets that share a system and a window set (by identity) form one
+    group.  Each objective depends on a group's data only through the pooled
+    energies sum_r dhat_r**2 and the pooled noise sum_r sigma_r**2, which are
+    summed here once with every parameter-independent term, so an evaluation
+    touches only each group's active band, runs no transform and costs the
+    same for any R.  The GCV forms do not read the noise variances.
+    """
+
+    def __init__(self, systems: Sequence[SpectralSystem],
+                 dhats: Sequence[np.ndarray], windows, noise) -> None:
+        _check_md_shapes(systems, dhats)
+        R = len(systems)
+        if R == 0:
+            raise ValueError("need at least one data set")
+        wlist = _windows_for(windows, R)
+        s2 = _noise_for(noise, R)
+        groups: dict = {}
+        for r, (sys, wset) in enumerate(zip(systems, wlist)):
+            groups.setdefault((id(sys), id(wset)), (sys, wset, []))[2].append(r)
+        self._groups = [_Group(sys, wset, [dhats[r] for r in rs], s2[rs])
+                        for sys, wset, rs in groups.values()]
+        self.R = R
+        self.P = wlist[0].P
+        self.M = sum(sys.m for sys in systems)
+
+    def upre(self, alphas) -> float:
+        """upre_md_windowed at the parameter vector alphas."""
+        alphas = _params_for(alphas, self.P)
+        return sum(g.upre(alphas) for g in self._groups) / self.M
+
+    def _window(self, p: int, alpha: float, overlap_error: str) -> list:
+        if not 0 <= p < self.P:
+            raise IndexError(f"window index {p} out of range for P={self.P}")
+        if not all(g.separable for g in self._groups):
+            raise ValueError(overlap_error)
+        if not any(g.sizes[p] for g in self._groups):
+            raise EmptyWindowError(f"window {p} has no members in any system")
+        alpha = _positive_alpha(alpha)
+        return [g.window(p, alpha) for g in self._groups]
+
+    def upre_window(self, p: int, alpha: float) -> float:
+        """upre_window_separable of window p at alpha."""
+        parts = self._window(p, alpha,
+                             "separable form invalid for overlapping windows")
+        return sum(resid + 2.0 * g.s2 * trace
+                   for g, (resid, trace) in zip(self._groups, parts)) / self.M
+
+    def gcv_window(self, p: int, alpha: float) -> float:
+        """gcv_windowed_decoupled of window p at alpha; with the single
+        all-ones window, gcv_md_scalar."""
+        parts = self._window(p, alpha,
+                             "decoupled GCV requires non-overlapping windows")
+        num = sum(resid for resid, _ in parts)
+        if p == self.P - 1:
+            num += sum(g.beyond for g in self._groups)
+        trsum = sum(g.count * trace for g, (_, trace) in zip(self._groups, parts))
+        return _gcv_ratio(num, trsum, self.M, f"window {p} trace", alpha)
+
+    def gcv_true(self, alphas) -> float:
+        """gcv_windowed_true_md at the parameter vector alphas."""
+        alphas = _params_for(alphas, self.P)
+        return sum(g.gcv_true(alphas) for g in self._groups) / self.R
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +466,7 @@ class MseObjective:
             for sys, wset, us, ts in groups.values()]
 
     def __call__(self, alphas) -> float:
-        alphas = _as_params(alphas)
-        if alphas.P != self.P:
-            raise ValueError(
-                f"parameter/window count mismatch: {alphas.P} vs {self.P}")
+        alphas = _params_for(alphas, self.P)
         total = self._const
         column = alphas.values[:, None]
         for d2, lam2, weights, u, t in self._bands:

@@ -303,15 +303,17 @@ def load_corpus(source, split: str | None = None, size: int | None = None,
 
     Returns (images, records) with deterministic filename ordering; when
     subimage mode is on each input contributes its northwest and southeast
-    corners as separate entries.
+    corners as separate entries.  A str or Path that is not a directory is
+    read as a manifest, so one naming nothing raises FileNotFoundError.
     """
-    if isinstance(source, (str, Path)) and Path(source).is_file():
-        records = read_manifest(source)
-    elif isinstance(source, (str, Path)) and Path(source).is_dir():
-        paths = sorted(p for p in Path(source).iterdir()
-                       if p.suffix.lower() in (".pgm", ".pnm", ".csv"))
-        records = [{"path": p, "split": split or "train", "seed": i}
-                   for i, p in enumerate(paths)]
+    if isinstance(source, (str, Path)):
+        if Path(source).is_dir():
+            paths = sorted(p for p in Path(source).iterdir()
+                           if p.suffix.lower() in (".pgm", ".pnm", ".csv"))
+            records = [{"path": p, "split": split or "train", "seed": i}
+                       for i, p in enumerate(paths)]
+        else:
+            records = read_manifest(source)
     else:
         records = [{"path": Path(p), "split": split or "train", "seed": i}
                    for i, p in enumerate(source)]

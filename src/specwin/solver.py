@@ -61,6 +61,16 @@ def _as_params(alphas) -> ParamVector:
     return alphas if isinstance(alphas, ParamVector) else ParamVector(alphas)
 
 
+def _params_for(alphas, P: int) -> ParamVector:
+    """The parameter vector of P windows, rejecting any other count."""
+    alphas = _as_params(alphas)
+    if alphas.P != P:
+        raise ValueError(
+            f"parameter/window count mismatch: {alphas.P} parameters for "
+            f"{P} windows")
+    return alphas
+
+
 def _windowed_filter(sys: SpectralSystem, windows: WindowSet,
                      alphas) -> tuple[np.ndarray, np.ndarray]:
     """The windowed filter of one parameter vector.
@@ -71,11 +81,7 @@ def _windowed_filter(sys: SpectralSystem, windows: WindowSet,
     is 0 below ell and 1 from q_star on, so phi_win is 0 there and the summed
     window weights here; only the band depends on the parameters.
     """
-    alphas = _as_params(alphas)
-    if windows.P != alphas.P:
-        raise ValueError(
-            f"parameter/window count mismatch: {alphas.P} parameters for "
-            f"{windows.P} windows")
+    alphas = _params_for(alphas, windows.P)
     lo, hi = sys.ell, sys.q_star
     rows = _band_phi(sys.delta[lo:hi] ** 2, sys.lam[lo:hi] ** 2,
                      alphas.values[:, None])

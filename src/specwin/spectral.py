@@ -373,15 +373,20 @@ def _band_phi(d2: np.ndarray, lam2: np.ndarray, alpha):
     return d2 / (d2 + alpha ** 2 * lam2)
 
 
+def _positive_alpha(alpha) -> float:
+    alpha = float(alpha)
+    if not np.isfinite(alpha) or alpha <= 0.0:
+        raise ValueError(f"regularization parameter must be positive, got {alpha}")
+    return alpha
+
+
 def filter_factors(sys: SpectralSystem, alpha: float) -> FilterDiagonal:
     """Spectral shrinkage factors phi for one regularization parameter.
 
     phi[j] = delta[j]**2 / (delta[j]**2 + alpha**2 lam[j]**2) in the middle
     band, 0 where delta[j] == 0, 1 where lam[j] == 0; psi = 1 - phi exactly.
     """
-    alpha = float(alpha)
-    if not np.isfinite(alpha) or alpha <= 0.0:
-        raise ValueError(f"regularization parameter must be positive, got {alpha}")
+    alpha = _positive_alpha(alpha)
     phi = np.zeros(sys.n)
     # lam > 0 throughout the middle band: penalty-null directions sort past
     # q_star and rank-deficient forward directions sort below ell

@@ -11,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import hadamard
 
+from specwin.errors import SaturatedTraceError
+from specwin.estimators import SATURATION_FLOOR
 from specwin.spectral import SpectralSystem, filter_factors
 from specwin.windows import WindowSet
 
@@ -138,27 +140,83 @@ def loop_trace_windowed(sys: SpectralSystem, windows: WindowSet, alphas) -> floa
     return float(np.sum(loop_filters(sys, windows, alphas)[0]))
 
 
+def _window_list(windows, R: int) -> list:
+    """One window set per data set: a shared WindowSet or a sequence."""
+    return [windows] * R if isinstance(windows, WindowSet) else list(windows)
+
+
+def _loop_gcv_ratio(rsum: float, trsum: float, M: int) -> float:
+    den = (1.0 - trsum / M) ** 2
+    if den < SATURATION_FLOOR:
+        raise SaturatedTraceError(f"saturated trace {trsum} ~ M={M}")
+    return (rsum / M) / den
+
+
 def loop_upre_md_windowed(systems, dhats, windows, alphas, sigma2) -> float:
     """Multi-data windowed UPRE without its alpha-independent constants."""
     total = 0.0
-    for sys, dhat, s2 in zip(systems, dhats, sigma2):
+    wlist = _window_list(windows, len(systems))
+    for sys, dhat, wset, s2 in zip(systems, dhats, wlist, sigma2):
         q = sys.q_star
-        phi, psi = loop_filters(sys, windows, alphas)
+        phi, psi = loop_filters(sys, wset, alphas)
         total += float(np.sum((psi[:q] * dhat[:q]) ** 2))
         total += 2.0 * s2 * float(np.sum(phi))
     return total / sum(sys.m for sys in systems)
+
+
+def loop_upre_window_separable(systems, dhats, windows, p: int, alpha: float,
+                               sigma2) -> float:
+    """Window p's share of the multi-data windowed UPRE, set by set over the
+    window's member indices."""
+    total = 0.0
+    wlist = _window_list(windows, len(systems))
+    for sys, dhat, wset, s2 in zip(systems, dhats, wlist, sigma2):
+        ff = filter_factors(sys, alpha)
+        idx = wset.member_indices(p)
+        total += float(np.sum((ff.psi[idx] * dhat[idx]) ** 2))
+        total += 2.0 * s2 * float(np.sum(ff.phi[idx]))
+    return total / sum(sys.m for sys in systems)
+
+
+def loop_gcv_md_scalar(systems, dhats, alpha: float) -> float:
+    """Multi-data scalar GCV: residuals and traces summed set by set."""
+    rsum = trsum = 0.0
+    for sys, dhat in zip(systems, dhats):
+        ff = filter_factors(sys, alpha)
+        rsum += float(np.sum((ff.psi * dhat[: sys.n]) ** 2)
+                      + np.sum(dhat[sys.n:] ** 2))
+        trsum += float(np.sum(ff.phi))
+    return _loop_gcv_ratio(rsum, trsum, sum(sys.m for sys in systems))
+
+
+def loop_gcv_windowed_decoupled(systems, dhats, windows, p: int,
+                                alpha: float) -> float:
+    """Decoupled GCV of window p, set by set over the window's member
+    indices; the last window also carries the data tails beyond n."""
+    num = trsum = 0.0
+    wlist = _window_list(windows, len(systems))
+    for sys, dhat, wset in zip(systems, dhats, wlist):
+        ff = filter_factors(sys, alpha)
+        idx = wset.member_indices(p)
+        num += float(np.sum((ff.psi[idx] * dhat[idx]) ** 2))
+        trsum += float(np.sum(ff.phi[idx]))
+        if p == wset.P - 1:
+            num += float(np.sum(dhat[sys.n:] ** 2))
+    return _loop_gcv_ratio(num, trsum, sum(sys.m for sys in systems))
 
 
 def loop_gcv_windowed_true_md(systems, dhats, windows, alphas) -> float:
     """Average over data sets of the coupled windowed GCV, from the full
     (P, n) stack of per-window filters."""
     vals = []
-    for sys, dhat in zip(systems, dhats):
+    for sys, dhat, wset in zip(systems, dhats, _window_list(windows, len(systems))):
         phi = np.stack([filter_factors(sys, float(a)).phi for a in alphas])
         mu = 1.0 - phi.sum(axis=1) / sys.m
-        nu = 1.0 - np.sum(windows.weights * phi, axis=1) / sys.m
+        if np.any(mu <= SATURATION_FLOOR):
+            raise SaturatedTraceError(f"saturated window trace: mu = {mu}")
+        nu = 1.0 - np.sum(wset.weights * phi, axis=1) / sys.m
         S = float(np.sum((1.0 - nu) / mu))
-        coef = 1.0 + S - np.sum(windows.weights * phi / mu[:, None], axis=0)
+        coef = 1.0 + S - np.sum(wset.weights * phi / mu[:, None], axis=0)
         head = float(np.sum((coef * dhat[: sys.n]) ** 2))
         tail = (1.0 + S) ** 2 * float(np.sum(dhat[sys.n:] ** 2))
         vals.append((head + tail) / sys.m)
@@ -173,9 +231,9 @@ def direct_mse(systems, dhats, truths, windows, alphas) -> float:
     on dense systems the library still evaluates it exactly this way.
     """
     R = len(systems)
-    wlist = [windows] * R if isinstance(windows, WindowSet) else list(windows)
     total = 0.0
-    for sys, dhat, truth, wset in zip(systems, dhats, truths, wlist):
+    for sys, dhat, truth, wset in zip(systems, dhats, truths,
+                                      _window_list(windows, R)):
         phiw, _ = loop_filters(sys, wset, alphas)
         x = sys.synthesize(phiw * sys.delta_pinv() * dhat[: sys.n])
         total += float(np.sum((x - truth) ** 2))

@@ -11,6 +11,7 @@ from specwin.errors import EmptyWindowError, SaturatedTraceError
 from specwin.estimators import (
     MseObjective,
     NoiseModel,
+    PooledObjectives,
     estimate_sigma2,
     gcv_md_scalar,
     gcv_scalar,
@@ -38,10 +39,13 @@ from oracles import (
     dense_upre_scalar,
     direct_mse,
     loop_filters,
+    loop_gcv_md_scalar,
+    loop_gcv_windowed_decoupled,
     loop_gcv_windowed_true_md,
     loop_residual_windowed,
     loop_trace_windowed,
     loop_upre_md_windowed,
+    loop_upre_window_separable,
     make_diag_system,
     press_windowed_gcv,
     tik_matrices,
@@ -437,7 +441,7 @@ def test_mse_learning_averages_and_validates():
 
 
 def _no_transform(v):
-    raise AssertionError("transform called inside an MSE evaluation")
+    raise AssertionError("transform called inside an objective evaluation")
 
 
 def _box_psf(dims, widths):
@@ -526,6 +530,173 @@ def test_windowed_kernel_matches_per_window_loops_property(case):
     ]
     for val, ref in pairs:
         assert abs(val - ref) <= 1e-12 * abs(ref)
+
+
+@st.composite
+def pooled_cases(draw):
+    """R data sets (1..6) over one to three distinct diagonal systems with
+    m >= n, ell > 0 and q_star < n allowed, one window set per system (a
+    repeated system sometimes gets a second one: the same windows in reverse
+    order), P in 1..4, and two parameter vectors: one across [1e-2, 1e2] and one below
+    1e-12, at which every phi of the band rounds to 1, so the GCV traces
+    saturate where m == n and ell == 0.
+
+    The generalized values span [1e-3, 1e3] with both ends present, so at
+    the first vector no GCV denominator comes near the saturation floor."""
+    P = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from([indicator_windows, cosine_windows]))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    systems, wsets = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(9, 16))
+        m = n + draw(st.sampled_from([0, 0, 3]))
+        ell, nulls = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        g = np.sort(np.concatenate([[1e-3, 1e3], 10.0 ** rng.uniform(-3, 3, n - 2)]))
+        delta, lam = g / np.hypot(g, 1.0), 1.0 / np.hypot(g, 1.0)
+        delta[:ell], lam[:ell] = 0.0, 1.0
+        delta[n - nulls:], lam[n - nulls:] = 1.0, 0.0
+        sys = make_diag_system(delta, lam, m=m)
+        try:
+            wsets.append(kind(make_partitions(sys, P, "log"), sys, "log"))
+        except EmptyWindowError:
+            assume(False)
+        systems.append(sys)
+    picks = draw(st.lists(st.integers(0, len(systems) - 1), min_size=1, max_size=6))
+    fresh = draw(st.lists(st.booleans(), min_size=len(picks), max_size=len(picks)))
+    wlist = [replace(wsets[k], weights=wsets[k].weights[::-1]) if f else wsets[k]
+             for k, f in zip(picks, fresh)]
+    alphas = [10.0 ** e for e in draw(st.lists(
+        st.floats(-2.0, 2.0), min_size=P, max_size=P))]
+    tiny = [10.0 ** e for e in draw(st.lists(
+        st.floats(-14.0, -12.0), min_size=P, max_size=P))]
+    return [systems[k] for k in picks], wlist, alphas, tiny, seed
+
+
+def _same_or_both_saturate(value, oracle):
+    """value() equals oracle() to 1e-12 relative, or both saturate."""
+    try:
+        ref = oracle()
+    except SaturatedTraceError:
+        with pytest.raises(SaturatedTraceError):
+            value()
+        return
+    assert abs(value() - ref) <= 1e-12 * abs(ref)
+
+
+@given(pooled_cases())
+@settings(max_examples=150, deadline=None)
+def test_pooled_objectives_match_per_system_loops_property(case):
+    systems, wlist, alphas, tiny, seed = case
+    rng = np.random.default_rng(seed)
+    dhats = [rng.standard_normal(s.m) for s in systems]
+    sigma2 = rng.uniform(0.0, 0.1, len(systems))
+    noise = NoiseModel(sigma2)
+    separable = all(w.nonoverlapping for w in wlist)
+    for a in (alphas, tiny):
+        forms = [
+            (lambda: upre_md_windowed(systems, dhats, wlist, a, noise),
+             lambda: loop_upre_md_windowed(systems, dhats, wlist, a, sigma2)),
+            (lambda: gcv_windowed_true_md(systems, dhats, wlist, a),
+             lambda: loop_gcv_windowed_true_md(systems, dhats, wlist, a)),
+            (lambda: gcv_md_scalar(systems, dhats, a[0]),
+             lambda: loop_gcv_md_scalar(systems, dhats, a[0])),
+        ]
+        for p in range(len(a) if separable else 0):
+            forms += [
+                (lambda p=p: upre_window_separable(systems, dhats, wlist, p,
+                                                   a[p], noise),
+                 lambda p=p: loop_upre_window_separable(systems, dhats, wlist,
+                                                        p, a[p], sigma2)),
+                (lambda p=p: gcv_windowed_decoupled(systems, dhats, wlist, p, a[p]),
+                 lambda p=p: loop_gcv_windowed_decoupled(systems, dhats, wlist,
+                                                         p, a[p])),
+            ]
+        for value, oracle in forms:
+            _same_or_both_saturate(value, oracle)
+    if not separable:
+        with pytest.raises(ValueError, match="separable form invalid"):
+            upre_window_separable(systems, dhats, wlist, 0, alphas[0], noise)
+        with pytest.raises(ValueError, match="non-overlapping"):
+            gcv_windowed_decoupled(systems, dhats, wlist, 0, alphas[0])
+
+
+def test_pooled_forms_reject_bad_inputs():
+    systems, _, dhats, _ = _md_problems(seed=193)
+    wins = [indicator_windows(make_partitions(s, 2, "log"), s, "log")
+            for s in systems]
+    noise = NoiseModel([0.01, 0.02])
+    separable = [lambda d, w, p=0, a=0.5, nz=noise: upre_window_separable(
+                     systems, d, w, p, a, nz),
+                 lambda d, w, p=0, a=0.5, nz=None: gcv_windowed_decoupled(
+                     systems, d, w, p, a)]
+    coupled = [lambda d, w, v=(0.5, 0.7), nz=noise: upre_md_windowed(
+                   systems, d, w, v, nz),
+               lambda d, w, v=(0.5, 0.7), nz=None: gcv_windowed_true_md(
+                   systems, d, w, v)]
+    for form in separable + coupled:
+        with pytest.raises(ValueError):          # one data vector too few
+            form(dhats[:1], wins)
+        with pytest.raises(ValueError):          # data length != m
+            form([dhats[0], dhats[1][:-1]], wins)
+        with pytest.raises(ValueError):          # one window set too few
+            form(dhats, wins[:1])
+        with pytest.raises(ValueError):          # window sets with unequal P
+            form(dhats, [wins[0], trivial_window(systems[1])])
+    with pytest.raises(ValueError):
+        gcv_md_scalar(systems, dhats[:1], 0.5)
+    with pytest.raises(ValueError):
+        gcv_md_scalar(systems, [dhats[0], dhats[1][:-1]], 0.5)
+    for form in coupled:
+        with pytest.raises(ValueError, match="count mismatch"):
+            form(dhats, wins, v=(0.5,))
+    for form in (separable[0], coupled[0]):
+        with pytest.raises(ValueError):          # three variances, two sets
+            form(dhats, wins, nz=NoiseModel([0.1, 0.1, 0.1]))
+    empty = [windows_from_weights(np.vstack([np.ones(s.n), np.zeros(s.n)]))
+             for s in systems]
+    overlap = [cosine_windows(make_partitions(s, 2, "log"), s, "log")
+               for s in systems]
+    for form in separable:
+        with pytest.raises(IndexError):
+            form(dhats, wins, p=2)
+        with pytest.raises(ValueError):
+            form(dhats, wins, a=0.0)
+        with pytest.raises(ValueError):
+            form(dhats, overlap)
+        with pytest.raises(EmptyWindowError):
+            form(dhats, empty, p=1)
+
+
+def test_pooled_objectives_run_no_transform_and_do_not_depend_on_R():
+    sys = dct_decompose(_box_psf((8, 6), (4, 2)), "laplacian")
+    assert sys.ell > 0 and sys.q_star < sys.n
+    windows = indicator_windows(make_partitions(sys, 2, "log"), sys, "log")
+    rng = np.random.default_rng(197)
+    dhat = sys.analyze(rng.standard_normal(sys.dims))
+    blind = replace(sys, _analyze=_no_transform, _synthesize=_no_transform)
+    alphas = [0.03, 2.0]
+
+    def values(pooled, scalar):
+        return ([pooled.upre(alphas), pooled.gcv_true(alphas),
+                 scalar.upre([0.4]), scalar.gcv_window(0, 0.4)]
+                + [pooled.upre_window(p, a) for p, a in enumerate(alphas)]
+                + [pooled.gcv_window(p, a) for p, a in enumerate(alphas)])
+
+    def prepared(R):
+        dhats = [dhat.copy() for _ in range(R)]
+        pair = (PooledObjectives([blind] * R, dhats, windows, 0.02),
+                PooledObjectives([blind] * R, dhats, trivial_window(sys), 0.02))
+        return pair, dhats
+
+    (one, one_scalar), _ = prepared(1)
+    (many, many_scalar), dhats = prepared(32)
+    before = values(many, many_scalar)
+    for d in dhats:
+        d *= 3.0
+    assert values(many, many_scalar) == before
+    for a, b in zip(values(one, one_scalar), before):
+        assert abs(a - b) <= 1e-12 * abs(b)
 
 
 def test_mse_objective_dense_fallback_is_the_direct_loop():

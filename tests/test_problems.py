@@ -230,6 +230,13 @@ def test_load_corpus_from_directory_and_subimages(tmp_path):
         load_corpus(tmp_path, subimage=True)
 
 
+def test_load_corpus_missing_path_is_file_not_found(tmp_path):
+    # a path naming nothing is a missing manifest, not a list of paths
+    for missing in (str(tmp_path / "missing.csv"), tmp_path / "missing"):
+        with pytest.raises(FileNotFoundError):
+            load_corpus(missing, split="train")
+
+
 def test_read_manifest_rejects_bad_rows(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("a.pgm,train\n")
