@@ -74,14 +74,17 @@ class ExperimentConfig:
     output_dir: str = "out"
     search: SearchConfig = field(default_factory=SearchConfig)
 
+    # the JSON types each key accepts: an int serves as a float, null only
+    # where the default is None, and a bool only where a bool is declared
     _KEYS = {
-        "image_size": int, "xi": float, "snr_db": float, "seed": int,
-        "penalty": str, "window_kind": str, "window_count": int,
+        "image_size": int, "xi": (int, float), "snr_db": (int, float),
+        "seed": int, "penalty": str, "window_kind": str, "window_count": int,
         "estimators": list, "r_train": int, "val_count": int,
-        "train_manifest": str, "validation1_manifest": str,
-        "validation2_manifest": str, "sigma_mode": str, "r_sweep": bool,
-        "include_best": bool, "corpus_label": str, "output_dir": str,
-        "search": dict,
+        "train_manifest": (str, type(None)),
+        "validation1_manifest": (str, type(None)),
+        "validation2_manifest": (str, type(None)), "sigma_mode": str,
+        "r_sweep": bool, "include_best": bool,
+        "corpus_label": (str, type(None)), "output_dir": str, "search": dict,
     }
 
     @classmethod
@@ -93,6 +96,10 @@ class ExperimentConfig:
         missing = {"image_size", "xi", "snr_db", "seed"} - set(raw)
         if missing:
             raise ConfigError(f"missing required config keys: {sorted(missing)}")
+        for key, value in raw.items():
+            want = cls._KEYS[key]
+            if not isinstance(value, want) or isinstance(value, bool) != (want is bool):
+                raise ConfigError(f"config key {key!r} has the wrong type: {value!r}")
         kwargs = dict(raw)
         if "estimators" in kwargs:
             kwargs["estimators"] = tuple(kwargs["estimators"])
@@ -101,10 +108,7 @@ class ExperimentConfig:
                 kwargs["search"] = SearchConfig(**kwargs["search"])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"bad search settings: {exc}") from exc
-        try:
-            config = cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"bad config value: {exc}") from exc
+        config = cls(**kwargs)
         config.validate()
         return config
 
@@ -327,11 +331,9 @@ class _TrainContext:
         self.config = config
         self.system = system
         self.datasets = datasets
-        self.systems = [system] * len(datasets)
         self.truths = [ds.x_true for ds in datasets]
-        self.data = [ds.d for ds in datasets]
         if dhats is None:
-            dhats = [system.analyze(d) for d in self.data]
+            dhats = [system.analyze(ds.d) for ds in datasets]
         self.dhats = dhats
         if noise is None:
             if config.sigma_mode == "estimate":
@@ -352,19 +354,19 @@ class _TrainContext:
 
     @cached_property
     def mse_scalar(self) -> MseObjective:
-        return MseObjective(self.systems, self.dhats, self.truths, self.trivial)
+        return MseObjective(self.system, self.dhats, self.truths, self.trivial)
 
     @cached_property
     def mse_windowed(self) -> MseObjective:
-        return MseObjective(self.systems, self.dhats, self.truths, self.windows)
+        return MseObjective(self.system, self.dhats, self.truths, self.windows)
 
     @cached_property
     def pooled_scalar(self) -> PooledObjectives:
-        return PooledObjectives(self.systems, self.dhats, self.trivial, self.noise)
+        return PooledObjectives(self.system, self.dhats, self.trivial, self.noise)
 
     @cached_property
     def pooled_windowed(self) -> PooledObjectives:
-        return PooledObjectives(self.systems, self.dhats, self.windows, self.noise)
+        return PooledObjectives(self.system, self.dhats, self.windows, self.noise)
 
     @cached_property
     def pooled_warm(self) -> PooledObjectives:
@@ -374,7 +376,7 @@ class _TrainContext:
             return self.pooled_windowed
         spacing = "log" if self.windows.kind.endswith("_log") else "linear"
         warm = indicator_windows(self.windows.partitions, self.system, spacing)
-        return PooledObjectives(self.systems, self.dhats, warm, self.noise)
+        return PooledObjectives(self.system, self.dhats, warm, self.noise)
 
 
 def _scalar_objective(ctx: _TrainContext, name: str):
@@ -544,8 +546,7 @@ def _per_image_best(system: SpectralSystem, datasets: list[DataSet],
     """Per-image minimal error achievable with this window setup (needs truth)."""
     errs = []
     for ds in datasets:
-        obj = MseObjective([system], [system.analyze(ds.d)], [ds.x_true],
-                           windows)
+        obj = MseObjective(system, [system.analyze(ds.d)], [ds.x_true], windows)
         if windows.P == 1:
             res = minimize_scalar(lambda a: obj(ParamVector([a])), search)
             best = ParamVector([res.alpha])
@@ -563,6 +564,8 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
     out.mkdir(parents=True, exist_ok=True)
     params = _load_json(params_path, "parameters",
                         ("estimators", "corpus.fingerprint", "corpus.label"))
+    if not isinstance(params["estimators"], dict) or not params["estimators"]:
+        raise ConfigError(f"parameters {params_path} hold no estimators")
     for name, entry in params["estimators"].items():
         _require(entry, ("scalar.alpha", "scalar.boundary", "windowed.alphas",
                          "windowed.boundary"),

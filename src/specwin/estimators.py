@@ -52,8 +52,9 @@ __all__ = [
     "estimate_sigma2",
 ]
 
-# Squared GCV denominators (and per-window trace complements) below this are
-# treated as poles: raise instead of returning huge finite garbage.
+# Squared GCV denominators, and the squared per-window trace complements
+# mu_p**2 of the coupled form, below this are treated as poles: raise instead
+# of returning finite values that cancellation has stripped of their digits.
 SATURATION_FLOOR = 1e-14
 
 
@@ -103,33 +104,15 @@ def _noise_for(noise, R: int) -> np.ndarray:
     return model.sigma2
 
 
-def _windows_for(windows, R: int) -> list[WindowSet]:
-    """Broadcast one shared WindowSet to R systems, or validate a sequence."""
-    if isinstance(windows, WindowSet):
-        return [windows] * R
-    wlist = list(windows)
-    if len(wlist) != R:
-        raise ValueError(f"{len(wlist)} window sets for {R} systems")
-    if any(w.P != wlist[0].P for w in wlist):
-        raise ValueError("window sets must share the same window count P")
-    return wlist
-
-
-def _check_md_shapes(systems, dhats) -> None:
-    if len(systems) != len(dhats):
-        raise ValueError("systems and dhats must have equal lengths")
-    for sys, dhat in zip(systems, dhats):
-        if dhat.size != sys.m:
-            raise ValueError(f"data length {dhat.size} does not match m={sys.m}")
-
-
-def _gcv_ratio(rsum: float, trsum: float, M: int, what: str, alpha: float) -> float:
-    """(rsum / M) / (1 - trsum / M)**2, raising at a saturated trace."""
-    den = (1.0 - trsum / M) ** 2
-    if den < SATURATION_FLOOR:
-        raise SaturatedTraceError(
-            f"saturated trace: {what} {trsum:.6g} ~ M={M} at alpha={alpha:.3g}")
-    return (rsum / M) / den
+def _common_system(systems: Sequence[SpectralSystem],
+                   dhats: Sequence[np.ndarray]) -> SpectralSystem:
+    """The one system that every data set of a multi-data form shares; the
+    prepared objective checks the data sizes against it."""
+    if not systems or len(systems) != len(dhats):
+        raise ValueError("need one system per data set and at least one set")
+    if any(sys is not systems[0] for sys in systems):
+        raise ValueError("the multi-data objectives need one common system")
+    return systems[0]
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +143,8 @@ def upre_md_windowed(systems: Sequence[SpectralSystem], dhats: Sequence[np.ndarr
     alpha (the beyond-n residual tail and the -sigma^2 offsets) are dropped.
     One evaluation of freshly pooled data (`PooledObjectives.upre`).
     """
-    return PooledObjectives(systems, dhats, windows, noise).upre(alphas)
+    sys = _common_system(systems, dhats)
+    return PooledObjectives(sys, dhats, windows, noise).upre(alphas)
 
 
 def upre_window_separable(systems: Sequence[SpectralSystem],
@@ -171,7 +155,8 @@ def upre_window_separable(systems: Sequence[SpectralSystem],
     Valid for non-overlapping windows only; summing over p = 0..P-1
     reproduces upre_md_windowed at the assembled parameter vector.
     """
-    return PooledObjectives(systems, dhats, windows, noise).upre_window(p, alpha)
+    sys = _common_system(systems, dhats)
+    return PooledObjectives(sys, dhats, windows, noise).upre_window(p, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +175,8 @@ def gcv_md_scalar(systems: Sequence[SpectralSystem], dhats: Sequence[np.ndarray]
 
     This is the decoupled GCV of the single all-ones window.
     """
-    distinct = {id(sys): sys for sys in systems}
-    trivial = {key: trivial_window(sys) for key, sys in distinct.items()}
-    wlist = [trivial[id(sys)] for sys in systems]
-    return PooledObjectives(systems, dhats, wlist, 0.0).gcv_window(0, alpha)
+    sys = _common_system(systems, dhats)
+    return PooledObjectives(sys, dhats, trivial_window(sys), 0.0).gcv_window(0, alpha)
 
 
 def _trace_complements(rows: np.ndarray, weighted: np.ndarray,
@@ -205,10 +188,10 @@ def _trace_complements(rows: np.ndarray, weighted: np.ndarray,
     tail_weights[p]."""
     mu = 1.0 - (rows.sum(axis=1) + tail_size) / m
     nu = 1.0 - (weighted.sum(axis=1) + tail_weights) / m
-    if np.any(mu <= SATURATION_FLOOR):
+    if np.any(mu ** 2 < SATURATION_FLOOR):
         bad = int(np.argmin(mu))
         raise SaturatedTraceError(
-            f"saturated window trace: mu[{bad}] <= {SATURATION_FLOOR:g} at "
+            f"saturated window trace: mu[{bad}]**2 < {SATURATION_FLOOR:g} at "
             f"alpha={alphas.values[bad]:.3g}")
     return mu, nu
 
@@ -247,10 +230,11 @@ def gcv_windowed_true_md(systems: Sequence[SpectralSystem],
 
     The coefficient (1 + S - ...) multiplying each dhat_j depends on the
     system, the windows and the parameters but not on the data, so the
-    per-set average equals one pooled sum: for data sets sharing a system,
-    the coefficients squared against sum_r dhat_r**2, over m and R.
+    per-set average equals one pooled sum: the coefficients squared against
+    sum_r dhat_r**2, over m and R.
     """
-    return PooledObjectives(systems, dhats, windows, 0.0).gcv_true(alphas)
+    sys = _common_system(systems, dhats)
+    return PooledObjectives(sys, dhats, windows, 0.0).gcv_true(alphas)
 
 
 def gcv_windowed_decoupled(systems: Sequence[SpectralSystem],
@@ -262,69 +246,114 @@ def gcv_windowed_decoupled(systems: Sequence[SpectralSystem],
     tail charged to the last window so P = 1 reduces to gcv_md_scalar.
     Denominator: squared complement of the pooled single-window trace.
     """
-    return PooledObjectives(systems, dhats, windows, 0.0).gcv_window(p, alpha)
+    sys = _common_system(systems, dhats)
+    return PooledObjectives(sys, dhats, windows, 0.0).gcv_window(p, alpha)
 
 
 # ---------------------------------------------------------------------------
 # Pooled evaluation
 # ---------------------------------------------------------------------------
 
-class _Group:
-    """Data sets sharing one system and one window set: their pooled sums
-    and the values on the active band [ell, q_star) that evaluations read.
+class PooledObjectives:
+    """The multi-data UPRE and GCV objectives of data sets sharing one system
+    and one window set, prepared once for fixed data coefficients and noise
+    variances.
 
-    Every phi is 0 below ell and 1 from q_star on, so there the residual and
-    trace terms do not depend on the parameters and are summed here once.
+    Each objective depends on the data only through the pooled energies
+    sum_r dhat_r**2 and the pooled noise sum_r sigma_r**2.  Every phi is 0
+    below ell and 1 from q_star on, so there the residual and trace terms do
+    not depend on the parameters; they are summed here once, so an
+    evaluation touches only the active band [ell, q_star), runs no transform
+    and costs the same for any R.  The GCV forms do not read the noise
+    variances.
     """
 
-    def __init__(self, sys: SpectralSystem, wset: WindowSet,
-                 dhats: list[np.ndarray], sigma2: np.ndarray) -> None:
+    def __init__(self, sys: SpectralSystem, dhats: Sequence[np.ndarray],
+                 windows: WindowSet, noise) -> None:
+        R = len(dhats)
+        if R == 0:
+            raise ValueError("need at least one data set")
         lo, hi, n = sys.ell, sys.q_star, sys.n
         energy = np.zeros(n)
         self.beyond = 0.0
         for dhat in dhats:
+            if dhat.size != sys.m:
+                raise ValueError(f"data length {dhat.size} does not match m={sys.m}")
             energy += dhat[:n] ** 2
             self.beyond += float(dhat[n:] @ dhat[n:])
-        self.count = len(dhats)
+        self.R = R
+        self.P = windows.P
         self.m = sys.m
-        self.s2 = float(np.sum(sigma2))
+        self.M = R * sys.m
+        self.s2 = float(np.sum(_noise_for(noise, R)))
         self.below = float(np.sum(energy[:lo]))
         self.d2 = sys.delta[lo:hi] ** 2
         self.lam2 = sys.lam[lo:hi] ** 2
         self.energy = energy[lo:hi]
-        self.weights = wset.weights[:, lo:hi]
+        self.weights = windows.weights[:, lo:hi]
         self.tail_size = n - hi
         self.tail_energy = energy[hi:]
-        self.tail_weights = wset.weights[:, hi:]
+        self.tail_weights = windows.weights[:, hi:]
         self.tail_sums = self.tail_weights.sum(axis=1)
-        self.sizes = np.count_nonzero(wset.weights > 0.0, axis=1)
+        self.sizes = np.count_nonzero(windows.weights > 0.0, axis=1)
         # per window, for the separable forms: the energy below ell and the
         # band members' values
-        self.separable = wset.nonoverlapping
+        self.separable = windows.nonoverlapping
         if self.separable:
-            self.below_w = wset.weights[:, :lo] @ energy[:lo]
+            self.below_w = windows.weights[:, :lo] @ energy[:lo]
             self.members = [(self.d2[idx], self.lam2[idx], self.energy[idx])
                             for idx in (np.flatnonzero(w) for w in self.weights)]
 
-    def rows(self, alphas) -> np.ndarray:
+    def _rows(self, alphas) -> np.ndarray:
         return _band_phi(self.d2, self.lam2, alphas.values[:, None])
 
     def upre(self, alphas) -> float:
-        phiw = np.einsum("pj,pj->j", self.weights, self.rows(alphas))
+        """upre_md_windowed at the parameter vector alphas."""
+        alphas = _params_for(alphas, self.P)
+        phiw = np.einsum("pj,pj->j", self.weights, self._rows(alphas))
         resid = self.below + float(np.sum((1.0 - phiw) ** 2 * self.energy))
         trace = self.tail_size + float(np.sum(phiw))
-        return resid + 2.0 * self.s2 * trace
+        return (resid + 2.0 * self.s2 * trace) / self.M
 
-    def window(self, p: int, alpha: float) -> tuple[float, float]:
+    def _window(self, p: int, alpha: float,
+                overlap_error: str) -> tuple[float, float]:
         """Window p's pooled squared residual and one set's window trace."""
+        if not 0 <= p < self.P:
+            raise IndexError(f"window index {p} out of range for P={self.P}")
+        if not self.separable:
+            raise ValueError(overlap_error)
+        if not self.sizes[p]:
+            raise EmptyWindowError(f"window {p} has no members")
         d2, lam2, energy = self.members[p]
-        phi = _band_phi(d2, lam2, alpha)
+        phi = _band_phi(d2, lam2, _positive_alpha(alpha))
         resid = self.below_w[p] + np.sum((1.0 - phi) ** 2 * energy)
         return float(resid), float(self.tail_sums[p] + np.sum(phi))
 
+    def upre_window(self, p: int, alpha: float) -> float:
+        """upre_window_separable of window p at alpha."""
+        resid, trace = self._window(
+            p, alpha, "separable form invalid for overlapping windows")
+        return (resid + 2.0 * self.s2 * trace) / self.M
+
+    def gcv_window(self, p: int, alpha: float) -> float:
+        """gcv_windowed_decoupled of window p at alpha; with the single
+        all-ones window, gcv_md_scalar."""
+        num, trace = self._window(
+            p, alpha, "decoupled GCV requires non-overlapping windows")
+        if p == self.P - 1:
+            num += self.beyond
+        trsum = self.R * trace
+        den = (1.0 - trsum / self.M) ** 2
+        if den < SATURATION_FLOOR:
+            raise SaturatedTraceError(
+                f"saturated trace: window {p} trace {trsum:.6g} ~ M={self.M} "
+                f"at alpha={alpha:.3g}")
+        return (num / self.M) / den
+
     def gcv_true(self, alphas) -> float:
-        """The sum over the group's sets of the coupled windowed GCV."""
-        rows = self.rows(alphas)
+        """gcv_windowed_true_md at the parameter vector alphas."""
+        alphas = _params_for(alphas, self.P)
+        rows = self._rows(alphas)
         weighted = self.weights * rows
         mu, nu = _trace_complements(rows, weighted, self.tail_sums,
                                     self.tail_size, self.m, alphas)
@@ -336,75 +365,7 @@ class _Group:
         tail = 1.0 + S - np.sum(self.tail_weights / mu[:, None], axis=0)
         return ((1.0 + S) ** 2 * (self.below + self.beyond)
                 + float(coef @ (coef * self.energy))
-                + float(tail @ (tail * self.tail_energy))) / self.m
-
-
-class PooledObjectives:
-    """The multi-data UPRE and GCV objectives, prepared once for fixed
-    systems, data coefficients, window sets and noise variances.
-
-    Data sets that share a system and a window set (by identity) form one
-    group.  Each objective depends on a group's data only through the pooled
-    energies sum_r dhat_r**2 and the pooled noise sum_r sigma_r**2, which are
-    summed here once with every parameter-independent term, so an evaluation
-    touches only each group's active band, runs no transform and costs the
-    same for any R.  The GCV forms do not read the noise variances.
-    """
-
-    def __init__(self, systems: Sequence[SpectralSystem],
-                 dhats: Sequence[np.ndarray], windows, noise) -> None:
-        _check_md_shapes(systems, dhats)
-        R = len(systems)
-        if R == 0:
-            raise ValueError("need at least one data set")
-        wlist = _windows_for(windows, R)
-        s2 = _noise_for(noise, R)
-        groups: dict = {}
-        for r, (sys, wset) in enumerate(zip(systems, wlist)):
-            groups.setdefault((id(sys), id(wset)), (sys, wset, []))[2].append(r)
-        self._groups = [_Group(sys, wset, [dhats[r] for r in rs], s2[rs])
-                        for sys, wset, rs in groups.values()]
-        self.R = R
-        self.P = wlist[0].P
-        self.M = sum(sys.m for sys in systems)
-
-    def upre(self, alphas) -> float:
-        """upre_md_windowed at the parameter vector alphas."""
-        alphas = _params_for(alphas, self.P)
-        return sum(g.upre(alphas) for g in self._groups) / self.M
-
-    def _window(self, p: int, alpha: float, overlap_error: str) -> list:
-        if not 0 <= p < self.P:
-            raise IndexError(f"window index {p} out of range for P={self.P}")
-        if not all(g.separable for g in self._groups):
-            raise ValueError(overlap_error)
-        if not any(g.sizes[p] for g in self._groups):
-            raise EmptyWindowError(f"window {p} has no members in any system")
-        alpha = _positive_alpha(alpha)
-        return [g.window(p, alpha) for g in self._groups]
-
-    def upre_window(self, p: int, alpha: float) -> float:
-        """upre_window_separable of window p at alpha."""
-        parts = self._window(p, alpha,
-                             "separable form invalid for overlapping windows")
-        return sum(resid + 2.0 * g.s2 * trace
-                   for g, (resid, trace) in zip(self._groups, parts)) / self.M
-
-    def gcv_window(self, p: int, alpha: float) -> float:
-        """gcv_windowed_decoupled of window p at alpha; with the single
-        all-ones window, gcv_md_scalar."""
-        parts = self._window(p, alpha,
-                             "decoupled GCV requires non-overlapping windows")
-        num = sum(resid for resid, _ in parts)
-        if p == self.P - 1:
-            num += sum(g.beyond for g in self._groups)
-        trsum = sum(g.count * trace for g, (_, trace) in zip(self._groups, parts))
-        return _gcv_ratio(num, trsum, self.M, f"window {p} trace", alpha)
-
-    def gcv_true(self, alphas) -> float:
-        """gcv_windowed_true_md at the parameter vector alphas."""
-        alphas = _params_for(alphas, self.P)
-        return sum(g.gcv_true(alphas) for g in self._groups) / self.R
+                + float(tail @ (tail * self.tail_energy))) / self.m / self.R
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +374,8 @@ class PooledObjectives:
 
 class MseObjective:
     """(1/R) sum_r ||x_win^(r)(alphas) - x_true^(r)||^2 as a function of the
-    parameter vector, prepared once for fixed systems, data coefficients,
-    truths and windows.
+    parameter vector, prepared once for data sets sharing one system and one
+    window set, with fixed data coefficients and truths.
 
     On a system with an orthonormal synthesis (`synthesis_scale` set: the DCT
     backend) the error is taken in coefficient space by Parseval.  With
@@ -424,58 +385,55 @@ class MseObjective:
 
     Indices below ell (u = 0) and from q_star on (phi = 1 in every window) do
     not depend on the parameters and are summed here once, so a call touches
-    only the active band [ell, q_star) and runs no transform.  Data sets that
-    share a system and a window set share one filter evaluation per call.
-    Other systems (the dense backend) synthesize each solution per call.
+    only the active band [ell, q_star), evaluates the filter once for every
+    data set and runs no transform.  Other systems (the dense backend)
+    synthesize each solution per call.
     """
 
-    def __init__(self, systems: Sequence[SpectralSystem],
-                 dhats: Sequence[np.ndarray], truths: Sequence[np.ndarray],
-                 windows) -> None:
+    def __init__(self, sys: SpectralSystem, dhats: Sequence[np.ndarray],
+                 truths: Sequence[np.ndarray], windows: WindowSet) -> None:
         if truths is None:
             raise ValueError("missing truths: the learning objective needs x_true")
-        R = len(systems)
-        if R == 0 or not (len(dhats) == len(truths) == R):
-            raise ValueError("systems, data, and truths must have equal, "
-                             "nonzero lengths")
-        wlist = _windows_for(windows, R)
+        R = len(dhats)
+        if R == 0 or len(truths) != R:
+            raise ValueError("data and truths must have equal, nonzero lengths")
         self.R = R
-        self.P = wlist[0].P
+        self.P = windows.P
+        dpinv = sys.delta_pinv()
+        if sys.synthesis_scale is None:
+            sets = [(dhat[: sys.n], truth) for dhat, truth in zip(dhats, truths)]
+            self._direct = (sys, windows, dpinv, sets)
+            return
+        self._direct = None
+        lo, hi = sys.ell, sys.q_star
+        tail_weights = windows.weights[:, hi:].sum(axis=0)
         self._const = 0.0
-        self._direct = []
-        groups: dict = {}
-        for sys, dhat, truth, wset in zip(systems, dhats, truths, wlist):
-            if sys.synthesis_scale is None:
-                self._direct.append(
-                    (sys, wset, sys.delta_pinv(), dhat[: sys.n], truth))
-                continue
-            lo, hi = sys.ell, sys.q_star
-            u = sys.delta_pinv() * dhat[: sys.n] / sys.synthesis_scale
+        us, ts = [], []
+        for dhat, truth in zip(dhats, truths):
+            u = dpinv * dhat[: sys.n] / sys.synthesis_scale
             t = sys.solution_coefficients(truth)
-            tail = wset.weights[:, hi:].sum(axis=0) * u[hi:] - t[hi:]
+            tail = tail_weights * u[hi:] - t[hi:]
             self._const += float(np.sum(t[:lo] ** 2) + np.sum(tail ** 2))
-            group = groups.setdefault((id(sys), id(wset)), (sys, wset, [], []))
-            group[2].append(u[lo:hi])
-            group[3].append(t[lo:hi])
-        # per group: squared spectral values and window weights on the band,
-        # then the stacked u and t rows of its data sets
-        self._bands = [
-            (sys.delta[sys.ell: sys.q_star] ** 2,
-             sys.lam[sys.ell: sys.q_star] ** 2,
-             wset.weights[:, sys.ell: sys.q_star], np.array(us), np.array(ts))
-            for sys, wset, us, ts in groups.values()]
+            us.append(u[lo:hi])
+            ts.append(t[lo:hi])
+        self._d2 = sys.delta[lo:hi] ** 2
+        self._lam2 = sys.lam[lo:hi] ** 2
+        self._weights = windows.weights[:, lo:hi]
+        self._u = np.array(us)
+        self._t = np.array(ts)
 
     def __call__(self, alphas) -> float:
         alphas = _params_for(alphas, self.P)
-        total = self._const
-        column = alphas.values[:, None]
-        for d2, lam2, weights, u, t in self._bands:
-            phiw = np.sum(weights * _band_phi(d2, lam2, column), axis=0)
-            total += float(np.sum((phiw * u - t) ** 2))
-        for sys, wset, dpinv, head, truth in self._direct:
-            x = sys.synthesize(_windowed_filter(sys, wset, alphas)[1] * dpinv * head)
-            total += float(np.sum((x - truth) ** 2))
-        return total / self.R
+        if self._direct is not None:
+            sys, windows, dpinv, sets = self._direct
+            scaled = _windowed_filter(sys, windows, alphas)[1] * dpinv
+            total = 0.0
+            for head, truth in sets:
+                total += float(np.sum((sys.synthesize(scaled * head) - truth) ** 2))
+            return total / self.R
+        phiw = np.sum(self._weights * _band_phi(self._d2, self._lam2,
+                                                alphas.values[:, None]), axis=0)
+        return (self._const + float(np.sum((phiw * self._u - self._t) ** 2))) / self.R
 
 
 def mse_learning(systems: Sequence[SpectralSystem], data: Sequence[np.ndarray],
@@ -487,11 +445,10 @@ def mse_learning(systems: Sequence[SpectralSystem], data: Sequence[np.ndarray],
     prepare the objective once instead.  Pass precomputed dhats to skip the
     analyze transforms.
     """
-    if len(data) != len(systems):
-        raise ValueError("systems and data must have equal lengths")
+    sys = _common_system(systems, data)
     if dhats is None:
-        dhats = [sys.analyze(d) for sys, d in zip(systems, data)]
-    return MseObjective(systems, dhats, truths, windows)(alphas)
+        dhats = [sys.analyze(d) for d in data]
+    return MseObjective(sys, dhats, truths, windows)(alphas)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,12 @@ def test_config_from_json_errors(tmp_path):
         ExperimentConfig.from_json(p)
     with pytest.raises(ConfigError, match="cannot read config"):
         ExperimentConfig.from_json(tmp_path / "missing.json")
+    # an int serves as a float, null where the default is None
+    p.write_text(json.dumps({**BASE, "xi": 2, "corpus_label": None}))
+    assert ExperimentConfig.from_json(p).xi == 2
+    p.write_text(json.dumps({**BASE, "xi": "2"}))
+    with pytest.raises(ConfigError, match="'xi' has the wrong type"):
+        ExperimentConfig.from_json(p)
 
 
 def test_config_validate_rules():
@@ -235,6 +241,20 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert main(["--config", str(good), "validate",
                  "--params", str(no_corpus)]) == 2
     assert main(["report", str(broken)]) == 2
+    # parameters that hold no estimators
+    assert main(["--config", str(good), "train"]) == 0
+    params = json.loads((tmp_path / "out" / "params.json").read_text())
+    no_estimators = tmp_path / "no_estimators.json"
+    no_estimators.write_text(json.dumps({**params, "estimators": {}}))
+    assert main(["--config", str(good), "validate",
+                 "--params", str(no_estimators)]) == 2
+
+    # config values of the wrong JSON type
+    for key, value in [("image_size", "abc"), ("xi", True), ("seed", 1.5),
+                       ("estimators", "upre"), ("r_sweep", 1),
+                       ("penalty", None)]:
+        wrong = _write_config(tmp_path, **{key: value})
+        assert main(["--config", str(wrong), "gen"]) == 2, key
 
     # a labelled manifest with no records for a split, and an image format
     # the corpus reader does not support

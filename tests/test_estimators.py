@@ -64,18 +64,13 @@ def _problem(m, n, penalty, seed):
     return A, L, d, sys, sys.analyze(d)
 
 
-def _md_problems(seed, specs=((8, 6, "identity"), (10, 7, "laplacian"))):
+def _md_problem(seed, m=10, n=7, penalty="laplacian", R=2):
+    """One dense system with R data sets: (A, L, sys, data, dhats)."""
     rng = np.random.default_rng(seed)
-    systems, dhats, data, mats = [], [], [], []
-    for m, n, penalty in specs:
-        A, L = tik_matrices(rng, m, n, penalty)
-        d = rng.standard_normal(m)
-        sys = gsvd(A, L)
-        systems.append(sys)
-        data.append(d)
-        dhats.append(sys.analyze(d))
-        mats.append((A, L))
-    return systems, data, dhats, mats
+    A, L = tik_matrices(rng, m, n, penalty)
+    sys = gsvd(A, L)
+    data = [rng.standard_normal(m) for _ in range(R)]
+    return A, L, sys, data, [sys.analyze(d) for d in data]
 
 
 # ---------------------------------------------------------------------------
@@ -151,21 +146,19 @@ def test_upre_md_windowed_offset_from_scalar_is_constant():
 
 
 def test_upre_md_windowed_matches_dense_assembly():
-    systems, data, dhats, mats = _md_problems(seed=59)
+    A, L, sys, data, dhats = _md_problem(seed=59)
     sigma2 = [0.02, 0.05]
-    M = sum(s.m for s in systems)
-    parts = [make_partitions(s, 2, spacing="log") for s in systems]
-    wins = [indicator_windows(pt, s, spacing="log")
-            for pt, s in zip(parts, systems)]
+    win = indicator_windows(make_partitions(sys, 2, spacing="log"), sys,
+                            spacing="log")
     alphas = [0.6, 0.09]
-    val = upre_md_windowed(systems, dhats, wins, alphas, NoiseModel(sigma2))
+    val = upre_md_windowed([sys] * 2, dhats, win, alphas, NoiseModel(sigma2))
+    tr = float(np.trace(dense_influence_windowed(A, L, sys, win, alphas)))
     ref = 0.0
-    for (A, L), sys, d, dhat, win, s2 in zip(mats, systems, data, dhats, wins, sigma2):
+    for d, dhat, s2 in zip(data, dhats, sigma2):
         x = dense_solve_windowed(A, L, sys, win, alphas, d)
         tail = float(np.sum(dhat[sys.n:] ** 2))
-        tr = float(np.trace(dense_influence_windowed(A, L, sys, win, alphas)))
         ref += float(np.sum((A @ x - d) ** 2)) - tail + 2.0 * s2 * tr
-    ref /= M
+    ref /= 2 * sys.m
     assert abs(val - ref) <= 1e-10 * max(abs(ref), 1.0)
 
 
@@ -178,23 +171,15 @@ def test_upre_md_windowed_equal_systems_average():
 
 
 def test_upre_separable_sums_to_the_coupled_value():
-    systems, _, dhats, _ = _md_problems(seed=67)
+    _, _, sys, _, dhats = _md_problem(seed=67, R=3)
+    noise = NoiseModel([0.01, 0.04, 0.02])
     for P in (2, 3):
-        wins = []
-        ok = True
-        for s in systems:
-            try:
-                wins.append(indicator_windows(
-                    make_partitions(s, P, spacing="log"), s, spacing="log"))
-            except EmptyWindowError:
-                ok = False
-        if not ok:
-            continue
+        win = indicator_windows(make_partitions(sys, P, spacing="log"), sys,
+                                spacing="log")
         alphas = list(np.geomspace(0.08, 1.5, P))
-        noise = NoiseModel([0.01, 0.04])
-        total = sum(upre_window_separable(systems, dhats, wins, p, alphas[p], noise)
-                    for p in range(P))
-        coupled = upre_md_windowed(systems, dhats, wins, alphas, noise)
+        total = sum(upre_window_separable([sys] * 3, dhats, win, p, alphas[p],
+                                          noise) for p in range(P))
+        coupled = upre_md_windowed([sys] * 3, dhats, win, alphas, noise)
         assert abs(total - coupled) <= 1e-14 * max(abs(coupled), 1.0)
 
 
@@ -209,14 +194,34 @@ def test_upre_separable_rejects_overlap_and_empty_windows():
 
 
 def test_md_shape_mismatches_are_rejected():
-    systems, _, dhats, _ = _md_problems(seed=73)
-    win = trivial_window(systems[0])
+    _, _, sys, _, dhats = _md_problem(seed=73)
+    win = trivial_window(sys)
     with pytest.raises(ValueError):
-        upre_md_windowed(systems, dhats[:1], win, [0.5], 0.01)
+        upre_md_windowed([sys] * 2, dhats[:1], win, [0.5], 0.01)
     with pytest.raises(ValueError):
-        upre_md_windowed(systems, dhats, win, [0.5], NoiseModel([0.1, 0.1, 0.1]))
+        upre_md_windowed([sys] * 2, dhats, win, [0.5], NoiseModel([0.1, 0.1, 0.1]))
     with pytest.raises(ValueError):
-        upre_md_windowed(systems, dhats, win, [0.5, 0.7], 0.01)
+        upre_md_windowed([sys] * 2, dhats, win, [0.5, 0.7], 0.01)
+
+
+def test_multi_data_forms_reject_distinct_systems():
+    # two systems of the same shape: only their identity tells them apart
+    _, _, sys_a, data, dhats = _md_problem(seed=75)
+    _, _, sys_b, _, _ = _md_problem(seed=76)
+    systems = [sys_a, sys_b]
+    win = indicator_windows(make_partitions(sys_a, 2), sys_a)
+    truths = [np.zeros(sys_a.n)] * 2
+    forms = [
+        lambda: upre_md_windowed(systems, dhats, win, [0.5, 0.7], 0.01),
+        lambda: upre_window_separable(systems, dhats, win, 0, 0.5, 0.01),
+        lambda: gcv_md_scalar(systems, dhats, 0.5),
+        lambda: gcv_windowed_true_md(systems, dhats, win, [0.5, 0.7]),
+        lambda: gcv_windowed_decoupled(systems, dhats, win, 0, 0.5),
+        lambda: mse_learning(systems, data, truths, win, [0.5, 0.7]),
+    ]
+    for form in forms:
+        with pytest.raises(ValueError, match="one common system"):
+            form()
 
 
 # ---------------------------------------------------------------------------
@@ -242,21 +247,21 @@ def test_gcv_scalar_limits_and_saturation():
 
 
 def test_gcv_md_scalar_reductions_and_dense():
-    systems, data, dhats, mats = _md_problems(seed=83)
-    one = gcv_md_scalar(systems[:1], dhats[:1], 0.7)
-    assert one == gcv_scalar(systems[0], dhats[0], 0.7)
-    rep = gcv_md_scalar([systems[0]] * 3, [dhats[0]] * 3, 0.7)
+    A, L, sys, data, dhats = _md_problem(seed=83)
+    one = gcv_md_scalar([sys], dhats[:1], 0.7)
+    assert one == gcv_scalar(sys, dhats[0], 0.7)
+    rep = gcv_md_scalar([sys] * 3, [dhats[0]] * 3, 0.7)
     assert abs(rep - one) <= 1e-12 * abs(one)
-    # dense assembly for two distinct systems
-    M = sum(s.m for s in systems)
+    # dense assembly for two data sets
+    M = 2 * sys.m
     for alpha in [0.09, 0.8]:
         rsum = trsum = 0.0
-        for (A, L), d in zip(mats, data):
+        for d in data:
             x = dense_solve_scalar(A, L, d, alpha)
             rsum += float(np.sum((A @ x - d) ** 2))
             trsum += float(np.trace(dense_influence_scalar(A, L, alpha)))
         ref = (rsum / M) / (1.0 - trsum / M) ** 2
-        val = gcv_md_scalar(systems, dhats, alpha)
+        val = gcv_md_scalar([sys] * 2, dhats, alpha)
         assert abs(val - ref) <= 1e-10 * max(abs(ref), 1.0)
 
 
@@ -359,40 +364,60 @@ def test_gcv_windowed_true_saturates_on_vanishing_mu():
         gcv_windowed_true(sys, np.ones(3), win, [1e-12, 1e-12])
 
 
+def test_gcv_windowed_true_saturates_where_gcv_scalar_does():
+    # near saturation the coupled form cancels terms of size 1/mu: it must
+    # raise where the scalar form does, not return a value short of
+    # log10(1/mu) digits
+    g = np.geomspace(1e-3, 1e3, 9)
+    sys = make_diag_system(g / np.hypot(g, 1.0), 1.0 / np.hypot(g, 1.0))
+    dhat = np.random.default_rng(211).standard_normal(9)
+    win = trivial_window(sys)
+    saturated = []
+    for alpha in (1e-3, 1e-5, 1e-7, 1e-9):
+        try:
+            ref = gcv_scalar(sys, dhat, alpha)
+        except SaturatedTraceError:
+            saturated.append(alpha)
+            with pytest.raises(SaturatedTraceError, match="saturated window trace"):
+                gcv_windowed_true(sys, dhat, win, [alpha])
+            continue
+        assert gcv_windowed_true(sys, dhat, win, [alpha]) == pytest.approx(ref, rel=1e-10)
+    assert saturated == [1e-7, 1e-9]
+
+
 def test_gcv_windowed_true_md_averages_per_set_values():
-    systems, _, dhats, _ = _md_problems(seed=151)
-    wins = [indicator_windows(make_partitions(s, 2, spacing="log"), s,
-                              spacing="log") for s in systems]
+    _, _, sys, _, dhats = _md_problem(seed=151, R=3)
+    win = indicator_windows(make_partitions(sys, 2, spacing="log"), sys,
+                            spacing="log")
     alphas = [0.4, 1.2]
-    vals = [gcv_windowed_true(s, dh, w, alphas)
-            for s, dh, w in zip(systems, dhats, wins)]
-    md = gcv_windowed_true_md(systems, dhats, wins, alphas)
+    vals = [gcv_windowed_true(sys, dh, win, alphas) for dh in dhats]
+    md = gcv_windowed_true_md([sys] * 3, dhats, win, alphas)
     assert md == pytest.approx(np.mean(vals), rel=1e-15)
 
 
 def test_gcv_windowed_decoupled_reduction_and_masked_residual():
-    systems, _, dhats, _ = _md_problems(seed=157)
+    _, _, sys, _, dhats = _md_problem(seed=157)
+    systems = [sys] * 2
     # P = 1 is exactly the pooled scalar GCV
-    trivials = [trivial_window(s) for s in systems]
     for alpha in [0.07, 0.9]:
-        assert gcv_windowed_decoupled(systems, dhats, trivials, 0, alpha) \
-            == gcv_md_scalar(systems, dhats, alpha)
+        assert gcv_windowed_decoupled(systems, dhats, trivial_window(sys), 0,
+                                      alpha) == gcv_md_scalar(systems, dhats, alpha)
     # window-masked numerator assembled by hand from the filter factors
-    wins = [indicator_windows(make_partitions(s, 2, spacing="log"), s,
-                              spacing="log") for s in systems]
-    M = sum(s.m for s in systems)
+    win = indicator_windows(make_partitions(sys, 2, spacing="log"), sys,
+                            spacing="log")
+    M = 2 * sys.m
     for p, alpha in [(0, 0.5), (1, 0.12)]:
+        ff = filter_factors(sys, alpha)
+        idx = win.member_indices(p)
         num = 0.0
         tr = 0.0
-        for s, dh, w in zip(systems, dhats, wins):
-            ff = filter_factors(s, alpha)
-            idx = w.member_indices(p)
+        for dh in dhats:
             num += float(np.sum((ff.psi[idx] * dh[idx]) ** 2))
             tr += float(np.sum(ff.phi[idx]))
-            if p == w.P - 1:
-                num += float(np.sum(dh[s.n:] ** 2))
+            if p == win.P - 1:
+                num += float(np.sum(dh[sys.n:] ** 2))
         ref = (num / M) / (1.0 - tr / M) ** 2
-        val = gcv_windowed_decoupled(systems, dhats, wins, p, alpha)
+        val = gcv_windowed_decoupled(systems, dhats, win, p, alpha)
         assert val == pytest.approx(ref, rel=1e-14)
 
 
@@ -421,23 +446,24 @@ def test_mse_learning_zero_at_truth_and_plain_error():
 
 
 def test_mse_learning_averages_and_validates():
-    systems, data, dhats, _ = _md_problems(seed=173)
-    wins = [trivial_window(s) for s in systems]
+    _, _, sys, data, dhats = _md_problem(seed=173)
+    systems = [sys] * 2
+    win = trivial_window(sys)
     rng = np.random.default_rng(0)
-    truths = [rng.standard_normal(s.n) for s in systems]
-    per_set = [mse_learning([s], [d], [t], w, [0.4])
-               for s, d, t, w in zip(systems, data, truths, wins)]
-    both = mse_learning(systems, data, truths, wins, [0.4])
+    truths = [rng.standard_normal(sys.n) for _ in systems]
+    per_set = [mse_learning([sys], [d], [t], win, [0.4])
+               for d, t in zip(data, truths)]
+    both = mse_learning(systems, data, truths, win, [0.4])
     assert both == pytest.approx(np.mean(per_set), rel=1e-14)
     # precomputed spectral data takes the same path
-    fast = mse_learning(systems, data, truths, wins, [0.4], dhats=dhats)
+    fast = mse_learning(systems, data, truths, win, [0.4], dhats=dhats)
     assert fast == both
     with pytest.raises(ValueError, match="missing truths"):
-        mse_learning(systems, data, None, wins, [0.4])
+        mse_learning(systems, data, None, win, [0.4])
     with pytest.raises(ValueError):
-        mse_learning(systems, data, truths[:1], wins, [0.4])
+        mse_learning(systems, data, truths[:1], win, [0.4])
     with pytest.raises(ValueError, match="count mismatch"):
-        mse_learning(systems, data, truths, wins, [0.4, 0.5])
+        mse_learning(systems, data, truths, win, [0.4, 0.5])
 
 
 def _no_transform(v):
@@ -501,7 +527,7 @@ def test_mse_objective_coefficient_space_matches_direct_property(case):
     ref = direct_mse([sys] * R, dhats, truths, windows, alphas)
     # the prepared objective may not transform anything
     blind = replace(sys, _analyze=_no_transform, _synthesize=_no_transform)
-    val = MseObjective([blind] * R, dhats, truths, windows)(alphas)
+    val = MseObjective(blind, dhats, truths, windows)(alphas)
     assert abs(val - ref) <= 1e-12 * ref
 
 
@@ -534,12 +560,10 @@ def test_windowed_kernel_matches_per_window_loops_property(case):
 
 @st.composite
 def pooled_cases(draw):
-    """R data sets (1..6) over one to three distinct diagonal systems with
-    m >= n, ell > 0 and q_star < n allowed, one window set per system (a
-    repeated system sometimes gets a second one: the same windows in reverse
-    order), P in 1..4, and two parameter vectors: one across [1e-2, 1e2] and one below
-    1e-12, at which every phi of the band rounds to 1, so the GCV traces
-    saturate where m == n and ell == 0.
+    """One diagonal system with m >= n, ell > 0 and q_star < n allowed, one
+    window set (P in 1..4), R in 1..6 data sets, and two parameter vectors:
+    one across [1e-2, 1e2] and one below 1e-12, at which every phi of the
+    band rounds to 1, so the GCV traces saturate where m == n and ell == 0.
 
     The generalized values span [1e-3, 1e3] with both ends present, so at
     the first vector no GCV denominator comes near the saturation floor."""
@@ -547,30 +571,23 @@ def pooled_cases(draw):
     kind = draw(st.sampled_from([indicator_windows, cosine_windows]))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
-    systems, wsets = [], []
-    for _ in range(draw(st.integers(1, 3))):
-        n = draw(st.integers(9, 16))
-        m = n + draw(st.sampled_from([0, 0, 3]))
-        ell, nulls = draw(st.integers(0, 2)), draw(st.integers(0, 2))
-        g = np.sort(np.concatenate([[1e-3, 1e3], 10.0 ** rng.uniform(-3, 3, n - 2)]))
-        delta, lam = g / np.hypot(g, 1.0), 1.0 / np.hypot(g, 1.0)
-        delta[:ell], lam[:ell] = 0.0, 1.0
-        delta[n - nulls:], lam[n - nulls:] = 1.0, 0.0
-        sys = make_diag_system(delta, lam, m=m)
-        try:
-            wsets.append(kind(make_partitions(sys, P, "log"), sys, "log"))
-        except EmptyWindowError:
-            assume(False)
-        systems.append(sys)
-    picks = draw(st.lists(st.integers(0, len(systems) - 1), min_size=1, max_size=6))
-    fresh = draw(st.lists(st.booleans(), min_size=len(picks), max_size=len(picks)))
-    wlist = [replace(wsets[k], weights=wsets[k].weights[::-1]) if f else wsets[k]
-             for k, f in zip(picks, fresh)]
+    n = draw(st.integers(9, 16))
+    m = n + draw(st.sampled_from([0, 0, 3]))
+    ell, nulls = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    g = np.sort(np.concatenate([[1e-3, 1e3], 10.0 ** rng.uniform(-3, 3, n - 2)]))
+    delta, lam = g / np.hypot(g, 1.0), 1.0 / np.hypot(g, 1.0)
+    delta[:ell], lam[:ell] = 0.0, 1.0
+    delta[n - nulls:], lam[n - nulls:] = 1.0, 0.0
+    sys = make_diag_system(delta, lam, m=m)
+    try:
+        windows = kind(make_partitions(sys, P, "log"), sys, "log")
+    except EmptyWindowError:
+        assume(False)
     alphas = [10.0 ** e for e in draw(st.lists(
         st.floats(-2.0, 2.0), min_size=P, max_size=P))]
     tiny = [10.0 ** e for e in draw(st.lists(
         st.floats(-14.0, -12.0), min_size=P, max_size=P))]
-    return [systems[k] for k in picks], wlist, alphas, tiny, seed
+    return sys, windows, draw(st.integers(1, 6)), alphas, tiny, seed
 
 
 def _same_or_both_saturate(value, oracle):
@@ -587,44 +604,46 @@ def _same_or_both_saturate(value, oracle):
 @given(pooled_cases())
 @settings(max_examples=150, deadline=None)
 def test_pooled_objectives_match_per_system_loops_property(case):
-    systems, wlist, alphas, tiny, seed = case
+    sys, windows, R, alphas, tiny, seed = case
     rng = np.random.default_rng(seed)
-    dhats = [rng.standard_normal(s.m) for s in systems]
-    sigma2 = rng.uniform(0.0, 0.1, len(systems))
+    systems = [sys] * R
+    dhats = [rng.standard_normal(sys.m) for _ in range(R)]
+    sigma2 = rng.uniform(0.0, 0.1, R)
     noise = NoiseModel(sigma2)
-    separable = all(w.nonoverlapping for w in wlist)
+    separable = windows.nonoverlapping
     for a in (alphas, tiny):
         forms = [
-            (lambda: upre_md_windowed(systems, dhats, wlist, a, noise),
-             lambda: loop_upre_md_windowed(systems, dhats, wlist, a, sigma2)),
-            (lambda: gcv_windowed_true_md(systems, dhats, wlist, a),
-             lambda: loop_gcv_windowed_true_md(systems, dhats, wlist, a)),
+            (lambda: upre_md_windowed(systems, dhats, windows, a, noise),
+             lambda: loop_upre_md_windowed(systems, dhats, windows, a, sigma2)),
+            (lambda: gcv_windowed_true_md(systems, dhats, windows, a),
+             lambda: loop_gcv_windowed_true_md(systems, dhats, windows, a)),
             (lambda: gcv_md_scalar(systems, dhats, a[0]),
              lambda: loop_gcv_md_scalar(systems, dhats, a[0])),
         ]
         for p in range(len(a) if separable else 0):
             forms += [
-                (lambda p=p: upre_window_separable(systems, dhats, wlist, p,
+                (lambda p=p: upre_window_separable(systems, dhats, windows, p,
                                                    a[p], noise),
-                 lambda p=p: loop_upre_window_separable(systems, dhats, wlist,
+                 lambda p=p: loop_upre_window_separable(systems, dhats, windows,
                                                         p, a[p], sigma2)),
-                (lambda p=p: gcv_windowed_decoupled(systems, dhats, wlist, p, a[p]),
-                 lambda p=p: loop_gcv_windowed_decoupled(systems, dhats, wlist,
+                (lambda p=p: gcv_windowed_decoupled(systems, dhats, windows, p,
+                                                    a[p]),
+                 lambda p=p: loop_gcv_windowed_decoupled(systems, dhats, windows,
                                                          p, a[p])),
             ]
         for value, oracle in forms:
             _same_or_both_saturate(value, oracle)
     if not separable:
         with pytest.raises(ValueError, match="separable form invalid"):
-            upre_window_separable(systems, dhats, wlist, 0, alphas[0], noise)
+            upre_window_separable(systems, dhats, windows, 0, alphas[0], noise)
         with pytest.raises(ValueError, match="non-overlapping"):
-            gcv_windowed_decoupled(systems, dhats, wlist, 0, alphas[0])
+            gcv_windowed_decoupled(systems, dhats, windows, 0, alphas[0])
 
 
 def test_pooled_forms_reject_bad_inputs():
-    systems, _, dhats, _ = _md_problems(seed=193)
-    wins = [indicator_windows(make_partitions(s, 2, "log"), s, "log")
-            for s in systems]
+    _, _, sys, _, dhats = _md_problem(seed=193)
+    systems = [sys] * 2
+    win = indicator_windows(make_partitions(sys, 2, "log"), sys, "log")
     noise = NoiseModel([0.01, 0.02])
     separable = [lambda d, w, p=0, a=0.5, nz=noise: upre_window_separable(
                      systems, d, w, p, a, nz),
@@ -636,32 +655,28 @@ def test_pooled_forms_reject_bad_inputs():
                    systems, d, w, v)]
     for form in separable + coupled:
         with pytest.raises(ValueError):          # one data vector too few
-            form(dhats[:1], wins)
+            form(dhats[:1], win)
         with pytest.raises(ValueError):          # data length != m
-            form([dhats[0], dhats[1][:-1]], wins)
-        with pytest.raises(ValueError):          # one window set too few
-            form(dhats, wins[:1])
-        with pytest.raises(ValueError):          # window sets with unequal P
-            form(dhats, [wins[0], trivial_window(systems[1])])
+            form([dhats[0], dhats[1][:-1]], win)
     with pytest.raises(ValueError):
         gcv_md_scalar(systems, dhats[:1], 0.5)
     with pytest.raises(ValueError):
         gcv_md_scalar(systems, [dhats[0], dhats[1][:-1]], 0.5)
+    with pytest.raises(ValueError):
+        PooledObjectives(sys, [], win, 0.01)
     for form in coupled:
         with pytest.raises(ValueError, match="count mismatch"):
-            form(dhats, wins, v=(0.5,))
+            form(dhats, win, v=(0.5,))
     for form in (separable[0], coupled[0]):
         with pytest.raises(ValueError):          # three variances, two sets
-            form(dhats, wins, nz=NoiseModel([0.1, 0.1, 0.1]))
-    empty = [windows_from_weights(np.vstack([np.ones(s.n), np.zeros(s.n)]))
-             for s in systems]
-    overlap = [cosine_windows(make_partitions(s, 2, "log"), s, "log")
-               for s in systems]
+            form(dhats, win, nz=NoiseModel([0.1, 0.1, 0.1]))
+    empty = windows_from_weights(np.vstack([np.ones(sys.n), np.zeros(sys.n)]))
+    overlap = cosine_windows(make_partitions(sys, 2, "log"), sys, "log")
     for form in separable:
         with pytest.raises(IndexError):
-            form(dhats, wins, p=2)
+            form(dhats, win, p=2)
         with pytest.raises(ValueError):
-            form(dhats, wins, a=0.0)
+            form(dhats, win, a=0.0)
         with pytest.raises(ValueError):
             form(dhats, overlap)
         with pytest.raises(EmptyWindowError):
@@ -685,8 +700,8 @@ def test_pooled_objectives_run_no_transform_and_do_not_depend_on_R():
 
     def prepared(R):
         dhats = [dhat.copy() for _ in range(R)]
-        pair = (PooledObjectives([blind] * R, dhats, windows, 0.02),
-                PooledObjectives([blind] * R, dhats, trivial_window(sys), 0.02))
+        pair = (PooledObjectives(blind, dhats, windows, 0.02),
+                PooledObjectives(blind, dhats, trivial_window(sys), 0.02))
         return pair, dhats
 
     (one, one_scalar), _ = prepared(1)
@@ -700,34 +715,33 @@ def test_pooled_objectives_run_no_transform_and_do_not_depend_on_R():
 
 
 def test_mse_objective_dense_fallback_is_the_direct_loop():
-    systems, data, dhats, _ = _md_problems(seed=179)
-    assert all(s.synthesis_scale is None for s in systems)
-    wins = [indicator_windows(make_partitions(s, 2), s) for s in systems]
+    _, _, sys, data, dhats = _md_problem(seed=179)
+    assert sys.synthesis_scale is None
+    systems = [sys] * 2
+    win = indicator_windows(make_partitions(sys, 2), sys)
     rng = np.random.default_rng(3)
-    truths = [rng.standard_normal(s.n) for s in systems]
-    obj = MseObjective(systems, dhats, truths, wins)
+    truths = [rng.standard_normal(sys.n) for _ in systems]
+    obj = MseObjective(sys, dhats, truths, win)
     for alphas in ([0.05, 0.7], [1.3, 0.2]):
-        ref = direct_mse(systems, dhats, truths, wins, alphas)
+        ref = direct_mse(systems, dhats, truths, win, alphas)
         assert obj(alphas) == ref
-        assert mse_learning(systems, data, truths, wins, alphas) == ref
+        assert mse_learning(systems, data, truths, win, alphas) == ref
 
 
-def test_mse_objective_mixes_backends_and_systems():
+def test_mse_objective_matches_direct_loop_on_each_backend():
     rng = np.random.default_rng(181)
     box = dct_decompose(_box_psf((8, 6), (4, 2)), "laplacian")
     assert box.ell > 0 and box.q_star < box.n
     blur = dct_decompose(gaussian_psf(1.5, (5, 7)), "identity")
-    dense, _, _, _ = _md_problems(seed=181, specs=((8, 6, "identity"),))
-    systems = [box, blur, dense[0], box]
-    wins = [cosine_windows(make_partitions(s, 3, "log"), s, "log")
-            for s in systems]
-    wins[3] = wins[0]
-    truths = [rng.standard_normal(s.dims or s.n) for s in systems]
-    dhats = [s.analyze(rng.standard_normal(s.m)) for s in systems]
-    obj = MseObjective(systems, dhats, truths, wins)
-    for alphas in ([0.01, 0.3, 5.0], [2.0, 2.0, 0.02]):
-        ref = direct_mse(systems, dhats, truths, wins, alphas)
-        assert abs(obj(alphas) - ref) <= 1e-12 * ref
+    _, _, dense, _, _ = _md_problem(seed=181, m=8, n=6, penalty="identity")
+    for sys in (box, blur, dense):
+        win = cosine_windows(make_partitions(sys, 3, "log"), sys, "log")
+        truths = [rng.standard_normal(sys.dims or sys.n) for _ in range(3)]
+        dhats = [sys.analyze(rng.standard_normal(sys.m)) for _ in range(3)]
+        obj = MseObjective(sys, dhats, truths, win)
+        for alphas in ([0.01, 0.3, 5.0], [2.0, 2.0, 0.02]):
+            ref = direct_mse([sys] * 3, dhats, truths, win, alphas)
+            assert abs(obj(alphas) - ref) <= 1e-12 * ref
 
 
 def test_estimate_sigma2_from_spectral_tail():
