@@ -21,7 +21,7 @@ import hashlib
 import json
 import sys as _sysmod
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -36,13 +36,13 @@ from .estimators import (MseObjective, NoiseModel, PooledObjectives,
 from .optimize import SearchConfig, minimize_scalar, minimize_vector
 from .problems import (DataSet, gaussian_psf, load_corpus, make_dataset,
                        read_manifest, synthetic_image, write_pgm)
-from .solver import ParamVector, solve_windowed
+from .solver import ParamVector, _solution, phi_windowed
 from .spectral import SpectralSystem, dct_decompose
 from .windows import (WindowSet, cosine_windows, indicator_windows,
                       make_partitions, trivial_window)
 
-__all__ = ["ExperimentConfig", "EstimatorReport", "cmd_gen", "cmd_train",
-           "cmd_validate", "cmd_report", "main"]
+__all__ = ["ExperimentConfig", "cmd_gen", "cmd_train", "cmd_validate",
+           "cmd_report", "main"]
 
 _WINDOW_KINDS = ("nonoverlap_linear", "nonoverlap_log",
                  "cosine_linear", "cosine_log")
@@ -74,10 +74,10 @@ class ExperimentConfig:
     output_dir: str = "out"
     search: SearchConfig = field(default_factory=SearchConfig)
 
-    # the JSON types each key accepts: an int serves as a float, null only
-    # where the default is None, and a bool only where a bool is declared
+    # the JSON types each key accepts (see _check_keys); null only where the
+    # default is None
     _KEYS = {
-        "image_size": int, "xi": (int, float), "snr_db": (int, float),
+        "image_size": int, "xi": float, "snr_db": float,
         "seed": int, "penalty": str, "window_kind": str, "window_count": int,
         "estimators": list, "r_train": int, "val_count": int,
         "train_manifest": (str, type(None)),
@@ -90,20 +90,17 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         raw = _load_json(path, "config")
-        unknown = set(raw) - set(cls._KEYS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        _check_keys(raw, cls._KEYS, "config")
         missing = {"image_size", "xi", "snr_db", "seed"} - set(raw)
         if missing:
             raise ConfigError(f"missing required config keys: {sorted(missing)}")
-        for key, value in raw.items():
-            want = cls._KEYS[key]
-            if not isinstance(value, want) or isinstance(value, bool) != (want is bool):
-                raise ConfigError(f"config key {key!r} has the wrong type: {value!r}")
         kwargs = dict(raw)
         if "estimators" in kwargs:
             kwargs["estimators"] = tuple(kwargs["estimators"])
         if "search" in kwargs:
+            _check_keys(kwargs["search"],
+                        {f.name: type(f.default) for f in fields(SearchConfig)},
+                        "search")
             try:
                 kwargs["search"] = SearchConfig(**kwargs["search"])
             except (TypeError, ValueError) as exc:
@@ -144,29 +141,25 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         d = {k: getattr(self, k) for k in self._KEYS if k != "search"}
         d["estimators"] = list(self.estimators)
-        d["search"] = {"alpha_min": self.search.alpha_min,
-                       "alpha_max": self.search.alpha_max,
-                       "grid_points": self.search.grid_points,
-                       "tol": self.search.tol,
-                       "max_iter": self.search.max_iter}
+        d["search"] = asdict(self.search)
         return d
 
 
-@dataclass
-class EstimatorReport:
-    """Validation result for one experiment run."""
+def _is_json_type(value, want) -> bool:
+    """Whether a JSON value has type `want`: an int serves as a float, and a
+    bool only where a bool is declared."""
+    want = (int, float) if want is float else want
+    return isinstance(value, want) and isinstance(value, bool) == (want is bool)
 
-    config: dict
-    corpus: dict
-    params: dict
-    means: dict          # {estimator_mode: {split: mean_pct_error}}
-    errors: dict         # {split: {estimator_mode: [per-image pct errors]}}
-    boundary: dict       # {estimator_mode: flags}
 
-    def to_dict(self) -> dict:
-        return {"config": self.config, "corpus": self.corpus,
-                "params": self.params, "means": self.means,
-                "errors": self.errors, "boundary": self.boundary}
+def _check_keys(raw: dict, types: dict, what: str) -> None:
+    """ConfigError unless every key of raw is in `types` with its JSON type."""
+    unknown = set(raw) - set(types)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        if not _is_json_type(value, types[key]):
+            raise ConfigError(f"{what} key {key!r} has the wrong type: {value!r}")
 
 
 def _load_json(path, what: str, keys: Sequence[str] = ()) -> dict:
@@ -266,13 +259,11 @@ def _build_system(config: ExperimentConfig) -> SpectralSystem:
     return dct_decompose(psf, penalty=config.penalty)
 
 
-def _build_windows(config: ExperimentConfig, system: SpectralSystem,
-                   P: int | None = None) -> WindowSet:
-    P = config.window_count if P is None else P
-    if P == 1:
+def _build_windows(config: ExperimentConfig, system: SpectralSystem) -> WindowSet:
+    if config.window_count == 1:
         return trivial_window(system)
     spacing = "log" if config.window_kind.endswith("_log") else "linear"
-    parts = make_partitions(system, P, spacing)
+    parts = make_partitions(system, config.window_count, spacing)
     if config.window_kind.startswith("cosine"):
         return cosine_windows(parts, system, spacing)
     return indicator_windows(parts, system, spacing)
@@ -414,15 +405,13 @@ def _train_separable(ctx: _TrainContext, name: str,
     return alphas, values, flags, traces
 
 
-def _train_windowed(ctx: _TrainContext, name: str) -> tuple[dict, list]:
-    """Windowed training for one estimator: (params fragment, window traces)."""
-    config = ctx.config
-    P = config.window_count
-    windows = ctx.windows
-    entry: dict = {"P": P, "window_kind": config.window_kind}
-
-    nonoverlap = windows.nonoverlapping
-    if name in ("upre", "gcv_decoupled") and nonoverlap:
+def _train_windowed(ctx: _TrainContext, name: str,
+                    scalar_alpha: float) -> tuple[dict, list]:
+    """Windowed training for one estimator, given its learned scalar
+    parameter: (params fragment, window traces)."""
+    P = ctx.config.window_count
+    entry: dict = {"P": P, "window_kind": ctx.config.window_kind}
+    if name in ("upre", "gcv_decoupled") and ctx.windows.nonoverlapping:
         alphas, values, flags, traces = _train_separable(
             ctx, name, ctx.pooled_windowed)
         entry["alphas"] = alphas
@@ -436,11 +425,10 @@ def _train_windowed(ctx: _TrainContext, name: str) -> tuple[dict, list]:
     # coupled estimators (and overlapping windows): warm start from the
     # matching non-overlapping solution, then simplex-descend the coupled
     # objective
-    warm_name = "gcv_decoupled" if name.startswith("gcv") else "upre"
     if name == "mse":
-        scal = minimize_scalar(_scalar_objective(ctx, "mse"), ctx.search)
-        starts = [ParamVector(np.full(P, scal.alpha))]
+        starts = [ParamVector(np.full(P, scalar_alpha))]
     else:
+        warm_name = "gcv_decoupled" if name.startswith("gcv") else "upre"
         warm_alphas, _, _, _ = _train_separable(ctx, warm_name,
                                                 ctx.pooled_warm)
         # two deterministic starts: the non-overlapping solution and the
@@ -468,9 +456,8 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
     system = _build_system(config)
     datasets = _split_datasets(config, "train")
     ctx = _TrainContext(config, datasets, system)
-    for name in config.estimators:
-        if name == "mse" and any(t is None for t in ctx.truths):
-            raise ConfigError("mse estimator needs truth images")
+    if "mse" in config.estimators and any(t is None for t in ctx.truths):
+        raise ConfigError("mse estimator needs truth images")
 
     params: dict = {"estimators": {}}
     timing_lines = []
@@ -481,7 +468,7 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
         np.savetxt(traces_dir / f"{name}_scalar_trace.csv", scal.trace,
                    delimiter=",", header="alpha,value", comments="",
                    fmt="%.12g")
-        windowed, win_traces = _train_windowed(ctx, name)
+        windowed, win_traces = _train_windowed(ctx, name, scal.alpha)
         for p, tr in enumerate(win_traces):
             np.savetxt(traces_dir / f"{name}_window{p}_trace.csv", tr,
                        delimiter=",", header="alpha,value", comments="",
@@ -531,130 +518,103 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
 # validate
 # ---------------------------------------------------------------------------
 
-def _solutions_errors(system: SpectralSystem, datasets: list[DataSet],
-                      windows: WindowSet, alphas) -> list[float]:
-    errs = []
-    for ds in datasets:
-        sol = solve_windowed(system, ds.d, windows, alphas)
-        errs.append(relative_error_pct(sol.x, ds.x_true))
-    return errs
-
-
-def _per_image_best(system: SpectralSystem, datasets: list[DataSet],
-                    windows: WindowSet, search: SearchConfig,
-                    warm: ParamVector | None) -> list[float]:
-    """Per-image minimal error achievable with this window setup (needs truth)."""
-    errs = []
-    for ds in datasets:
-        obj = MseObjective(system, [system.analyze(ds.d)], [ds.x_true], windows)
-        if windows.P == 1:
-            res = minimize_scalar(lambda a: obj(ParamVector([a])), search)
-            best = ParamVector([res.alpha])
-        else:
-            best = minimize_vector(obj, windows.P, search, warm_start=warm).alphas
-        sol = solve_windowed(system, ds.d, windows, best)
-        errs.append(relative_error_pct(sol.x, ds.x_true))
-    return errs
+def _stored_params(values, P: int, source: str) -> ParamVector:
+    """The stored parameters of one run; ConfigError unless they are a list
+    of P positive finite numbers."""
+    if not (isinstance(values, list) and len(values) == P
+            and all(_is_json_type(v, float) for v in values)):
+        raise ConfigError(f"{source}: need {P} positive number(s), got {values!r}")
+    try:
+        return ParamVector(values)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
 
 
 def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -> Path:
-    """Apply frozen parameters to all corpora and emit the error tables."""
+    """Apply frozen parameters to all corpora and emit the error tables.
+    Each data set is analyzed once, and every run is solved from that."""
     t_start = time.perf_counter()
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     params = _load_json(params_path, "parameters",
-                        ("estimators", "corpus.fingerprint", "corpus.label"))
+                        ("estimators", "corpus.fingerprint", "corpus.label",
+                         "windows.P", "windows.kind"))
     if not isinstance(params["estimators"], dict) or not params["estimators"]:
         raise ConfigError(f"parameters {params_path} hold no estimators")
-    for name, entry in params["estimators"].items():
-        _require(entry, ("scalar.alpha", "scalar.boundary", "windowed.alphas",
-                         "windowed.boundary"),
-                 f"estimator {name!r} in parameters {params_path}")
-
-    stored = params.get("windows", {})
-    if (stored.get("P") != config.window_count
-            or stored.get("kind") != config.window_kind):
+    stored = params["windows"]
+    if (stored["P"] != config.window_count
+            or stored["kind"] != config.window_kind):
         raise ConfigError(
             f"parameter/window mismatch: params were trained with "
-            f"P={stored.get('P')} kind={stored.get('kind')}, config asks "
+            f"P={stored['P']} kind={stored['kind']}, config asks "
             f"P={config.window_count} kind={config.window_kind}")
 
     system = _build_system(config)
     windows = _build_windows(config, system)
     trivial = trivial_window(system)
-
-    corpora: dict[str, list[DataSet]] = {}
-    for split in _SPLITS:
-        datasets = _split_datasets(config, split)
-        if datasets:
-            corpora[split] = datasets
-    fingerprint = _corpus_fingerprint([ds.x_true for ds in corpora["train"]])
-    if fingerprint != params["corpus"]["fingerprint"]:
-        raise ConfigError(
-            f"corpus mismatch: parameters were trained on corpus "
-            f"{params['corpus']['fingerprint']}, this config's training split "
-            f"is {fingerprint}")
-
-    errors: dict = {split: {} for split in corpora}
-    means: dict = {}
+    # run key -> (window set, stored parameters, or None for the per-image
+    # best, which is searched on each image against its truth)
+    runs: dict = {}
     boundary: dict = {}
     for name, entry in sorted(params["estimators"].items()):
-        for mode in ("scalar", "windowed"):
+        source = f"estimator {name!r} in parameters {params_path}"
+        _require(entry, ("scalar.alpha", "scalar.boundary", "windowed.alphas",
+                         "windowed.boundary"), source)
+        for mode, w, values in (("scalar", trivial, [entry["scalar"]["alpha"]]),
+                                ("windowed", windows, entry["windowed"]["alphas"])):
             key = f"{name}_{mode}"
-            if mode == "scalar":
-                w, a = trivial, [entry["scalar"]["alpha"]]
-                boundary[key] = entry["scalar"]["boundary"]
-            else:
-                w, a = windows, entry["windowed"]["alphas"]
-                boundary[key] = entry["windowed"]["boundary"]
-            means[key] = {}
-            for split, datasets in corpora.items():
-                errs = _solutions_errors(system, datasets, w, a)
-                errors[split][key] = errs
-                means[key][split] = float(np.mean(errs))
-
+            runs[key] = (w, _stored_params(values, w.P, f"{source}, {mode}"))
+            boundary[key] = entry[mode]["boundary"]
     if config.include_best:
-        mse_entry = params["estimators"].get("mse")
-        warm = (ParamVector(mse_entry["windowed"]["alphas"])
-                if mse_entry and config.window_count > 1 else None)
-        for mode, w in (("scalar", trivial), ("windowed", windows)):
-            key = f"best_{mode}"
-            means[key] = {}
-            for split, datasets in corpora.items():
-                if any(ds.x_true is None for ds in datasets):
-                    continue
-                errs = _per_image_best(system, datasets, w, config.search, warm)
-                errors[split][key] = errs
-                means[key][split] = float(np.mean(errs))
+        runs["best_scalar"] = (trivial, None)
+        runs["best_windowed"] = (windows, None)
+    warm = runs["mse_windowed"][1] if "mse_windowed" in runs else None
 
-    report = EstimatorReport(
-        config=config.to_dict(),
-        corpus={"fingerprint": params["corpus"]["fingerprint"],
-                "label": params["corpus"]["label"]},
-        params={name: entry for name, entry in
-                sorted(params["estimators"].items())},
-        means=means, errors=errors, boundary=boundary)
+    errors: dict = {}  # {split: {run key: [per-image pct errors]}}
+    for split in _SPLITS:
+        datasets = _split_datasets(config, split)
+        if split == "train":
+            fingerprint = _corpus_fingerprint([ds.x_true for ds in datasets])
+            if fingerprint != params["corpus"]["fingerprint"]:
+                raise ConfigError(
+                    f"corpus mismatch: parameters were trained on corpus "
+                    f"{params['corpus']['fingerprint']}, this config's "
+                    f"training split is {fingerprint}")
+        if not datasets:
+            continue
+        table = errors[split] = {key: [] for key in runs}
+        for ds in datasets:
+            dhat = system.analyze(ds.d)
+            for key, (w, alphas) in runs.items():
+                if alphas is None:
+                    mse = MseObjective(system, [dhat], [ds.x_true], w)
+                    alphas = minimize_vector(mse, w.P, config.search,
+                                             warm_start=warm).alphas
+                x = _solution(system, dhat, phi_windowed(system, w, alphas)).x
+                table[key].append(relative_error_pct(x, ds.x_true))
+    means = {key: {split: float(np.mean(table[key]))
+                   for split, table in errors.items()} for key in runs}
 
+    report = {"config": config.to_dict(),
+              "corpus": {"fingerprint": params["corpus"]["fingerprint"],
+                         "label": params["corpus"]["label"]},
+              "params": params["estimators"], "means": means,
+              "errors": errors, "boundary": boundary}
     (out / "report.json").write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n")
+        json.dumps(report, sort_keys=True, indent=1) + "\n")
 
-    split_order = [s for s in _SPLITS if s in corpora]
     with open(out / "report.csv", "w") as fh:
-        fh.write("estimator,mode," + ",".join(split_order) + "\n")
+        fh.write("estimator,mode," + ",".join(errors) + "\n")
         for key in sorted(means):
             name, mode = key.rsplit("_", 1)
-            cells = [f"{means[key][s]:.6f}" if s in means[key] else ""
-                     for s in split_order]
-            fh.write(f"{name},{mode}," + ",".join(cells) + "\n")
-    for split in split_order:
-        cols = sorted(errors[split])
-        rows = max(len(errors[split][c]) for c in cols)
+            fh.write(f"{name},{mode},"
+                     + ",".join(f"{v:.6f}" for v in means[key].values()) + "\n")
+    for split, table in errors.items():
+        cols = sorted(table)
         with open(out / f"errors_{split}.csv", "w") as fh:
             fh.write("image," + ",".join(cols) + "\n")
-            for i in range(rows):
-                cells = [f"{errors[split][c][i]:.6f}"
-                         if i < len(errors[split][c]) else "" for c in cols]
-                fh.write(f"{i}," + ",".join(cells) + "\n")
+            for i, row in enumerate(zip(*(table[c] for c in cols))):
+                fh.write(f"{i}," + ",".join(f"{e:.6f}" for e in row) + "\n")
 
     with open(out / "timings.txt", "a") as fh:
         fh.write(f"validate total: {time.perf_counter() - t_start:.3f} s\n")

@@ -113,9 +113,9 @@ def phi_windowed(sys: SpectralSystem, windows: WindowSet,
     return _windowed_filter(sys, windows, alphas)[1]
 
 
-def _solution(sys: SpectralSystem, d: np.ndarray,
+def _solution(sys: SpectralSystem, dhat: np.ndarray,
               phi: np.ndarray) -> RegularizedSolution:
-    dhat = sys.analyze(d)
+    """Filtered solution from the data coefficients dhat = analyze(d)."""
     if dhat.size != sys.m:
         raise ValueError(f"data length {dhat.size} does not match m={sys.m}")
     x = sys.synthesize(phi * sys.delta_pinv() * dhat[: sys.n])
@@ -124,13 +124,13 @@ def _solution(sys: SpectralSystem, d: np.ndarray,
 
 def solve_scalar(sys: SpectralSystem, d: np.ndarray, alpha: float) -> RegularizedSolution:
     """Tikhonov solution for one scalar parameter."""
-    return _solution(sys, d, filter_factors(sys, alpha).phi)
+    return _solution(sys, sys.analyze(d), filter_factors(sys, alpha).phi)
 
 
 def solve_windowed(sys: SpectralSystem, d: np.ndarray, windows: WindowSet,
                    alphas) -> RegularizedSolution:
     """Windowed Tikhonov solution with one parameter per window."""
-    return _solution(sys, d, phi_windowed(sys, windows, alphas))
+    return _solution(sys, sys.analyze(d), phi_windowed(sys, windows, alphas))
 
 
 def residual_norm_windowed(sys: SpectralSystem, dhat: np.ndarray,

@@ -74,6 +74,15 @@ def test_config_from_json_errors(tmp_path):
     p.write_text(json.dumps({**BASE, "xi": "2"}))
     with pytest.raises(ConfigError, match="'xi' has the wrong type"):
         ExperimentConfig.from_json(p)
+    # the search object follows the same rule, with SearchConfig's types
+    p.write_text(json.dumps({**BASE, "search": {"alpha_max": 5}}))
+    assert ExperimentConfig.from_json(p).search.alpha_max == 5
+    p.write_text(json.dumps({**BASE, "search": {"max_iter": True}}))
+    with pytest.raises(ConfigError, match="'max_iter' has the wrong type"):
+        ExperimentConfig.from_json(p)
+    p.write_text(json.dumps({**BASE, "search": {"bogus": 1}}))
+    with pytest.raises(ConfigError, match="unknown search keys"):
+        ExperimentConfig.from_json(p)
 
 
 def test_config_validate_rules():
@@ -248,13 +257,31 @@ def test_exit_codes(tmp_path, monkeypatch):
     no_estimators.write_text(json.dumps({**params, "estimators": {}}))
     assert main(["--config", str(good), "validate",
                  "--params", str(no_estimators)]) == 2
+    # malformed stored parameters: a non-number, a wrong count, a
+    # non-positive value, a list for a scalar, a bool, a non-object windows
+    for mode, key, value in [("windowed", "alphas", "abc"),
+                             ("windowed", "alphas", [0.1]),
+                             ("scalar", "alpha", -1.0),
+                             ("scalar", "alpha", [1.0, 2.0]),
+                             ("scalar", "alpha", True)]:
+        bad = json.loads(json.dumps(params))
+        bad["estimators"]["upre"][mode][key] = value
+        bad_params = tmp_path / "bad_params.json"
+        bad_params.write_text(json.dumps(bad))
+        assert main(["--config", str(good), "validate",
+                     "--params", str(bad_params)]) == 2, (mode, value)
+    bad_params.write_text(json.dumps({**params, "windows": 5}))
+    assert main(["--config", str(good), "validate",
+                 "--params", str(bad_params)]) == 2
 
     # config values of the wrong JSON type
     for key, value in [("image_size", "abc"), ("xi", True), ("seed", 1.5),
                        ("estimators", "upre"), ("r_sweep", 1),
-                       ("penalty", None)]:
+                       ("penalty", None),
+                       ("search", {"grid_points": 20.5}),
+                       ("search", {"tol": "small"})]:
         wrong = _write_config(tmp_path, **{key: value})
-        assert main(["--config", str(wrong), "gen"]) == 2, key
+        assert main(["--config", str(wrong), "gen"]) == 2, (key, value)
 
     # a labelled manifest with no records for a split, and an image format
     # the corpus reader does not support
@@ -316,6 +343,30 @@ def test_validate_corpus_mismatch(tmp_path, monkeypatch):
         cmd_validate(replace(cfg, seed=99), out / "params.json")
     assert main(["--config", str(tmp_path / "config.json"), "--seed", "99",
                  "validate"]) == 2
+
+
+def test_validate_analyzes_each_data_set_once(tmp_path, monkeypatch):
+    from dataclasses import replace
+
+    from specwin.spectral import SpectralSystem
+
+    monkeypatch.chdir(tmp_path)
+    cfg = replace(ExperimentConfig.from_json(_write_config(tmp_path)),
+                  image_size=16, estimators=("mse", "upre", "gcv_decoupled"),
+                  r_train=3, val_count=2, include_best=True)
+    params = cmd_train(cfg)
+    calls = []
+    real = SpectralSystem.analyze
+
+    def counting(self, v):
+        calls.append(1)
+        return real(self, v)
+
+    monkeypatch.setattr(SpectralSystem, "analyze", counting)
+    cmd_validate(cfg, params)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert {"best_scalar", "best_windowed"} <= set(report["means"])
+    assert len(calls) == 3 + 2 + 2
 
 
 def test_train_r_sweep_and_sigma_estimate(tmp_path, monkeypatch):
