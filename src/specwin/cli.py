@@ -35,8 +35,9 @@ from .estimators import (MseObjective, NoiseModel, PooledObjectives,
                          estimate_sigma2)
 from .optimize import SearchConfig, minimize_scalar, minimize_vector
 from .problems import (DataSet, gaussian_psf, load_corpus, make_dataset,
-                       read_manifest, synthetic_image, write_pgm)
-from .solver import ParamVector, _solution, phi_windowed
+                       read_manifest, synthetic_image, write_manifest,
+                       write_pgm)
+from .solver import ParamVector
 from .spectral import SpectralSystem, dct_decompose
 from .windows import (WindowSet, cosine_windows, indicator_windows,
                       make_partitions, trivial_window)
@@ -112,8 +113,11 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.image_size < 4:
             raise ConfigError(f"image_size must be >= 4, got {self.image_size}")
-        if self.xi <= 0:
-            raise ConfigError(f"xi must be positive, got {self.xi}")
+        if not 0 < self.xi < np.inf:
+            raise ConfigError(f"xi must be positive and finite, got {self.xi}")
+        if np.isnan(self.snr_db) or self.snr_db == -np.inf:
+            raise ConfigError(f"snr_db must be a number or +Infinity "
+                              f"(noiseless), got {self.snr_db}")
         if self.penalty not in ("identity", "laplacian"):
             raise ConfigError(f"unknown penalty {self.penalty!r}")
         if self.window_kind not in _WINDOW_KINDS:
@@ -190,11 +194,6 @@ def _require(doc: dict, keys: Sequence[str], source: str) -> None:
             node = node[part]
 
 
-def relative_error_pct(xhat: np.ndarray, x: np.ndarray) -> float:
-    """Percent relative error 100*||xhat - x||_2 / ||x||_2 (Frobenius)."""
-    return 100.0 * float(np.linalg.norm(xhat - x) / np.linalg.norm(x))
-
-
 # ---------------------------------------------------------------------------
 # corpus assembly
 # ---------------------------------------------------------------------------
@@ -239,12 +238,22 @@ def _split_truths(config: ExperimentConfig, split: str) -> list[np.ndarray]:
             for i in range(count)]
 
 
+def _psf(config: ExperimentConfig) -> np.ndarray:
+    try:
+        return gaussian_psf(config.xi, (config.image_size, config.image_size))
+    except ValueError as exc:
+        raise ConfigError(f"blur kernel: {exc}") from exc
+
+
 def _split_datasets(config: ExperimentConfig, split: str) -> list[DataSet]:
     split_idx = _SPLITS.index(split)
-    psf = gaussian_psf(config.xi, (config.image_size, config.image_size))
-    return [make_dataset(x, psf, config.snr_db,
-                         _noise_seed(config, split_idx, i))
-            for i, x in enumerate(_split_truths(config, split))]
+    psf = _psf(config)
+    try:
+        return [make_dataset(x, psf, config.snr_db,
+                             _noise_seed(config, split_idx, i))
+                for i, x in enumerate(_split_truths(config, split))]
+    except ValueError as exc:
+        raise ConfigError(f"{split} data: {exc}") from exc
 
 
 def _corpus_fingerprint(truths: Sequence[np.ndarray]) -> str:
@@ -255,8 +264,7 @@ def _corpus_fingerprint(truths: Sequence[np.ndarray]) -> str:
 
 
 def _build_system(config: ExperimentConfig) -> SpectralSystem:
-    psf = gaussian_psf(config.xi, (config.image_size, config.image_size))
-    return dct_decompose(psf, penalty=config.penalty)
+    return dct_decompose(_psf(config), penalty=config.penalty)
 
 
 def _build_windows(config: ExperimentConfig, system: SpectralSystem) -> WindowSet:
@@ -281,8 +289,8 @@ def cmd_gen(config: ExperimentConfig, verbose: bool = False) -> Path:
     """
     out = Path(config.output_dir) / "gen"
     out.mkdir(parents=True, exist_ok=True)
-    manifest_lines = []
-    for split_idx, split in enumerate(_SPLITS):
+    records = []
+    for split in _SPLITS:
         datasets = _split_datasets(config, split)
         split_dir = out / split
         split_dir.mkdir(exist_ok=True)
@@ -295,10 +303,11 @@ def cmd_gen(config: ExperimentConfig, verbose: bool = False) -> Path:
                     "dims": list(ds.dims), "xi": config.xi}
             (split_dir / f"{stem}.json").write_text(
                 json.dumps(meta, sort_keys=True, indent=1) + "\n")
-            manifest_lines.append(f"{split}/{stem}_x.pgm,{split},{ds.seed}")
+            records.append({"path": split_dir / f"{stem}_x.pgm",
+                            "split": split, "seed": ds.seed})
         if verbose:
             print(f"gen: wrote {len(datasets)} data sets to {split_dir}")
-    (out / "manifest.csv").write_text("\n".join(manifest_lines) + "\n")
+    write_manifest(out / "manifest.csv", records)
     return out
 
 
@@ -532,7 +541,9 @@ def _stored_params(values, P: int, source: str) -> ParamVector:
 
 def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -> Path:
     """Apply frozen parameters to all corpora and emit the error tables.
-    Each data set is analyzed once, and every run is solved from that."""
+    Each data set is analyzed once, and every run is scored by that data
+    set's MSE objective: 100 sqrt(mse(alphas)) / ||x_true|| is the percent
+    relative solution error, and no solution image is formed."""
     t_start = time.perf_counter()
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -550,24 +561,24 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
             f"P={config.window_count} kind={config.window_kind}")
 
     system = _build_system(config)
-    windows = _build_windows(config, system)
-    trivial = trivial_window(system)
-    # run key -> (window set, stored parameters, or None for the per-image
-    # best, which is searched on each image against its truth)
+    window_sets = {"scalar": trivial_window(system),
+                   "windowed": _build_windows(config, system)}
+    # run key -> (mode, stored parameters, or None for the per-image best,
+    # which is searched on each image against its truth)
     runs: dict = {}
     boundary: dict = {}
     for name, entry in sorted(params["estimators"].items()):
         source = f"estimator {name!r} in parameters {params_path}"
         _require(entry, ("scalar.alpha", "scalar.boundary", "windowed.alphas",
                          "windowed.boundary"), source)
-        for mode, w, values in (("scalar", trivial, [entry["scalar"]["alpha"]]),
-                                ("windowed", windows, entry["windowed"]["alphas"])):
+        for mode, values in (("scalar", [entry["scalar"]["alpha"]]),
+                             ("windowed", entry["windowed"]["alphas"])):
             key = f"{name}_{mode}"
-            runs[key] = (w, _stored_params(values, w.P, f"{source}, {mode}"))
+            runs[key] = (mode, _stored_params(values, window_sets[mode].P,
+                                              f"{source}, {mode}"))
             boundary[key] = entry[mode]["boundary"]
     if config.include_best:
-        runs["best_scalar"] = (trivial, None)
-        runs["best_windowed"] = (windows, None)
+        runs.update({f"best_{mode}": (mode, None) for mode in window_sets})
     warm = runs["mse_windowed"][1] if "mse_windowed" in runs else None
 
     errors: dict = {}  # {split: {run key: [per-image pct errors]}}
@@ -585,13 +596,15 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
         table = errors[split] = {key: [] for key in runs}
         for ds in datasets:
             dhat = system.analyze(ds.d)
-            for key, (w, alphas) in runs.items():
+            mse = {mode: MseObjective(system, [dhat], [ds.x_true], w)
+                   for mode, w in window_sets.items()}
+            norm = float(np.linalg.norm(ds.x_true))
+            for key, (mode, alphas) in runs.items():
+                obj = mse[mode]
                 if alphas is None:
-                    mse = MseObjective(system, [dhat], [ds.x_true], w)
-                    alphas = minimize_vector(mse, w.P, config.search,
+                    alphas = minimize_vector(obj, obj.P, config.search,
                                              warm_start=warm).alphas
-                x = _solution(system, dhat, phi_windowed(system, w, alphas)).x
-                table[key].append(relative_error_pct(x, ds.x_true))
+                table[key].append(float(100.0 * np.sqrt(obj(alphas)) / norm))
     means = {key: {split: float(np.mean(table[key]))
                    for split, table in errors.items()} for key in runs}
 
@@ -629,14 +642,40 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
 # report
 # ---------------------------------------------------------------------------
 
+def _load_report(path) -> dict:
+    """One report.json; ConfigError unless `means` maps <name>_<mode> keys to
+    objects of numbers and `errors` maps splits to objects of number lists
+    under the same kind of keys."""
+    rep = _load_json(path, "report", ("config.r_train", "config.window_kind",
+                                      "config.window_count", "corpus.label",
+                                      "means", "errors"))
+
+    def numbers(values) -> bool:
+        return all(_is_json_type(v, float) for v in values)
+
+    def runs_of(value, cell) -> bool:
+        """Whether value maps <name>_<mode> keys to values passing cell."""
+        return (isinstance(value, dict) and all("_" in key for key in value)
+                and all(map(cell, value.values())))
+
+    errors = rep["errors"]
+    if not (isinstance(rep["corpus"]["label"], str)
+            and runs_of(rep["means"], lambda row: isinstance(row, dict)
+                        and numbers(row.values()))
+            and isinstance(errors, dict)
+            and all(runs_of(table, lambda errs: isinstance(errs, list)
+                            and numbers(errs)) for table in errors.values())):
+        raise ConfigError(f"report {path} is malformed: need a string corpus "
+                          f"label, means {{name_mode: {{split: number}}}} and "
+                          f"errors {{split: {{name_mode: [number, ...]}}}}")
+    return rep
+
+
 def cmd_report(report_paths: Sequence, out_dir, verbose: bool = False) -> Path:
     """Reduce validation reports to a markdown table plus plot CSVs."""
     if not report_paths:
         raise ConfigError("empty report set: pass at least one report.json")
-    reports = [_load_json(p, "report", ("config.r_train", "config.window_kind",
-                                        "config.window_count", "corpus.label",
-                                        "means", "errors"))
-               for p in report_paths]
+    reports = [_load_report(p) for p in report_paths]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -375,7 +375,8 @@ class PooledObjectives:
 class MseObjective:
     """(1/R) sum_r ||x_win^(r)(alphas) - x_true^(r)||^2 as a function of the
     parameter vector, prepared once for data sets sharing one system and one
-    window set, with fixed data coefficients and truths.
+    window set, with fixed data coefficients and truths.  For one data set
+    its value is the squared solution error that `validate` reports.
 
     On a system with an orthonormal synthesis (`synthesis_scale` set: the DCT
     backend) the error is taken in coefficient space by Parseval.  With

@@ -74,7 +74,11 @@ def gaussian_psf(xi: float, size: tuple[int, int]) -> np.ndarray:
     y = np.arange(h) - (h - 1) / 2.0
     x = np.arange(w) - (w - 1) / 2.0
     k = np.exp(-(y[:, None] ** 2 + x[None, :] ** 2) / (2.0 * xi))
-    return k / k.sum()
+    total = k.sum()
+    if not 0.0 < total < np.inf:
+        raise ValueError(f"xi={xi} gives a kernel sum of {total}, not a "
+                         f"positive finite number")
+    return k / total
 
 
 def laplacian_penalty(dims: tuple[int, int]) -> np.ndarray:
@@ -127,9 +131,12 @@ def blur(image: np.ndarray, psf: np.ndarray) -> np.ndarray:
 
 def add_noise(b: np.ndarray, target_snr_db: float, seed) -> tuple[np.ndarray, float]:
     """Add white Gaussian noise scaled so 10*log10(||b||^2/||e||^2) hits the
-    target exactly.  An infinite target returns the data untouched."""
+    target exactly.  A target of +inf returns the data untouched; NaN, -inf
+    and targets whose noise scale overflows or underflows raise ValueError."""
     b = np.asarray(b, dtype=float)
-    if np.isinf(target_snr_db):
+    if np.isnan(target_snr_db) or target_snr_db == -np.inf:
+        raise ValueError(f"SNR target must be a number or +inf, got {target_snr_db}")
+    if target_snr_db == np.inf:
         return b.copy(), 0.0
     bnorm2 = float(np.sum(b ** 2))
     if bnorm2 == 0.0:
@@ -139,7 +146,15 @@ def add_noise(b: np.ndarray, target_snr_db: float, seed) -> tuple[np.ndarray, fl
     enorm2 = float(np.sum(e ** 2))
     if enorm2 == 0.0:
         raise ValueError("degenerate zero noise draw")
-    scale = np.sqrt(bnorm2 / (enorm2 * 10.0 ** (target_snr_db / 10.0)))
+    # a target whose power ratio overflows or underflows (a Python float
+    # raises, a numpy one saturates) has no positive finite noise scale
+    try:
+        with np.errstate(over="ignore", divide="ignore"):
+            scale = np.sqrt(bnorm2 / (enorm2 * 10.0 ** (target_snr_db / 10.0)))
+    except (OverflowError, ZeroDivisionError):
+        scale = 0.0
+    if not 0.0 < scale < np.inf:
+        raise ValueError(f"SNR target {target_snr_db} dB is out of range")
     e *= scale
     sigma2 = float(np.sum(e ** 2)) / b.size
     return b + e, sigma2
@@ -222,6 +237,8 @@ def read_pgm(path) -> np.ndarray:
         tokens.append(int(m.group(1)))
         pos += m.end()
     w, h, maxval = tokens
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"{path}: PGM maxval {maxval} outside 1..65535")
     pos += 1  # single whitespace byte after maxval
     dtype = np.dtype(">u2" if maxval > 255 else "u1")
     count = w * h
@@ -287,7 +304,7 @@ def read_manifest(path) -> list[dict]:
 def write_manifest(path, records: Iterable[dict]) -> None:
     base = Path(path).parent
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         for rec in records:
             rel = Path(rec["path"])
             try:

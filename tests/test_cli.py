@@ -16,7 +16,6 @@ from specwin.cli import (
     cmd_train,
     cmd_validate,
     main,
-    relative_error_pct,
 )
 from specwin.errors import ConfigError
 from specwin.estimators import NoiseModel, mse_learning, upre_md_windowed
@@ -44,12 +43,6 @@ def _write_config(tmp_path, **overrides) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
-
-
-def test_relative_error_pct():
-    x = np.array([3.0, 4.0])
-    assert relative_error_pct(x, x) == 0.0
-    assert relative_error_pct(np.array([3.0, 4.0 + 5.0]), x) == pytest.approx(100.0)
 
 
 def test_config_from_json_errors(tmp_path):
@@ -283,6 +276,38 @@ def test_exit_codes(tmp_path, monkeypatch):
         wrong = _write_config(tmp_path, **{key: value})
         assert main(["--config", str(wrong), "gen"]) == 2, (key, value)
 
+    # non-finite or degenerate blur widths and noise levels: a NaN width, one
+    # whose Gaussian underflows to 0/0, a NaN or -inf SNR, and an SNR whose
+    # power ratio overflows
+    for key, value in [("xi", float("nan")), ("xi", 1e-300),
+                       ("snr_db", float("nan")), ("snr_db", float("-inf")),
+                       ("snr_db", 1e308)]:
+        degenerate = _write_config(tmp_path, **{key: value})
+        for cmd in ("gen", "train"):
+            assert main(["--config", str(degenerate), cmd]) == 2, (key, value)
+
+    # malformed report structure: means not an object of objects, a run key
+    # with no mode, errors not an object of objects of number lists, a
+    # non-number error or mean, a non-string corpus label
+    report = {"config": {"r_train": 2, "window_kind": "nonoverlap_log",
+                         "window_count": 2},
+              "corpus": {"label": "synthetic"},
+              "means": {"upre_scalar": {"train": 5.0}},
+              "errors": {"train": {"upre_scalar": [4.0, 6.0]}}}
+    rep_path = tmp_path / "rep" / "report.json"
+    rep_path.parent.mkdir()
+    rep_path.write_text(json.dumps(report))
+    report_argv = ["--out", str(rep_path.parent), "report", str(rep_path)]
+    assert main(report_argv) == 0
+    for edit in [{"means": {"a_b": 5}}, {"means": [1]},
+                 {"means": {"upre": {"train": 5.0}}}, {"errors": []},
+                 {"errors": {"train": {"upre_scalar": "x"}}},
+                 {"errors": {"train": {"upre_scalar": ["x"]}}},
+                 {"means": {"upre_scalar": {"train": "x"}}},
+                 {"corpus": {"label": 5}}]:
+        rep_path.write_text(json.dumps({**report, **edit}))
+        assert main(report_argv) == 2, edit
+
     # a labelled manifest with no records for a split, and an image format
     # the corpus reader does not support
     _write_corpus(tmp_path, "train_only.csv", ["train", "train"])
@@ -293,6 +318,13 @@ def test_exit_codes(tmp_path, monkeypatch):
     (tmp_path / "txt.csv").write_text("notes.txt,train,0\n")
     txt = _write_config(tmp_path, train_manifest=str(tmp_path / "txt.csv"))
     assert main(["--config", str(txt), "gen"]) == 2
+    # a PGM whose maxval is 0
+    (tmp_path / "maxval0.pgm").write_bytes(b"P5\n8 8\n0\n" + bytes(64))
+    (tmp_path / "maxval0.csv").write_text("maxval0.pgm,train,0\n")
+    maxval0 = _write_config(tmp_path,
+                            train_manifest=str(tmp_path / "maxval0.csv"),
+                            r_train=1)
+    assert main(["--config", str(maxval0), "train"]) == 2
 
 
 def _write_corpus(tmp_path, name, splits):
@@ -345,28 +377,63 @@ def test_validate_corpus_mismatch(tmp_path, monkeypatch):
                  "validate"]) == 2
 
 
-def test_validate_analyzes_each_data_set_once(tmp_path, monkeypatch):
+def _validate_config(tmp_path, monkeypatch) -> ExperimentConfig:
+    """16x16, P=2, three estimators, include_best, 3+2+2 data sets."""
     from dataclasses import replace
 
+    monkeypatch.chdir(tmp_path)
+    return replace(ExperimentConfig.from_json(_write_config(tmp_path)),
+                   image_size=16, estimators=("mse", "upre", "gcv_decoupled"),
+                   r_train=3, val_count=2, include_best=True)
+
+
+def test_validate_analyzes_each_data_set_once(tmp_path, monkeypatch):
     from specwin.spectral import SpectralSystem
 
-    monkeypatch.chdir(tmp_path)
-    cfg = replace(ExperimentConfig.from_json(_write_config(tmp_path)),
-                  image_size=16, estimators=("mse", "upre", "gcv_decoupled"),
-                  r_train=3, val_count=2, include_best=True)
+    cfg = _validate_config(tmp_path, monkeypatch)
     params = cmd_train(cfg)
-    calls = []
-    real = SpectralSystem.analyze
+    calls = {"analyze": 0, "synthesize": 0}
+    for method in calls:
+        real = getattr(SpectralSystem, method)
 
-    def counting(self, v):
-        calls.append(1)
-        return real(self, v)
+        def counting(self, v, real=real, method=method):
+            calls[method] += 1
+            return real(self, v)
 
-    monkeypatch.setattr(SpectralSystem, "analyze", counting)
+        monkeypatch.setattr(SpectralSystem, method, counting)
     cmd_validate(cfg, params)
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert {"best_scalar", "best_windowed"} <= set(report["means"])
-    assert len(calls) == 3 + 2 + 2
+    # every run is scored by its data set's MSE objective: no solution is
+    # synthesized
+    assert calls == {"analyze": 3 + 2 + 2, "synthesize": 0}
+
+
+def test_validate_errors_are_solution_errors(tmp_path, monkeypatch):
+    from specwin.solver import solve_windowed
+
+    cfg = _validate_config(tmp_path, monkeypatch)
+    params = json.loads(cmd_train(cfg).read_text())
+    cmd_validate(cfg, tmp_path / "out" / "params.json")
+    errors = json.loads((tmp_path / "out" / "report.json").read_text())["errors"]
+    system = _build_system(cfg)
+    window_sets = {"scalar": trivial_window(system),
+                   "windowed": _build_windows(cfg, system)}
+    for split, table in errors.items():
+        datasets = _split_datasets(cfg, split)
+        assert len(datasets) == len(table["best_windowed"])
+        for name, entry in params["estimators"].items():
+            for mode, alphas in (("scalar", [entry["scalar"]["alpha"]]),
+                                 ("windowed", entry["windowed"]["alphas"])):
+                for ds, err in zip(datasets, table[f"{name}_{mode}"]):
+                    x = solve_windowed(system, ds.d, window_sets[mode], alphas).x
+                    want = (100.0 * np.linalg.norm(x - ds.x_true)
+                            / np.linalg.norm(ds.x_true))
+                    assert err == pytest.approx(want, rel=1e-12), (split, name, mode)
+        # the per-image simplex never ends above its warm start, the stored
+        # windowed MSE parameters
+        for best, stored in zip(table["best_windowed"], table["mse_windowed"]):
+            assert best <= stored * (1.0 + 1e-12)
 
 
 def test_train_r_sweep_and_sigma_estimate(tmp_path, monkeypatch):

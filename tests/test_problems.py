@@ -40,6 +40,11 @@ def test_gaussian_psf_properties():
         gaussian_psf(0.0, (5, 5))
     with pytest.raises(ValueError):
         gaussian_psf(1.0, (2, 5))
+    # a NaN width, and one so narrow that every sample underflows to 0 on
+    # the half-integer grid, have no unit-sum kernel
+    for xi in (np.nan, 1e-300):
+        with pytest.raises(ValueError, match="kernel sum"):
+            gaussian_psf(xi, (8, 8))
 
 
 @pytest.mark.parametrize("dims,psf_shape", [((8, 8), (5, 5)), ((9, 7), (5, 3)),
@@ -103,6 +108,14 @@ def test_add_noise_hits_target_snr_exactly():
     assert sigma2 == 0.0
     with pytest.raises(ValueError, match="zero-signal"):
         add_noise(np.zeros((4, 4)), 10.0, seed=1)
+    # NaN and -inf name no noise level; 10**(snr/10) overflows at 1e308 and
+    # underflows to 0 at -4000
+    for snr in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match="number or \\+inf"):
+            add_noise(b, snr, seed=99)
+    for snr in (1e308, np.float64(1e308), -4000.0, np.float64(-4000.0)):
+        with pytest.raises(ValueError, match="out of range"):
+            add_noise(b, snr, seed=99)
 
 
 def test_add_noise_seed_determinism():
@@ -161,6 +174,13 @@ def test_pgm_reader_handles_comments_and_rejects_garbage(tmp_path):
     t.write_bytes(b"P5\n4 4\n255\n\x00\x00")
     with pytest.raises(ValueError, match="truncated"):
         read_pgm(t)
+    # maxval must lie in 1..65535: 0 would divide by zero, 70000 has no
+    # sample width
+    for maxval in (0, 70000):
+        m = tmp_path / f"maxval{maxval}.pgm"
+        m.write_bytes(f"P5\n2 2\n{maxval}\n".encode() + bytes(8))
+        with pytest.raises(ValueError, match="maxval"):
+            read_pgm(m)
 
 
 def test_load_image_csv_rescales(tmp_path):
@@ -199,6 +219,7 @@ def test_manifest_roundtrip_and_split_filter(tmp_path):
     ]
     mpath = tmp_path / "manifest.csv"
     write_manifest(mpath, records)
+    assert mpath.read_bytes() == b"a.pgm,train,0\nb.pgm,train,1\nc.pgm,validate,2\n"
     back = read_manifest(mpath)
     assert [r["split"] for r in back] == ["train", "train", "validate"]
     assert [r["seed"] for r in back] == [0, 1, 2]
