@@ -111,6 +111,8 @@ class ExperimentConfig:
         return config
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.image_size < 4:
             raise ConfigError(f"image_size must be >= 4, got {self.image_size}")
         if not 0 < self.xi < np.inf:
@@ -431,19 +433,20 @@ def _train_windowed(ctx: _TrainContext, name: str,
             entry["per_window_values"] = values
         return entry, traces
 
-    # coupled estimators (and overlapping windows): warm start from the
-    # matching non-overlapping solution, then simplex-descend the coupled
-    # objective
-    if name == "mse":
-        starts = [ParamVector(np.full(P, scalar_alpha))]
-    else:
+    # coupled estimators (and overlapping windows): simplex-descend the
+    # coupled objective from the scalar diagonal, where it equals the learned
+    # scalar value.  UPRE and GCV also start from the matching
+    # non-overlapping solution, listed first so that ties resolve to it.
+    # Neither start suffices alone (64x64, identity, cosine_log P=3, ten
+    # seeds): from the non-overlapping solution the coupled GCV stops at the
+    # all-alpha_min corner, 24-26% too high; from the diagonal UPRE ends up
+    # to 8.1e-6 (relative) too high
+    starts = [ParamVector(np.full(P, scalar_alpha))]
+    if name != "mse":
         warm_name = "gcv_decoupled" if name.startswith("gcv") else "upre"
         warm_alphas, _, _, _ = _train_separable(ctx, warm_name,
                                                 ctx.pooled_warm)
-        # two deterministic starts: the non-overlapping solution and the
-        # scalar diagonal; coupled objectives can be multimodal and a
-        # boundary-pinned warm start can trap the simplex in a corner basin
-        starts = [ParamVector(warm_alphas), None]
+        starts.insert(0, ParamVector(warm_alphas))
 
     obj = _windowed_objective(ctx, name)
     res = min((minimize_vector(obj, P, ctx.search, warm_start=ws)
@@ -461,6 +464,8 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     traces_dir = out / "traces"
     traces_dir.mkdir(exist_ok=True)
+    for stale in traces_dir.glob("*_trace.csv"):  # an earlier run's traces
+        stale.unlink()
 
     system = _build_system(config)
     datasets = _split_datasets(config, "train")
@@ -517,6 +522,8 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
             fh.write("R,estimator,alpha\n")
             for r, name, alpha in trend_rows:
                 fh.write(f"{r},{name},{alpha:.12g}\n")
+    else:
+        (out / "trend.csv").unlink(missing_ok=True)
 
     timing_lines.append(f"train total: {time.perf_counter() - t_start:.3f} s")
     (out / "timings.txt").write_text("\n".join(timing_lines) + "\n")
@@ -526,6 +533,12 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
+
+# the settings that define the problem parameters were trained on: the
+# operator, the penalty, the noise level and the windows
+_TRAINED_UNDER = ("image_size", "xi", "snr_db", "penalty", "window_kind",
+                  "window_count")
+
 
 def _stored_params(values, P: int, source: str) -> ParamVector:
     """The stored parameters of one run; ConfigError unless they are a list
@@ -548,17 +561,16 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     params = _load_json(params_path, "parameters",
-                        ("estimators", "corpus.fingerprint", "corpus.label",
-                         "windows.P", "windows.kind"))
+                        ("estimators", "corpus.fingerprint", "corpus.label")
+                        + tuple(f"config.{key}" for key in _TRAINED_UNDER))
     if not isinstance(params["estimators"], dict) or not params["estimators"]:
         raise ConfigError(f"parameters {params_path} hold no estimators")
-    stored = params["windows"]
-    if (stored["P"] != config.window_count
-            or stored["kind"] != config.window_kind):
-        raise ConfigError(
-            f"parameter/window mismatch: params were trained with "
-            f"P={stored['P']} kind={stored['kind']}, config asks "
-            f"P={config.window_count} kind={config.window_kind}")
+    for key in _TRAINED_UNDER:
+        stored, asked = params["config"][key], getattr(config, key)
+        if stored != asked:
+            raise ConfigError(
+                f"parameter/config mismatch: params were trained with "
+                f"{key}={stored!r}, config asks {key}={asked!r}")
 
     system = _build_system(config)
     window_sets = {"scalar": trivial_window(system),
@@ -579,7 +591,7 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
             boundary[key] = entry[mode]["boundary"]
     if config.include_best:
         runs.update({f"best_{mode}": (mode, None) for mode in window_sets})
-    warm = runs["mse_windowed"][1] if "mse_windowed" in runs else None
+    trained = runs["mse_windowed"][1] if "mse_windowed" in runs else None
 
     errors: dict = {}  # {split: {run key: [per-image pct errors]}}
     for split in _SPLITS:
@@ -592,6 +604,7 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
                     f"{params['corpus']['fingerprint']}, this config's "
                     f"training split is {fingerprint}")
         if not datasets:
+            (out / f"errors_{split}.csv").unlink(missing_ok=True)
             continue
         table = errors[split] = {key: [] for key in runs}
         for ds in datasets:
@@ -599,11 +612,18 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
             mse = {mode: MseObjective(system, [dhat], [ds.x_true], w)
                    for mode, w in window_sets.items()}
             norm = float(np.linalg.norm(ds.x_true))
+            start = trained
             for key, (mode, alphas) in runs.items():
                 obj = mse[mode]
                 if alphas is None:
                     alphas = minimize_vector(obj, obj.P, config.search,
-                                             warm_start=warm).alphas
+                                             warm_start=start).alphas
+                    # best_scalar comes just before best_windowed, which
+                    # starts from the trained MSE parameters, else from the
+                    # diagonal at best_scalar's alpha
+                    if start is None:
+                        start = ParamVector(np.full(window_sets["windowed"].P,
+                                                    alphas.values[0]))
                 table[key].append(float(100.0 * np.sqrt(obj(alphas)) / norm))
     means = {key: {split: float(np.mean(table[key]))
                    for split, table in errors.items()} for key in runs}
@@ -746,6 +766,7 @@ def _load_config(args) -> ExperimentConfig:
     config = ExperimentConfig.from_json(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
+        config.validate()
     if args.out is not None:
         config = replace(config, output_dir=args.out)
     return config

@@ -2,9 +2,9 @@
 
 Scalar objectives get a global log-spaced bracketing grid followed by
 golden-section refinement; coupled vector objectives get a bound-clamped
-Nelder-Mead simplex in log-parameter coordinates, warm-started from the
-non-overlapping (or scalar) solution.  Saturated-trace evaluations count as
-+inf rather than aborting the search.
+Nelder-Mead simplex in log-parameter coordinates, started where the caller
+says.  Saturated-trace evaluations count as +inf rather than aborting the
+search.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from scipy.optimize import Bounds, minimize
 
 from .errors import InfeasibleError, SaturatedTraceError
 from .solver import ParamVector
+from .spectral import MAX_ALPHA
 
 __all__ = [
     "BOUNDARY_RTOL",
@@ -53,8 +54,10 @@ class SearchConfig:
             raise ValueError(
                 f"need 0 < alpha_min < alpha_max, got "
                 f"[{self.alpha_min}, {self.alpha_max}]")
-        if not (np.isfinite(self.alpha_min) and np.isfinite(self.alpha_max)):
-            raise ValueError("alpha bounds must be finite")
+        if not self.alpha_max <= MAX_ALPHA:
+            raise ValueError(f"alpha bounds must have a finite square: need "
+                             f"alpha_max <= {MAX_ALPHA:.4g}, got "
+                             f"{self.alpha_max}")
         if self.grid_points < 8:
             raise ValueError(f"grid_points must be >= 8, got {self.grid_points}")
         if self.tol <= 0.0:
@@ -157,9 +160,10 @@ def minimize_vector(objective: Callable[[ParamVector], float], P: int,
                     warm_start: ParamVector | None = None) -> VectorSearchResult:
     """Derivative-free coupled search over P parameters in log coordinates.
 
-    Starts from `warm_start` when given, otherwise from the best scalar
-    parameter replicated P times.  The returned value never exceeds the
-    start value; per-coordinate boundary flags mark clamped solutions.
+    P == 1 is the scalar grid plus golden-section search.  For P > 1 the
+    caller must say where to start (`warm_start`); the returned value never
+    exceeds the start value, and per-coordinate boundary flags mark clamped
+    solutions.
     """
     config = config or SearchConfig()
     if P < 1:
@@ -183,16 +187,10 @@ def minimize_vector(objective: Callable[[ParamVector], float], P: int,
                                   evaluations=res.evaluations + counter["n"])
 
     if warm_start is None:
-        diag = minimize_scalar(
-            lambda a: objective(ParamVector(np.full(P, a))), config)
-        start = ParamVector(np.full(P, diag.alpha))
-    else:
-        if warm_start.P != P:
-            raise ValueError(f"warm start has {warm_start.P} entries, need {P}")
-        start = ParamVector(np.clip(warm_start.values,
-                                    config.alpha_min, config.alpha_max))
-
-    z0 = np.log(start.values)
+        raise ValueError(f"a search over P={P} parameters needs a warm start")
+    if warm_start.P != P:
+        raise ValueError(f"warm start has {warm_start.P} entries, need {P}")
+    z0 = np.log(np.clip(warm_start.values, config.alpha_min, config.alpha_max))
     f0 = f_vec(z0)
     if not math.isfinite(f0):
         raise InfeasibleError("infeasible start: objective non-finite at the "

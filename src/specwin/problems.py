@@ -237,6 +237,8 @@ def read_pgm(path) -> np.ndarray:
         tokens.append(int(m.group(1)))
         pos += m.end()
     w, h, maxval = tokens
+    if w == 0 or h == 0:
+        raise ValueError(f"{path}: PGM has zero width or height ({w}x{h})")
     if not 1 <= maxval <= 65535:
         raise ValueError(f"{path}: PGM maxval {maxval} outside 1..65535")
     pos += 1  # single whitespace byte after maxval
@@ -253,6 +255,8 @@ def load_image(path) -> np.ndarray:
     p = Path(path)
     if p.suffix.lower() == ".csv":
         arr = np.atleast_2d(np.loadtxt(p, delimiter=",", dtype=float))
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{path}: CSV image holds a NaN or infinite sample")
         lo, hi = float(arr.min()), float(arr.max())
         if lo < 0.0 or hi > 1.0:
             arr = (arr - lo) / (hi - lo) if hi > lo else np.zeros_like(arr)

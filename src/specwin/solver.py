@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralSystem, _band_phi, filter_factors
+from .spectral import MAX_ALPHA, SpectralSystem, _band_phi, filter_factors
 from .windows import WindowSet
 
 __all__ = [
@@ -36,8 +36,9 @@ class ParamVector:
         arr = np.atleast_1d(np.asarray(values, dtype=float)).copy()
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("parameter vector must be a nonempty 1D array")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise ValueError(f"parameters must be positive and finite, got {arr}")
+        if not np.all((arr > 0.0) & (arr <= MAX_ALPHA)):
+            raise ValueError(f"parameters must be positive with a finite "
+                             f"square (at most {MAX_ALPHA:.4g}), got {arr}")
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:

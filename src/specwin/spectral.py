@@ -2,7 +2,8 @@
 
 Two backends produce the same `SpectralSystem` interface:
 
-* `gsvd` factors a dense pair (A, L) as A = U diag(delta) Xt, L = V diag(lam) Xt
+* `gsvd` factors a dense pair (A, L) with an orthogonal U and an invertible
+  Y such that A Y = U[:, :n] diag(delta) and (L Y)^T (L Y) = diag(lam**2),
   via QR of the stacked pair followed by an SVD of the top block (the CS
   decomposition of the stacked orthonormal factor).
 * `dct_decompose` simultaneously diagonalizes a symmetric convolution operator
@@ -43,6 +44,10 @@ __all__ = [
 # Relative threshold below which a spectral value counts as an exact zero.
 ZERO_RTOL = 1e-14
 
+# Largest regularization parameter whose square is finite (about 1.34e154);
+# the filter factors need alpha**2.
+MAX_ALPHA = float(np.sqrt(np.finfo(float).max))
+
 
 @dataclass(frozen=True)
 class SpectralSystem:
@@ -76,10 +81,9 @@ class SpectralSystem:
     _analyze_adjoint: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     backend: str = "dense"
     dims: Optional[Tuple[int, int]] = None
-    # Dense factors, kept for reconstruction and oracles; None for the DCT backend.
+    # Dense factors behind analyze (U^T) and synthesize (Y); None for the
+    # DCT backend.
     U: Optional[np.ndarray] = field(default=None, repr=False)
-    V: Optional[np.ndarray] = field(default=None, repr=False)
-    Xt: Optional[np.ndarray] = field(default=None, repr=False)
     Y: Optional[np.ndarray] = field(default=None, repr=False)
     synthesis_scale: Optional[np.ndarray] = field(default=None, repr=False)
     _coefficients: Optional[Callable[[np.ndarray], np.ndarray]] = field(
@@ -166,8 +170,10 @@ def gsvd(A: np.ndarray, L: np.ndarray) -> SpectralSystem:
 
     Requires m >= n and full column rank of the stacked pair [A; L].  The
     returned values satisfy delta nondecreasing, lam nonincreasing and
-    delta**2 + lam**2 == 1 (CS normalization); A == U[:, :n] @ diag(delta) @ Xt
-    and L == V @ Lam @ Xt with Lam the q-by-n diagonal carrying lam.
+    delta**2 + lam**2 == 1 (CS normalization).  The system keeps the m-by-m
+    orthogonal U and the invertible n-by-n Y with
+    A @ Y == U[:, :n] @ diag(delta) and (L @ Y).T @ (L @ Y) == diag(lam**2),
+    the factors of the filtered solution x = Y (phi / delta) (U^T d)[:n].
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     L = np.atleast_2d(np.asarray(L, dtype=float))
@@ -191,32 +197,16 @@ def gsvd(A: np.ndarray, L: np.ndarray) -> SpectralSystem:
     delta = np.clip(dvals[::-1], 0.0, 1.0)
     U = np.concatenate((Uf[:, :n][:, ::-1], Uf[:, n:]), axis=1)
     Ztr = Zt[::-1, :]
-    Xt = Ztr @ R
 
-    lam_cols = Q2 @ Ztr.T  # columns are orthogonal with norms lam_j
-    lam = np.linalg.norm(lam_cols, axis=0) if q > 0 else np.zeros(n)
+    # L Y == Q2 Ztr^T, whose columns are orthogonal with norms lam_j
+    lam = np.linalg.norm(Q2 @ Ztr.T, axis=0) if q > 0 else np.zeros(n)
     lam = np.clip(lam, 0.0, 1.0)
 
     delta, lam, gamma, lambda_zero, ell = _finalize_values(delta, lam)
     # lam is nonincreasing, so penalty-null directions occupy the tail; the
     # filter passes components beyond q_star unchanged
     q_star = n - int(np.count_nonzero(lambda_zero))
-
-    # Orthonormal V: normalized nonzero columns, completed on the zero columns.
-    V = np.zeros((q, q))
-    nz_idx = np.flatnonzero(lam[: min(q, n)] > 0.0)
-    if nz_idx.size:
-        V[:, nz_idx] = lam_cols[:, nz_idx] / lam[nz_idx]
-    k = nz_idx.size
-    if k < q:
-        Vnz = V[:, nz_idx]
-        proj = np.eye(q) - Vnz @ Vnz.T if k else np.eye(q)
-        Uc, sc, _ = np.linalg.svd(proj)
-        comp = Uc[:, : q - k]
-        fill = [j for j in range(q) if j not in set(nz_idx.tolist())]
-        V[:, fill] = comp
-
-    Y = np.linalg.inv(Xt)
+    Y = np.linalg.inv(Ztr @ R)
 
     def _an(v: np.ndarray, U=U) -> np.ndarray:
         return U.T @ v.ravel()
@@ -231,7 +221,7 @@ def gsvd(A: np.ndarray, L: np.ndarray) -> SpectralSystem:
         m=m, n=n, q_star=q_star, ell=ell,
         delta=delta, lam=lam, gamma=gamma, lambda_zero=lambda_zero,
         _analyze=_an, _synthesize=_syn, _analyze_adjoint=_adj,
-        backend="dense", dims=None, U=U, V=V, Xt=Xt, Y=Y,
+        backend="dense", dims=None, U=U, Y=Y,
     )
 
 
@@ -375,8 +365,9 @@ def _band_phi(d2: np.ndarray, lam2: np.ndarray, alpha):
 
 def _positive_alpha(alpha) -> float:
     alpha = float(alpha)
-    if not np.isfinite(alpha) or alpha <= 0.0:
-        raise ValueError(f"regularization parameter must be positive, got {alpha}")
+    if not 0.0 < alpha <= MAX_ALPHA:
+        raise ValueError(f"regularization parameter must be positive with a "
+                         f"finite square (at most {MAX_ALPHA:.4g}), got {alpha}")
     return alpha
 
 

@@ -367,7 +367,7 @@ def make_diag_system(delta, lam, m: int | None = None) -> SpectralSystem:
         _synthesize=lambda c: np.asarray(c, dtype=float).copy(),
         _analyze_adjoint=lambda c: np.asarray(c, dtype=float).copy(),
         backend="dense", dims=None,
-        U=np.eye(m), V=None, Xt=np.eye(n), Y=np.eye(n),
+        U=np.eye(m), Y=np.eye(n),
     )
 
 

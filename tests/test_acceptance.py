@@ -283,7 +283,9 @@ def test_criterion_06_separability():
         v_sep = upre_md_windowed(systems, dhats, win, assembled, noise)
 
         objective = lambda v: upre_md_windowed(systems, dhats, win, v, noise)
-        starts = [None,
+        diag = minimize_scalar(
+            lambda a: objective(ParamVector(np.full(P, a))), cfg)
+        starts = [ParamVector(np.full(P, diag.alpha)),
                   ParamVector(rng.uniform(0.01, 5.0, P)),
                   ParamVector(np.full(P, 0.5))]
         for ws in starts:

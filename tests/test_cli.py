@@ -213,7 +213,7 @@ def test_seed_override_changes_data(tmp_path, monkeypatch):
     assert a != b
 
 
-def test_exit_codes(tmp_path, monkeypatch):
+def test_exit_codes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text(json.dumps({**BASE, "penalty": "tv"}))
@@ -251,7 +251,7 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert main(["--config", str(good), "validate",
                  "--params", str(no_estimators)]) == 2
     # malformed stored parameters: a non-number, a wrong count, a
-    # non-positive value, a list for a scalar, a bool, a non-object windows
+    # non-positive value, a list for a scalar, a bool, a non-object config
     for mode, key, value in [("windowed", "alphas", "abc"),
                              ("windowed", "alphas", [0.1]),
                              ("scalar", "alpha", -1.0),
@@ -263,7 +263,7 @@ def test_exit_codes(tmp_path, monkeypatch):
         bad_params.write_text(json.dumps(bad))
         assert main(["--config", str(good), "validate",
                      "--params", str(bad_params)]) == 2, (mode, value)
-    bad_params.write_text(json.dumps({**params, "windows": 5}))
+    bad_params.write_text(json.dumps({**params, "config": 5}))
     assert main(["--config", str(good), "validate",
                  "--params", str(bad_params)]) == 2
 
@@ -326,6 +326,31 @@ def test_exit_codes(tmp_path, monkeypatch):
                             r_train=1)
     assert main(["--config", str(maxval0), "train"]) == 2
 
+    # a PGM with no pixels and a CSV image holding NaN or inf: exit 2 with a
+    # message naming the file
+    (tmp_path / "empty.pgm").write_bytes(b"P5\n0 8\n255\n")
+    (tmp_path / "nan.csv").write_text("0.1,0.2\nnan,0.4\n")
+    (tmp_path / "inf.csv").write_text("0.1,inf\n0.3,0.4\n")
+    for image in ("empty.pgm", "nan.csv", "inf.csv"):
+        (tmp_path / "one.csv").write_text(f"{image},train,0\n")
+        one = _write_config(tmp_path, train_manifest=str(tmp_path / "one.csv"),
+                            r_train=1)
+        capsys.readouterr()
+        assert main(["--config", str(one), "train"]) == 2, image
+        assert image in capsys.readouterr().err, image
+
+    # a regularization parameter whose square overflows, and negative seeds
+    # from the config or the command line
+    huge = _write_config(tmp_path, search={"alpha_max": 1e200})
+    capsys.readouterr()
+    assert main(["--config", str(huge), "train"]) == 2
+    assert "finite square" in capsys.readouterr().err
+    assert main(["--config", str(_write_config(tmp_path, seed=-3)),
+                 "train"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert main(["--config", str(good), "--seed", "-1", "gen"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
 
 def _write_corpus(tmp_path, name, splits):
     """PGM images with a manifest labelling image i with splits[i]."""
@@ -362,8 +387,17 @@ def test_validate_window_mismatch(tmp_path, monkeypatch):
     from dataclasses import replace
     monkeypatch.chdir(tmp_path / "mm")
     wrong = replace(cfg, window_count=3)
-    with pytest.raises(ConfigError, match="parameter/window mismatch"):
+    with pytest.raises(ConfigError, match="parameter/config mismatch"):
         cmd_validate(wrong, out / "params.json")
+    # parameters trained under another blur, noise level or penalty
+    for key, value in [("xi", 2.5), ("snr_db", 5.0),
+                       ("penalty", "laplacian")]:
+        with pytest.raises(ConfigError, match=f"mismatch: .* with {key}="):
+            cmd_validate(replace(cfg, **{key: value}), out / "params.json")
+    changed = tmp_path / "changed.json"
+    changed.write_text(json.dumps({**BASE, "xi": 2.5}))
+    assert main(["--config", str(changed), "validate",
+                 "--params", str(out / "params.json")]) == 2
 
 
 def test_validate_corpus_mismatch(tmp_path, monkeypatch):
@@ -375,6 +409,42 @@ def test_validate_corpus_mismatch(tmp_path, monkeypatch):
         cmd_validate(replace(cfg, seed=99), out / "params.json")
     assert main(["--config", str(tmp_path / "config.json"), "--seed", "99",
                  "validate"]) == 2
+
+
+def test_second_run_leaves_none_of_the_first_runs_files(tmp_path, monkeypatch):
+    from dataclasses import replace
+
+    monkeypatch.chdir(tmp_path)
+    base = ExperimentConfig.from_json(_write_config(tmp_path))
+    first = replace(base, window_count=3, estimators=("upre", "gcv_decoupled"),
+                    r_sweep=True, val_count=1)
+    second = replace(base, window_count=2, estimators=("upre",), val_count=0)
+
+    def run(config, out: str) -> set:
+        config = replace(config, output_dir=out)
+        cmd_validate(config, cmd_train(config))
+        return {str(p.relative_to(out)) for p in Path(out).rglob("*")}
+
+    run(first, "shared")
+    assert {"trend.csv", "errors_validation_1.csv",
+            "traces/gcv_decoupled_window2_trace.csv"} <= run(first, "first")
+    assert run(second, "shared") == run(second, "fresh")
+
+
+def test_coupled_search_keeps_both_starts(tmp_path, monkeypatch):
+    """Each coupled start reaches a basin the other misses on this seed: from
+    the non-overlapping solution alone the coupled GCV stops at the
+    all-alpha_min corner, 25.1% higher, and from the diagonal alone UPRE ends
+    8.1e-6 higher, with alpha_2 at alpha_max.  A better search may go lower."""
+    monkeypatch.chdir(tmp_path)
+    config = ExperimentConfig(image_size=64, xi=9.0, snr_db=20.0, seed=612,
+                              window_kind="cosine_log", window_count=3,
+                              estimators=("upre", "gcv_true"), r_train=8)
+    params = json.loads(cmd_train(config).read_text())["estimators"]
+    for name, pinned in [("upre", 0.0021727652540126205),
+                         ("gcv_true", 0.0021768993510252552)]:
+        value = params[name]["windowed"]["value"]
+        assert value <= pinned * (1.0 + 1e-10), (name, value)
 
 
 def _validate_config(tmp_path, monkeypatch) -> ExperimentConfig:

@@ -87,6 +87,8 @@ def test_search_config_validation():
         SearchConfig(alpha_min=2.0, alpha_max=1.0)
     with pytest.raises(ValueError):
         SearchConfig(alpha_max=float("inf"))
+    with pytest.raises(ValueError, match="finite square"):
+        SearchConfig(alpha_max=1e200)
     with pytest.raises(ValueError):
         SearchConfig(grid_points=4)
     with pytest.raises(ValueError):
@@ -111,7 +113,10 @@ def test_vector_recovers_separable_quadratic():
         return float(np.sum((np.log(p.values) - np.log(target)) ** 2))
 
     cfg = SearchConfig(alpha_min=1e-3, alpha_max=10.0, tol=1e-7, max_iter=400)
-    res = minimize_vector(obj, 3, cfg)
+    # start on the diagonal at the diagonal scalar optimum
+    diag = minimize_scalar(lambda a: obj(ParamVector(np.full(3, a))), cfg)
+    res = minimize_vector(obj, 3, cfg,
+                          warm_start=ParamVector(np.full(3, diag.alpha)))
     assert np.allclose(res.alphas.values, target, rtol=1e-3)
     assert res.value <= 1e-10
     assert not res.boundary.any()
@@ -171,3 +176,6 @@ def test_vector_rejects_bad_shapes():
     with pytest.raises(ValueError, match="warm start"):
         minimize_vector(lambda p: float(np.sum(p.values)), 3,
                         warm_start=ParamVector([1.0, 2.0]))
+    # a coupled search starts where its caller says; there is no default
+    with pytest.raises(ValueError, match="needs a warm start"):
+        minimize_vector(lambda p: float(np.sum(p.values)), 2)

@@ -181,6 +181,12 @@ def test_pgm_reader_handles_comments_and_rejects_garbage(tmp_path):
         m.write_bytes(f"P5\n2 2\n{maxval}\n".encode() + bytes(8))
         with pytest.raises(ValueError, match="maxval"):
             read_pgm(m)
+    # an image with no pixels
+    for dims in ("0 4", "4 0"):
+        z = tmp_path / "empty.pgm"
+        z.write_bytes(f"P5\n{dims}\n255\n".encode())
+        with pytest.raises(ValueError, match="empty.pgm: PGM has zero width"):
+            read_pgm(z)
 
 
 def test_load_image_csv_rescales(tmp_path):
@@ -194,6 +200,12 @@ def test_load_image_csv_rescales(tmp_path):
     np.testing.assert_allclose(load_image(q), [[0.2, 0.4], [0.6, 0.8]])
     with pytest.raises(ValueError, match="unsupported"):
         load_image(tmp_path / "x.bmp")
+    # non-finite samples would otherwise surface as a bad SNR downstream
+    for bad in ("nan", "inf", "-inf"):
+        r = tmp_path / "nonfinite.csv"
+        r.write_text(f"0.1,0.2\n{bad},0.4\n")
+        with pytest.raises(ValueError, match="nonfinite.csv: .*NaN or infinite"):
+            load_image(r)
 
 
 def test_fit_to_size_crops_and_zooms():

@@ -13,7 +13,7 @@ from specwin.solver import (
     trace_windowed,
 )
 from specwin.errors import EmptyWindowError
-from specwin.spectral import dct_decompose, filter_factors, gsvd
+from specwin.spectral import MAX_ALPHA, dct_decompose, filter_factors, gsvd
 from specwin.windows import cosine_windows, indicator_windows, make_partitions, trivial_window
 
 from oracles import (
@@ -180,6 +180,16 @@ def test_param_vector_validation():
         ParamVector([np.inf])
     with pytest.raises(ValueError):
         ParamVector([[1.0, 2.0], [3.0, 4.0]])
+    # a parameter must have a finite square: alpha**2 enters every filter
+    assert ParamVector([MAX_ALPHA]).values[0] ** 2 < np.inf
+    _, _, d, sys = _problem(8, 6, "identity", seed=31)
+    for bad in (np.nextafter(MAX_ALPHA, np.inf), 1e200):
+        with pytest.raises(ValueError, match="finite square"):
+            ParamVector([1.0, bad])
+        with pytest.raises(ValueError, match="finite square"):
+            filter_factors(sys, bad)
+        with pytest.raises(ValueError, match="finite square"):
+            solve_scalar(sys, d, bad)
 
 
 def test_shape_mismatches_are_rejected():
