@@ -296,6 +296,8 @@ def cmd_gen(config: ExperimentConfig, verbose: bool = False) -> Path:
         datasets = _split_datasets(config, split)
         split_dir = out / split
         split_dir.mkdir(exist_ok=True)
+        for stale in split_dir.glob("img_*"):  # an earlier run's data sets
+            stale.unlink()
         for i, ds in enumerate(datasets):
             stem = f"img_{i:03d}"
             write_pgm(split_dir / f"{stem}_x.pgm", ds.x_true)

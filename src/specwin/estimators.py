@@ -13,7 +13,8 @@ coefficients dhat = analyze(d):
   evaluation costs the same for any number of data sets;
 * the supervised learning objective (mean squared solution error against
   known truths), prepared once per search as an `MseObjective`; on the DCT
-  backend it is evaluated in coefficient space, with no transform per call.
+  backend it is evaluated in coefficient space, with no transform per call,
+  and on the dense backend with one matrix product per call.
 
 Scalar forms keep their constant terms; the multi-data windowed UPRE drops
 alpha-independent constants, so cross-form tests must compare minimizers
@@ -387,8 +388,11 @@ class MseObjective:
     Indices below ell (u = 0) and from q_star on (phi = 1 in every window) do
     not depend on the parameters and are summed here once, so a call touches
     only the active band [ell, q_star), evaluates the filter once for every
-    data set and runs no transform.  Other systems (the dense backend)
-    synthesize each solution per call.
+    data set and runs no transform.  Other systems (the dense backend) keep
+    the heads dhat[:n] and the flattened truths as n-by-R column stacks H
+    and X; a call synthesizes all R solutions in one matrix product,
+
+      (1/R) ||synthesize(phi_win pinv(delta) H) - X||^2 (Frobenius).
     """
 
     def __init__(self, sys: SpectralSystem, dhats: Sequence[np.ndarray],
@@ -402,10 +406,14 @@ class MseObjective:
         self.P = windows.P
         dpinv = sys.delta_pinv()
         if sys.synthesis_scale is None:
-            sets = [(dhat[: sys.n], truth) for dhat, truth in zip(dhats, truths)]
-            self._direct = (sys, windows, dpinv, sets)
+            heads = np.stack([dhat[: sys.n] for dhat in dhats], axis=1)
+            flat = np.stack([np.ravel(truth) for truth in truths], axis=1)
+            if flat.shape[0] != sys.n:
+                raise ValueError(f"truth size {flat.shape[0]} does not match "
+                                 f"n={sys.n}")
+            self._dense = (sys, windows, dpinv, heads, flat)
             return
-        self._direct = None
+        self._dense = None
         lo, hi = sys.ell, sys.q_star
         tail_weights = windows.weights[:, hi:].sum(axis=0)
         self._const = 0.0
@@ -425,13 +433,11 @@ class MseObjective:
 
     def __call__(self, alphas) -> float:
         alphas = _params_for(alphas, self.P)
-        if self._direct is not None:
-            sys, windows, dpinv, sets = self._direct
+        if self._dense is not None:
+            sys, windows, dpinv, heads, flat = self._dense
             scaled = _windowed_filter(sys, windows, alphas)[1] * dpinv
-            total = 0.0
-            for head, truth in sets:
-                total += float(np.sum((sys.synthesize(scaled * head) - truth) ** 2))
-            return total / self.R
+            x = sys.synthesize(scaled[:, None] * heads)
+            return float(np.sum((x - flat) ** 2)) / self.R
         phiw = np.sum(self._weights * _band_phi(self._d2, self._lam2,
                                                 alphas.values[:, None]), axis=0)
         return (self._const + float(np.sum((phiw * self._u - self._t) ** 2))) / self.R

@@ -219,8 +219,9 @@ def direct_mse(systems, dhats, truths, windows, alphas) -> float:
     """Supervised objective (1/R) sum_r ||x_win^(r) - x_true^(r)||^2 with every
     windowed solution synthesized in the solution space.
 
-    This is the direct loop that the coefficient-space evaluation replaces;
-    on dense systems the library still evaluates it exactly this way.
+    This is the direct loop, one synthesis per data set, that the library
+    replaces: by a coefficient-space evaluation on DCT systems and by one
+    matrix product over the column stack of all data sets on dense systems.
     """
     R = len(systems)
     total = 0.0

@@ -12,6 +12,7 @@ from specwin.cli import (
     _build_windows,
     _split_datasets,
     _split_truths,
+    cmd_gen,
     cmd_report,
     cmd_train,
     cmd_validate,
@@ -429,6 +430,21 @@ def test_second_run_leaves_none_of_the_first_runs_files(tmp_path, monkeypatch):
     assert {"trend.csv", "errors_validation_1.csv",
             "traces/gcv_decoupled_window2_trace.csv"} <= run(first, "first")
     assert run(second, "shared") == run(second, "fresh")
+
+
+def test_second_gen_leaves_none_of_the_first_gens_files(tmp_path, monkeypatch):
+    from dataclasses import replace
+
+    monkeypatch.chdir(tmp_path)
+    base = ExperimentConfig.from_json(_write_config(tmp_path))
+
+    def gen(val_count: int, out: str) -> dict:
+        root = cmd_gen(replace(base, val_count=val_count, output_dir=out))
+        return {str(p.relative_to(root)): p.read_bytes()
+                for p in root.rglob("*") if p.is_file()}
+
+    assert "validation_1/img_001.json" in gen(2, "shared")
+    assert gen(1, "shared") == gen(1, "fresh")
 
 
 def test_coupled_search_keeps_both_starts(tmp_path, monkeypatch):

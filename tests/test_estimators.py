@@ -715,6 +715,7 @@ def test_pooled_objectives_run_no_transform_and_do_not_depend_on_R():
 
 
 def test_mse_objective_dense_fallback_is_the_direct_loop():
+    # one gemm over the column stack rounds apart from per-set matvecs
     _, _, sys, data, dhats = _md_problem(seed=179)
     assert sys.synthesis_scale is None
     systems = [sys] * 2
@@ -724,8 +725,40 @@ def test_mse_objective_dense_fallback_is_the_direct_loop():
     obj = MseObjective(sys, dhats, truths, win)
     for alphas in ([0.05, 0.7], [1.3, 0.2]):
         ref = direct_mse(systems, dhats, truths, win, alphas)
-        assert obj(alphas) == ref
-        assert mse_learning(systems, data, truths, win, alphas) == ref
+        assert abs(obj(alphas) - ref) <= 1e-12 * ref
+        assert abs(mse_learning(systems, data, truths, win, alphas) - ref) \
+            <= 1e-12 * ref
+
+
+@pytest.fixture(scope="module")
+def blocked_dense():
+    """A GSVD system large enough (n = 256) that the BLAS product blocks."""
+    rng = np.random.default_rng(187)
+    A, L = tik_matrices(rng, 288, 256, "laplacian")
+    return gsvd(A, L)
+
+
+@pytest.mark.parametrize("R", [1, 3, 8])
+def test_mse_objective_dense_product_matches_direct_loop(blocked_dense, R):
+    sys = blocked_dense
+    rng = np.random.default_rng(191 + R)
+    win = cosine_windows(make_partitions(sys, 3, "log"), sys, "log")
+    dhats = [sys.analyze(rng.standard_normal(sys.m)) for _ in range(R)]
+    truths = [rng.standard_normal(sys.n) for _ in range(R)]
+    flat = MseObjective(sys, dhats, truths, win)
+    # 2-D truths are flattened in C order, as the solver flattens images
+    square = MseObjective(sys, dhats, [t.reshape(16, 16) for t in truths], win)
+    for alphas in ([0.01, 0.3, 5.0], [2.0, 2.0, 0.02], [1e-4, 1e3, 1.0]):
+        ref = direct_mse([sys] * R, dhats, truths, win, alphas)
+        assert abs(flat(alphas) - ref) <= 1e-12 * ref
+        assert square(alphas) == flat(alphas)
+
+
+def test_mse_objective_dense_rejects_mismatched_truths():
+    _, _, sys, _, dhats = _md_problem(seed=193)
+    win = trivial_window(sys)
+    with pytest.raises(ValueError, match="does not match"):
+        MseObjective(sys, dhats, [np.zeros(sys.n + 1)] * 2, win)
 
 
 def test_mse_objective_matches_direct_loop_on_each_backend():

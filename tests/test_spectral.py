@@ -123,6 +123,40 @@ def test_gsvd_rejects_joint_null_space():
         gsvd(A, laplacian_1d(n))  # constants in null(L) too
 
 
+@pytest.mark.parametrize("scale,singular", [(1e-14, True), (1e-6, False)])
+def test_gsvd_rank_check_on_a_scaled_column(scale, singular):
+    # scaling one column of the stacked pair scales the condition number of
+    # its triangular factor by about 1/scale
+    rng = np.random.default_rng(7)
+    A, L = tik_matrices(rng, 12, 8, "random")
+    A[:, 3] *= scale
+    L[:, 3] *= scale
+    if singular:
+        with pytest.raises(JointNullSpaceError):
+            gsvd(A, L)
+    else:
+        sys = gsvd(A, L)
+        assert diag_to_gsvd_check(sys).passed
+        assert np.linalg.norm(_reconstruct(sys) - A) <= 1e-8 * np.linalg.norm(A)
+
+
+def test_gsvd_makes_one_svd_and_a_c_ordered_y(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rng = np.random.default_rng(8)
+    A, L = tik_matrices(rng, 20, 16, "laplacian")
+    sys = gsvd(A, L)
+    assert calls == [(20, 16)]  # the top block of the stacked Q only
+    # the dense synthesis speed depends on this layout
+    assert sys.Y.flags.c_contiguous
+
+
 # ---------------------------------------------------------------------------
 # reflexive-boundary DCT backend
 # ---------------------------------------------------------------------------
