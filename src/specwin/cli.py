@@ -34,7 +34,7 @@ from .errors import (ConfigError, EmptyWindowError, InfeasibleError,
 from .estimators import (MseObjective, NoiseModel, PooledObjectives,
                          estimate_sigma2)
 from .optimize import SearchConfig, minimize_scalar, minimize_vector
-from .problems import (DataSet, gaussian_psf, load_corpus, make_dataset,
+from .problems import (DataSet, gaussian_psf, load_corpus, make_datasets,
                        read_manifest, synthetic_image, write_manifest,
                        write_pgm)
 from .solver import ParamVector
@@ -251,9 +251,10 @@ def _split_datasets(config: ExperimentConfig, split: str) -> list[DataSet]:
     split_idx = _SPLITS.index(split)
     psf = _psf(config)
     try:
-        return [make_dataset(x, psf, config.snr_db,
-                             _noise_seed(config, split_idx, i))
-                for i, x in enumerate(_split_truths(config, split))]
+        truths = _split_truths(config, split)
+        return make_datasets(truths, psf, config.snr_db,
+                             [_noise_seed(config, split_idx, i)
+                              for i in range(len(truths))])
     except ValueError as exc:
         raise ConfigError(f"{split} data: {exc}") from exc
 

@@ -31,6 +31,7 @@ __all__ = [
     "blur_spectrum",
     "add_noise",
     "make_dataset",
+    "make_datasets",
     "synthetic_image",
     "read_pgm",
     "write_pgm",
@@ -124,15 +125,19 @@ def blur(image: np.ndarray, psf: np.ndarray) -> np.ndarray:
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
         raise ValueError("image must be 2D")
-    a = blur_spectrum(psf, image.shape)
+    return _apply_spectrum(blur_spectrum(psf, image.shape), image)
+
+
+def _apply_spectrum(a: np.ndarray, image: np.ndarray) -> np.ndarray:
     coeff = dctn(image, type=2, norm="ortho")
     return idctn(a * coeff, type=2, norm="ortho")
 
 
 def add_noise(b: np.ndarray, target_snr_db: float, seed) -> tuple[np.ndarray, float]:
     """Add white Gaussian noise scaled so 10*log10(||b||^2/||e||^2) hits the
-    target exactly.  A target of +inf returns the data untouched; NaN, -inf
-    and targets whose noise scale overflows or underflows raise ValueError."""
+    target exactly.  A target of +inf returns the data untouched; NaN, -inf,
+    targets whose noise scale overflows or underflows, and finite targets
+    whose noise vanishes when added to b (so d == b) raise ValueError."""
     b = np.asarray(b, dtype=float)
     if np.isnan(target_snr_db) or target_snr_db == -np.inf:
         raise ValueError(f"SNR target must be a number or +inf, got {target_snr_db}")
@@ -156,23 +161,68 @@ def add_noise(b: np.ndarray, target_snr_db: float, seed) -> tuple[np.ndarray, fl
     if not 0.0 < scale < np.inf:
         raise ValueError(f"SNR target {target_snr_db} dB is out of range")
     e *= scale
+    d = b + e
+    # noise far below the rounding step of b is lost in the sum, and the
+    # achieved SNR would be infinite
+    if float(np.sum((d - b) ** 2)) == 0.0:
+        raise ValueError(f"SNR target {target_snr_db} dB is out of range: "
+                         f"the noise vanishes when added to the data")
     sigma2 = float(np.sum(e ** 2)) / b.size
-    return b + e, sigma2
+    return d, sigma2
 
 
 def make_dataset(x_true: np.ndarray, psf: np.ndarray, snr_db: float,
                  seed: int) -> DataSet:
     """Blur a truth image and inject seeded noise at the requested SNR."""
-    x_true = np.asarray(x_true, dtype=float)
-    b = blur(x_true, psf)
-    d, sigma2 = add_noise(b, snr_db, seed)
-    if np.isinf(snr_db):
-        achieved = float("inf")
-    else:
-        achieved = 10.0 * np.log10(np.sum(b ** 2) / np.sum((d - b) ** 2))
-    return DataSet(x_true=x_true, b=b, d=d, sigma2=sigma2,
-                   snr=float(achieved), seed=int(seed),
-                   dims=(x_true.shape[0], x_true.shape[1]))
+    return make_datasets([x_true], psf, snr_db, [seed])[0]
+
+
+def make_datasets(truths: Sequence[np.ndarray], psf: np.ndarray,
+                  snr_db: float, seeds: Sequence[int]) -> list[DataSet]:
+    """make_dataset(x, psf, snr_db, seed) for each truth and its noise seed,
+    with one blur spectrum for all of them.
+
+    Every truth must be 2D with the shape of the first.  An empty list
+    builds no spectrum and returns [].
+    """
+    truths = [np.asarray(x, dtype=float) for x in truths]
+    if len(truths) != len(seeds):
+        raise ValueError(f"{len(truths)} truth images but {len(seeds)} seeds")
+    if not truths:
+        return []
+    dims = truths[0].shape
+    if len(dims) != 2:
+        raise ValueError("image must be 2D")
+    if any(x.shape != dims for x in truths):
+        raise ValueError(f"truth images differ in shape from {dims}")
+    a = blur_spectrum(psf, dims)
+    datasets = []
+    for x_true, seed in zip(truths, seeds):
+        b = _apply_spectrum(a, x_true)
+        d, sigma2 = add_noise(b, snr_db, seed)
+        if np.isinf(snr_db):
+            achieved = float("inf")
+        else:
+            achieved = 10.0 * np.log10(np.sum(b ** 2) / np.sum((d - b) ** 2))
+        datasets.append(DataSet(x_true=x_true, b=b, d=d, sigma2=sigma2,
+                                snr=float(achieved), seed=int(seed),
+                                dims=(dims[0], dims[1])))
+    return datasets
+
+
+# A crater's ridge rim*exp(-((dist-1)/0.12)**2) is exactly 0.0 once the
+# exponent passes ~745 (dist > 1 + 0.12*sqrt(745) ~ 4.28), where exp
+# underflows, and its bowl is 0 from dist 1 on.  So a crater changes no pixel
+# farther than this many radii from its center along either axis; 800 in
+# place of 745 leaves room for the rounding of dist.
+_CRATER_REACH = 1.0 + 0.12 * np.sqrt(800.0)
+
+
+def _crater_span(center: float, reach: float, size: int) -> slice:
+    """Grid indices i whose coordinate i/size lies within reach of center,
+    plus one index of padding on each side."""
+    return slice(max(int((center - reach) * size) - 1, 0),
+                 min(int((center + reach) * size) + 2, size))
 
 
 def synthetic_image(size: int, seed, craters: int | None = None) -> np.ndarray:
@@ -180,6 +230,11 @@ def synthetic_image(size: int, seed, craters: int | None = None) -> np.ndarray:
 
     Smooth low-frequency background plus randomly placed bowl-and-rim
     craters: piecewise-smooth content with sharp circular edges, in [0,1].
+
+    The background covers the full grid.  Each crater is added only on its
+    box of rows and columns within _CRATER_REACH radii of its center, which
+    is exact: outside the box its ridge underflows to exactly 0.0 and its
+    bowl is 0, so adding it there would change no pixel.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     yy, xx = np.mgrid[0:size, 0:size].astype(float) / size
@@ -190,16 +245,19 @@ def synthetic_image(size: int, seed, craters: int | None = None) -> np.ndarray:
         img += rng.uniform(0.3, 1.0) * np.cos(2.0 * np.pi * (fx * xx + fy * yy) + phase)
     img = 0.35 + 0.25 * (img - img.min()) / max(np.ptp(img), 1e-12)
 
+    axis = xx[0]  # i/size, the coordinate of row i and of column i
     k = int(craters) if craters is not None else int(rng.integers(8, 16))
     for _ in range(k):
         cx, cy = rng.uniform(0.05, 0.95, size=2)
         r = rng.uniform(0.04, 0.16)
         depth = rng.uniform(0.15, 0.35)
         rim = rng.uniform(0.10, 0.25)
-        dist = np.hypot(xx - cx, yy - cy) / r
+        rows = _crater_span(cy, _CRATER_REACH * r, size)
+        cols = _crater_span(cx, _CRATER_REACH * r, size)
+        dist = np.hypot(axis[cols] - cx, axis[rows, None] - cy) / r
         bowl = np.where(dist < 1.0, depth * (1.0 - dist ** 2), 0.0)
         ridge = rim * np.exp(-((dist - 1.0) / 0.12) ** 2)
-        img += ridge - bowl
+        img[rows, cols] += ridge - bowl
     return np.clip(img, 0.0, 1.0)
 
 

@@ -296,6 +296,37 @@ def dense_laplacian_2d(dims: tuple[int, int]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# synthetic corpus with every crater evaluated on the full grid
+# ---------------------------------------------------------------------------
+
+
+def full_grid_synthetic_image(size: int, seed, craters: int | None = None) -> np.ndarray:
+    """The cratered-terrain generator with each crater added on the whole
+    grid, drawing the same random numbers in the same order as
+    `problems.synthetic_image`."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    yy, xx = np.mgrid[0:size, 0:size].astype(float) / size
+    img = np.zeros((size, size))
+    for _ in range(4):
+        fx, fy = rng.uniform(0.5, 3.0, size=2)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        img += rng.uniform(0.3, 1.0) * np.cos(2.0 * np.pi * (fx * xx + fy * yy) + phase)
+    img = 0.35 + 0.25 * (img - img.min()) / max(np.ptp(img), 1e-12)
+
+    k = int(craters) if craters is not None else int(rng.integers(8, 16))
+    for _ in range(k):
+        cx, cy = rng.uniform(0.05, 0.95, size=2)
+        r = rng.uniform(0.04, 0.16)
+        depth = rng.uniform(0.15, 0.35)
+        rim = rng.uniform(0.10, 0.25)
+        dist = np.hypot(xx - cx, yy - cy) / r
+        bowl = np.where(dist < 1.0, depth * (1.0 - dist ** 2), 0.0)
+        ridge = rim * np.exp(-((dist - 1.0) / 0.12) ** 2)
+        img += ridge - bowl
+    return np.clip(img, 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
 # leave-one-out cross-validation reference for the coupled windowed GCV
 # ---------------------------------------------------------------------------
 

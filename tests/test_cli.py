@@ -1,6 +1,7 @@
 """Experiment driver: config handling, artifacts, exit codes, determinism."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +288,16 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
         for cmd in ("gen", "train"):
             assert main(["--config", str(degenerate), cmd]) == 2, (key, value)
 
+    # an SNR so high that the noise vanishes when added to the blurred data
+    # (such data sets came out noiseless, and gen wrote "snr_db": Infinity)
+    loud = _write_config(tmp_path, snr_db=400.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cmd in ("gen", "train"):
+            capsys.readouterr()
+            assert main(["--config", str(loud), cmd]) == 2, cmd
+            assert "noise vanishes" in capsys.readouterr().err, cmd
+
     # malformed report structure: means not an object of objects, a run key
     # with no mode, errors not an object of objects of number lists, a
     # non-number error or mean, a non-string corpus label
@@ -380,6 +391,58 @@ def test_manifest_split_labels(tmp_path):
     assert len(_split_truths(cfg_mixed, "validation_1")) == 1
     with pytest.raises(ConfigError, match="empty corpus"):
         _split_truths(cfg_mixed, "validation_2")
+
+
+def test_split_datasets_are_make_dataset_per_image(tmp_path, monkeypatch):
+    from dataclasses import replace
+
+    from specwin import problems
+    from specwin.cli import _SPLITS, _noise_seed, _psf
+    from specwin.problems import make_dataset
+
+    calls = []
+    real = problems.blur_spectrum
+    monkeypatch.setattr(problems, "blur_spectrum",
+                        lambda *a: calls.append(a) or real(*a))
+    synthetic = ExperimentConfig(image_size=16, xi=2.0, snr_db=10.0, seed=5,
+                                 r_train=3, val_count=2)
+    # an external corpus of PGM (cropped) and CSV (zoomed) images under one
+    # labelled manifest
+    rng = np.random.default_rng(0)
+    lines = []
+    for i, split in enumerate(["train", "train", "validation_1",
+                               "validation_2", "validation_2"]):
+        if i % 2:
+            np.savetxt(tmp_path / f"ext_{i}.csv", rng.uniform(size=(12, 12)),
+                       delimiter=",")
+            lines.append(f"ext_{i}.csv,{split},{i}")
+        else:
+            write_pgm(tmp_path / f"ext_{i}.pgm", synthetic_image(20, seed=i))
+            lines.append(f"ext_{i}.pgm,{split},{i}")
+    manifest = tmp_path / "ext.csv"
+    manifest.write_text("\n".join(lines) + "\n")
+    external = replace(synthetic, r_train=2, train_manifest=str(manifest),
+                       validation1_manifest=str(manifest),
+                       validation2_manifest=str(manifest))
+    for cfg in (synthetic, external):
+        for split_idx, split in enumerate(_SPLITS):
+            calls.clear()
+            got = _split_datasets(cfg, split)
+            assert len(calls) == 1, split  # one blur spectrum per split
+            truths = _split_truths(cfg, split)
+            assert len(got) == len(truths) > 0
+            for i, (ds, x) in enumerate(zip(got, truths)):
+                want = make_dataset(x, _psf(cfg), cfg.snr_db,
+                                    _noise_seed(cfg, split_idx, i))
+                for field in ("x_true", "b", "d"):
+                    assert (getattr(ds, field).tobytes()
+                            == getattr(want, field).tobytes()), (split, i, field)
+                assert (ds.sigma2, ds.snr, ds.seed, ds.dims) == \
+                    (want.sigma2, want.snr, want.seed, want.dims)
+    # an empty split builds no spectrum
+    calls.clear()
+    assert _split_datasets(replace(synthetic, val_count=0), "validation_1") == []
+    assert calls == []
 
 
 def test_validate_window_mismatch(tmp_path, monkeypatch):

@@ -1,12 +1,16 @@
 """Deblurring test-problem construction and the corpus toolchain."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from specwin import problems
 from specwin.errors import KernelSymmetryError
 from specwin.problems import (
+    _CRATER_REACH,
+    _crater_span,
     add_noise,
     blur,
     blur_spectrum,
@@ -16,6 +20,7 @@ from specwin.problems import (
     load_corpus,
     load_image,
     make_dataset,
+    make_datasets,
     read_manifest,
     read_pgm,
     synthetic_image,
@@ -23,7 +28,8 @@ from specwin.problems import (
     write_pgm,
 )
 
-from oracles import dense_laplacian_2d, reflexive_blur_apply
+from oracles import (dense_laplacian_2d, full_grid_synthetic_image,
+                     reflexive_blur_apply)
 
 
 def test_gaussian_psf_properties():
@@ -118,6 +124,23 @@ def test_add_noise_hits_target_snr_exactly():
             add_noise(b, snr, seed=99)
 
 
+def test_noise_that_vanishes_in_the_data_is_rejected():
+    # at 400 dB the noise is ~1e-20 of the signal and is lost when added to
+    # b; it used to come back as d == b with snr inf and a divide warning
+    x = synthetic_image(16, 3)
+    psf = gaussian_psf(2.0, (16, 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="noise vanishes"):
+            make_dataset(x, psf, 400.0, 1)
+        with pytest.raises(ValueError, match="noise vanishes"):
+            add_noise(blur(x, psf), 400.0, seed=1)
+        # a high target whose noise survives the sum is kept
+        ds = make_dataset(x, psf, 200.0, 1)
+    assert np.all(ds.d != ds.b)
+    assert ds.snr == pytest.approx(200.0, abs=1e-6)
+
+
 def test_add_noise_seed_determinism():
     b = np.ones((6, 6))
     d1, _ = add_noise(b, 10.0, seed=7)
@@ -125,6 +148,33 @@ def test_add_noise_seed_determinism():
     d3, _ = add_noise(b, 10.0, seed=8)
     np.testing.assert_array_equal(d1, d2)
     assert np.abs(d1 - d3).max() > 0.0
+
+
+def test_make_datasets_is_make_dataset_per_image(monkeypatch):
+    psf = gaussian_psf(3.0, (12, 12))
+    truths = [synthetic_image(12, seed=s) for s in (1, 2, 3)]
+    seeds = [40, 41, 42]
+    calls = []
+    real = problems.blur_spectrum
+    monkeypatch.setattr(problems, "blur_spectrum",
+                        lambda *a: calls.append(a) or real(*a))
+    batch = make_datasets(truths, psf, 10.0, seeds)
+    assert len(calls) == 1  # one spectrum for all three images
+    for got, x, seed in zip(batch, truths, seeds):
+        want = make_dataset(x, psf, 10.0, seed)
+        for field in ("x_true", "b", "d"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert (got.sigma2, got.snr, got.seed, got.dims) == \
+            (want.sigma2, want.snr, want.seed, want.dims)
+    calls.clear()
+    assert make_datasets([], psf, 10.0, []) == []
+    assert calls == []
+    with pytest.raises(ValueError, match="seeds"):
+        make_datasets(truths, psf, 10.0, seeds[:2])
+    with pytest.raises(ValueError, match="differ in shape"):
+        make_datasets([truths[0], np.zeros((12, 13))], psf, 10.0, [1, 2])
+    with pytest.raises(ValueError, match="2D"):
+        make_datasets([np.zeros(12)], psf, 10.0, [1])
 
 
 def test_make_dataset_fields():
@@ -146,6 +196,58 @@ def test_synthetic_image_deterministic_and_bounded():
     assert np.abs(a - c).max() > 0.0
     assert a.min() >= 0.0 and a.max() <= 1.0
     assert np.ptp(a) > 0.05  # actual content, not a constant
+
+
+def _crater_boxes(size: int, seed: int) -> list[tuple[slice, slice]]:
+    """The row and column spans of each crater of synthetic_image(size,
+    seed), from a replay of its random draws."""
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        rng.uniform(0.5, 3.0, size=2), rng.uniform(), rng.uniform()
+    boxes = []
+    for _ in range(int(rng.integers(8, 16))):
+        cx, cy = rng.uniform(0.05, 0.95, size=2)
+        r = rng.uniform(0.04, 0.16)
+        rng.uniform(), rng.uniform()
+        boxes.append((_crater_span(cy, _CRATER_REACH * r, size),
+                      _crater_span(cx, _CRATER_REACH * r, size)))
+    return boxes
+
+
+def test_synthetic_image_crater_box_matches_full_grid_oracle():
+    # 360 distinct seeds over the six sizes
+    counts = {4: 60, 5: 60, 32: 60, 33: 60, 128: 70, 256: 50}
+    clipped = inside = first = 0
+    for size, count in counts.items():
+        for seed in range(first, first + count):
+            got = synthetic_image(size, seed)
+            assert got.tobytes() == full_grid_synthetic_image(size, seed).tobytes(), \
+                (size, seed)
+            for box in _crater_boxes(size, seed):
+                for span in box:
+                    if span.start == 0 or span.stop == size:
+                        clipped += 1
+                    else:
+                        inside += 1
+        first += count
+        gen_args = (np.random.default_rng(size), np.random.default_rng(size))
+        assert (synthetic_image(size, gen_args[0]).tobytes()
+                == full_grid_synthetic_image(size, gen_args[1]).tobytes())
+        for craters in (0, 1, 40):
+            assert (synthetic_image(size, 9, craters=craters).tobytes()
+                    == full_grid_synthetic_image(size, 9, craters=craters).tobytes())
+    # boxes that reach the border and boxes that stop short of it both occur
+    assert clipped > 0 and inside > 0
+
+
+def test_crater_reach_is_past_the_ridge_underflow():
+    # a pixel outside a crater's box is at least _CRATER_REACH radii (less
+    # rounding) from its center, where the ridge is exactly 0.0
+    for dist in (_CRATER_REACH * (1.0 - 1e-9), _CRATER_REACH, 10.0, 1e3):
+        assert 0.25 * np.exp(-((dist - 1.0) / 0.12) ** 2) == 0.0
+    # nor is the reach much more than it needs to be: the ridge is still
+    # positive at 4.25 radii
+    assert np.exp(-((4.25 - 1.0) / 0.12) ** 2) > 0.0
 
 
 @pytest.mark.parametrize("maxval", [255, 65535])
