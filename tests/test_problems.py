@@ -230,9 +230,10 @@ def test_synthetic_image_crater_box_matches_full_grid_oracle():
                     else:
                         inside += 1
         first += count
-        gen_args = (np.random.default_rng(size), np.random.default_rng(size))
-        assert (synthetic_image(size, gen_args[0]).tobytes()
-                == full_grid_synthetic_image(size, gen_args[1]).tobytes())
+        # a Generator in place of an integer seed
+        gen = np.random.default_rng
+        assert (synthetic_image(size, gen(size)).tobytes()
+                == full_grid_synthetic_image(size, gen(size)).tobytes())
         for craters in (0, 1, 40):
             assert (synthetic_image(size, 9, craters=craters).tobytes()
                     == full_grid_synthetic_image(size, 9, craters=craters).tobytes())
