@@ -26,8 +26,8 @@ from .estimators import (MseObjective, NoiseModel, PooledObjectives,
 from .optimize import (BOUNDARY_RTOL, ScalarSearchResult, SearchConfig,
                        VectorSearchResult, minimize_scalar, minimize_vector)
 from .problems import (DataSet, add_noise, blur, blur_spectrum, gaussian_psf,
-                       laplacian_penalty, load_corpus, make_dataset,
-                       make_datasets, read_pgm, synthetic_image, write_pgm)
+                       load_corpus, make_dataset, make_datasets, read_pgm,
+                       synthetic_image, write_pgm)
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,7 @@ __all__ = [
     "estimate_sigma2",
     "SearchConfig", "ScalarSearchResult", "VectorSearchResult",
     "minimize_scalar", "minimize_vector", "BOUNDARY_RTOL",
-    "DataSet", "gaussian_psf", "laplacian_penalty", "blur", "blur_spectrum",
+    "DataSet", "gaussian_psf", "blur", "blur_spectrum",
     "add_noise", "make_dataset", "make_datasets", "synthetic_image",
     "read_pgm", "write_pgm", "load_corpus",
 ]

@@ -22,7 +22,6 @@ import json
 import sys as _sysmod
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -200,13 +199,10 @@ def _require(doc: dict, keys: Sequence[str], source: str) -> None:
 # corpus assembly
 # ---------------------------------------------------------------------------
 
-def _image_seed(config: ExperimentConfig, split_idx: int, idx: int) -> int:
-    ss = np.random.SeedSequence((config.seed, 1000 + split_idx, idx))
-    return int(ss.generate_state(1)[0])
-
-
-def _noise_seed(config: ExperimentConfig, split_idx: int, idx: int) -> int:
-    ss = np.random.SeedSequence((config.seed, 2000 + split_idx, idx))
+def _split_seed(config: ExperimentConfig, stream: int, idx: int) -> int:
+    """Seed of image idx in one stream: 1000 + split index draws the truth
+    images, 2000 + split index their noise."""
+    ss = np.random.SeedSequence((config.seed, stream, idx))
     return int(ss.generate_state(1)[0])
 
 
@@ -236,7 +232,7 @@ def _split_truths(config: ExperimentConfig, split: str) -> list[np.ndarray]:
                               f"corpus size {len(images)}")
         return images[:count] if split == "train" else images
     return [synthetic_image(config.image_size,
-                            _image_seed(config, split_idx, i))
+                            _split_seed(config, 1000 + split_idx, i))
             for i in range(count)]
 
 
@@ -253,7 +249,7 @@ def _split_datasets(config: ExperimentConfig, split: str) -> list[DataSet]:
     try:
         truths = _split_truths(config, split)
         return make_datasets(truths, psf, config.snr_db,
-                             [_noise_seed(config, split_idx, i)
+                             [_split_seed(config, 2000 + split_idx, i)
                               for i in range(len(truths))])
     except ValueError as exc:
         raise ConfigError(f"{split} data: {exc}") from exc
@@ -320,121 +316,56 @@ def cmd_gen(config: ExperimentConfig, verbose: bool = False) -> Path:
 # train
 # ---------------------------------------------------------------------------
 
-class _TrainContext:
-    """Everything the estimator objectives need, computed once.
-
-    dhats and noise may be passed in to reuse values computed for a larger
-    context (see `subset`).  The objectives are prepared on first use, once
-    per window set: the MSE objectives need truth images, and each search
-    evaluates the pooled UPRE/GCV data of its window set.
-    """
-
-    def __init__(self, config: ExperimentConfig, datasets: list[DataSet],
-                 system: SpectralSystem,
-                 dhats: list[np.ndarray] | None = None,
-                 noise: NoiseModel | None = None):
-        self.config = config
-        self.system = system
-        self.datasets = datasets
-        self.truths = [ds.x_true for ds in datasets]
-        if dhats is None:
-            dhats = [system.analyze(ds.d) for ds in datasets]
-        self.dhats = dhats
-        if noise is None:
-            if config.sigma_mode == "estimate":
-                sig = [estimate_sigma2(system, dh) for dh in self.dhats]
-            else:
-                sig = [ds.sigma2 for ds in datasets]
-            noise = NoiseModel(sig)
-        self.noise = noise
-        self.trivial = trivial_window(system)
-        self.windows = _build_windows(config, system)
-        self.search = config.search
-
-    def subset(self, r: int) -> "_TrainContext":
-        """The context of the first r data sets."""
-        return _TrainContext(self.config, self.datasets[:r], self.system,
-                             dhats=self.dhats[:r],
-                             noise=NoiseModel(self.noise.sigma2[:r]))
-
-    @cached_property
-    def mse_scalar(self) -> MseObjective:
-        return MseObjective(self.system, self.dhats, self.truths, self.trivial)
-
-    @cached_property
-    def mse_windowed(self) -> MseObjective:
-        return MseObjective(self.system, self.dhats, self.truths, self.windows)
-
-    @cached_property
-    def pooled_scalar(self) -> PooledObjectives:
-        return PooledObjectives(self.system, self.dhats, self.trivial, self.noise)
-
-    @cached_property
-    def pooled_windowed(self) -> PooledObjectives:
-        return PooledObjectives(self.system, self.dhats, self.windows, self.noise)
-
-    @cached_property
-    def pooled_warm(self) -> PooledObjectives:
-        """Pooled data on the indicator windows over the configured
-        partitions, whose separable searches warm-start the coupled ones."""
-        if not self.windows.kind.startswith("cosine"):
-            return self.pooled_windowed
-        spacing = "log" if self.windows.kind.endswith("_log") else "linear"
-        warm = indicator_windows(self.windows.partitions, self.system, spacing)
-        return PooledObjectives(self.system, self.dhats, warm, self.noise)
+def _write_trace(path: Path, trace) -> None:
+    """One scalar search's evaluated (alpha, value) pairs as CSV."""
+    np.savetxt(path, trace, delimiter=",", header="alpha,value", comments="",
+               fmt="%.12g")
 
 
-def _scalar_objective(ctx: _TrainContext, name: str):
+def _scalar_objective(name: str, system: SpectralSystem,
+                      dhats: list[np.ndarray], truths: list[np.ndarray],
+                      noise: NoiseModel):
+    """One estimator's objective over the single all-ones window, prepared
+    on these data sets."""
+    trivial = trivial_window(system)
     if name == "mse":
-        return lambda a: ctx.mse_scalar([a])
+        mse = MseObjective(system, dhats, truths, trivial)
+        return lambda a: mse([a])
+    pooled = PooledObjectives(system, dhats, trivial, noise)
     if name == "upre":
-        return lambda a: ctx.pooled_scalar.upre([a])
+        return lambda a: pooled.upre([a])
     # both GCV variants share the scalar multi-data GCV ancestor, which is
     # the decoupled GCV of the single all-ones window
-    return lambda a: ctx.pooled_scalar.gcv_window(0, a)
+    return lambda a: pooled.gcv_window(0, a)
 
 
-def _windowed_objective(ctx: _TrainContext, name: str):
-    if name == "mse":
-        return ctx.mse_windowed
-    if name == "upre":
-        return ctx.pooled_windowed.upre
-    if name == "gcv_true":
-        return ctx.pooled_windowed.gcv_true
-    raise ValueError(f"no coupled objective for {name}")
-
-
-def _train_separable(ctx: _TrainContext, name: str,
-                     pooled: PooledObjectives) -> tuple[list, list, list, list]:
-    """Per-window line searches for the separable/decoupled estimators."""
+def _train_separable(name: str, system: SpectralSystem,
+                     dhats: list[np.ndarray], noise: NoiseModel,
+                     windows: WindowSet, search: SearchConfig) -> list:
+    """Per-window line searches of the separable UPRE or the decoupled GCV
+    on non-overlapping windows: one minimize_scalar result per window."""
+    pooled = PooledObjectives(system, dhats, windows, noise)
     window_objective = pooled.upre_window if name == "upre" else pooled.gcv_window
-    alphas, values, flags, traces = [], [], [], []
-    for p in range(pooled.P):
-        obj = lambda a, p=p: window_objective(p, a)
-        res = minimize_scalar(obj, ctx.search)
-        alphas.append(res.alpha)
-        values.append(res.value)
-        flags.append(res.boundary)
-        traces.append(res.trace)
-    return alphas, values, flags, traces
+    return [minimize_scalar(lambda a, p=p: window_objective(p, a), search)
+            for p in range(windows.P)]
 
 
-def _train_windowed(ctx: _TrainContext, name: str,
-                    scalar_alpha: float) -> tuple[dict, list]:
+def _train_windowed(name: str, system: SpectralSystem,
+                    dhats: list[np.ndarray], truths: list[np.ndarray],
+                    noise: NoiseModel, windows: WindowSet, warm: WindowSet,
+                    search: SearchConfig, scalar_alpha: float) -> tuple[dict, list]:
     """Windowed training for one estimator, given its learned scalar
-    parameter: (params fragment, window traces)."""
-    P = ctx.config.window_count
-    entry: dict = {"P": P, "window_kind": ctx.config.window_kind}
-    if name in ("upre", "gcv_decoupled") and ctx.windows.nonoverlapping:
-        alphas, values, flags, traces = _train_separable(
-            ctx, name, ctx.pooled_windowed)
-        entry["alphas"] = alphas
-        entry["boundary"] = flags
+    parameter and the non-overlapping windows `warm` over the same
+    partitions: (params fragment, separable search results)."""
+    if name in ("upre", "gcv_decoupled") and windows.nonoverlapping:
+        results = _train_separable(name, system, dhats, noise, windows, search)
+        alphas = [res.alpha for res in results]
+        entry = {"alphas": alphas, "boundary": [res.boundary for res in results]}
         if name == "upre":
-            entry["value"] = ctx.pooled_windowed.upre(alphas)
+            entry["value"] = PooledObjectives(system, dhats, windows, noise).upre(alphas)
         else:
-            entry["per_window_values"] = values
-        return entry, traces
+            entry["per_window_values"] = [res.value for res in results]
+        return entry, results
 
     # coupled estimators (and overlapping windows): simplex-descend the
     # coupled objective from the scalar diagonal, where it equals the learned
@@ -444,20 +375,21 @@ def _train_windowed(ctx: _TrainContext, name: str,
     # seeds): from the non-overlapping solution the coupled GCV stops at the
     # all-alpha_min corner, 24-26% too high; from the diagonal UPRE ends up
     # to 8.1e-6 (relative) too high
-    starts = [ParamVector(np.full(P, scalar_alpha))]
-    if name != "mse":
-        warm_name = "gcv_decoupled" if name.startswith("gcv") else "upre"
-        warm_alphas, _, _, _ = _train_separable(ctx, warm_name,
-                                                ctx.pooled_warm)
-        starts.insert(0, ParamVector(warm_alphas))
-
-    obj = _windowed_objective(ctx, name)
-    res = min((minimize_vector(obj, P, ctx.search, warm_start=ws)
+    starts = [ParamVector(np.full(windows.P, scalar_alpha))]
+    if name == "mse":
+        objective = MseObjective(system, dhats, truths, windows)
+    else:
+        warm_name = "upre" if name == "upre" else "gcv_decoupled"
+        warm_results = _train_separable(warm_name, system, dhats, noise, warm,
+                                        search)
+        starts.insert(0, ParamVector([res.alpha for res in warm_results]))
+        pooled = PooledObjectives(system, dhats, windows, noise)
+        objective = {"upre": pooled.upre, "gcv_true": pooled.gcv_true}[name]
+    res = min((minimize_vector(objective, windows.P, search, warm_start=ws)
                for ws in starts), key=lambda r: r.value)
-    entry["alphas"] = [float(a) for a in res.alphas.values]
-    entry["value"] = res.value
-    entry["boundary"] = [bool(b) for b in res.boundary]
-    return entry, []
+    return {"alphas": [float(a) for a in res.alphas.values],
+            "value": res.value,
+            "boundary": [bool(b) for b in res.boundary]}, []
 
 
 def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
@@ -472,50 +404,61 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
 
     system = _build_system(config)
     datasets = _split_datasets(config, "train")
-    ctx = _TrainContext(config, datasets, system)
-    if "mse" in config.estimators and any(t is None for t in ctx.truths):
+    truths = [ds.x_true for ds in datasets]
+    if "mse" in config.estimators and any(t is None for t in truths):
         raise ConfigError("mse estimator needs truth images")
+    dhats = [system.analyze(ds.d) for ds in datasets]
+    noise = NoiseModel([estimate_sigma2(system, dh) for dh in dhats]
+                       if config.sigma_mode == "estimate"
+                       else [ds.sigma2 for ds in datasets])
+    windows = _build_windows(config, system)
+    # the separable searches on indicator windows over the same partitions
+    # warm-start the coupled UPRE and GCV searches
+    warm_kind = config.window_kind.replace("cosine", "nonoverlap")
+    warm = windows if warm_kind == config.window_kind else _build_windows(
+        replace(config, window_kind=warm_kind), system)
+    search = config.search
 
     params: dict = {"estimators": {}}
     timing_lines = []
     trend_rows = []
     for name in config.estimators:
         t0 = time.perf_counter()
-        scal = minimize_scalar(_scalar_objective(ctx, name), ctx.search)
-        np.savetxt(traces_dir / f"{name}_scalar_trace.csv", scal.trace,
-                   delimiter=",", header="alpha,value", comments="",
-                   fmt="%.12g")
-        windowed, win_traces = _train_windowed(ctx, name, scal.alpha)
-        for p, tr in enumerate(win_traces):
-            np.savetxt(traces_dir / f"{name}_window{p}_trace.csv", tr,
-                       delimiter=",", header="alpha,value", comments="",
-                       fmt="%.12g")
+        scal = minimize_scalar(
+            _scalar_objective(name, system, dhats, truths, noise), search)
+        _write_trace(traces_dir / f"{name}_scalar_trace.csv", scal.trace)
+        windowed, separable = _train_windowed(name, system, dhats, truths,
+                                              noise, windows, warm, search,
+                                              scal.alpha)
+        for p, res in enumerate(separable):
+            _write_trace(traces_dir / f"{name}_window{p}_trace.csv", res.trace)
         params["estimators"][name] = {
             "scalar": {"alpha": scal.alpha, "value": scal.value,
                        "boundary": scal.boundary},
-            "windowed": windowed,
+            "windowed": {"P": config.window_count,
+                         "window_kind": config.window_kind, **windowed},
         }
         dt = time.perf_counter() - t0
         timing_lines.append(f"train {name}: {dt:.3f} s")
         if verbose:
             print(f"train {name}: scalar alpha={scal.alpha:.5g}, windowed "
                   f"alphas={windowed['alphas']}, {dt:.2f} s")
-        if config.r_sweep:
+        if config.r_sweep:  # learn on the first r data sets and variances
             for r in range(1, len(datasets) + 1):
-                sub = ctx.subset(r)
-                res_r = minimize_scalar(_scalar_objective(sub, name), ctx.search)
-                trend_rows.append((r, name, res_r.alpha))
+                sub = _scalar_objective(name, system, dhats[:r], truths[:r],
+                                        NoiseModel(noise.sigma2[:r]))
+                trend_rows.append((r, name, minimize_scalar(sub, search).alpha))
 
     params["config"] = config.to_dict()
     params["corpus"] = {
-        "fingerprint": _corpus_fingerprint(ctx.truths),
+        "fingerprint": _corpus_fingerprint(truths),
         "label": config.corpus_label or (
             "external" if config.train_manifest else "substitute-synthetic"),
         "r_train": len(datasets),
     }
     params["windows"] = {
         "P": config.window_count, "kind": config.window_kind,
-        "partitions": [float(g) for g in ctx.windows.partitions],
+        "partitions": [float(g) for g in windows.partitions],
     }
     path = out / "params.json"
     path.write_text(json.dumps(params, sort_keys=True, indent=1) + "\n")

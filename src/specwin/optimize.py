@@ -184,7 +184,7 @@ def minimize_vector(objective: Callable[[ParamVector], float], P: int,
         return VectorSearchResult(alphas=ParamVector([res.alpha]),
                                   value=res.value,
                                   boundary=np.array([res.boundary]),
-                                  evaluations=res.evaluations + counter["n"])
+                                  evaluations=res.evaluations)
 
     if warm_start is None:
         raise ValueError(f"a search over P={P} parameters needs a warm start")

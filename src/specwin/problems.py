@@ -1,11 +1,10 @@
 """Test-problem construction and corpus I/O.
 
 Provides the pieces the experiment driver assembles: circularly symmetric
-Gaussian point-spread functions, smoothing penalties, reflexive-boundary
-blurring through the fast spectral path, exact-SNR noise injection, and a
-small grayscale corpus toolchain (binary PGM + CSV matrices, manifest files,
-and a synthetic cratered-terrain generator used when no external imagery is
-available).
+Gaussian point-spread functions, reflexive-boundary blurring through the
+fast spectral path, exact-SNR noise injection, and a small grayscale corpus
+toolchain (binary PGM + CSV matrices, manifest files, and a synthetic
+cratered-terrain generator used when no external imagery is available).
 """
 
 from __future__ import annotations
@@ -21,12 +20,11 @@ from scipy import ndimage
 from scipy.fft import dctn, idctn
 
 from .spectral import (_check_doubly_symmetric, _first_column_spectrum,
-                       laplacian_spectrum, reflexive_kernel)
+                       reflexive_kernel)
 
 __all__ = [
     "DataSet",
     "gaussian_psf",
-    "laplacian_penalty",
     "blur",
     "blur_spectrum",
     "add_noise",
@@ -48,7 +46,8 @@ class DataSet:
     """One blurred-and-noisy observation with its provenance.
 
     b is exactly blur(x_true) when the truth is known; d = b + e with e
-    scaled so the achieved SNR matches the target to rounding.
+    scaled so the achieved SNR matches the target to rounding; sigma2 =
+    ||e||^2 / size is the noise power of d - b to 1e-6 relative.
     """
 
     x_true: np.ndarray | None
@@ -80,12 +79,6 @@ def gaussian_psf(xi: float, size: tuple[int, int]) -> np.ndarray:
         raise ValueError(f"xi={xi} gives a kernel sum of {total}, not a "
                          f"positive finite number")
     return k / total
-
-
-def laplacian_penalty(dims: tuple[int, int]) -> np.ndarray:
-    """Spectral values of the negative five-point Laplacian under reflexive
-    boundaries; exactly one zero (the constant mode)."""
-    return laplacian_spectrum(dims)
 
 
 def _embedded_kernel(psf: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
@@ -137,7 +130,9 @@ def add_noise(b: np.ndarray, target_snr_db: float, seed) -> tuple[np.ndarray, fl
     """Add white Gaussian noise scaled so 10*log10(||b||^2/||e||^2) hits the
     target exactly.  A target of +inf returns the data untouched; NaN, -inf,
     targets whose noise scale overflows or underflows, and finite targets
-    whose noise vanishes when added to b (so d == b) raise ValueError."""
+    whose noise is lost, wholly (d == b) or in part, when added to b raise
+    ValueError: in part means ||d - b||^2 differs from ||e||^2 by more than
+    1e-6 relative, so the returned sigma2 would not describe d."""
     b = np.asarray(b, dtype=float)
     if np.isnan(target_snr_db) or target_snr_db == -np.inf:
         raise ValueError(f"SNR target must be a number or +inf, got {target_snr_db}")
@@ -162,13 +157,19 @@ def add_noise(b: np.ndarray, target_snr_db: float, seed) -> tuple[np.ndarray, fl
         raise ValueError(f"SNR target {target_snr_db} dB is out of range")
     e *= scale
     d = b + e
-    # noise far below the rounding step of b is lost in the sum, and the
-    # achieved SNR would be infinite
-    if float(np.sum((d - b) ** 2)) == 0.0:
+    # noise far below the rounding step of b is lost in the sum, wholly (the
+    # achieved SNR would be infinite) or in part (it would miss the target,
+    # and sigma2 would overstate the noise in d)
+    kept = float(np.sum((d - b) ** 2))
+    if kept == 0.0:
         raise ValueError(f"SNR target {target_snr_db} dB is out of range: "
                          f"the noise vanishes when added to the data")
-    sigma2 = float(np.sum(e ** 2)) / b.size
-    return d, sigma2
+    noise2 = float(np.sum(e ** 2))
+    if abs(kept / noise2 - 1.0) > 1e-6:
+        raise ValueError(f"SNR target {target_snr_db} dB is out of range: "
+                         f"part of the noise is lost to rounding when added "
+                         f"to the data")
+    return d, noise2 / b.size
 
 
 def make_dataset(x_true: np.ndarray, psf: np.ndarray, snr_db: float,

@@ -20,7 +20,8 @@ from specwin.cli import (
     main,
 )
 from specwin.errors import ConfigError
-from specwin.estimators import NoiseModel, mse_learning, upre_md_windowed
+from specwin.estimators import (NoiseModel, estimate_sigma2, mse_learning,
+                                 upre_md_windowed)
 from specwin.optimize import minimize_scalar
 from specwin.problems import synthetic_image, write_pgm
 from specwin.windows import trivial_window
@@ -289,14 +290,19 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
             assert main(["--config", str(degenerate), cmd]) == 2, (key, value)
 
     # an SNR so high that the noise vanishes when added to the blurred data
-    # (such data sets came out noiseless, and gen wrote "snr_db": Infinity)
-    loud = _write_config(tmp_path, snr_db=400.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for cmd in ("gen", "train"):
-            capsys.readouterr()
-            assert main(["--config", str(loud), cmd]) == 2, cmd
-            assert "noise vanishes" in capsys.readouterr().err, cmd
+    # (such data sets came out noiseless, and gen wrote "snr_db": Infinity),
+    # or that part of it is lost there (the data held less noise than the
+    # sigma2 that UPRE reads)
+    for overrides, message in [({"snr_db": 400.0}, "noise vanishes"),
+                               ({"snr_db": 320.0, "image_size": 16},
+                                "part of the noise is lost")]:
+        loud = _write_config(tmp_path, **overrides)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cmd in ("gen", "train"):
+                capsys.readouterr()
+                assert main(["--config", str(loud), cmd]) == 2, cmd
+                assert message in capsys.readouterr().err, cmd
 
     # malformed report structure: means not an object of objects, a run key
     # with no mode, errors not an object of objects of number lists, a
@@ -397,7 +403,7 @@ def test_split_datasets_are_make_dataset_per_image(tmp_path, monkeypatch):
     from dataclasses import replace
 
     from specwin import problems
-    from specwin.cli import _SPLITS, _noise_seed, _psf
+    from specwin.cli import _SPLITS, _psf, _split_seed
     from specwin.problems import make_dataset
 
     calls = []
@@ -433,7 +439,7 @@ def test_split_datasets_are_make_dataset_per_image(tmp_path, monkeypatch):
             assert len(got) == len(truths) > 0
             for i, (ds, x) in enumerate(zip(got, truths)):
                 want = make_dataset(x, _psf(cfg), cfg.snr_db,
-                                    _noise_seed(cfg, split_idx, i))
+                                    _split_seed(cfg, 2000 + split_idx, i))
                 for field in ("x_true", "b", "d"):
                     assert (getattr(ds, field).tobytes()
                             == getattr(want, field).tobytes()), (split, i, field)
@@ -610,6 +616,16 @@ def test_train_r_sweep_and_sigma_estimate(tmp_path, monkeypatch):
         res = minimize_scalar(
             lambda a: mse_learning([system] * len(sets), [ds.d for ds in sets],
                                    [ds.x_true for ds in sets], trivial, [a]),
+            cfg.search)
+        assert float(alpha) == pytest.approx(res.alpha, rel=1e-9)
+    # ... and UPRE on those sets with their own estimated noise variances
+    dhats = [system.analyze(ds.d) for ds in datasets]
+    sigma2 = [estimate_sigma2(system, dhat) for dhat in dhats]
+    for r, _, alpha in rows[3:]:
+        r = int(r)
+        res = minimize_scalar(
+            lambda a: upre_md_windowed([system] * r, dhats[:r], trivial, [a],
+                                       NoiseModel(sigma2[:r])),
             cfg.search)
         assert float(alpha) == pytest.approx(res.alpha, rel=1e-9)
 

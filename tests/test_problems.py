@@ -16,7 +16,6 @@ from specwin.problems import (
     blur_spectrum,
     fit_to_size,
     gaussian_psf,
-    laplacian_penalty,
     load_corpus,
     load_image,
     make_dataset,
@@ -27,6 +26,7 @@ from specwin.problems import (
     write_manifest,
     write_pgm,
 )
+from specwin.spectral import laplacian_spectrum
 
 from oracles import (dense_laplacian_2d, full_grid_synthetic_image,
                      reflexive_blur_apply)
@@ -94,7 +94,7 @@ def test_blur_spectrum_rejects_asymmetric_kernels():
 
 def test_laplacian_penalty_matches_dense_eigenvalues():
     dims = (5, 4)
-    vals = np.sort(laplacian_penalty(dims).ravel())
+    vals = np.sort(laplacian_spectrum(dims).ravel())
     ref = np.sort(np.linalg.eigvalsh(dense_laplacian_2d(dims)))
     assert np.abs(vals - ref).max() <= 1e-10
     assert np.count_nonzero(np.abs(vals) <= 1e-12) == 1
@@ -135,10 +135,18 @@ def test_noise_that_vanishes_in_the_data_is_rejected():
             make_dataset(x, psf, 400.0, 1)
         with pytest.raises(ValueError, match="noise vanishes"):
             add_noise(blur(x, psf), 400.0, seed=1)
+        # at 320 dB about half the pixels lose their noise in the sum: the
+        # data held 17% less noise than sigma2 said, and snr read 319.32
+        with pytest.raises(ValueError, match="part of the noise is lost"):
+            make_dataset(x, psf, 320.0, 1)
+        with pytest.raises(ValueError, match="part of the noise is lost"):
+            add_noise(blur(x, psf), 320.0, seed=1)
         # a high target whose noise survives the sum is kept
         ds = make_dataset(x, psf, 200.0, 1)
     assert np.all(ds.d != ds.b)
     assert ds.snr == pytest.approx(200.0, abs=1e-6)
+    assert np.sum((ds.d - ds.b) ** 2) / ds.d.size == pytest.approx(ds.sigma2,
+                                                                    rel=1e-6)
 
 
 def test_add_noise_seed_determinism():
