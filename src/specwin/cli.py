@@ -22,6 +22,7 @@ import json
 import sys as _sysmod
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cache
 from pathlib import Path
 from typing import Sequence
 
@@ -143,12 +144,6 @@ class ExperimentConfig:
             raise ConfigError("gcv_decoupled needs non-overlapping windows; "
                               "use nonoverlap_* kinds or drop the estimator")
 
-    def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in self._KEYS if k != "search"}
-        d["estimators"] = list(self.estimators)
-        d["search"] = asdict(self.search)
-        return d
-
 
 def _is_json_type(value, want) -> bool:
     """Whether a JSON value has type `want`: an int serves as a float, and a
@@ -266,14 +261,20 @@ def _build_system(config: ExperimentConfig) -> SpectralSystem:
     return dct_decompose(_psf(config), penalty=config.penalty)
 
 
-def _build_windows(config: ExperimentConfig, system: SpectralSystem) -> WindowSet:
+def _window_sets(config: ExperimentConfig,
+                 system: SpectralSystem) -> dict[str, WindowSet]:
+    """The window sets of the search policy (_learn): the single all-ones
+    window ("scalar"), the configured windows ("windowed") and indicator
+    windows over the same partitions ("warm")."""
+    trivial = trivial_window(system)
     if config.window_count == 1:
-        return trivial_window(system)
+        return {"scalar": trivial, "windowed": trivial, "warm": trivial}
     spacing = "log" if config.window_kind.endswith("_log") else "linear"
     parts = make_partitions(system, config.window_count, spacing)
-    if config.window_kind.startswith("cosine"):
-        return cosine_windows(parts, system, spacing)
-    return indicator_windows(parts, system, spacing)
+    warm = indicator_windows(parts, system, spacing)
+    return {"scalar": trivial, "warm": warm,
+            "windowed": cosine_windows(parts, system, spacing)
+            if config.window_kind.startswith("cosine") else warm}
 
 
 # ---------------------------------------------------------------------------
@@ -322,78 +323,58 @@ def _write_trace(path: Path, trace) -> None:
                fmt="%.12g")
 
 
-def _scalar_objective(name: str, system: SpectralSystem,
-                      dhats: list[np.ndarray], truths: list[np.ndarray],
-                      noise: NoiseModel):
-    """One estimator's objective over the single all-ones window, prepared
-    on these data sets."""
-    trivial = trivial_window(system)
+def _objectives(name: str, system: SpectralSystem, dhats: list[np.ndarray],
+                truths: list[np.ndarray], noise: NoiseModel, windows: WindowSet):
+    """One estimator's per-window objective f(p, alpha) and coupled
+    objective F(alphas) on one window set, prepared once from these data
+    sets.  Both GCV variants take the decoupled GCV as their per-window form;
+    on the single all-ones window it is the scalar multi-data GCV."""
     if name == "mse":
-        mse = MseObjective(system, dhats, truths, trivial)
-        return lambda a: mse([a])
-    pooled = PooledObjectives(system, dhats, trivial, noise)
-    if name == "upre":
-        return lambda a: pooled.upre([a])
-    # both GCV variants share the scalar multi-data GCV ancestor, which is
-    # the decoupled GCV of the single all-ones window
-    return lambda a: pooled.gcv_window(0, a)
-
-
-def _train_separable(name: str, system: SpectralSystem,
-                     dhats: list[np.ndarray], noise: NoiseModel,
-                     windows: WindowSet, search: SearchConfig) -> list:
-    """Per-window line searches of the separable UPRE or the decoupled GCV
-    on non-overlapping windows: one minimize_scalar result per window."""
+        mse = MseObjective(system, dhats, truths, windows)
+        return mse.window, mse
     pooled = PooledObjectives(system, dhats, windows, noise)
-    window_objective = pooled.upre_window if name == "upre" else pooled.gcv_window
-    return [minimize_scalar(lambda a, p=p: window_objective(p, a), search)
-            for p in range(windows.P)]
+    if name == "upre":
+        return pooled.upre_window, pooled.upre
+    return pooled.gcv_window, pooled.gcv_true
 
 
-def _train_windowed(name: str, system: SpectralSystem,
-                    dhats: list[np.ndarray], truths: list[np.ndarray],
-                    noise: NoiseModel, windows: WindowSet, warm: WindowSet,
-                    search: SearchConfig, scalar_alpha: float) -> tuple[dict, list]:
-    """Windowed training for one estimator, given its learned scalar
-    parameter and the non-overlapping windows `warm` over the same
-    partitions: (params fragment, separable search results)."""
-    if name in ("upre", "gcv_decoupled") and windows.nonoverlapping:
-        results = _train_separable(name, system, dhats, noise, windows, search)
-        alphas = [res.alpha for res in results]
-        entry = {"alphas": alphas, "boundary": [res.boundary for res in results]}
-        if name == "upre":
-            entry["value"] = PooledObjectives(system, dhats, windows, noise).upre(alphas)
-        else:
-            entry["per_window_values"] = [res.value for res in results]
-        return entry, results
+def _line_searches(per_window, P: int, search: SearchConfig) -> list:
+    """One minimize_scalar result per window of a per-window objective."""
+    return [minimize_scalar(lambda a, p=p: per_window(p, a), search)
+            for p in range(P)]
 
-    # coupled estimators (and overlapping windows): simplex-descend the
-    # coupled objective from the scalar diagonal, where it equals the learned
-    # scalar value.  UPRE and GCV also start from the matching
-    # non-overlapping solution, listed first so that ties resolve to it.
-    # Neither start suffices alone (64x64, identity, cosine_log P=3, ten
-    # seeds): from the non-overlapping solution the coupled GCV stops at the
-    # all-alpha_min corner, 24-26% too high; from the diagonal UPRE ends up
-    # to 8.1e-6 (relative) too high
-    starts = [ParamVector(np.full(windows.P, scalar_alpha))]
-    if name == "mse":
-        objective = MseObjective(system, dhats, truths, windows)
-    else:
-        warm_name = "upre" if name == "upre" else "gcv_decoupled"
-        warm_results = _train_separable(warm_name, system, dhats, noise, warm,
-                                        search)
-        starts.insert(0, ParamVector([res.alpha for res in warm_results]))
-        pooled = PooledObjectives(system, dhats, windows, noise)
-        objective = {"upre": pooled.upre, "gcv_true": pooled.gcv_true}[name]
-    res = min((minimize_vector(objective, windows.P, search, warm_start=ws)
-               for ws in starts), key=lambda r: r.value)
-    return {"alphas": [float(a) for a in res.alphas.values],
-            "value": res.value,
-            "boundary": [bool(b) for b in res.boundary]}, []
+
+def _learn(objectives, P: int, decoupled: bool, search: SearchConfig):
+    """The search policy of `train` and of `validate`'s per-image best, on
+    objectives(kind) = (per-window, coupled) objectives over the window set
+    of that kind (_window_sets): (scalar result, windowed parameters,
+    per-window results or the coupled result).
+
+    The scalar search is the one-window case of the per-window line search,
+    and so is each window's search where the objective decouples.  A
+    coupled search starts from the per-window solution on the warm windows
+    and from the diagonal at the scalar alpha, and the lower end point wins
+    (ties go to the first).  Neither start suffices alone (64x64, identity,
+    cosine_log P=3, ten seeds): from the first the coupled GCV stops at the
+    all-alpha_min corner, 24-26% too high; from the diagonal UPRE ends up to
+    8.1e-6 (relative) too high.
+    """
+    scalar, = _line_searches(objectives("scalar")[0], 1, search)
+    per_window, coupled = objectives("windowed")
+    if decoupled:
+        found = _line_searches(per_window, P, search)
+        return scalar, ParamVector([res.alpha for res in found]), found
+    warm = _line_searches(objectives("warm")[0], P, search)
+    starts = [ParamVector([res.alpha for res in warm]),
+              ParamVector(np.full(P, scalar.alpha))]
+    found = min((minimize_vector(coupled, P, search, warm_start=ws)
+                 for ws in starts), key=lambda res: res.value)
+    return scalar, found.alphas, found
 
 
 def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
-    """Learn scalar and windowed parameters for every requested estimator."""
+    """Learn scalar and windowed parameters for every requested estimator
+    by the search policy of _learn."""
     t_start = time.perf_counter()
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -411,12 +392,8 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
     noise = NoiseModel([estimate_sigma2(system, dh) for dh in dhats]
                        if config.sigma_mode == "estimate"
                        else [ds.sigma2 for ds in datasets])
-    windows = _build_windows(config, system)
-    # the separable searches on indicator windows over the same partitions
-    # warm-start the coupled UPRE and GCV searches
-    warm_kind = config.window_kind.replace("cosine", "nonoverlap")
-    warm = windows if warm_kind == config.window_kind else _build_windows(
-        replace(config, window_kind=warm_kind), system)
+    window_sets = _window_sets(config, system)
+    windows = window_sets["windowed"]
     search = config.search
 
     params: dict = {"estimators": {}}
@@ -424,14 +401,24 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
     trend_rows = []
     for name in config.estimators:
         t0 = time.perf_counter()
-        scal = minimize_scalar(
-            _scalar_objective(name, system, dhats, truths, noise), search)
+        objectives = cache(lambda kind: _objectives(
+            name, system, dhats, truths, noise, window_sets[kind]))
+        decoupled = windows.nonoverlapping and name != "gcv_true"
+        scal, alphas, found = _learn(objectives, windows.P, decoupled, search)
         _write_trace(traces_dir / f"{name}_scalar_trace.csv", scal.trace)
-        windowed, separable = _train_windowed(name, system, dhats, truths,
-                                              noise, windows, warm, search,
-                                              scal.alpha)
-        for p, res in enumerate(separable):
-            _write_trace(traces_dir / f"{name}_window{p}_trace.csv", res.trace)
+        windowed = {"alphas": [float(a) for a in alphas.values]}
+        if decoupled:
+            windowed["boundary"] = [res.boundary for res in found]
+            if name == "gcv_decoupled":
+                windowed["per_window_values"] = [res.value for res in found]
+            else:
+                windowed["value"] = objectives("windowed")[1](alphas)
+            for p, res in enumerate(found):
+                _write_trace(traces_dir / f"{name}_window{p}_trace.csv",
+                             res.trace)
+        else:
+            windowed["value"] = found.value
+            windowed["boundary"] = [bool(b) for b in found.boundary]
         params["estimators"][name] = {
             "scalar": {"alpha": scal.alpha, "value": scal.value,
                        "boundary": scal.boundary},
@@ -445,11 +432,13 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
                   f"alphas={windowed['alphas']}, {dt:.2f} s")
         if config.r_sweep:  # learn on the first r data sets and variances
             for r in range(1, len(datasets) + 1):
-                sub = _scalar_objective(name, system, dhats[:r], truths[:r],
-                                        NoiseModel(noise.sigma2[:r]))
-                trend_rows.append((r, name, minimize_scalar(sub, search).alpha))
+                sub = _objectives(name, system, dhats[:r], truths[:r],
+                                  NoiseModel(noise.sigma2[:r]),
+                                  window_sets["scalar"])[0]
+                trend_rows.append(
+                    (r, name, _line_searches(sub, 1, search)[0].alpha))
 
-    params["config"] = config.to_dict()
+    params["config"] = asdict(config)
     params["corpus"] = {
         "fingerprint": _corpus_fingerprint(truths),
         "label": config.corpus_label or (
@@ -502,7 +491,9 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
     """Apply frozen parameters to all corpora and emit the error tables.
     Each data set is analyzed once, and every run is scored by that data
     set's MSE objective: 100 sqrt(mse(alphas)) / ||x_true|| is the percent
-    relative solution error, and no solution image is formed."""
+    relative solution error, and no solution image is formed.  The per-image
+    best (include_best) is train's MSE search policy (_learn) on that one
+    data set."""
     t_start = time.perf_counter()
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -519,10 +510,10 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
                 f"{key}={stored!r}, config asks {key}={asked!r}")
 
     system = _build_system(config)
-    window_sets = {"scalar": trivial_window(system),
-                   "windowed": _build_windows(config, system)}
-    # run key -> (mode, stored parameters, or None for the per-image best,
-    # which is searched on each image against its truth)
+    window_sets = _window_sets(config, system)
+    windows = window_sets["windowed"]
+    decoupled = windows.nonoverlapping
+    # run key -> (mode, stored parameters, or None for the per-image best)
     runs: dict = {}
     boundary: dict = {}
     for name, entry in sorted(params["estimators"].items()):
@@ -536,8 +527,8 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
                                               f"{source}, {mode}"))
             boundary[key] = entry[mode]["boundary"]
     if config.include_best:
-        runs.update({f"best_{mode}": (mode, None) for mode in window_sets})
-    trained = runs["mse_windowed"][1] if "mse_windowed" in runs else None
+        runs.update({f"best_{mode}": (mode, None)
+                     for mode in ("scalar", "windowed")})
 
     errors: dict = {}  # {split: {run key: [per-image pct errors]}}
     for split in _SPLITS:
@@ -555,26 +546,22 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
         table = errors[split] = {key: [] for key in runs}
         for ds in datasets:
             dhat = system.analyze(ds.d)
-            mse = {mode: MseObjective(system, [dhat], [ds.x_true], w)
-                   for mode, w in window_sets.items()}
+            mse = cache(lambda kind: MseObjective(system, [dhat], [ds.x_true],
+                                                  window_sets[kind]))
+            if config.include_best:
+                scal, alphas, _ = _learn(
+                    lambda kind: (mse(kind).window, mse(kind)), windows.P,
+                    decoupled, config.search)
+                best = {"scalar": ParamVector([scal.alpha]), "windowed": alphas}
             norm = float(np.linalg.norm(ds.x_true))
-            start = trained
             for key, (mode, alphas) in runs.items():
-                obj = mse[mode]
                 if alphas is None:
-                    alphas = minimize_vector(obj, obj.P, config.search,
-                                             warm_start=start).alphas
-                    # best_scalar comes just before best_windowed, which
-                    # starts from the trained MSE parameters, else from the
-                    # diagonal at best_scalar's alpha
-                    if start is None:
-                        start = ParamVector(np.full(window_sets["windowed"].P,
-                                                    alphas.values[0]))
-                table[key].append(float(100.0 * np.sqrt(obj(alphas)) / norm))
+                    alphas = best[mode]
+                table[key].append(float(100.0 * np.sqrt(mse(mode)(alphas)) / norm))
     means = {key: {split: float(np.mean(table[key]))
                    for split, table in errors.items()} for key in runs}
 
-    report = {"config": config.to_dict(),
+    report = {"config": asdict(config),
               "corpus": {"fingerprint": params["corpus"]["fingerprint"],
                          "label": params["corpus"]["label"]},
               "params": params["estimators"], "means": means,

@@ -14,7 +14,8 @@ coefficients dhat = analyze(d):
 * the supervised learning objective (mean squared solution error against
   known truths), prepared once per search as an `MseObjective`; on the DCT
   backend it is evaluated in coefficient space, with no transform per call,
-  and on the dense backend with one matrix product per call.
+  and on the dense backend with one matrix product per call; on
+  non-overlapping DCT windows it also splits into per-window shares.
 
 Scalar forms keep their constant terms; the multi-data windowed UPRE drops
 alpha-independent constants, so cross-form tests must compare minimizers
@@ -255,6 +256,38 @@ def gcv_windowed_decoupled(systems: Sequence[SpectralSystem],
 # Pooled evaluation
 # ---------------------------------------------------------------------------
 
+def _run(idx: np.ndarray):
+    """Sorted indices as a slice where they are one run of consecutive
+    indices, as every generated window's members are, so that indexing
+    gives a view; else the indices themselves."""
+    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+        return slice(idx[0], idx[-1] + 1)
+    return idx
+
+
+class _WindowMembers:
+    """Band arrays over [ell, q_star) split once into each window's members
+    for the per-window forms; a call checks the window index p and returns
+    window p's parts."""
+
+    def __init__(self, windows: WindowSet, lo: int, hi: int, *band) -> None:
+        self.P = windows.P
+        self.parts = None
+        if windows.nonoverlapping:
+            self.sizes = np.count_nonzero(windows.weights, axis=1)
+            self.parts = [tuple(a[..., _run(idx)] for a in band) for idx in
+                          map(np.flatnonzero, windows.weights[:, lo:hi])]
+
+    def __call__(self, p: int, overlap_error: str) -> tuple:
+        if not 0 <= p < self.P:
+            raise IndexError(f"window index {p} out of range for P={self.P}")
+        if self.parts is None:
+            raise ValueError(overlap_error)
+        if not self.sizes[p]:
+            raise EmptyWindowError(f"window {p} has no members")
+        return self.parts[p]
+
+
 class PooledObjectives:
     """The multi-data UPRE and GCV objectives of data sets sharing one system
     and one window set, prepared once for fixed data coefficients and noise
@@ -296,14 +329,12 @@ class PooledObjectives:
         self.tail_energy = energy[hi:]
         self.tail_weights = windows.weights[:, hi:]
         self.tail_sums = self.tail_weights.sum(axis=1)
-        self.sizes = np.count_nonzero(windows.weights > 0.0, axis=1)
         # per window, for the separable forms: the energy below ell and the
         # band members' values
-        self.separable = windows.nonoverlapping
-        if self.separable:
+        self.members = _WindowMembers(windows, lo, hi, self.d2, self.lam2,
+                                      self.energy)
+        if self.members.parts is not None:
             self.below_w = windows.weights[:, :lo] @ energy[:lo]
-            self.members = [(self.d2[idx], self.lam2[idx], self.energy[idx])
-                            for idx in (np.flatnonzero(w) for w in self.weights)]
 
     def _rows(self, alphas) -> np.ndarray:
         return _band_phi(self.d2, self.lam2, alphas.values[:, None])
@@ -319,13 +350,7 @@ class PooledObjectives:
     def _window(self, p: int, alpha: float,
                 overlap_error: str) -> tuple[float, float]:
         """Window p's pooled squared residual and one set's window trace."""
-        if not 0 <= p < self.P:
-            raise IndexError(f"window index {p} out of range for P={self.P}")
-        if not self.separable:
-            raise ValueError(overlap_error)
-        if not self.sizes[p]:
-            raise EmptyWindowError(f"window {p} has no members")
-        d2, lam2, energy = self.members[p]
+        d2, lam2, energy = self.members(p, overlap_error)
         phi = _band_phi(d2, lam2, _positive_alpha(alpha))
         resid = self.below_w[p] + np.sum((1.0 - phi) ** 2 * energy)
         return float(resid), float(self.tail_sums[p] + np.sum(phi))
@@ -402,27 +427,36 @@ class MseObjective:
         R = len(dhats)
         if R == 0 or len(truths) != R:
             raise ValueError("data and truths must have equal, nonzero lengths")
+        for dhat, truth in zip(dhats, truths):
+            if dhat.size != sys.m:
+                raise ValueError(f"data length {dhat.size} does not match m={sys.m}")
+            if np.size(truth) != sys.n:
+                raise ValueError(f"truth size {np.size(truth)} does not match "
+                                 f"n={sys.n}")
         self.R = R
         self.P = windows.P
         dpinv = sys.delta_pinv()
         if sys.synthesis_scale is None:
             heads = np.stack([dhat[: sys.n] for dhat in dhats], axis=1)
             flat = np.stack([np.ravel(truth) for truth in truths], axis=1)
-            if flat.shape[0] != sys.n:
-                raise ValueError(f"truth size {flat.shape[0]} does not match "
-                                 f"n={sys.n}")
             self._dense = (sys, windows, dpinv, heads, flat)
             return
         self._dense = None
         lo, hi = sys.ell, sys.q_star
         tail_weights = windows.weights[:, hi:].sum(axis=0)
+        separable = windows.nonoverlapping
         self._const = 0.0
+        self._window_consts = np.zeros(self.P)
         us, ts = [], []
         for dhat, truth in zip(dhats, truths):
             u = dpinv * dhat[: sys.n] / sys.synthesis_scale
             t = sys.solution_coefficients(truth)
-            tail = tail_weights * u[hi:] - t[hi:]
-            self._const += float(np.sum(t[:lo] ** 2) + np.sum(tail ** 2))
+            below, tail = t[:lo] ** 2, (tail_weights * u[hi:] - t[hi:]) ** 2
+            self._const += float(np.sum(below) + np.sum(tail))
+            if separable:  # each window's share, for the per-window form
+                self._window_consts += [float(np.sum(below[w[:lo] > 0.0])
+                                              + np.sum(tail[w[hi:] > 0.0]))
+                                        for w in windows.weights]
             us.append(u[lo:hi])
             ts.append(t[lo:hi])
         self._d2 = sys.delta[lo:hi] ** 2
@@ -430,6 +464,8 @@ class MseObjective:
         self._weights = windows.weights[:, lo:hi]
         self._u = np.array(us)
         self._t = np.array(ts)
+        self._members = _WindowMembers(windows, lo, hi, self._d2, self._lam2,
+                                       self._u, self._t)
 
     def __call__(self, alphas) -> float:
         alphas = _params_for(alphas, self.P)
@@ -441,6 +477,19 @@ class MseObjective:
         phiw = np.sum(self._weights * _band_phi(self._d2, self._lam2,
                                                 alphas.values[:, None]), axis=0)
         return (self._const + float(np.sum((phiw * self._u - self._t) ** 2))) / self.R
+
+    def window(self, p: int, alpha: float) -> float:
+        """Window p's share of the value at alpha, on non-overlapping windows
+        of a DCT system: the shares sum to the value at the assembled vector,
+        and the single all-ones window's share is the value, bit for bit."""
+        if self._dense is not None:
+            raise ValueError("the per-window MSE needs an orthonormal "
+                             "synthesis (the DCT backend)")
+        d2, lam2, u, t = self._members(
+            p, "per-window MSE requires non-overlapping windows")
+        # alpha in an array, so that it is squared as __call__ squares it
+        phi = _band_phi(d2, lam2, np.array([_positive_alpha(alpha)]))
+        return (self._window_consts[p] + float(np.sum((phi * u - t) ** 2))) / self.R
 
 
 def mse_learning(systems: Sequence[SpectralSystem], data: Sequence[np.ndarray],

@@ -10,9 +10,9 @@ import pytest
 from specwin.cli import (
     ExperimentConfig,
     _build_system,
-    _build_windows,
     _split_datasets,
     _split_truths,
+    _window_sets,
     cmd_gen,
     cmd_report,
     cmd_train,
@@ -20,8 +20,8 @@ from specwin.cli import (
     main,
 )
 from specwin.errors import ConfigError
-from specwin.estimators import (NoiseModel, estimate_sigma2, mse_learning,
-                                 upre_md_windowed)
+from specwin.estimators import (MseObjective, NoiseModel, estimate_sigma2,
+                                 mse_learning, upre_md_windowed)
 from specwin.optimize import minimize_scalar
 from specwin.problems import synthetic_image, write_pgm
 from specwin.windows import trivial_window
@@ -184,7 +184,7 @@ def test_trained_values_reproducible_from_params(tmp_path, monkeypatch):
     datasets = _split_datasets(cfg, "train")
     dhats = [system.analyze(ds.d) for ds in datasets]
     noise = NoiseModel([ds.sigma2 for ds in datasets])
-    windows = _build_windows(cfg, system)
+    windows = _window_sets(cfg, system)["windowed"]
 
     entry = params["estimators"]["upre"]["windowed"]
     val = upre_md_windowed([system] * len(datasets), dhats, windows,
@@ -564,6 +564,12 @@ def test_validate_analyzes_each_data_set_once(tmp_path, monkeypatch):
     assert calls == {"analyze": 3 + 2 + 2, "synthesize": 0}
 
 
+def _per_window_search(mse, search) -> list[float]:
+    """MseObjective.window minimized window by window."""
+    return [minimize_scalar(lambda a, p=p: mse.window(p, a), search).alpha
+            for p in range(mse.P)]
+
+
 def test_validate_errors_are_solution_errors(tmp_path, monkeypatch):
     from specwin.solver import solve_windowed
 
@@ -572,8 +578,14 @@ def test_validate_errors_are_solution_errors(tmp_path, monkeypatch):
     cmd_validate(cfg, tmp_path / "out" / "params.json")
     errors = json.loads((tmp_path / "out" / "report.json").read_text())["errors"]
     system = _build_system(cfg)
-    window_sets = {"scalar": trivial_window(system),
-                   "windowed": _build_windows(cfg, system)}
+    window_sets = _window_sets(cfg, system)
+    # the windowed MSE parameters are per-window line searches over the
+    # training sets
+    train = _split_datasets(cfg, "train")
+    mse = MseObjective(system, [system.analyze(ds.d) for ds in train],
+                       [ds.x_true for ds in train], window_sets["windowed"])
+    assert (params["estimators"]["mse"]["windowed"]["alphas"]
+            == _per_window_search(mse, cfg.search))
     for split, table in errors.items():
         datasets = _split_datasets(cfg, split)
         assert len(datasets) == len(table["best_windowed"])
@@ -585,10 +597,40 @@ def test_validate_errors_are_solution_errors(tmp_path, monkeypatch):
                     want = (100.0 * np.linalg.norm(x - ds.x_true)
                             / np.linalg.norm(ds.x_true))
                     assert err == pytest.approx(want, rel=1e-12), (split, name, mode)
-        # the per-image simplex never ends above its warm start, the stored
-        # windowed MSE parameters
+        # the per-image best is the same per-window search on that image
+        for ds, err in zip(datasets, table["best_windowed"]):
+            one = MseObjective(system, [system.analyze(ds.d)], [ds.x_true],
+                               window_sets["windowed"])
+            alphas = _per_window_search(one, cfg.search)
+            assert err == float(100.0 * np.sqrt(one(alphas))
+                                / np.linalg.norm(ds.x_true))
+        # the per-image best minimizes each window's share of that image's
+        # error, so it does not end above the stored windowed MSE parameters
         for best, stored in zip(table["best_windowed"], table["mse_windowed"]):
             assert best <= stored * (1.0 + 1e-12)
+
+
+def test_validate_coupled_best_keeps_the_diagonal_start(tmp_path, monkeypatch):
+    from dataclasses import replace
+
+    cfg = replace(_validate_config(tmp_path, monkeypatch),
+                  window_kind="cosine_linear", estimators=("mse",))
+    cmd_train(cfg)
+    cmd_validate(cfg, tmp_path / "out" / "params.json")
+    errors = json.loads((tmp_path / "out" / "report.json").read_text())["errors"]
+    system = _build_system(cfg)
+    windows = _window_sets(cfg, system)["windowed"]
+    assert not windows.nonoverlapping
+    for split, table in errors.items():
+        datasets = _split_datasets(cfg, split)
+        for ds, best in zip(datasets, table["best_windowed"]):
+            dhat, truth = system.analyze(ds.d), ds.x_true
+            scalar = MseObjective(system, [dhat], [truth], trivial_window(system))
+            diagonal = [_per_window_search(scalar, cfg.search)[0]] * windows.P
+            at_diagonal = (100.0 * np.sqrt(MseObjective(
+                system, [dhat], [truth], windows)(diagonal))
+                / np.linalg.norm(truth))
+            assert best <= at_diagonal * (1.0 + 1e-12), split
 
 
 def test_train_r_sweep_and_sigma_estimate(tmp_path, monkeypatch):

@@ -24,8 +24,9 @@ from specwin.estimators import (
     upre_window_separable,
     windowed_gcv_terms,
 )
-from specwin.solver import (phi_windowed, residual_norm_windowed, solve_windowed,
-                            trace_windowed)
+from specwin.optimize import SearchConfig, minimize_scalar, minimize_vector
+from specwin.solver import (ParamVector, phi_windowed, residual_norm_windowed,
+                            solve_windowed, trace_windowed)
 from specwin.problems import gaussian_psf
 from specwin.spectral import dct_decompose, filter_factors, gsvd
 from specwin.windows import cosine_windows, indicator_windows, make_partitions, trivial_window
@@ -775,6 +776,102 @@ def test_mse_objective_matches_direct_loop_on_each_backend():
         for alphas in ([0.01, 0.3, 5.0], [2.0, 2.0, 0.02]):
             ref = direct_mse([sys] * 3, dhats, truths, win, alphas)
             assert abs(obj(alphas) - ref) <= 1e-12 * ref
+
+
+def test_mse_objective_rejects_data_of_the_wrong_size():
+    dct = dct_decompose(gaussian_psf(1.5, (8, 8)), "identity")
+    _, _, dense, _, _ = _md_problem(seed=199, m=8, n=6, penalty="identity")
+    rng = np.random.default_rng(199)
+    for sys in (dct, dense):
+        win = trivial_window(sys)
+        dhats = [sys.analyze(rng.standard_normal(sys.m)) for _ in range(2)]
+        truths = [rng.standard_normal(sys.n) for _ in range(2)]
+        long_dhat = np.append(dhats[1], np.ones(5))
+        wide_truth = rng.standard_normal(sys.n + 3)
+        data = [np.ones(sys.m)] * 2
+        for bad_dhats, bad_truths, message in [
+                ([dhats[0], long_dhat], truths,
+                 f"data length {sys.m + 5} does not match m={sys.m}"),
+                (dhats, [truths[0], wide_truth],
+                 f"truth size {sys.n + 3} does not match n={sys.n}")]:
+            with pytest.raises(ValueError, match=message):
+                MseObjective(sys, bad_dhats, bad_truths, win)
+            with pytest.raises(ValueError, match=message):
+                mse_learning([sys] * 2, data, bad_truths, win, [0.5],
+                             dhats=bad_dhats)
+
+
+# criterion 06's search settings: tight enough that a per-window line search
+# and a coupled simplex search agree to 1e-10
+TIGHT = SearchConfig(alpha_min=1e-4, alpha_max=10.0, grid_points=80,
+                     tol=1e-8, max_iter=400)
+
+
+@pytest.mark.parametrize("penalty", ["identity", "laplacian"])
+def test_mse_window_shares_are_separable(penalty):
+    """On non-overlapping windows the MSE splits into one share per window,
+    as the separable UPRE does (criterion 06)."""
+    sys = dct_decompose(_box_psf((8, 6), (4, 2)), penalty)
+    assert sys.ell > 0 and (sys.q_star < sys.n) == (penalty == "laplacian")
+    rng = np.random.default_rng(211)
+    for P, R in [(2, 1), (3, 3), (2, 3), (3, 1)]:
+        win = indicator_windows(make_partitions(sys, P, "log"), sys, "log")
+        dhats = [sys.analyze(rng.standard_normal(sys.dims)) for _ in range(R)]
+        truths = [rng.standard_normal(sys.dims) for _ in range(R)]
+        mse = MseObjective(sys, dhats, truths, win)
+        # window p's share from the full coefficient vectors (Parseval)
+        us = [sys.delta_pinv() * dh[: sys.n] / sys.synthesis_scale
+              for dh in dhats]
+        ts = [sys.solution_coefficients(x) for x in truths]
+        for alphas in (rng.uniform(0.01, 5.0, P), np.full(P, 0.3)):
+            for p, a in enumerate(alphas):
+                idx = win.member_indices(p)
+                phi = filter_factors(sys, a).phi[idx]
+                ref = sum(np.sum((phi * u[idx] - t[idx]) ** 2)
+                          for u, t in zip(us, ts)) / R
+                assert abs(mse.window(p, a) - ref) <= 1e-12 * ref
+            shares = sum(mse.window(p, a) for p, a in enumerate(alphas))
+            assert abs(shares - mse(alphas)) <= 1e-12 * mse(alphas)
+
+        assembled = [minimize_scalar(lambda a, p=p: mse.window(p, a),
+                                     TIGHT).alpha for p in range(P)]
+        v_sep = mse(assembled)
+        diag = minimize_scalar(lambda a: mse(np.full(P, a)), TIGHT).alpha
+        for start in (np.full(P, diag), rng.uniform(0.01, 5.0, P),
+                      np.full(P, 0.5)):
+            v_joint = minimize_vector(mse, P, TIGHT,
+                                      warm_start=ParamVector(start)).value
+            assert abs(v_sep - v_joint) <= 1e-10 * max(v_sep, 1.0), (P, R, start)
+
+        # the one share of the single all-ones window is the value itself
+        scalar = MseObjective(sys, dhats, truths, trivial_window(sys))
+        for a in np.geomspace(1e-4, 10.0, 40):
+            assert scalar.window(0, a) == scalar([a])
+
+
+def test_mse_window_rejects_what_the_pooled_window_forms_reject():
+    sys = dct_decompose(_box_psf((8, 6), (4, 2)), "laplacian")
+    rng = np.random.default_rng(223)
+    dhats = [sys.analyze(rng.standard_normal(sys.dims)) for _ in range(2)]
+    truths = [rng.standard_normal(sys.dims) for _ in range(2)]
+    parts = make_partitions(sys, 2, "log")
+    empty = windows_from_weights(np.vstack([np.ones(sys.n), np.zeros(sys.n)]))
+    for windows, p, error in [
+            (indicator_windows(parts, sys, "log"), 2, IndexError),
+            (cosine_windows(parts, sys, "log"), 0, ValueError),
+            (empty, 1, EmptyWindowError)]:
+        pooled = PooledObjectives(sys, dhats, windows, 0.01)
+        forms = [MseObjective(sys, dhats, truths, windows).window,
+                 pooled.upre_window, pooled.gcv_window]
+        for form in forms:
+            with pytest.raises(error):
+                form(p, 0.5)
+    # the dense backend has no orthonormal synthesis to split the error by
+    _, _, dense, _, dense_dhats = _md_problem(seed=223)
+    win = indicator_windows(make_partitions(dense, 2, "log"), dense, "log")
+    mse = MseObjective(dense, dense_dhats, [np.zeros(dense.n)] * 2, win)
+    with pytest.raises(ValueError, match="DCT backend"):
+        mse.window(0, 0.5)
 
 
 def test_estimate_sigma2_from_spectral_tail():
