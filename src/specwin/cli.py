@@ -351,8 +351,9 @@ def _learn(objectives, P: int, decoupled: bool, search: SearchConfig):
     per-window results or the coupled result).
 
     The scalar search is the one-window case of the per-window line search,
-    and so is each window's search where the objective decouples.  A
-    coupled search starts from the per-window solution on the warm windows
+    and so is each window's search where the objective decouples.  With one
+    window the scalar result is the windowed one, its one per-window result.
+    A coupled search starts from the per-window solution on the warm windows
     and from the diagonal at the scalar alpha, and the lower end point wins
     (ties go to the first).  Neither start suffices alone (64x64, identity,
     cosine_log P=3, ten seeds): from the first the coupled GCV stops at the
@@ -360,6 +361,8 @@ def _learn(objectives, P: int, decoupled: bool, search: SearchConfig):
     8.1e-6 (relative) too high.
     """
     scalar, = _line_searches(objectives("scalar")[0], 1, search)
+    if P == 1:
+        return scalar, ParamVector([scalar.alpha]), [scalar]
     per_window, coupled = objectives("windowed")
     if decoupled:
         found = _line_searches(per_window, P, search)
@@ -407,7 +410,7 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
         scal, alphas, found = _learn(objectives, windows.P, decoupled, search)
         _write_trace(traces_dir / f"{name}_scalar_trace.csv", scal.trace)
         windowed = {"alphas": [float(a) for a in alphas.values]}
-        if decoupled:
+        if isinstance(found, list):  # per-window results
             windowed["boundary"] = [res.boundary for res in found]
             if name == "gcv_decoupled":
                 windowed["per_window_values"] = [res.value for res in found]
@@ -512,7 +515,6 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
     system = _build_system(config)
     window_sets = _window_sets(config, system)
     windows = window_sets["windowed"]
-    decoupled = windows.nonoverlapping
     # run key -> (mode, stored parameters, or None for the per-image best)
     runs: dict = {}
     boundary: dict = {}
@@ -551,7 +553,7 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
             if config.include_best:
                 scal, alphas, _ = _learn(
                     lambda kind: (mse(kind).window, mse(kind)), windows.P,
-                    decoupled, config.search)
+                    windows.nonoverlapping, config.search)
                 best = {"scalar": ParamVector([scal.alpha]), "windowed": alphas}
             norm = float(np.linalg.norm(ds.x_true))
             for key, (mode, alphas) in runs.items():

@@ -3,19 +3,20 @@
 Every estimator is evaluated in the spectral domain from cached data
 coefficients dhat = analyze(d):
 
-* predictive-risk (UPRE) objectives, scalar and multi-data windowed, plus the
-  per-window separable form valid for non-overlapping windows;
+* predictive-risk (UPRE) objectives: scalar, multi-data windowed, and the
+  per-window separable form for non-overlapping windows;
 * cross-validation (GCV) objectives: scalar, multi-data scalar, the coupled
   windowed form, and the per-window decoupled approximation;
-* the multi-data forms of both families evaluated from data pooled once per
-  search (`PooledObjectives`): each depends on the data only through the
-  pooled energies sum_r dhat_r**2 and noise sum_r sigma_r**2, so one
-  evaluation costs the same for any number of data sets;
 * the supervised learning objective (mean squared solution error against
-  known truths), prepared once per search as an `MseObjective`; on the DCT
-  backend it is evaluated in coefficient space, with no transform per call,
-  and on the dense backend with one matrix product per call; on
-  non-overlapping DCT windows it also splits into per-window shares.
+  known truths), `MseObjective`: in coefficient space on the DCT backend,
+  with per-window shares on non-overlapping windows, and by one matrix
+  product per call on the dense backend.
+
+The multi-data UPRE and GCV forms are evaluated from data pooled once per
+search (`PooledObjectives`).  Every windowed form reads the active band
+[ell, q_star), its window weights and each window's members from the
+solver's band object (`solver._Band`), built when the objective is
+prepared; only single-alpha forms call `filter_factors`.
 
 Scalar forms keep their constant terms; the multi-data windowed UPRE drops
 alpha-independent constants, so cross-form tests must compare minimizers
@@ -29,10 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyWindowError, SaturatedTraceError
-from .solver import (_as_params, _params_for, _residual_head, _trace,
-                     _windowed_filter)
-from .spectral import SpectralSystem, _band_phi, _positive_alpha, filter_factors
+from .errors import SaturatedTraceError
+from .solver import _Band, _params_for, _residual_head, _trace
+from .spectral import SpectralSystem, filter_factors
 from .windows import WindowSet, trivial_window
 
 __all__ = [
@@ -181,32 +181,28 @@ def gcv_md_scalar(systems: Sequence[SpectralSystem], dhats: Sequence[np.ndarray]
     return PooledObjectives(sys, dhats, trivial_window(sys), 0.0).gcv_window(0, alpha)
 
 
-def _trace_complements(rows: np.ndarray, weighted: np.ndarray,
-                       tail_weights: np.ndarray, tail_size: int, m: int,
-                       alphas) -> tuple[np.ndarray, np.ndarray]:
-    """Per-window trace complements mu, nu from the band rows phi(alpha_p)
-    and the weighted rows w^(p) phi(alpha_p); from q_star on every phi is 1,
-    so the window-p sums there are tail_size (unweighted) and
-    tail_weights[p]."""
-    mu = 1.0 - (rows.sum(axis=1) + tail_size) / m
-    nu = 1.0 - (weighted.sum(axis=1) + tail_weights) / m
+def _trace_complements(band: _Band, alphas,
+                       m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The weighted band rows w^(p) phi(alpha_p) and the per-window trace
+    complements mu, nu; from q_star on every phi is 1, so the window-p sums
+    there are the tail size (unweighted) and window p's tail weight."""
+    alphas = _params_for(alphas, band.P)
+    rows = band.rows(alphas)
+    weighted = band.weights * rows
+    mu = 1.0 - (rows.sum(axis=1) + band.tail_size) / m
+    nu = 1.0 - (weighted.sum(axis=1) + band.tail_sums) / m
     if np.any(mu ** 2 < SATURATION_FLOOR):
         bad = int(np.argmin(mu))
         raise SaturatedTraceError(
             f"saturated window trace: mu[{bad}]**2 < {SATURATION_FLOOR:g} at "
             f"alpha={alphas.values[bad]:.3g}")
-    return mu, nu
+    return weighted, mu, nu
 
 
 def windowed_gcv_terms(sys: SpectralSystem, windows: WindowSet,
                        alphas) -> WindowedGcvTerms:
     """Trace complements mu_p, nu_p entering the coupled windowed GCV."""
-    alphas = _as_params(alphas)
-    rows, _ = _windowed_filter(sys, windows, alphas)
-    hi = sys.q_star
-    mu, nu = _trace_complements(
-        rows, windows.weights[:, sys.ell: hi] * rows,
-        windows.weights[:, hi:].sum(axis=1), sys.n - hi, sys.m, alphas)
+    _, mu, nu = _trace_complements(_Band(sys, windows), alphas, sys.m)
     return WindowedGcvTerms(mu=mu, nu=nu)
 
 
@@ -256,38 +252,6 @@ def gcv_windowed_decoupled(systems: Sequence[SpectralSystem],
 # Pooled evaluation
 # ---------------------------------------------------------------------------
 
-def _run(idx: np.ndarray):
-    """Sorted indices as a slice where they are one run of consecutive
-    indices, as every generated window's members are, so that indexing
-    gives a view; else the indices themselves."""
-    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
-        return slice(idx[0], idx[-1] + 1)
-    return idx
-
-
-class _WindowMembers:
-    """Band arrays over [ell, q_star) split once into each window's members
-    for the per-window forms; a call checks the window index p and returns
-    window p's parts."""
-
-    def __init__(self, windows: WindowSet, lo: int, hi: int, *band) -> None:
-        self.P = windows.P
-        self.parts = None
-        if windows.nonoverlapping:
-            self.sizes = np.count_nonzero(windows.weights, axis=1)
-            self.parts = [tuple(a[..., _run(idx)] for a in band) for idx in
-                          map(np.flatnonzero, windows.weights[:, lo:hi])]
-
-    def __call__(self, p: int, overlap_error: str) -> tuple:
-        if not 0 <= p < self.P:
-            raise IndexError(f"window index {p} out of range for P={self.P}")
-        if self.parts is None:
-            raise ValueError(overlap_error)
-        if not self.sizes[p]:
-            raise EmptyWindowError(f"window {p} has no members")
-        return self.parts[p]
-
-
 class PooledObjectives:
     """The multi-data UPRE and GCV objectives of data sets sharing one system
     and one window set, prepared once for fixed data coefficients and noise
@@ -307,6 +271,7 @@ class PooledObjectives:
         R = len(dhats)
         if R == 0:
             raise ValueError("need at least one data set")
+        self.band = _Band(sys, windows)
         lo, hi, n = sys.ell, sys.q_star, sys.n
         energy = np.zeros(n)
         self.beyond = 0.0
@@ -316,44 +281,30 @@ class PooledObjectives:
             energy += dhat[:n] ** 2
             self.beyond += float(dhat[n:] @ dhat[n:])
         self.R = R
-        self.P = windows.P
         self.m = sys.m
         self.M = R * sys.m
         self.s2 = float(np.sum(_noise_for(noise, R)))
         self.below = float(np.sum(energy[:lo]))
-        self.d2 = sys.delta[lo:hi] ** 2
-        self.lam2 = sys.lam[lo:hi] ** 2
         self.energy = energy[lo:hi]
-        self.weights = windows.weights[:, lo:hi]
-        self.tail_size = n - hi
         self.tail_energy = energy[hi:]
-        self.tail_weights = windows.weights[:, hi:]
-        self.tail_sums = self.tail_weights.sum(axis=1)
-        # per window, for the separable forms: the energy below ell and the
-        # band members' values
-        self.members = _WindowMembers(windows, lo, hi, self.d2, self.lam2,
-                                      self.energy)
-        if self.members.parts is not None:
-            self.below_w = windows.weights[:, :lo] @ energy[:lo]
-
-    def _rows(self, alphas) -> np.ndarray:
-        return _band_phi(self.d2, self.lam2, alphas.values[:, None])
+        if self.band.members is not None:  # each window's energies
+            self.window_energies = [(np.sum(energy[low]), self.energy[mid])
+                                    for low, mid, _ in self.band.members]
 
     def upre(self, alphas) -> float:
         """upre_md_windowed at the parameter vector alphas."""
-        alphas = _params_for(alphas, self.P)
-        phiw = np.einsum("pj,pj->j", self.weights, self._rows(alphas))
+        phiw = self.band.blend(self.band.rows(alphas))
         resid = self.below + float(np.sum((1.0 - phiw) ** 2 * self.energy))
-        trace = self.tail_size + float(np.sum(phiw))
+        trace = self.band.tail_size + float(np.sum(phiw))
         return (resid + 2.0 * self.s2 * trace) / self.M
 
     def _window(self, p: int, alpha: float,
                 overlap_error: str) -> tuple[float, float]:
         """Window p's pooled squared residual and one set's window trace."""
-        d2, lam2, energy = self.members(p, overlap_error)
-        phi = _band_phi(d2, lam2, _positive_alpha(alpha))
-        resid = self.below_w[p] + np.sum((1.0 - phi) ** 2 * energy)
-        return float(resid), float(self.tail_sums[p] + np.sum(phi))
+        phi = self.band.window_phi(p, alpha, overlap_error)
+        below, energy = self.window_energies[p]
+        resid = below + np.sum((1.0 - phi) ** 2 * energy)
+        return float(resid), float(self.band.tail_sums[p] + np.sum(phi))
 
     def upre_window(self, p: int, alpha: float) -> float:
         """upre_window_separable of window p at alpha."""
@@ -366,7 +317,7 @@ class PooledObjectives:
         all-ones window, gcv_md_scalar."""
         num, trace = self._window(
             p, alpha, "decoupled GCV requires non-overlapping windows")
-        if p == self.P - 1:
+        if p == self.band.P - 1:
             num += self.beyond
         trsum = self.R * trace
         den = (1.0 - trsum / self.M) ** 2
@@ -378,17 +329,13 @@ class PooledObjectives:
 
     def gcv_true(self, alphas) -> float:
         """gcv_windowed_true_md at the parameter vector alphas."""
-        alphas = _params_for(alphas, self.P)
-        rows = self._rows(alphas)
-        weighted = self.weights * rows
-        mu, nu = _trace_complements(rows, weighted, self.tail_sums,
-                                    self.tail_size, self.m, alphas)
+        weighted, mu, nu = _trace_complements(self.band, alphas, self.m)
         # near saturation the rounding of nu and of w phi / mu is amplified
         # by 1/mu: sum pairwise and divide, as the per-window reference
         # does, so that both round alike
         S = float(np.sum((1.0 - nu) / mu))
         coef = 1.0 + S - np.divide(weighted, mu[:, None], out=weighted).sum(axis=0)
-        tail = 1.0 + S - np.sum(self.tail_weights / mu[:, None], axis=0)
+        tail = 1.0 + S - np.sum(self.band.tail_weights / mu[:, None], axis=0)
         return ((1.0 + S) ** 2 * (self.below + self.beyond)
                 + float(coef @ (coef * self.energy))
                 + float(tail @ (tail * self.tail_energy))) / self.m / self.R
@@ -435,47 +382,42 @@ class MseObjective:
                                  f"n={sys.n}")
         self.R = R
         self.P = windows.P
+        band = self._band = _Band(sys, windows)
         dpinv = sys.delta_pinv()
         if sys.synthesis_scale is None:
             heads = np.stack([dhat[: sys.n] for dhat in dhats], axis=1)
             flat = np.stack([np.ravel(truth) for truth in truths], axis=1)
-            self._dense = (sys, windows, dpinv, heads, flat)
+            self._dense = (sys, dpinv, heads, flat)
             return
         self._dense = None
         lo, hi = sys.ell, sys.q_star
-        tail_weights = windows.weights[:, hi:].sum(axis=0)
-        separable = windows.nonoverlapping
         self._const = 0.0
         self._window_consts = np.zeros(self.P)
         us, ts = [], []
         for dhat, truth in zip(dhats, truths):
             u = dpinv * dhat[: sys.n] / sys.synthesis_scale
             t = sys.solution_coefficients(truth)
-            below, tail = t[:lo] ** 2, (tail_weights * u[hi:] - t[hi:]) ** 2
+            below, tail = t[:lo] ** 2, (band.tail_phi * u[hi:] - t[hi:]) ** 2
             self._const += float(np.sum(below) + np.sum(tail))
-            if separable:  # each window's share, for the per-window form
-                self._window_consts += [float(np.sum(below[w[:lo] > 0.0])
-                                              + np.sum(tail[w[hi:] > 0.0]))
-                                        for w in windows.weights]
+            if band.members is not None:  # each window's share
+                self._window_consts += [
+                    float(np.sum(below[low]) + np.sum(tail[high]))
+                    for low, _, high in band.members]
             us.append(u[lo:hi])
             ts.append(t[lo:hi])
-        self._d2 = sys.delta[lo:hi] ** 2
-        self._lam2 = sys.lam[lo:hi] ** 2
-        self._weights = windows.weights[:, lo:hi]
         self._u = np.array(us)
         self._t = np.array(ts)
-        self._members = _WindowMembers(windows, lo, hi, self._d2, self._lam2,
-                                       self._u, self._t)
+        if band.members is not None:
+            self._parts = [(self._u[:, mid], self._t[:, mid])
+                           for _, mid, _ in band.members]
 
     def __call__(self, alphas) -> float:
-        alphas = _params_for(alphas, self.P)
         if self._dense is not None:
-            sys, windows, dpinv, heads, flat = self._dense
-            scaled = _windowed_filter(sys, windows, alphas)[1] * dpinv
+            sys, dpinv, heads, flat = self._dense
+            scaled = self._band.phi_win(alphas) * dpinv
             x = sys.synthesize(scaled[:, None] * heads)
             return float(np.sum((x - flat) ** 2)) / self.R
-        phiw = np.sum(self._weights * _band_phi(self._d2, self._lam2,
-                                                alphas.values[:, None]), axis=0)
+        phiw = self._band.blend(self._band.rows(alphas))
         return (self._const + float(np.sum((phiw * self._u - self._t) ** 2))) / self.R
 
     def window(self, p: int, alpha: float) -> float:
@@ -485,10 +427,9 @@ class MseObjective:
         if self._dense is not None:
             raise ValueError("the per-window MSE needs an orthonormal "
                              "synthesis (the DCT backend)")
-        d2, lam2, u, t = self._members(
-            p, "per-window MSE requires non-overlapping windows")
-        # alpha in an array, so that it is squared as __call__ squares it
-        phi = _band_phi(d2, lam2, np.array([_positive_alpha(alpha)]))
+        phi = self._band.window_phi(
+            p, alpha, "per-window MSE requires non-overlapping windows")
+        u, t = self._parts[p]
         return (self._window_consts[p] + float(np.sum((phi * u - t) ** 2))) / self.R
 
 

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import MAX_ALPHA, SpectralSystem, _band_phi, filter_factors
+from .errors import EmptyWindowError
+from .spectral import (MAX_ALPHA, SpectralSystem, _band_phi, _positive_alpha,
+                       filter_factors)
 from .windows import WindowSet
 
 __all__ = [
@@ -72,24 +74,73 @@ def _params_for(alphas, P: int) -> ParamVector:
     return alphas
 
 
-def _windowed_filter(sys: SpectralSystem, windows: WindowSet,
-                     alphas) -> tuple[np.ndarray, np.ndarray]:
-    """The windowed filter of one parameter vector.
+def _cut(idx, lo: int, hi: int):
+    """Members idx (a slice or an index array) in [lo, hi), counted from lo."""
+    if isinstance(idx, slice):
+        return slice(min(max(idx.start, lo), hi) - lo,
+                     min(max(idx.stop, lo), hi) - lo)
+    return idx[(idx >= lo) & (idx < hi)] - lo
 
-    Returns the per-window rows phi(alpha_p) on the active band
-    [ell, q_star), shape (P, q_star - ell), and the effective filter
-    phi_win = sum_p weights[p] * phi(alpha_p) over all n indices.  Every phi
-    is 0 below ell and 1 from q_star on, so phi_win is 0 there and the summed
-    window weights here; only the band depends on the parameters.
+
+class _Band:
+    """The active band [ell, q_star) of one system under one window set,
+    the one place that cuts window weights and members at ell and q_star.
+
+    Every phi is 0 below ell and 1 from q_star on, so only the band depends
+    on the parameters.  The band keeps delta**2, lam**2 and the window
+    weights there, the tail [q_star, n) weights with their sums per window
+    (tail_sums) and per index (tail_phi, phi_win there), and on
+    non-overlapping windows each window's members, cut once: members[p]
+    indexes [0, ell), the band and [q_star, n).
     """
-    alphas = _params_for(alphas, windows.P)
-    lo, hi = sys.ell, sys.q_star
-    rows = _band_phi(sys.delta[lo:hi] ** 2, sys.lam[lo:hi] ** 2,
-                     alphas.values[:, None])
-    phi_win = np.zeros(sys.n)
-    phi_win[lo:hi] = np.einsum("pj,pj->j", windows.weights[:, lo:hi], rows)
-    phi_win[hi:] = windows.weights[:, hi:].sum(axis=0)
-    return rows, phi_win
+
+    def __init__(self, sys: SpectralSystem, windows: WindowSet) -> None:
+        lo, hi = sys.ell, sys.q_star
+        self.P = windows.P
+        self.d2 = sys.delta[lo:hi] ** 2
+        self.lam2 = sys.lam[lo:hi] ** 2
+        self.weights = windows.weights[:, lo:hi]
+        self.tail_weights = windows.weights[:, hi:]
+        self.tail_sums = self.tail_weights.sum(axis=1)
+        self.tail_phi = self.tail_weights.sum(axis=0)
+        self.tail_size = sys.n - hi
+        self.head = np.zeros(lo)
+        self.members = None
+        if windows.nonoverlapping:
+            self.members = [(_cut(idx, 0, lo), _cut(idx, lo, hi),
+                             _cut(idx, hi, sys.n)) for idx in windows.members]
+            # window p's band values, or None where it has no members
+            self._values = [None if isinstance(idx, np.ndarray) and not idx.size
+                            else (self.d2[mid], self.lam2[mid])
+                            for idx, (_, mid, _) in zip(windows.members,
+                                                        self.members)]
+
+    def rows(self, alphas) -> np.ndarray:
+        """The filter rows phi(alpha_p) on the band, shape (P, q_star - ell)."""
+        alphas = _params_for(alphas, self.P)
+        return _band_phi(self.d2, self.lam2, alphas.values[:, None] ** 2)
+
+    def blend(self, rows: np.ndarray) -> np.ndarray:
+        """sum_p weights[p] * rows[p] on the band."""
+        return np.einsum("pj,pj->j", self.weights, rows)
+
+    def phi_win(self, alphas) -> np.ndarray:
+        """The effective filter over all n indices."""
+        return np.concatenate((self.head, self.blend(self.rows(alphas)),
+                               self.tail_phi))
+
+    def window_phi(self, p: int, alpha: float,
+                   overlap_error: str) -> np.ndarray:
+        """phi(alpha) on window p's band members, alpha squared as `rows`
+        squares it; raises for p out of range, overlapping or empty windows."""
+        if not 0 <= p < self.P:
+            raise IndexError(f"window index {p} out of range for P={self.P}")
+        if self.members is None:
+            raise ValueError(overlap_error)
+        if self._values[p] is None:
+            raise EmptyWindowError(f"window {p} has no members")
+        alpha = _positive_alpha(alpha)
+        return _band_phi(*self._values[p], alpha * alpha)
 
 
 def _residual_head(sys: SpectralSystem, dhat: np.ndarray, psi: np.ndarray) -> float:
@@ -111,7 +162,7 @@ def phi_windowed(sys: SpectralSystem, windows: WindowSet,
     The symmetric form W^(1/2) Phi W^(1/2) of the windowed filter equals
     W Phi entrywise because every factor is diagonal.
     """
-    return _windowed_filter(sys, windows, alphas)[1]
+    return _Band(sys, windows).phi_win(alphas)
 
 
 def _solution(sys: SpectralSystem, dhat: np.ndarray,

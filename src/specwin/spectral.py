@@ -373,10 +373,10 @@ def dct_decompose(psf: np.ndarray, penalty: str = "identity") -> SpectralSystem:
     )
 
 
-def _band_phi(d2: np.ndarray, lam2: np.ndarray, alpha):
-    """Middle-band filter factors d2 / (d2 + alpha**2 lam2) from the squared
-    spectral values on [ell, q_star); a column of P parameters gives P rows."""
-    return d2 / (d2 + alpha ** 2 * lam2)
+def _band_phi(d2: np.ndarray, lam2: np.ndarray, alpha2):
+    """Middle-band filter factors d2 / (d2 + alpha2 lam2) from squared values
+    on [ell, q_star); a column of P squared parameters alpha2 gives P rows."""
+    return d2 / (d2 + alpha2 * lam2)
 
 
 def _positive_alpha(alpha) -> float:
@@ -398,7 +398,7 @@ def filter_factors(sys: SpectralSystem, alpha: float) -> FilterDiagonal:
     # lam > 0 throughout the middle band: penalty-null directions sort past
     # q_star and rank-deficient forward directions sort below ell
     mid = slice(sys.ell, sys.q_star)
-    phi[mid] = _band_phi(sys.delta[mid] ** 2, sys.lam[mid] ** 2, alpha)
+    phi[mid] = _band_phi(sys.delta[mid] ** 2, sys.lam[mid] ** 2, alpha ** 2)
     phi[sys.q_star:] = 1.0
     psi = 1.0 - phi
     return FilterDiagonal(phi=phi, psi=psi)

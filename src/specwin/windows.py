@@ -10,6 +10,7 @@ generalized value) always belong to window 1; indices with delta == 0
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,18 +39,22 @@ class WindowSet:
     kind: str
     partitions: np.ndarray  # P + 1 nonincreasing values
 
-    @property
+    @cached_property
     def nonoverlapping(self) -> bool:
         w = self.weights
         return bool(np.all((w == 0.0) | (w == 1.0)))
 
+    @cached_property
+    def members(self) -> tuple:
+        """Each window's member indices: a slice where they are one run (every
+        generated window's are), so indexing gives a view; else an array."""
+        return tuple(slice(int(i[0]), int(i[-1]) + 1)
+                     if i.size and i[-1] - i[0] + 1 == i.size else i
+                     for i in map(self.member_indices, range(self.P)))
+
     def member_indices(self, p: int) -> np.ndarray:
         """Indices with nonzero weight in window p (0-based)."""
         return np.flatnonzero(self.weights[p] > 0.0)
-
-    def save_csv(self, path) -> None:
-        """One row per window, one column per spectral index."""
-        np.savetxt(path, self.weights, delimiter=",")
 
 
 def _positive_finite_gamma(sys: SpectralSystem) -> np.ndarray:

@@ -532,6 +532,34 @@ def test_coupled_search_keeps_both_starts(tmp_path, monkeypatch):
         assert value <= pinned * (1.0 + 1e-10), (name, value)
 
 
+def test_one_window_makes_no_second_search(tmp_path, monkeypatch):
+    """With one window the windowed result is the scalar line search: train
+    makes one line search per estimator and no coupled search, and
+    validate's per-image best one line search per image."""
+    import specwin.cli as cli_mod
+
+    monkeypatch.chdir(tmp_path)
+    cfg = ExperimentConfig(image_size=16, xi=2.0, snr_db=20.0, seed=3,
+                           window_count=1, estimators=(
+                               "mse", "upre", "gcv_decoupled", "gcv_true"),
+                           r_train=3, val_count=2, include_best=True)
+    calls = {"minimize_scalar": 0, "minimize_vector": 0}
+    for name in calls:
+        def counting(*args, real=getattr(cli_mod, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, name, counting)
+    params = json.loads(cmd_train(cfg).read_text())["estimators"]
+    assert calls == {"minimize_scalar": 4, "minimize_vector": 0}
+    for name, entry in params.items():
+        assert entry["windowed"]["alphas"] == [entry["scalar"]["alpha"]], name
+        assert (tmp_path / "out" / "traces" / f"{name}_window0_trace.csv").exists()
+    calls["minimize_scalar"] = 0
+    cmd_validate(cfg, tmp_path / "out" / "params.json")
+    assert calls == {"minimize_scalar": 3 + 2 + 2, "minimize_vector": 0}
+
+
 def _validate_config(tmp_path, monkeypatch) -> ExperimentConfig:
     """16x16, P=2, three estimators, include_best, 3+2+2 data sets."""
     from dataclasses import replace

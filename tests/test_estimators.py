@@ -684,6 +684,81 @@ def test_pooled_forms_reject_bad_inputs():
             form(dhats, empty, p=1)
 
 
+def test_upre_window_of_the_one_window_is_upre_bit_for_bit():
+    """Both forms square alpha as alpha * alpha and sum the energy below ell
+    with np.sum.  The alphas include every draw whose square Python's float
+    power rounds apart from alpha * alpha, where a per-window form that
+    squared by that power drifted from upre in the last digit."""
+    from specwin.cli import ExperimentConfig, _build_system, _split_datasets
+
+    config = ExperimentConfig(image_size=128, xi=16.0, snr_db=10.0, seed=3,
+                              r_train=8, val_count=0)
+    sys = _build_system(config)
+    assert sys.ell > 0
+    datasets = _split_datasets(config, "train")
+    pooled = PooledObjectives(sys, [sys.analyze(ds.d) for ds in datasets],
+                              trivial_window(sys),
+                              NoiseModel([ds.sigma2 for ds in datasets]))
+    draws = 10.0 ** np.random.default_rng(3).uniform(-6.0, 1.0, 100_000)
+    alphas = draws[:200].tolist() + [a for a in draws.tolist()
+                                     if a ** 2 != a * a]
+    assert len(alphas) > 250
+    for a in alphas:
+        assert pooled.upre_window(0, a) == pooled.upre([a]), a
+
+
+def test_per_window_forms_on_windows_that_are_not_one_run():
+    """Windows whose members are scattered, and straddle ell and q_star,
+    take the index-array path of the per-window forms: each share is the
+    brute-force sum over member_indices(p), and the UPRE and MSE shares sum
+    to the coupled value."""
+    g = np.geomspace(1e-2, 1e2, 8)
+    delta = np.concatenate([[0.0, 0.0], g / np.hypot(g, 1.0), [1.0, 1.0]])
+    lam = np.concatenate([[1.0, 1.0], 1.0 / np.hypot(g, 1.0), [0.0, 0.0]])
+    sys = make_diag_system(delta, lam, m=15)
+    assert (sys.ell, sys.q_star) == (2, 10)
+    win = windows_from_members([[0, 3, 6, 9, 10], [1, 4, 7, 11], [2, 5, 8]],
+                               sys.n)
+    assert all(isinstance(idx, np.ndarray) for idx in win.members)
+    rng = np.random.default_rng(227)
+    R = 3
+    systems = [sys] * R
+    dhats = [rng.standard_normal(sys.m) for _ in range(R)]
+    sigma2 = rng.uniform(0.01, 0.1, R)
+    pooled = PooledObjectives(sys, dhats, win, NoiseModel(sigma2))
+    alphas = [0.05, 0.7, 3.0]
+    for p, a in enumerate(alphas):
+        ref = loop_upre_window_separable(systems, dhats, win, p, a, sigma2)
+        assert abs(pooled.upre_window(p, a) - ref) <= 1e-12 * abs(ref)
+        ref = loop_gcv_windowed_decoupled(systems, dhats, win, p, a)
+        assert abs(pooled.gcv_window(p, a) - ref) <= 1e-12 * abs(ref)
+    shares = sum(pooled.upre_window(p, a) for p, a in enumerate(alphas))
+    assert abs(shares - pooled.upre(alphas)) <= 1e-12 * abs(pooled.upre(alphas))
+
+    # the MSE shares, on a DCT system with ell > 0 and q_star < n
+    dct = dct_decompose(_box_psf((8, 6), (4, 2)), "laplacian")
+    assert 0 < dct.ell and dct.q_star < dct.n
+    win = windows_from_members([range(p, dct.n, 3) for p in range(3)], dct.n)
+    assert all(isinstance(idx, np.ndarray) for idx in win.members)
+    for p in range(3):
+        idx = win.member_indices(p)
+        assert idx[0] < dct.ell <= idx[-1] and idx[0] < dct.q_star
+    assert dct.n - 1 in win.member_indices(2)
+    dhats = [dct.analyze(rng.standard_normal(dct.dims)) for _ in range(R)]
+    truths = [rng.standard_normal(dct.dims) for _ in range(R)]
+    mse = MseObjective(dct, dhats, truths, win)
+    us = [dct.delta_pinv() * dh[: dct.n] / dct.synthesis_scale for dh in dhats]
+    ts = [dct.solution_coefficients(x) for x in truths]
+    for p, a in enumerate(alphas):
+        idx = win.member_indices(p)
+        phi = filter_factors(dct, a).phi[idx]
+        ref = sum(np.sum((phi * u[idx] - t[idx]) ** 2)
+                  for u, t in zip(us, ts)) / R
+        assert abs(mse.window(p, a) - ref) <= 1e-12 * ref
+    shares = sum(mse.window(p, a) for p, a in enumerate(alphas))
+    assert abs(shares - mse(alphas)) <= 1e-12 * mse(alphas)
+
+
 def test_pooled_objectives_run_no_transform_and_do_not_depend_on_R():
     sys = dct_decompose(_box_psf((8, 6), (4, 2)), "laplacian")
     assert sys.ell > 0 and sys.q_star < sys.n

@@ -140,15 +140,6 @@ def test_trivial_window_shape():
     assert win.weights.shape == (1, sys.n)
 
 
-def test_window_csv_round_trip(tmp_path):
-    sys = system_from_gammas([1.0, 2.0, 3.0, 4.0, 5.0])
-    win = cosine_windows(make_partitions(sys, 2), sys)
-    path = tmp_path / "weights.csv"
-    win.save_csv(path)
-    back = np.loadtxt(path, delimiter=",")
-    assert np.abs(back - win.weights).max() <= 1e-15
-
-
 # ---------------------------------------------------------------------------
 # property tests
 # ---------------------------------------------------------------------------
