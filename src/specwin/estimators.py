@@ -14,9 +14,11 @@ coefficients dhat = analyze(d):
 
 The multi-data UPRE and GCV forms are evaluated from data pooled once per
 search (`PooledObjectives`).  Every windowed form reads the active band
-[ell, q_star), its window weights and each window's members from the
-solver's band object (`solver._Band`), built when the objective is
-prepared; only single-alpha forms call `filter_factors`.
+[ell, q_star) and its window weights from the solver's band object
+(`solver._Band`), built when the objective is prepared.  It cuts each
+window's members on first use: by a per-window form, or by preparing the
+DCT `MseObjective` on non-overlapping windows.  Only single-alpha forms call
+`filter_factors`.
 
 Scalar forms keep their constant terms; the multi-data windowed UPRE drops
 alpha-independent constants, so cross-form tests must compare minimizers
@@ -26,6 +28,7 @@ rather than values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -284,12 +287,16 @@ class PooledObjectives:
         self.m = sys.m
         self.M = R * sys.m
         self.s2 = float(np.sum(_noise_for(noise, R)))
-        self.below = float(np.sum(energy[:lo]))
+        self.head_energy = energy[:lo]
+        self.below = float(np.sum(self.head_energy))
         self.energy = energy[lo:hi]
         self.tail_energy = energy[hi:]
-        if self.band.members is not None:  # each window's energies
-            self.window_energies = [(np.sum(energy[low]), self.energy[mid])
-                                    for low, mid, _ in self.band.members]
+
+    @cached_property
+    def window_energies(self) -> list:
+        """Each window's pooled energy below ell (summed) and on the band."""
+        return [(np.sum(self.head_energy[low]), self.energy[mid])
+                for low, mid, _ in self.band.members]
 
     def upre(self, alphas) -> float:
         """upre_md_windowed at the parameter vector alphas."""

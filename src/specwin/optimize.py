@@ -1,16 +1,16 @@
 """Bounded minimization of the selection objectives.
 
 Scalar objectives get a global log-spaced bracketing grid followed by
-golden-section refinement; coupled vector objectives get a bound-clamped
-Nelder-Mead simplex in log-parameter coordinates, started where the caller
-says.  Saturated-trace evaluations count as +inf rather than aborting the
-search.
+golden-section refinement; coupled vector objectives get bounded L-BFGS-B in
+log-parameter coordinates, started where the caller says.  Saturated-trace
+evaluations count as +inf rather than aborting the search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -34,13 +34,20 @@ BOUNDARY_RTOL = 1e-6
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Coupled search, in log coordinates: the relative step of the difference
+# gradient (scipy's absolute 1e-8 drowns in rounding) and the first probe step.
+_FD_STEP = 1e-6
+_PROBE_STEP = 0.5
+
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Bounds and termination settings shared by both minimizers.
 
-    The upper bound default of 10 matches the experiment setups; the lower
-    bound and tolerances are artifact choices.
+    `tol` is the golden-section bracket width in log(alpha); `max_iter` caps
+    golden-section steps, L-BFGS-B iterations per run and the runs of one
+    coupled search.  The upper bound default of 10 matches the experiment
+    setups; the lower bound and tolerances are artifact choices.
     """
 
     alpha_min: float = 1e-6
@@ -85,17 +92,6 @@ def _near_bound(alpha: float, config: SearchConfig) -> bool:
     lo = abs(alpha - config.alpha_min) <= BOUNDARY_RTOL * config.alpha_min
     hi = abs(alpha - config.alpha_max) <= BOUNDARY_RTOL * config.alpha_max
     return bool(lo or hi)
-
-
-def _simplex(z: np.ndarray, lo: float, hi: float, h: float) -> np.ndarray:
-    """Axis-aligned simplex of edge h around z, stepped inward at bounds so
-    no vertex coincides with another after clamping."""
-    P = z.size
-    S = np.tile(z, (P + 1, 1))
-    for k in range(P):
-        step = h if z[k] + h <= hi else -h
-        S[k + 1, k] = min(max(z[k] + step, lo), hi)
-    return S
 
 
 def minimize_scalar(objective: Callable[[float], float],
@@ -158,27 +154,19 @@ def minimize_scalar(objective: Callable[[float], float],
 def minimize_vector(objective: Callable[[ParamVector], float], P: int,
                     config: SearchConfig | None = None,
                     warm_start: ParamVector | None = None) -> VectorSearchResult:
-    """Derivative-free coupled search over P parameters in log coordinates.
+    """Coupled search over P parameters in log coordinates.
 
-    P == 1 is the scalar grid plus golden-section search.  For P > 1 the
-    caller must say where to start (`warm_start`); the returned value never
-    exceeds the start value, and per-coordinate boundary flags mark clamped
-    solutions.
+    P == 1 is the scalar grid plus golden-section search.  For P > 1 bounded
+    L-BFGS-B runs from `warm_start` until no decrease is representable; as a
+    saturated window filter is flat to rounding (difference gradient 0),
+    coordinate probes, doubled while the value falls, follow each run, and a
+    lower probe starts another.  Saturated or NaN values count as +inf, a
+    wall above the start value to L-BFGS-B.  The lowest point evaluated wins;
+    `evaluations` counts every objective call.
     """
     config = config or SearchConfig()
     if P < 1:
         raise ValueError(f"P must be >= 1, got {P}")
-    counter = {"n": 0}
-
-    def f_vec(z: np.ndarray) -> float:
-        counter["n"] += 1
-        z = np.clip(z, math.log(config.alpha_min), math.log(config.alpha_max))
-        try:
-            val = float(objective(ParamVector(np.exp(z))))
-        except SaturatedTraceError:
-            return math.inf
-        return math.inf if math.isnan(val) else val
-
     if P == 1:
         res = minimize_scalar(lambda a: objective(ParamVector([a])), config)
         return VectorSearchResult(alphas=ParamVector([res.alpha]),
@@ -190,34 +178,45 @@ def minimize_vector(objective: Callable[[ParamVector], float], P: int,
         raise ValueError(f"a search over P={P} parameters needs a warm start")
     if warm_start.P != P:
         raise ValueError(f"warm start has {warm_start.P} entries, need {P}")
-    z0 = np.log(np.clip(warm_start.values, config.alpha_min, config.alpha_max))
-    f0 = f_vec(z0)
-    if not math.isfinite(f0):
+    lo, hi = math.log(config.alpha_min), math.log(config.alpha_max)
+    best = SimpleNamespace(z=None, alphas=None, value=math.inf, evaluations=0)
+
+    def f_vec(z: np.ndarray) -> float:
+        alphas = ParamVector(np.clip(np.exp(z), config.alpha_min,
+                                     config.alpha_max))
+        try:
+            val = float(objective(alphas))
+        except SaturatedTraceError:
+            val = math.nan
+        best.evaluations += 1
+        if val < best.value:
+            best.z, best.alphas, best.value = np.array(z), alphas, val
+        return val if math.isfinite(val) else wall
+
+    def probe(k: int, step: float) -> bool:  # best.z + step e_k lower?
+        z = best.z.copy()
+        z[k] = min(max(z[k] + step, lo), hi)
+        value = best.value
+        return z[k] != best.z[k] and f_vec(z) < value
+
+    wall = math.inf  # until the start value is known
+    f_vec(np.clip(np.log(warm_start.values), lo, hi))
+    if best.z is None:
         raise InfeasibleError("infeasible start: objective non-finite at the "
                               "warm start")
-
-    lo = math.log(config.alpha_min)
-    hi = math.log(config.alpha_max)
-    z_star, v_star = z0, f0
-    # restart with a fresh full-volume simplex while the value improves: a
-    # clamped simplex can collapse against the bounds at a non-stationary
-    # point, and a restart there recovers the descent
-    for h in (0.5, 0.1, 0.02, 0.004):
-        res = minimize(f_vec, z_star, method="Nelder-Mead",
-                       bounds=Bounds(np.full(P, lo), np.full(P, hi)),
-                       options={"xatol": config.tol, "fatol": 1e-12,
-                                "initial_simplex": _simplex(z_star, lo, hi, h),
-                                "maxiter": config.max_iter * P,
-                                "maxfev": config.max_iter * P * 4})
-        improved = float(res.fun) < v_star - 1e-12 * max(1.0, abs(v_star))
-        if float(res.fun) < v_star:
-            z_star, v_star = np.clip(res.x, lo, hi), float(res.fun)
-        if not improved:
+    wall = best.value + max(1.0, abs(best.value))
+    for _ in range(config.max_iter):
+        minimize(f_vec, best.z, method="L-BFGS-B", jac="2-point",
+                 bounds=Bounds(np.full(P, lo), np.full(P, hi)),
+                 options={"finite_diff_rel_step": _FD_STEP, "ftol": 0.0,
+                          "gtol": 0.0, "maxiter": config.max_iter})
+        value = best.value
+        for k in range(P):
+            for step in (-_PROBE_STEP, _PROBE_STEP):
+                while probe(k, step):
+                    step *= 2.0
+        if not best.value < value:
             break
-    if v_star > f0:  # never regress below the start point
-        z_star, v_star = z0, f0
-    alphas = ParamVector(np.clip(np.exp(z_star),
-                                 config.alpha_min, config.alpha_max))
-    flags = np.array([_near_bound(a, config) for a in alphas.values])
-    return VectorSearchResult(alphas=alphas, value=v_star, boundary=flags,
-                              evaluations=counter["n"])
+    flags = np.array([_near_bound(a, config) for a in best.alphas.values])
+    return VectorSearchResult(alphas=best.alphas, value=best.value,
+                              boundary=flags, evaluations=best.evaluations)

@@ -10,6 +10,7 @@ sum_p weights[p] * phi(alpha_p).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,10 +89,9 @@ class _Band:
 
     Every phi is 0 below ell and 1 from q_star on, so only the band depends
     on the parameters.  The band keeps delta**2, lam**2 and the window
-    weights there, the tail [q_star, n) weights with their sums per window
-    (tail_sums) and per index (tail_phi, phi_win there), and on
-    non-overlapping windows each window's members, cut once: members[p]
-    indexes [0, ell), the band and [q_star, n).
+    weights there, and the tail [q_star, n) weights with their sums per
+    window (tail_sums) and per index (tail_phi, phi_win there).  Only the
+    per-window forms read `members`, cut on first use.
     """
 
     def __init__(self, sys: SpectralSystem, windows: WindowSet) -> None:
@@ -105,15 +105,26 @@ class _Band:
         self.tail_phi = self.tail_weights.sum(axis=0)
         self.tail_size = sys.n - hi
         self.head = np.zeros(lo)
-        self.members = None
-        if windows.nonoverlapping:
-            self.members = [(_cut(idx, 0, lo), _cut(idx, lo, hi),
-                             _cut(idx, hi, sys.n)) for idx in windows.members]
-            # window p's band values, or None where it has no members
-            self._values = [None if isinstance(idx, np.ndarray) and not idx.size
-                            else (self.d2[mid], self.lam2[mid])
-                            for idx, (_, mid, _) in zip(windows.members,
-                                                        self.members)]
+        self._windows = windows
+        self._edges = (lo, hi, sys.n)
+
+    @cached_property
+    def members(self) -> list | None:
+        """On non-overlapping windows each window's members, cut once:
+        members[p] indexes [0, ell), the band and [q_star, n); else None."""
+        if not self._windows.nonoverlapping:
+            return None
+        lo, hi, n = self._edges
+        return [(_cut(idx, 0, lo), _cut(idx, lo, hi), _cut(idx, hi, n))
+                for idx in self._windows.members]
+
+    @cached_property
+    def _values(self) -> list:
+        """Window p's band delta**2 and lam**2, or None where it has none."""
+        return [None if isinstance(idx, np.ndarray) and not idx.size
+                else (self.d2[mid], self.lam2[mid])
+                for idx, (_, mid, _) in zip(self._windows.members,
+                                            self.members)]
 
     def rows(self, alphas) -> np.ndarray:
         """The filter rows phi(alpha_p) on the band, shape (P, q_star - ell)."""

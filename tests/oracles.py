@@ -8,11 +8,16 @@ rather than tautology.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg import hadamard
+from scipy.optimize import Bounds, minimize
 
-from specwin.errors import SaturatedTraceError
+from specwin.errors import InfeasibleError, SaturatedTraceError
 from specwin.estimators import SATURATION_FLOOR
+from specwin.optimize import BOUNDARY_RTOL, SearchConfig, VectorSearchResult
+from specwin.solver import ParamVector
 from specwin.spectral import SpectralSystem, filter_factors
 from specwin.windows import WindowSet
 
@@ -418,3 +423,75 @@ def windows_from_weights(weights: np.ndarray) -> WindowSet:
     w = np.asarray(weights, dtype=float)
     return WindowSet(P=w.shape[0], weights=w, kind="custom",
                      partitions=np.zeros(w.shape[0] + 1))
+
+
+# ---------------------------------------------------------------------------
+# derivative-free reference for the coupled search
+# ---------------------------------------------------------------------------
+
+
+def _simplex(z: np.ndarray, lo: float, hi: float, h: float) -> np.ndarray:
+    """Axis-aligned simplex of edge h around z, stepped inward at bounds so
+    no vertex coincides with another after clamping."""
+    P = z.size
+    S = np.tile(z, (P + 1, 1))
+    for k in range(P):
+        step = h if z[k] + h <= hi else -h
+        S[k + 1, k] = min(max(z[k] + step, lo), hi)
+    return S
+
+
+def nelder_mead_vector(objective, P: int, config: SearchConfig,
+                       warm_start: ParamVector) -> VectorSearchResult:
+    """Coupled search over P > 1 parameters by a bound-clamped Nelder-Mead
+    simplex in log coordinates, restarted with a smaller simplex while the
+    value improves: minimize_vector's contract by a derivative-free route.
+
+    Saturated or NaN evaluations count as +inf, the value never exceeds the
+    start value, and `evaluations` counts every objective call.
+    """
+    counter = {"n": 0}
+
+    def f_vec(z: np.ndarray) -> float:
+        counter["n"] += 1
+        z = np.clip(z, math.log(config.alpha_min), math.log(config.alpha_max))
+        try:
+            val = float(objective(ParamVector(np.exp(z))))
+        except SaturatedTraceError:
+            return math.inf
+        return math.inf if math.isnan(val) else val
+
+    z0 = np.log(np.clip(warm_start.values, config.alpha_min, config.alpha_max))
+    f0 = f_vec(z0)
+    if not math.isfinite(f0):
+        raise InfeasibleError("infeasible start: objective non-finite at the "
+                              "warm start")
+
+    lo = math.log(config.alpha_min)
+    hi = math.log(config.alpha_max)
+    z_star, v_star = z0, f0
+    # restart with a fresh full-volume simplex while the value improves: a
+    # clamped simplex can collapse against the bounds at a non-stationary
+    # point, and a restart there recovers the descent
+    for h in (0.5, 0.1, 0.02, 0.004):
+        res = minimize(f_vec, z_star, method="Nelder-Mead",
+                       bounds=Bounds(np.full(P, lo), np.full(P, hi)),
+                       options={"xatol": config.tol, "fatol": 1e-12,
+                                "initial_simplex": _simplex(z_star, lo, hi, h),
+                                "maxiter": config.max_iter * P,
+                                "maxfev": config.max_iter * P * 4})
+        improved = float(res.fun) < v_star - 1e-12 * max(1.0, abs(v_star))
+        if float(res.fun) < v_star:
+            z_star, v_star = np.clip(res.x, lo, hi), float(res.fun)
+        if not improved:
+            break
+    if v_star > f0:  # never regress below the start point
+        z_star, v_star = z0, f0
+    alphas = ParamVector(np.clip(np.exp(z_star),
+                                 config.alpha_min, config.alpha_max))
+    flags = np.array([
+        min(abs(a - config.alpha_min) / config.alpha_min,
+            abs(a - config.alpha_max) / config.alpha_max) <= BOUNDARY_RTOL
+        for a in alphas.values])
+    return VectorSearchResult(alphas=alphas, value=v_star, boundary=flags,
+                              evaluations=counter["n"])

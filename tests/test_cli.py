@@ -26,6 +26,8 @@ from specwin.optimize import minimize_scalar
 from specwin.problems import synthetic_image, write_pgm
 from specwin.windows import trivial_window
 
+from oracles import nelder_mead_vector
+
 BASE = {
     "image_size": 8,
     "xi": 1.0,
@@ -517,10 +519,11 @@ def test_second_gen_leaves_none_of_the_first_gens_files(tmp_path, monkeypatch):
 
 
 def test_coupled_search_keeps_both_starts(tmp_path, monkeypatch):
-    """Each coupled start reaches a basin the other misses on this seed: from
-    the non-overlapping solution alone the coupled GCV stops at the
-    all-alpha_min corner, 25.1% higher, and from the diagonal alone UPRE ends
-    8.1e-6 higher, with alpha_2 at alpha_max.  A better search may go lower."""
+    """Pins both coupled starts on this seed: from the diagonal alone UPRE
+    ends 8.1e-6 higher, with alpha_2 at alpha_max.  From the non-overlapping
+    solution alone, the all-alpha_min corner, the coupled GCV ends 2.6e-14
+    higher (the Nelder-Mead search stopped at the corner, 25.1% higher).  A
+    better search may go lower."""
     monkeypatch.chdir(tmp_path)
     config = ExperimentConfig(image_size=64, xi=9.0, snr_db=20.0, seed=612,
                               window_kind="cosine_log", window_count=3,
@@ -530,6 +533,39 @@ def test_coupled_search_keeps_both_starts(tmp_path, monkeypatch):
                          ("gcv_true", 0.0021768993510252552)]:
         value = params[name]["windowed"]["value"]
         assert value <= pinned * (1.0 + 1e-10), (name, value)
+
+
+@pytest.mark.parametrize("size,xi", [(48, 6.0), (64, 9.0)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_coupled_search_matches_nelder_mead(tmp_path, monkeypatch, size, xi,
+                                            seed):
+    """On Laplacian cosine windows every coupled search of train, from each
+    of its two starts, ends no higher than the Nelder-Mead oracle from the
+    same start, and counts each objective call it makes."""
+    import specwin.cli as cli_mod
+
+    monkeypatch.chdir(tmp_path)
+    config = ExperimentConfig(image_size=size, xi=xi, snr_db=20.0, seed=seed,
+                              penalty="laplacian", window_kind="cosine_linear",
+                              window_count=3, estimators=("upre", "gcv_true"),
+                              r_train=4)
+    real = cli_mod.minimize_vector
+    pairs = []
+
+    def against_oracle(objective, P, search, warm_start):
+        calls = []
+        found = real(lambda a: calls.append(a) or objective(a), P, search,
+                     warm_start=warm_start)
+        assert found.evaluations == len(calls)
+        oracle = nelder_mead_vector(objective, P, search, warm_start)
+        pairs.append((found.value, oracle.value))
+        return found
+
+    monkeypatch.setattr(cli_mod, "minimize_vector", against_oracle)
+    cmd_train(config)
+    assert len(pairs) == 4  # two estimators, two starts each
+    for value, oracle in pairs:
+        assert value <= oracle + 1e-10 * abs(oracle), (value, oracle)
 
 
 def test_one_window_makes_no_second_search(tmp_path, monkeypatch):

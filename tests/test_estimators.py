@@ -877,7 +877,7 @@ def test_mse_objective_rejects_data_of_the_wrong_size():
 
 
 # criterion 06's search settings: tight enough that a per-window line search
-# and a coupled simplex search agree to 1e-10
+# and a coupled L-BFGS-B search agree to 1e-10
 TIGHT = SearchConfig(alpha_min=1e-4, alpha_max=10.0, grid_points=80,
                      tol=1e-8, max_iter=400)
 

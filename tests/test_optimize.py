@@ -170,6 +170,31 @@ def test_vector_boundary_flags_per_coordinate():
     assert res.alphas.values[1] == pytest.approx(0.5, rel=1e-2)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("saturate", ["raise", "nan"])
+def test_vector_saturated_region_is_a_wall(saturate):
+    """Where the objective saturates (alpha_0 < 0.05, with the unconstrained
+    minimum at 0.01 inside) no difference quotient is inf - inf: the search
+    ends finite, in the feasible part, no higher than its start, and counts
+    every call."""
+    calls = []
+
+    def obj(p):
+        calls.append(p)
+        if p.values[0] < 0.05:
+            if saturate == "raise":
+                raise SaturatedTraceError("saturated trace: small alpha_0")
+            return float("nan")
+        return float(np.sum((np.log(p.values) - np.log([0.01, 0.5])) ** 2))
+
+    start = ParamVector([1.0, 1.0])
+    cfg = SearchConfig(alpha_min=1e-4, alpha_max=10.0)
+    res = minimize_vector(obj, 2, cfg, warm_start=start)
+    assert res.evaluations == len(calls)
+    assert math.isfinite(res.value) and res.value <= obj(start)
+    assert res.alphas.values[0] >= 0.05
+
+
 def test_vector_rejects_bad_shapes():
     with pytest.raises(ValueError):
         minimize_vector(lambda p: 0.0, 0)

@@ -13,6 +13,7 @@ from specwin.solver import (
     trace_windowed,
 )
 from specwin.errors import EmptyWindowError
+from specwin.problems import gaussian_psf
 from specwin.spectral import MAX_ALPHA, dct_decompose, filter_factors, gsvd
 from specwin.windows import cosine_windows, indicator_windows, make_partitions, trivial_window
 
@@ -128,6 +129,28 @@ def test_phi_windowed_blends_filter_factors():
               + win.weights[1] * filter_factors(sys, 2.0).phi)
     assert np.array_equal(blend, manual)
     assert np.all((blend >= 0.0) & (blend <= 1.0))
+
+
+def test_phi_windowed_cuts_no_members(monkeypatch):
+    """Only the per-window forms cut window members at ell and q_star:
+    phi_windowed on indicator windows makes no cut, and on each window's
+    band members it equals that window's own filter bit for bit."""
+    import specwin.solver as solver_mod
+
+    sys = dct_decompose(gaussian_psf(2.0, (16, 16)), "laplacian")
+    win = indicator_windows(make_partitions(sys, 3), sys)
+    alphas = ParamVector([0.02, 0.3, 4.0])
+    cuts = []
+    real = solver_mod._cut
+    monkeypatch.setattr(solver_mod, "_cut",
+                        lambda *args: cuts.append(args) or real(*args))
+    phi = phi_windowed(sys, win, alphas)
+    assert cuts == []
+    band = solver_mod._Band(sys, win)
+    for p, (_, mid, _) in enumerate(band.members):
+        own = band.window_phi(p, alphas.values[p], "overlapping windows")
+        assert np.array_equal(own, phi[sys.ell:sys.q_star][mid])
+    assert len(cuts) == 3 * win.P  # each window cut once, at first use
 
 
 def test_dct_solve_matches_dense_eigensolve():
