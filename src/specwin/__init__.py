@@ -12,8 +12,8 @@ from .errors import (ConfigError, EmptyWindowError, InfeasibleError,
 from .spectral import (DiagonalizationReport, FilterDiagonal, SpectralSystem,
                        dct_decompose, diag_to_gsvd_check, filter_factors,
                        gsvd, laplacian_spectrum, reflexive_kernel)
-from .windows import (WindowSet, cosine_windows, indicator_windows,
-                      make_partitions, trivial_window)
+from .windows import (KINDS, WindowSet, cosine_windows, indicator_windows,
+                      make_partitions, make_windows, trivial_window)
 from .solver import (ParamVector, RegularizedSolution, phi_windowed,
                      residual_norm_windowed, solve_scalar, solve_windowed,
                      trace_windowed)
@@ -38,8 +38,8 @@ __all__ = [
     "SpectralSystem", "FilterDiagonal", "DiagonalizationReport", "gsvd",
     "dct_decompose", "filter_factors", "diag_to_gsvd_check",
     "reflexive_kernel", "laplacian_spectrum",
-    "WindowSet", "make_partitions", "indicator_windows", "cosine_windows",
-    "trivial_window",
+    "KINDS", "WindowSet", "make_partitions", "make_windows",
+    "indicator_windows", "cosine_windows", "trivial_window",
     "ParamVector", "RegularizedSolution", "solve_scalar", "solve_windowed",
     "phi_windowed", "residual_norm_windowed", "trace_windowed",
     "NoiseModel", "WindowedGcvTerms", "upre_scalar", "upre_md_windowed",

@@ -28,9 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, EmptyWindowError, InfeasibleError,
-                     JointNullSpaceError, KernelSymmetryError,
-                     SaturatedTraceError)
+from .errors import ConfigError, SpecwinError
 from .estimators import (MseObjective, NoiseModel, PooledObjectives,
                          estimate_sigma2)
 from .optimize import SearchConfig, minimize_scalar, minimize_vector
@@ -39,14 +37,11 @@ from .problems import (DataSet, gaussian_psf, load_corpus, make_datasets,
                        write_pgm)
 from .solver import ParamVector
 from .spectral import SpectralSystem, dct_decompose
-from .windows import (WindowSet, cosine_windows, indicator_windows,
-                      make_partitions, trivial_window)
+from .windows import KINDS, WindowSet, make_windows, trivial_window
 
 __all__ = ["ExperimentConfig", "cmd_gen", "cmd_train", "cmd_validate",
            "cmd_report", "main"]
 
-_WINDOW_KINDS = ("nonoverlap_linear", "nonoverlap_log",
-                 "cosine_linear", "cosine_log")
 _ESTIMATORS = ("mse", "upre", "gcv_decoupled", "gcv_true")
 _SPLITS = ("train", "validation_1", "validation_2")
 
@@ -122,9 +117,9 @@ class ExperimentConfig:
                               f"(noiseless), got {self.snr_db}")
         if self.penalty not in ("identity", "laplacian"):
             raise ConfigError(f"unknown penalty {self.penalty!r}")
-        if self.window_kind not in _WINDOW_KINDS:
+        if self.window_kind not in KINDS:
             raise ConfigError(f"unknown window_kind {self.window_kind!r}; "
-                              f"expected one of {_WINDOW_KINDS}")
+                              f"expected one of {KINDS}")
         if self.window_count < 1:
             raise ConfigError(f"window_count must be >= 1, got {self.window_count}")
         bad = [e for e in self.estimators if e not in _ESTIMATORS]
@@ -266,15 +261,12 @@ def _window_sets(config: ExperimentConfig,
     """The window sets of the search policy (_learn): the single all-ones
     window ("scalar"), the configured windows ("windowed") and indicator
     windows over the same partitions ("warm")."""
-    trivial = trivial_window(system)
-    if config.window_count == 1:
-        return {"scalar": trivial, "windowed": trivial, "warm": trivial}
-    spacing = "log" if config.window_kind.endswith("_log") else "linear"
-    parts = make_partitions(system, config.window_count, spacing)
-    warm = indicator_windows(parts, system, spacing)
-    return {"scalar": trivial, "warm": warm,
-            "windowed": cosine_windows(parts, system, spacing)
-            if config.window_kind.startswith("cosine") else warm}
+    kind, P = config.window_kind, config.window_count
+    warm_kind = kind.replace("cosine", "nonoverlap")
+    windowed = make_windows(system, kind, P)
+    return {"scalar": trivial_window(system), "windowed": windowed,
+            "warm": windowed if warm_kind == kind
+            else make_windows(system, warm_kind, P)}
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +350,9 @@ def _learn(objectives, P: int, decoupled: bool, search: SearchConfig):
     (ties go to the first).  On 64x64, identity, cosine_log P=3, ten seeds,
     UPRE from the diagonal alone ends up to 8.1e-6 (relative) too high,
     while from the first start alone UPRE and the coupled GCV end within
-    5.1e-14.  The coupled GCV's first start is often the all-alpha_min
-    corner; the Nelder-Mead search that L-BFGS-B replaced stopped there on
-    seven of those seeds, 24-26% too high, so the diagonal stays as well.
+    5.1e-14.  The diagonal stays as well: with it, the lower end point is
+    never above the value at the scalar alpha on every window
+    (test_validate_coupled_best_keeps_the_diagonal_start).
     """
     scalar, = _line_searches(objectives("scalar")[0], 1, search)
     if P == 1:
@@ -732,8 +724,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sysmod.stderr)
         return 2
-    except (InfeasibleError, SaturatedTraceError, JointNullSpaceError,
-            EmptyWindowError, KernelSymmetryError) as exc:
+    except SpecwinError as exc:
         print(f"numerical infeasibility: {exc}", file=_sysmod.stderr)
         return 3
     except OSError as exc:

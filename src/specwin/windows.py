@@ -4,7 +4,8 @@ non-overlapping indicator windows, and overlapping raised-cosine windows.
 All generators return a `WindowSet` whose P weight vectors form a partition
 of unity over every spectral index.  Indices with lam == 0 (infinite
 generalized value) always belong to window 1; indices with delta == 0
-(zero generalized value) always belong to window P.
+(zero generalized value) always belong to window P.  `make_windows` maps a
+window kind in `KINDS` and a window count to its window set.
 """
 
 from __future__ import annotations
@@ -18,12 +19,18 @@ from .errors import EmptyWindowError
 from .spectral import SpectralSystem
 
 __all__ = [
+    "KINDS",
     "WindowSet",
     "make_partitions",
+    "make_windows",
     "indicator_windows",
     "cosine_windows",
     "trivial_window",
 ]
+
+# Window kinds: indicator ("nonoverlap") or raised-cosine windows over
+# linearly or logarithmically spaced partitions.
+KINDS = ("nonoverlap_linear", "nonoverlap_log", "cosine_linear", "cosine_log")
 
 # Relative nudge applied below the smallest positive gamma so that the
 # strict lower comparison still captures it.
@@ -34,10 +41,12 @@ _EDGE_NUDGE = 1e-12
 class WindowSet:
     """P weight vectors over n spectral indices forming a partition of unity."""
 
-    P: int
     weights: np.ndarray  # shape (P, n), entries in [0, 1]
-    kind: str
     partitions: np.ndarray  # P + 1 nonincreasing values
+
+    @property
+    def P(self) -> int:
+        return self.weights.shape[0]
 
     @cached_property
     def nonoverlapping(self) -> bool:
@@ -89,45 +98,54 @@ def make_partitions(sys: SpectralSystem, P: int, spacing: str = "linear") -> np.
     return parts
 
 
-def _validate_partitions(partitions: np.ndarray) -> np.ndarray:
+def make_windows(sys: SpectralSystem, kind: str, P: int) -> WindowSet:
+    """The P windows of a kind in KINDS over make_partitions' values with
+    that kind's spacing; P = 1 gives the single all-ones window."""
+    if kind not in KINDS:
+        raise ValueError(f"window kind must be one of {KINDS}, got {kind!r}")
+    if P == 1:
+        return trivial_window(sys)
+    shape, spacing = kind.split("_")
+    build = cosine_windows if shape == "cosine" else indicator_windows
+    return build(make_partitions(sys, P, spacing), sys, spacing)
+
+
+def _windows(partitions: np.ndarray, sys: SpectralSystem, place) -> WindowSet:
+    """The window set over these partitions whose weights on the indices of
+    finite positive gamma `place(weights, parts, gamma, columns)` writes;
+    lam == 0 indices go to window 1 and gamma == 0 indices to window P."""
     parts = np.asarray(partitions, dtype=float)
     if parts.ndim != 1 or parts.size < 2:
         raise ValueError("partitions must be a 1D array of at least two values")
     if np.any(np.diff(parts) > 0.0):
         raise ValueError("partitions must be nonincreasing")
-    return parts
-
-
-def _check_nonempty(weights: np.ndarray) -> None:
+    weights = np.zeros((parts.size - 1, sys.n))
+    inf_mask = sys.lambda_zero
+    zero_mask = (~inf_mask) & (sys.gamma == 0.0)
+    mid = ~(inf_mask | zero_mask)
+    place(weights, parts, sys.gamma[mid], np.flatnonzero(mid))
+    weights[0, inf_mask] = 1.0
+    weights[-1, zero_mask] = 1.0
     empty = np.flatnonzero(weights.max(axis=1) == 0.0)
     if empty.size:
         raise EmptyWindowError(f"empty window: window {empty[0] + 1} has no weight")
+    return WindowSet(weights=weights, partitions=parts)
 
 
 def indicator_windows(partitions: np.ndarray, sys: SpectralSystem,
                       spacing: str = "linear") -> WindowSet:
     """Non-overlapping 0/1 windows: index j lands in window p when
-    partitions[p-1] >= gamma[j] > partitions[p]."""
-    parts = _validate_partitions(partitions)
-    P = parts.size - 1
-    n = sys.n
-    weights = np.zeros((P, n))
-    inf_mask = sys.lambda_zero
-    zero_mask = (~inf_mask) & (sys.gamma == 0.0)
-    mid = ~(inf_mask | zero_mask)
-    g = sys.gamma[mid]
-    # np.searchsorted over the ascending reversed partitions: count of interior
-    # partition values >= gamma gives the 0-based window index.
-    asc = parts[::-1]
-    pos = np.searchsorted(asc, g, side="left")  # values strictly below asc[pos]
-    widx = np.clip(P - pos, 0, P - 1)
-    cols = np.flatnonzero(mid)
-    weights[widx, cols] = 1.0
-    weights[0, inf_mask] = 1.0
-    weights[P - 1, zero_mask] = 1.0
-    _check_nonempty(weights)
-    return WindowSet(P=P, weights=weights, kind=f"nonoverlap_{spacing}",
-                     partitions=parts)
+    partitions[p-1] >= gamma[j] > partitions[p].  `spacing` does not change
+    the windows; it is accepted so that both generators take the same
+    arguments."""
+    def place(weights, parts, g, cols):
+        P = weights.shape[0]
+        # np.searchsorted over the ascending reversed partitions: count of
+        # interior partition values >= gamma gives the 0-based window index.
+        pos = np.searchsorted(parts[::-1], g, side="left")
+        weights[np.clip(P - pos, 0, P - 1), cols] = 1.0
+
+    return _windows(partitions, sys, place)
 
 
 def cosine_windows(partitions: np.ndarray, sys: SpectralSystem,
@@ -139,35 +157,17 @@ def cosine_windows(partitions: np.ndarray, sys: SpectralSystem,
     for log spacing); inside the band window p carries cos(theta)**2 and
     window p+1 carries 1 - cos(theta)**2, so the partition of unity is exact.
     """
-    parts = _validate_partitions(partitions)
-    P = parts.size - 1
-    n = sys.n
-    if P == 1:
-        weights = np.ones((1, n))
-        return WindowSet(P=1, weights=weights, kind=f"cosine_{spacing}",
-                         partitions=parts)
-    if spacing == "log":
-        if np.any(parts <= 0.0):
-            raise ValueError("log spacing needs positive partition values")
-        coord_parts = np.log(parts)
-    else:
-        coord_parts = parts
-    mids = 0.5 * (coord_parts[:-1] + coord_parts[1:])  # cell midpoints, decreasing
-
-    weights = np.zeros((P, n))
-    inf_mask = sys.lambda_zero
-    zero_mask = (~inf_mask) & (sys.gamma == 0.0)
-    mid = ~(inf_mask | zero_mask)
-    g = sys.gamma[mid]
-    t = np.log(g) if spacing == "log" else g
-    cols = np.flatnonzero(mid)
-
-    hi = t >= mids[0]
-    lo = t <= mids[-1]
-    band = ~(hi | lo)
-    weights[0, cols[hi]] = 1.0
-    weights[P - 1, cols[lo]] = 1.0
-    if np.any(band):
+    def place(weights, parts, t, cols):
+        if spacing == "log":
+            if np.any(parts <= 0.0):
+                raise ValueError("log spacing needs positive partition values")
+            parts, t = np.log(parts), np.log(t)
+        mids = 0.5 * (parts[:-1] + parts[1:])  # cell midpoints, decreasing
+        hi = t >= mids[0]
+        lo = t <= mids[-1]
+        band = ~(hi | lo)
+        weights[0, cols[hi]] = 1.0
+        weights[-1, cols[lo]] = 1.0
         tb = t[band]
         cb = cols[band]
         # mids[p] >= t > mids[p+1]: transition between windows p and p+1
@@ -176,11 +176,8 @@ def cosine_windows(partitions: np.ndarray, sys: SpectralSystem,
         c2 = np.cos(theta) ** 2
         weights[p, cb] = c2
         weights[p + 1, cb] = 1.0 - c2
-    weights[0, inf_mask] = 1.0
-    weights[P - 1, zero_mask] = 1.0
-    _check_nonempty(weights)
-    return WindowSet(P=P, weights=weights, kind=f"cosine_{spacing}",
-                     partitions=parts)
+
+    return _windows(partitions, sys, place)
 
 
 def trivial_window(sys: SpectralSystem) -> WindowSet:
@@ -190,5 +187,4 @@ def trivial_window(sys: SpectralSystem) -> WindowSet:
         parts = np.array([float(g.max()), float(g.min()) * (1.0 - _EDGE_NUDGE)])
     else:
         parts = np.array([1.0, 0.0])
-    return WindowSet(P=1, weights=np.ones((1, sys.n)), kind="nonoverlap_linear",
-                     partitions=parts)
+    return WindowSet(weights=np.ones((1, sys.n)), partitions=parts)

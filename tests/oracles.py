@@ -414,15 +414,13 @@ def windows_from_members(members, n: int) -> WindowSet:
     w = np.zeros((P, n))
     for p, idx in enumerate(members):
         w[p, list(idx)] = 1.0
-    return WindowSet(P=P, weights=w, kind="custom",
-                     partitions=np.zeros(P + 1))
+    return WindowSet(weights=w, partitions=np.zeros(P + 1))
 
 
 def windows_from_weights(weights: np.ndarray) -> WindowSet:
     """WindowSet from an explicit (P, n) weight array (may overlap)."""
     w = np.asarray(weights, dtype=float)
-    return WindowSet(P=w.shape[0], weights=w, kind="custom",
-                     partitions=np.zeros(w.shape[0] + 1))
+    return WindowSet(weights=w, partitions=np.zeros(w.shape[0] + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from specwin import cli
 from specwin.cli import (
     ExperimentConfig,
     _build_system,
@@ -19,7 +20,9 @@ from specwin.cli import (
     cmd_validate,
     main,
 )
-from specwin.errors import ConfigError
+from specwin.errors import (ConfigError, EmptyWindowError, InfeasibleError,
+                            JointNullSpaceError, KernelSymmetryError,
+                            SaturatedTraceError)
 from specwin.estimators import (MseObjective, NoiseModel, estimate_sigma2,
                                  mse_learning, upre_md_windowed)
 from specwin.optimize import minimize_scalar
@@ -216,6 +219,23 @@ def test_seed_override_changes_data(tmp_path, monkeypatch):
     a = (tmp_path / "s1" / "out" / "gen" / "train" / "img_000_x.pgm").read_bytes()
     b = (tmp_path / "s2" / "out" / "gen" / "train" / "img_000_x.pgm").read_bytes()
     assert a != b
+
+
+@pytest.mark.parametrize("error", [InfeasibleError, SaturatedTraceError,
+                                   JointNullSpaceError, EmptyWindowError,
+                                   KernelSymmetryError])
+def test_numerical_errors_in_train_exit_3(error, tmp_path, monkeypatch, capsys):
+    """Every non-config package error exits 3 with one message line."""
+    monkeypatch.chdir(tmp_path)
+
+    def fail(*args, **kwargs):
+        raise error("no feasible point")
+
+    monkeypatch.setattr(cli, "_learn", fail)
+    assert main(["--config", str(_write_config(tmp_path)), "train"]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["numerical infeasibility: no feasible point"]
+    assert "Traceback" not in err
 
 
 def test_exit_codes(tmp_path, monkeypatch, capsys):

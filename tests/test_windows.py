@@ -1,18 +1,25 @@
 """Window construction: partitions, indicator and cosine weights."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from specwin.errors import EmptyWindowError
+from specwin.problems import gaussian_psf
+from specwin.spectral import dct_decompose, gsvd
 from specwin.windows import (
+    KINDS,
     cosine_windows,
     indicator_windows,
     make_partitions,
+    make_windows,
     trivial_window,
 )
 
-from oracles import make_diag_system
+from oracles import make_diag_system, tik_matrices
 
 
 def system_from_gammas(gammas, lambda_zeros: int = 0, delta_zeros: int = 0):
@@ -126,10 +133,19 @@ def test_cosine_windows_log_spacing_midpoints():
 
 
 def test_cosine_windows_single_window_is_trivial():
-    sys = system_from_gammas([1.0, 2.0, 3.0])
-    win = cosine_windows(np.array([3.0, 0.9]), sys)
-    assert win.P == 1
-    assert np.all(win.weights == 1.0)
+    sys = system_from_gammas([0.01, 1.0, 2.0, 3.0], lambda_zeros=1, delta_zeros=1)
+    for spacing in ("linear", "log"):
+        win = cosine_windows(make_partitions(sys, 1, spacing), sys, spacing)
+        assert win.P == 1
+        assert win.weights.shape == (1, sys.n)
+        assert np.all(win.weights == 1.0)
+
+
+def test_window_set_holds_weights_and_partitions_only():
+    win = cosine_windows(np.array([3.0, 2.0, 1.5, 0.9]),
+                         system_from_gammas([1.0, 1.8, 2.2, 3.0]))
+    assert [f.name for f in dataclasses.fields(win)] == ["weights", "partitions"]
+    assert win.P == win.weights.shape[0] == 3
 
 
 def test_trivial_window_shape():
@@ -138,6 +154,60 @@ def test_trivial_window_shape():
     assert win.P == 1
     assert np.all(win.weights == 1.0)
     assert win.weights.shape == (1, sys.n)
+
+
+def _builder_systems():
+    psf = gaussian_psf(2.0, (12, 12))
+    A, L = tik_matrices(np.random.default_rng(1), 14, 10, "identity")
+    return {"dct_identity": dct_decompose(psf, penalty="identity"),
+            "dct_laplacian": dct_decompose(psf, penalty="laplacian"),
+            "gsvd": gsvd(A, L)}
+
+
+def _built_by_hand(sys, kind, P):
+    """A window set of `kind` from make_partitions and its generator."""
+    if P == 1:
+        return trivial_window(sys)
+    shape, spacing = kind.split("_")
+    build = cosine_windows if shape == "cosine" else indicator_windows
+    return build(make_partitions(sys, P, spacing), sys, spacing)
+
+
+@pytest.mark.parametrize("name", ["dct_identity", "dct_laplacian", "gsvd"])
+def test_make_windows_matches_the_generators(name):
+    sys = _builder_systems()[name]
+    for kind in KINDS:
+        for P in (1, 2, 3, 4):
+            try:
+                want = _built_by_hand(sys, kind, P)
+            except EmptyWindowError as exc:
+                with pytest.raises(EmptyWindowError, match=re.escape(str(exc))):
+                    make_windows(sys, kind, P)
+                continue
+            got = make_windows(sys, kind, P)
+            assert got.P == want.P == P == got.weights.shape[0]
+            assert got.weights.tobytes() == want.weights.tobytes(), (kind, P)
+            assert got.partitions.tobytes() == want.partitions.tobytes()
+            assert got.nonoverlapping == (P == 1 or kind.startswith("nonoverlap"))
+
+
+def test_make_windows_single_window_needs_no_partition():
+    # one distinct spectral value leaves nothing to partition, but P = 1
+    # is the all-ones window of every kind
+    sys = system_from_gammas([2.0], lambda_zeros=1, delta_zeros=1)
+    for kind in KINDS:
+        win = make_windows(sys, kind, 1)
+        assert win.weights.tobytes() == trivial_window(sys).weights.tobytes()
+        assert np.array_equal(win.partitions, trivial_window(sys).partitions)
+
+
+def test_make_windows_rejects_an_unknown_kind():
+    sys = system_from_gammas([1.0, 2.0, 3.0, 4.0])
+    for kind in ("cosine", "gaussian_log", "nonoverlap_quadratic"):
+        with pytest.raises(ValueError, match="window kind"):
+            make_windows(sys, kind, 2)
+    with pytest.raises(ValueError, match="window kind"):
+        make_windows(sys, "indicator", 1)
 
 
 # ---------------------------------------------------------------------------
