@@ -17,8 +17,8 @@ from .windows import (KINDS, WindowSet, cosine_windows, indicator_windows,
 from .solver import (ParamVector, RegularizedSolution, phi_windowed,
                      residual_norm_windowed, solve_scalar, solve_windowed,
                      trace_windowed)
-from .estimators import (MseObjective, NoiseModel, PooledObjectives,
-                         WindowedGcvTerms, estimate_sigma2,
+from .estimators import (GcvObjective, MseObjective, NoiseModel,
+                         UpreObjective, WindowedGcvTerms, estimate_sigma2,
                          gcv_md_scalar, gcv_scalar, gcv_windowed_decoupled,
                          gcv_windowed_true, gcv_windowed_true_md,
                          mse_learning, upre_md_windowed, upre_scalar,
@@ -45,8 +45,8 @@ __all__ = [
     "NoiseModel", "WindowedGcvTerms", "upre_scalar", "upre_md_windowed",
     "upre_window_separable", "gcv_scalar", "gcv_md_scalar",
     "gcv_windowed_true", "gcv_windowed_true_md", "gcv_windowed_decoupled",
-    "windowed_gcv_terms", "PooledObjectives", "MseObjective", "mse_learning",
-    "estimate_sigma2",
+    "windowed_gcv_terms", "UpreObjective", "GcvObjective", "MseObjective",
+    "mse_learning", "estimate_sigma2",
     "SearchConfig", "ScalarSearchResult", "VectorSearchResult",
     "minimize_scalar", "minimize_vector", "BOUNDARY_RTOL",
     "DataSet", "gaussian_psf", "blur", "blur_spectrum",

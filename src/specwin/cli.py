@@ -29,8 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, SpecwinError
-from .estimators import (MseObjective, NoiseModel, PooledObjectives,
-                         estimate_sigma2)
+from .estimators import (GcvObjective, MseObjective, NoiseModel,
+                         UpreObjective, estimate_sigma2)
 from .optimize import SearchConfig, minimize_scalar, minimize_vector
 from .problems import (DataSet, gaussian_psf, load_corpus, make_datasets,
                        read_manifest, synthetic_image, write_manifest,
@@ -315,32 +315,30 @@ def _write_trace(path: Path, trace) -> None:
                fmt="%.12g")
 
 
-def _objectives(name: str, system: SpectralSystem, dhats: list[np.ndarray],
-                truths: list[np.ndarray], noise: NoiseModel, windows: WindowSet):
-    """One estimator's per-window objective f(p, alpha) and coupled
-    objective F(alphas) on one window set, prepared once from these data
-    sets.  Both GCV variants take the decoupled GCV as their per-window form;
-    on the single all-ones window it is the scalar multi-data GCV."""
+def _objective(name: str, system: SpectralSystem, dhats: list[np.ndarray],
+               truths: list[np.ndarray], noise: NoiseModel, windows: WindowSet):
+    """One estimator's objective on one window set, prepared once from these
+    data sets.  Both GCV variants share `GcvObjective`: its per-window form
+    is the decoupled GCV, on the single all-ones window the scalar
+    multi-data GCV."""
     if name == "mse":
-        mse = MseObjective(system, dhats, truths, windows)
-        return mse.window, mse
-    pooled = PooledObjectives(system, dhats, windows, noise)
+        return MseObjective(system, dhats, truths, windows)
     if name == "upre":
-        return pooled.upre_window, pooled.upre
-    return pooled.gcv_window, pooled.gcv_true
+        return UpreObjective(system, dhats, windows, noise)
+    return GcvObjective(system, dhats, windows)
 
 
-def _line_searches(per_window, P: int, search: SearchConfig) -> list:
-    """One minimize_scalar result per window of a per-window objective."""
-    return [minimize_scalar(lambda a, p=p: per_window(p, a), search)
+def _line_searches(objective, P: int, search: SearchConfig) -> list:
+    """One minimize_scalar result per window of objective.window."""
+    return [minimize_scalar(lambda a, p=p: objective.window(p, a), search)
             for p in range(P)]
 
 
 def _learn(objectives, P: int, decoupled: bool, search: SearchConfig):
     """The search policy of `train` and of `validate`'s per-image best, on
-    objectives(kind) = (per-window, coupled) objectives over the window set
-    of that kind (_window_sets): (scalar result, windowed parameters,
-    per-window results or the coupled result).
+    objectives(kind) = the objective over the window set of that kind
+    (_window_sets): (scalar result, windowed parameters, per-window results
+    or the coupled result).
 
     The scalar search is the one-window case of the per-window line search,
     and so is each window's search where the objective decouples.  With one
@@ -354,17 +352,17 @@ def _learn(objectives, P: int, decoupled: bool, search: SearchConfig):
     never above the value at the scalar alpha on every window
     (test_validate_coupled_best_keeps_the_diagonal_start).
     """
-    scalar, = _line_searches(objectives("scalar")[0], 1, search)
+    scalar, = _line_searches(objectives("scalar"), 1, search)
     if P == 1:
         return scalar, ParamVector([scalar.alpha]), [scalar]
-    per_window, coupled = objectives("windowed")
+    windowed = objectives("windowed")
     if decoupled:
-        found = _line_searches(per_window, P, search)
+        found = _line_searches(windowed, P, search)
         return scalar, ParamVector([res.alpha for res in found]), found
-    warm = _line_searches(objectives("warm")[0], P, search)
+    warm = _line_searches(objectives("warm"), P, search)
     starts = [ParamVector([res.alpha for res in warm]),
               ParamVector(np.full(P, scalar.alpha))]
-    found = min((minimize_vector(coupled, P, search, warm_start=ws)
+    found = min((minimize_vector(windowed, P, search, warm_start=ws)
                  for ws in starts), key=lambda res: res.value)
     return scalar, found.alphas, found
 
@@ -398,7 +396,7 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
     trend_rows = []
     for name in config.estimators:
         t0 = time.perf_counter()
-        objectives = cache(lambda kind: _objectives(
+        objectives = cache(lambda kind: _objective(
             name, system, dhats, truths, noise, window_sets[kind]))
         decoupled = windows.nonoverlapping and name != "gcv_true"
         scal, alphas, found = _learn(objectives, windows.P, decoupled, search)
@@ -409,7 +407,7 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
             if name == "gcv_decoupled":
                 windowed["per_window_values"] = [res.value for res in found]
             else:
-                windowed["value"] = objectives("windowed")[1](alphas)
+                windowed["value"] = objectives("windowed")(alphas)
             for p, res in enumerate(found):
                 _write_trace(traces_dir / f"{name}_window{p}_trace.csv",
                              res.trace)
@@ -429,9 +427,9 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
                   f"alphas={windowed['alphas']}, {dt:.2f} s")
         if config.r_sweep:  # learn on the first r data sets and variances
             for r in range(1, len(datasets) + 1):
-                sub = _objectives(name, system, dhats[:r], truths[:r],
-                                  NoiseModel(noise.sigma2[:r]),
-                                  window_sets["scalar"])[0]
+                sub = _objective(name, system, dhats[:r], truths[:r],
+                                 NoiseModel(noise.sigma2[:r]),
+                                 window_sets["scalar"])
                 trend_rows.append(
                     (r, name, _line_searches(sub, 1, search)[0].alpha))
 
@@ -545,9 +543,8 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
             mse = cache(lambda kind: MseObjective(system, [dhat], [ds.x_true],
                                                   window_sets[kind]))
             if config.include_best:
-                scal, alphas, _ = _learn(
-                    lambda kind: (mse(kind).window, mse(kind)), windows.P,
-                    windows.nonoverlapping, config.search)
+                scal, alphas, _ = _learn(mse, windows.P,
+                                         windows.nonoverlapping, config.search)
                 best = {"scalar": ParamVector([scal.alpha]), "windowed": alphas}
             norm = float(np.linalg.norm(ds.x_true))
             for key, (mode, alphas) in runs.items():

@@ -8,17 +8,18 @@ coefficients dhat = analyze(d):
 * cross-validation (GCV) objectives: scalar, multi-data scalar, the coupled
   windowed form, and the per-window decoupled approximation;
 * the supervised learning objective (mean squared solution error against
-  known truths), `MseObjective`: in coefficient space on the DCT backend,
-  with per-window shares on non-overlapping windows, and by one matrix
-  product per call on the dense backend.
+  known truths): in coefficient space on the DCT backend, with per-window
+  shares on non-overlapping windows, and by one matrix product per call on
+  the dense backend.
 
-The multi-data UPRE and GCV forms are evaluated from data pooled once per
-search (`PooledObjectives`).  Every windowed form reads the active band
-[ell, q_star) and its window weights from the solver's band object
-(`solver._Band`), built when the objective is prepared.  It cuts each
-window's members on first use: by a per-window form, or by preparing the
-DCT `MseObjective` on non-overlapping windows.  Only single-alpha forms call
-`filter_factors`.
+Each estimator has one objective class (`UpreObjective`, `GcvObjective`,
+`MseObjective`), prepared once per search for data sets sharing one system
+and one window set, and evaluated as obj(alphas) or obj.window(p, alpha);
+each public function is one evaluation of a freshly prepared objective.
+Every objective reads the active band [ell, q_star) and its window weights
+from the solver's band object (`solver._Band`), which cuts each window's
+members on first use: by a per-window form, or by preparing the DCT
+`MseObjective` on non-overlapping windows.
 
 Scalar forms keep their constant terms; the multi-data windowed UPRE drops
 alpha-independent constants, so cross-form tests must compare minimizers
@@ -34,8 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SaturatedTraceError
-from .solver import _Band, _params_for, _residual_head, _trace
-from .spectral import SpectralSystem, filter_factors
+from .solver import _Band, _params_for
+from .spectral import SpectralSystem
 from .windows import WindowSet, trivial_window
 
 __all__ = [
@@ -51,7 +52,8 @@ __all__ = [
     "gcv_windowed_true_md",
     "gcv_windowed_decoupled",
     "windowed_gcv_terms",
-    "PooledObjectives",
+    "UpreObjective",
+    "GcvObjective",
     "MseObjective",
     "mse_learning",
     "estimate_sigma2",
@@ -128,14 +130,11 @@ def upre_scalar(sys: SpectralSystem, dhat: np.ndarray, alpha: float, noise) -> f
     """Unbiased predictive-risk objective for one system, one parameter.
 
     (1/m) ||r(alpha)||^2 + (2 sigma^2 / m) trace(influence) - sigma^2,
-    constants included.
+    constants included: the windowed UPRE of the single all-ones window plus
+    the beyond-n residual tail and the -sigma^2 offset that it drops.
     """
-    s2 = float(_noise_for(noise, 1)[0])
-    ff = filter_factors(sys, alpha)
-    rnorm = _residual_head(sys, dhat, ff.psi) + float(np.sum(dhat[sys.n:] ** 2))
-    tr = _trace(sys, ff.phi)
-    m = sys.m
-    return rnorm / m + 2.0 * s2 * tr / m - s2
+    upre = UpreObjective(sys, [dhat], trivial_window(sys), noise)
+    return upre([alpha]) + upre.beyond / upre.M - upre.s2
 
 
 def upre_md_windowed(systems: Sequence[SpectralSystem], dhats: Sequence[np.ndarray],
@@ -146,10 +145,10 @@ def upre_md_windowed(systems: Sequence[SpectralSystem], dhats: Sequence[np.ndarr
                   + 2 sigma_r^2 sum_j phi_win_j ],
     M = sum_r m_r, phi_win = sum_p w^(p) phi(alpha_p).  Terms independent of
     alpha (the beyond-n residual tail and the -sigma^2 offsets) are dropped.
-    One evaluation of freshly pooled data (`PooledObjectives.upre`).
+    One evaluation of a freshly prepared `UpreObjective`.
     """
     sys = _common_system(systems, dhats)
-    return PooledObjectives(sys, dhats, windows, noise).upre(alphas)
+    return UpreObjective(sys, dhats, windows, noise)(alphas)
 
 
 def upre_window_separable(systems: Sequence[SpectralSystem],
@@ -161,7 +160,7 @@ def upre_window_separable(systems: Sequence[SpectralSystem],
     reproduces upre_md_windowed at the assembled parameter vector.
     """
     sys = _common_system(systems, dhats)
-    return PooledObjectives(sys, dhats, windows, noise).upre_window(p, alpha)
+    return UpreObjective(sys, dhats, windows, noise).window(p, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +180,7 @@ def gcv_md_scalar(systems: Sequence[SpectralSystem], dhats: Sequence[np.ndarray]
     This is the decoupled GCV of the single all-ones window.
     """
     sys = _common_system(systems, dhats)
-    return PooledObjectives(sys, dhats, trivial_window(sys), 0.0).gcv_window(0, alpha)
+    return GcvObjective(sys, dhats, trivial_window(sys)).window(0, alpha)
 
 
 def _trace_complements(band: _Band, alphas,
@@ -235,7 +234,7 @@ def gcv_windowed_true_md(systems: Sequence[SpectralSystem],
     sum_r dhat_r**2, over m and R.
     """
     sys = _common_system(systems, dhats)
-    return PooledObjectives(sys, dhats, windows, 0.0).gcv_true(alphas)
+    return GcvObjective(sys, dhats, windows)(alphas)
 
 
 def gcv_windowed_decoupled(systems: Sequence[SpectralSystem],
@@ -248,45 +247,47 @@ def gcv_windowed_decoupled(systems: Sequence[SpectralSystem],
     Denominator: squared complement of the pooled single-window trace.
     """
     sys = _common_system(systems, dhats)
-    return PooledObjectives(sys, dhats, windows, 0.0).gcv_window(p, alpha)
+    return GcvObjective(sys, dhats, windows).window(p, alpha)
 
 
 # ---------------------------------------------------------------------------
-# Pooled evaluation
+# Prepared objectives
 # ---------------------------------------------------------------------------
 
-class PooledObjectives:
-    """The multi-data UPRE and GCV objectives of data sets sharing one system
-    and one window set, prepared once for fixed data coefficients and noise
-    variances.
-
-    Each objective depends on the data only through the pooled energies
-    sum_r dhat_r**2 and the pooled noise sum_r sigma_r**2.  Every phi is 0
-    below ell and 1 from q_star on, so there the residual and trace terms do
-    not depend on the parameters; they are summed here once, so an
-    evaluation touches only the active band [ell, q_star), runs no transform
-    and costs the same for any R.  The GCV forms do not read the noise
-    variances.
-    """
+class _Objective:
+    """What every prepared objective shares: data sets of one system, each
+    checked against it, and the active band of one window set."""
 
     def __init__(self, sys: SpectralSystem, dhats: Sequence[np.ndarray],
-                 windows: WindowSet, noise) -> None:
-        R = len(dhats)
-        if R == 0:
+                 windows: WindowSet) -> None:
+        if not len(dhats):
             raise ValueError("need at least one data set")
+        for dhat in dhats:
+            if dhat.size != sys.m:
+                raise ValueError(f"data length {dhat.size} does not match m={sys.m}")
+        self.R = len(dhats)
+        self.P = windows.P
         self.band = _Band(sys, windows)
+
+
+class _Pooled(_Objective):
+    """The pooled energies sum_r dhat_r**2, through which alone the UPRE and
+    GCV objectives read the data.  Every phi is 0 below ell and 1 from
+    q_star on, so the terms there do not depend on the parameters and are
+    summed here once: an evaluation touches only the active band
+    [ell, q_star), runs no transform and costs the same for any R."""
+
+    def __init__(self, sys: SpectralSystem, dhats: Sequence[np.ndarray],
+                 windows: WindowSet) -> None:
+        super().__init__(sys, dhats, windows)
         lo, hi, n = sys.ell, sys.q_star, sys.n
         energy = np.zeros(n)
         self.beyond = 0.0
         for dhat in dhats:
-            if dhat.size != sys.m:
-                raise ValueError(f"data length {dhat.size} does not match m={sys.m}")
             energy += dhat[:n] ** 2
             self.beyond += float(dhat[n:] @ dhat[n:])
-        self.R = R
         self.m = sys.m
-        self.M = R * sys.m
-        self.s2 = float(np.sum(_noise_for(noise, R)))
+        self.M = self.R * sys.m
         self.head_energy = energy[:lo]
         self.below = float(np.sum(self.head_energy))
         self.energy = energy[lo:hi]
@@ -298,44 +299,44 @@ class PooledObjectives:
         return [(np.sum(self.head_energy[low]), self.energy[mid])
                 for low, mid, _ in self.band.members]
 
-    def upre(self, alphas) -> float:
-        """upre_md_windowed at the parameter vector alphas."""
+    def _window(self, p: int, alpha: float) -> tuple[float, float]:
+        """Window p's pooled squared residual and one set's window trace."""
+        phi = self.band.window_phi(p, alpha)
+        below, energy = self.window_energies[p]
+        resid = below + np.sum((1.0 - phi) ** 2 * energy)
+        return float(resid), float(self.band.tail_sums[p] + np.sum(phi))
+
+
+class UpreObjective(_Pooled):
+    """The multi-data windowed UPRE of data sets sharing one system and one
+    window set, prepared once for fixed data coefficients and noise
+    variances: obj(alphas) is upre_md_windowed, and obj.window(p, alpha) is
+    upre_window_separable."""
+
+    def __init__(self, sys: SpectralSystem, dhats: Sequence[np.ndarray],
+                 windows: WindowSet, noise) -> None:
+        super().__init__(sys, dhats, windows)
+        self.s2 = float(np.sum(_noise_for(noise, self.R)))
+
+    def __call__(self, alphas) -> float:
         phiw = self.band.blend(self.band.rows(alphas))
         resid = self.below + float(np.sum((1.0 - phiw) ** 2 * self.energy))
         trace = self.band.tail_size + float(np.sum(phiw))
         return (resid + 2.0 * self.s2 * trace) / self.M
 
-    def _window(self, p: int, alpha: float,
-                overlap_error: str) -> tuple[float, float]:
-        """Window p's pooled squared residual and one set's window trace."""
-        phi = self.band.window_phi(p, alpha, overlap_error)
-        below, energy = self.window_energies[p]
-        resid = below + np.sum((1.0 - phi) ** 2 * energy)
-        return float(resid), float(self.band.tail_sums[p] + np.sum(phi))
-
-    def upre_window(self, p: int, alpha: float) -> float:
-        """upre_window_separable of window p at alpha."""
-        resid, trace = self._window(
-            p, alpha, "separable form invalid for overlapping windows")
+    def window(self, p: int, alpha: float) -> float:
+        resid, trace = self._window(p, alpha)
         return (resid + 2.0 * self.s2 * trace) / self.M
 
-    def gcv_window(self, p: int, alpha: float) -> float:
-        """gcv_windowed_decoupled of window p at alpha; with the single
-        all-ones window, gcv_md_scalar."""
-        num, trace = self._window(
-            p, alpha, "decoupled GCV requires non-overlapping windows")
-        if p == self.band.P - 1:
-            num += self.beyond
-        trsum = self.R * trace
-        den = (1.0 - trsum / self.M) ** 2
-        if den < SATURATION_FLOOR:
-            raise SaturatedTraceError(
-                f"saturated trace: window {p} trace {trsum:.6g} ~ M={self.M} "
-                f"at alpha={alpha:.3g}")
-        return (num / self.M) / den
 
-    def gcv_true(self, alphas) -> float:
-        """gcv_windowed_true_md at the parameter vector alphas."""
+class GcvObjective(_Pooled):
+    """The multi-data windowed GCV of data sets sharing one system and one
+    window set, prepared once for fixed data coefficients: obj(alphas) is
+    the coupled gcv_windowed_true_md, and obj.window(p, alpha) is the
+    decoupled gcv_windowed_decoupled (on the single all-ones window,
+    gcv_md_scalar)."""
+
+    def __call__(self, alphas) -> float:
         weighted, mu, nu = _trace_complements(self.band, alphas, self.m)
         # near saturation the rounding of nu and of w phi / mu is amplified
         # by 1/mu: sum pairwise and divide, as the per-window reference
@@ -347,12 +348,20 @@ class PooledObjectives:
                 + float(coef @ (coef * self.energy))
                 + float(tail @ (tail * self.tail_energy))) / self.m / self.R
 
+    def window(self, p: int, alpha: float) -> float:
+        num, trace = self._window(p, alpha)
+        if p == self.P - 1:
+            num += self.beyond
+        trsum = self.R * trace
+        den = (1.0 - trsum / self.M) ** 2
+        if den < SATURATION_FLOOR:
+            raise SaturatedTraceError(
+                f"saturated trace: window {p} trace {trsum:.6g} ~ M={self.M} "
+                f"at alpha={alpha:.3g}")
+        return (num / self.M) / den
 
-# ---------------------------------------------------------------------------
-# Supervised learning objective
-# ---------------------------------------------------------------------------
 
-class MseObjective:
+class MseObjective(_Objective):
     """(1/R) sum_r ||x_win^(r)(alphas) - x_true^(r)||^2 as a function of the
     parameter vector, prepared once for data sets sharing one system and one
     window set, with fixed data coefficients and truths.  For one data set
@@ -378,18 +387,14 @@ class MseObjective:
                  truths: Sequence[np.ndarray], windows: WindowSet) -> None:
         if truths is None:
             raise ValueError("missing truths: the learning objective needs x_true")
-        R = len(dhats)
-        if R == 0 or len(truths) != R:
-            raise ValueError("data and truths must have equal, nonzero lengths")
-        for dhat, truth in zip(dhats, truths):
-            if dhat.size != sys.m:
-                raise ValueError(f"data length {dhat.size} does not match m={sys.m}")
+        if len(truths) != len(dhats):
+            raise ValueError("data and truths must have equal lengths")
+        super().__init__(sys, dhats, windows)
+        for truth in truths:
             if np.size(truth) != sys.n:
                 raise ValueError(f"truth size {np.size(truth)} does not match "
                                  f"n={sys.n}")
-        self.R = R
-        self.P = windows.P
-        band = self._band = _Band(sys, windows)
+        band = self.band
         dpinv = sys.delta_pinv()
         if sys.synthesis_scale is None:
             heads = np.stack([dhat[: sys.n] for dhat in dhats], axis=1)
@@ -421,10 +426,10 @@ class MseObjective:
     def __call__(self, alphas) -> float:
         if self._dense is not None:
             sys, dpinv, heads, flat = self._dense
-            scaled = self._band.phi_win(alphas) * dpinv
+            scaled = self.band.phi_win(alphas) * dpinv
             x = sys.synthesize(scaled[:, None] * heads)
             return float(np.sum((x - flat) ** 2)) / self.R
-        phiw = self._band.blend(self._band.rows(alphas))
+        phiw = self.band.blend(self.band.rows(alphas))
         return (self._const + float(np.sum((phiw * self._u - self._t) ** 2))) / self.R
 
     def window(self, p: int, alpha: float) -> float:
@@ -434,8 +439,7 @@ class MseObjective:
         if self._dense is not None:
             raise ValueError("the per-window MSE needs an orthonormal "
                              "synthesis (the DCT backend)")
-        phi = self._band.window_phi(
-            p, alpha, "per-window MSE requires non-overlapping windows")
+        phi = self.band.window_phi(p, alpha)
         u, t = self._parts[p]
         return (self._window_consts[p] + float(np.sum((phi * u - t) ** 2))) / self.R
 

@@ -24,6 +24,7 @@ __all__ = [
     "RegularizedSolution",
     "solve_scalar",
     "solve_windowed",
+    "phi_windowed",
     "residual_norm_windowed",
     "trace_windowed",
 ]
@@ -140,30 +141,17 @@ class _Band:
         return np.concatenate((self.head, self.blend(self.rows(alphas)),
                                self.tail_phi))
 
-    def window_phi(self, p: int, alpha: float,
-                   overlap_error: str) -> np.ndarray:
+    def window_phi(self, p: int, alpha: float) -> np.ndarray:
         """phi(alpha) on window p's band members, alpha squared as `rows`
         squares it; raises for p out of range, overlapping or empty windows."""
         if not 0 <= p < self.P:
             raise IndexError(f"window index {p} out of range for P={self.P}")
         if self.members is None:
-            raise ValueError(overlap_error)
+            raise ValueError("per-window forms need non-overlapping windows")
         if self._values[p] is None:
             raise EmptyWindowError(f"window {p} has no members")
         alpha = _positive_alpha(alpha)
         return _band_phi(*self._values[p], alpha * alpha)
-
-
-def _residual_head(sys: SpectralSystem, dhat: np.ndarray, psi: np.ndarray) -> float:
-    """sum over j < q_star of (psi_j dhat_j)**2 for a residual factor psi."""
-    q = sys.q_star
-    return float(np.sum((psi[:q] * dhat[:q]) ** 2))
-
-
-def _trace(sys: SpectralSystem, phi: np.ndarray) -> float:
-    """Influence trace (n - q_star) + sum over the band of a filter phi that
-    is 0 below ell and sums to 1 from q_star on."""
-    return (sys.n - sys.q_star) + float(np.sum(phi[sys.ell: sys.q_star]))
 
 
 def phi_windowed(sys: SpectralSystem, windows: WindowSet,
@@ -205,8 +193,10 @@ def residual_norm_windowed(sys: SpectralSystem, dhat: np.ndarray,
     sum_p w_j^p psi_j(alpha_p) because the window weights sum to one at
     every index (the WindowSet partition of unity).
     """
+    q = sys.q_star
     psi = 1.0 - phi_windowed(sys, windows, alphas)
-    return _residual_head(sys, dhat, psi) + float(np.sum(dhat[sys.n:] ** 2))
+    return (float(np.sum((psi[:q] * dhat[:q]) ** 2))
+            + float(np.sum(dhat[sys.n:] ** 2)))
 
 
 def trace_windowed(sys: SpectralSystem, windows: WindowSet, alphas) -> float:
@@ -214,4 +204,5 @@ def trace_windowed(sys: SpectralSystem, windows: WindowSet, alphas) -> float:
 
     Equals (n - q_star) + sum over ell <= j < q_star of phi_win_j.
     """
-    return _trace(sys, phi_windowed(sys, windows, alphas))
+    phi = phi_windowed(sys, windows, alphas)
+    return (sys.n - sys.q_star) + float(np.sum(phi[sys.ell: sys.q_star]))

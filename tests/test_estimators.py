@@ -9,9 +9,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from specwin.errors import EmptyWindowError, SaturatedTraceError
 from specwin.estimators import (
+    GcvObjective,
     MseObjective,
     NoiseModel,
-    PooledObjectives,
+    UpreObjective,
     estimate_sigma2,
     gcv_md_scalar,
     gcv_scalar,
@@ -187,7 +188,7 @@ def test_upre_separable_sums_to_the_coupled_value():
 def test_upre_separable_rejects_overlap_and_empty_windows():
     _, _, _, sys, dhat = _problem(10, 8, "identity", seed=71)
     cos = cosine_windows(make_partitions(sys, 2, spacing="log"), sys, spacing="log")
-    with pytest.raises(ValueError, match="separable form invalid"):
+    with pytest.raises(ValueError, match="non-overlapping"):
         upre_window_separable([sys], [dhat], cos, 0, 0.5, 0.01)
     empty = windows_from_weights(np.vstack([np.ones(sys.n), np.zeros(sys.n)]))
     with pytest.raises(EmptyWindowError):
@@ -635,7 +636,7 @@ def test_pooled_objectives_match_per_system_loops_property(case):
         for value, oracle in forms:
             _same_or_both_saturate(value, oracle)
     if not separable:
-        with pytest.raises(ValueError, match="separable form invalid"):
+        with pytest.raises(ValueError, match="non-overlapping"):
             upre_window_separable(systems, dhats, windows, 0, alphas[0], noise)
         with pytest.raises(ValueError, match="non-overlapping"):
             gcv_windowed_decoupled(systems, dhats, windows, 0, alphas[0])
@@ -664,7 +665,9 @@ def test_pooled_forms_reject_bad_inputs():
     with pytest.raises(ValueError):
         gcv_md_scalar(systems, [dhats[0], dhats[1][:-1]], 0.5)
     with pytest.raises(ValueError):
-        PooledObjectives(sys, [], win, 0.01)
+        UpreObjective(sys, [], win, 0.01)
+    with pytest.raises(ValueError):
+        GcvObjective(sys, [], win)
     for form in coupled:
         with pytest.raises(ValueError, match="count mismatch"):
             form(dhats, win, v=(0.5,))
@@ -696,15 +699,15 @@ def test_upre_window_of_the_one_window_is_upre_bit_for_bit():
     sys = _build_system(config)
     assert sys.ell > 0
     datasets = _split_datasets(config, "train")
-    pooled = PooledObjectives(sys, [sys.analyze(ds.d) for ds in datasets],
-                              trivial_window(sys),
-                              NoiseModel([ds.sigma2 for ds in datasets]))
+    upre = UpreObjective(sys, [sys.analyze(ds.d) for ds in datasets],
+                         trivial_window(sys),
+                         NoiseModel([ds.sigma2 for ds in datasets]))
     draws = 10.0 ** np.random.default_rng(3).uniform(-6.0, 1.0, 100_000)
     alphas = draws[:200].tolist() + [a for a in draws.tolist()
                                      if a ** 2 != a * a]
     assert len(alphas) > 250
     for a in alphas:
-        assert pooled.upre_window(0, a) == pooled.upre([a]), a
+        assert upre.window(0, a) == upre([a]), a
 
 
 def test_per_window_forms_on_windows_that_are_not_one_run():
@@ -725,15 +728,16 @@ def test_per_window_forms_on_windows_that_are_not_one_run():
     systems = [sys] * R
     dhats = [rng.standard_normal(sys.m) for _ in range(R)]
     sigma2 = rng.uniform(0.01, 0.1, R)
-    pooled = PooledObjectives(sys, dhats, win, NoiseModel(sigma2))
+    upre = UpreObjective(sys, dhats, win, NoiseModel(sigma2))
+    gcv = GcvObjective(sys, dhats, win)
     alphas = [0.05, 0.7, 3.0]
     for p, a in enumerate(alphas):
         ref = loop_upre_window_separable(systems, dhats, win, p, a, sigma2)
-        assert abs(pooled.upre_window(p, a) - ref) <= 1e-12 * abs(ref)
+        assert abs(upre.window(p, a) - ref) <= 1e-12 * abs(ref)
         ref = loop_gcv_windowed_decoupled(systems, dhats, win, p, a)
-        assert abs(pooled.gcv_window(p, a) - ref) <= 1e-12 * abs(ref)
-    shares = sum(pooled.upre_window(p, a) for p, a in enumerate(alphas))
-    assert abs(shares - pooled.upre(alphas)) <= 1e-12 * abs(pooled.upre(alphas))
+        assert abs(gcv.window(p, a) - ref) <= 1e-12 * abs(ref)
+    shares = sum(upre.window(p, a) for p, a in enumerate(alphas))
+    assert abs(shares - upre(alphas)) <= 1e-12 * abs(upre(alphas))
 
     # the MSE shares, on a DCT system with ell > 0 and q_star < n
     dct = dct_decompose(_box_psf((8, 6), (4, 2)), "laplacian")
@@ -768,26 +772,71 @@ def test_pooled_objectives_run_no_transform_and_do_not_depend_on_R():
     blind = replace(sys, _analyze=_no_transform, _synthesize=_no_transform)
     alphas = [0.03, 2.0]
 
-    def values(pooled, scalar):
-        return ([pooled.upre(alphas), pooled.gcv_true(alphas),
-                 scalar.upre([0.4]), scalar.gcv_window(0, 0.4)]
-                + [pooled.upre_window(p, a) for p, a in enumerate(alphas)]
-                + [pooled.gcv_window(p, a) for p, a in enumerate(alphas)])
+    def values(objectives):
+        upre, gcv, scalar_upre, scalar_gcv = objectives
+        return ([upre(alphas), gcv(alphas),
+                 scalar_upre([0.4]), scalar_gcv.window(0, 0.4)]
+                + [upre.window(p, a) for p, a in enumerate(alphas)]
+                + [gcv.window(p, a) for p, a in enumerate(alphas)])
 
     def prepared(R):
         dhats = [dhat.copy() for _ in range(R)]
-        pair = (PooledObjectives(blind, dhats, windows, 0.02),
-                PooledObjectives(blind, dhats, trivial_window(sys), 0.02))
-        return pair, dhats
+        objectives = (UpreObjective(blind, dhats, windows, 0.02),
+                      GcvObjective(blind, dhats, windows),
+                      UpreObjective(blind, dhats, trivial_window(sys), 0.02),
+                      GcvObjective(blind, dhats, trivial_window(sys)))
+        return objectives, dhats
 
-    (one, one_scalar), _ = prepared(1)
-    (many, many_scalar), dhats = prepared(32)
-    before = values(many, many_scalar)
+    one, _ = prepared(1)
+    many, dhats = prepared(32)
+    before = values(many)
     for d in dhats:
         d *= 3.0
-    assert values(many, many_scalar) == before
-    for a, b in zip(values(one, one_scalar), before):
+    assert values(many) == before
+    for a, b in zip(values(one), before):
         assert abs(a - b) <= 1e-12 * abs(b)
+
+
+@pytest.mark.parametrize("estimator", ["upre", "gcv", "mse"])
+def test_objective_surface_is_the_one_shot_path(estimator):
+    """obj(alphas) and obj.window(p, alpha) are the public one-shot
+    functions, bit for bit, on non-overlapping windows of a system with
+    ell > 0 and q_star < n."""
+    sys = dct_decompose(_box_psf((8, 6), (4, 2)), "laplacian")
+    assert 0 < sys.ell and sys.q_star < sys.n
+    win = indicator_windows(make_partitions(sys, 3, "log"), sys, "log")
+    assert win.nonoverlapping and win.P == 3
+    rng = np.random.default_rng(229)
+    R = 3
+    systems = [sys] * R
+    data = [rng.standard_normal(sys.dims) for _ in range(R)]
+    dhats = [sys.analyze(d) for d in data]
+    alphas = [0.05, 0.7, 3.0]
+    if estimator == "upre":
+        noise = NoiseModel(rng.uniform(0.01, 0.1, R))
+        obj = UpreObjective(sys, dhats, win, noise)
+        pairs = [(obj(alphas),
+                  upre_md_windowed(systems, dhats, win, alphas, noise))]
+        pairs += [(obj.window(p, a),
+                   upre_window_separable(systems, dhats, win, p, a, noise))
+                  for p, a in enumerate(alphas)]
+    elif estimator == "gcv":
+        obj = GcvObjective(sys, dhats, win)
+        scalar = GcvObjective(sys, dhats, trivial_window(sys))
+        pairs = [(obj(alphas), gcv_windowed_true_md(systems, dhats, win,
+                                                    alphas))]
+        pairs += [(obj.window(p, a),
+                   gcv_windowed_decoupled(systems, dhats, win, p, a))
+                  for p, a in enumerate(alphas)]
+        pairs += [(scalar.window(0, a), gcv_md_scalar(systems, dhats, a))
+                  for a in alphas]
+    else:
+        truths = [rng.standard_normal(sys.dims) for _ in range(R)]
+        obj = MseObjective(sys, dhats, truths, win)
+        pairs = [(obj(alphas), mse_learning(systems, data, truths, win,
+                                            alphas))]
+    for value, one_shot in pairs:
+        assert value == one_shot
 
 
 def test_mse_objective_dense_fallback_is_the_direct_loop():
@@ -935,9 +984,9 @@ def test_mse_window_rejects_what_the_pooled_window_forms_reject():
             (indicator_windows(parts, sys, "log"), 2, IndexError),
             (cosine_windows(parts, sys, "log"), 0, ValueError),
             (empty, 1, EmptyWindowError)]:
-        pooled = PooledObjectives(sys, dhats, windows, 0.01)
         forms = [MseObjective(sys, dhats, truths, windows).window,
-                 pooled.upre_window, pooled.gcv_window]
+                 UpreObjective(sys, dhats, windows, 0.01).window,
+                 GcvObjective(sys, dhats, windows).window]
         for form in forms:
             with pytest.raises(error):
                 form(p, 0.5)

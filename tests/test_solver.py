@@ -148,7 +148,7 @@ def test_phi_windowed_cuts_no_members(monkeypatch):
     assert cuts == []
     band = solver_mod._Band(sys, win)
     for p, (_, mid, _) in enumerate(band.members):
-        own = band.window_phi(p, alphas.values[p], "overlapping windows")
+        own = band.window_phi(p, alphas.values[p])
         assert np.array_equal(own, phi[sys.ell:sys.q_star][mid])
     assert len(cuts) == 3 * win.P  # each window cut once, at first use
 
