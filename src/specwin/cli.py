@@ -22,7 +22,6 @@ import json
 import sys as _sysmod
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import cache
 from pathlib import Path
 from typing import Sequence
 
@@ -334,6 +333,20 @@ def _line_searches(objective, P: int, search: SearchConfig) -> list:
             for p in range(P)]
 
 
+def _per_window_set(window_sets: dict[str, WindowSet], prepare):
+    """objectives(kind) for _learn: prepare(window set of that kind), built
+    once per window set, so a warm set that is the windowed set shares its
+    objective."""
+    prepared = {}
+
+    def objectives(kind: str):
+        ws = window_sets[kind]
+        if id(ws) not in prepared:
+            prepared[id(ws)] = prepare(ws)
+        return prepared[id(ws)]
+    return objectives
+
+
 def _learn(objectives, P: int, decoupled: bool, search: SearchConfig):
     """The search policy of `train` and of `validate`'s per-image best, on
     objectives(kind) = the objective over the window set of that kind
@@ -396,8 +409,8 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
     trend_rows = []
     for name in config.estimators:
         t0 = time.perf_counter()
-        objectives = cache(lambda kind: _objective(
-            name, system, dhats, truths, noise, window_sets[kind]))
+        objectives = _per_window_set(window_sets, lambda ws: _objective(
+            name, system, dhats, truths, noise, ws))
         decoupled = windows.nonoverlapping and name != "gcv_true"
         scal, alphas, found = _learn(objectives, windows.P, decoupled, search)
         _write_trace(traces_dir / f"{name}_scalar_trace.csv", scal.trace)
@@ -540,8 +553,8 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
         table = errors[split] = {key: [] for key in runs}
         for ds in datasets:
             dhat = system.analyze(ds.d)
-            mse = cache(lambda kind: MseObjective(system, [dhat], [ds.x_true],
-                                                  window_sets[kind]))
+            mse = _per_window_set(window_sets, lambda ws: MseObjective(
+                system, [dhat], [ds.x_true], ws))
             if config.include_best:
                 scal, alphas, _ = _learn(mse, windows.P,
                                          windows.nonoverlapping, config.search)

@@ -14,7 +14,6 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
 
 from .errors import InfeasibleError, SaturatedTraceError
 from .solver import ParamVector
@@ -173,6 +172,10 @@ def minimize_vector(objective: Callable[[ParamVector], float], P: int,
                                   value=res.value,
                                   boundary=np.array([res.boundary]),
                                   evaluations=res.evaluations)
+
+    # imported here, as only a coupled search needs it: it takes ~0.2 s,
+    # which every import of specwin would pay otherwise
+    from scipy.optimize import Bounds, minimize
 
     if warm_start is None:
         raise ValueError(f"a search over P={P} parameters needs a warm start")

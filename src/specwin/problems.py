@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import ndimage
 from scipy.fft import dctn, idctn
 
 from .spectral import (_check_doubly_symmetric, _first_column_spectrum,
@@ -219,6 +218,25 @@ def make_datasets(truths: Sequence[np.ndarray], psf: np.ndarray,
 _CRATER_REACH = 1.0 + 0.12 * np.sqrt(800.0)
 
 
+def _crater_reach(rim: float, low: float) -> float:
+    """Radii past which a crater of this rim changes no pixel of magnitude
+    at least low (all of them if low is 0): at most _CRATER_REACH.
+
+    With low = f*2**e, f in [0.5, 1), t = 2**(e-56) is a quarter of half the
+    float spacing in low's binade.  Next to any value v with |v| >= low it
+    is at most half of half the spacing, even toward 0 from v = -2**(e-1),
+    where the spacing halves.  At the returned reach the ridge is t/e, and
+    it falls farther out, so there v + ridge rounds back to v (Goldberg,
+    ACM Computing Surveys 1991).  The factor e leaves room for the rounding
+    of dist and of exp.
+    """
+    if low == 0.0:
+        return _CRATER_REACH
+    e = np.frexp(low)[1]
+    log_rim_over_t = np.log(rim) - (e - 56) * np.log(2.0)  # t may underflow
+    return float(min(_CRATER_REACH, 1.0 + 0.12 * np.sqrt(log_rim_over_t + 1.0)))
+
+
 def _crater_span(center: float, reach: float, size: int) -> slice:
     """Grid indices i whose coordinate i/size lies within reach of center,
     plus one index of padding on each side."""
@@ -233,12 +251,18 @@ def synthetic_image(size: int, seed, craters: int | None = None) -> np.ndarray:
     craters: piecewise-smooth content with sharp circular edges, in [0,1].
 
     The background covers the full grid.  Each crater is added only on its
-    box of rows and columns within _CRATER_REACH radii of its center, which
-    is exact: outside the box its ridge underflows to exactly 0.0 and its
-    bowl is 0, so adding it there would change no pixel.
+    box of rows and columns within _crater_reach(rim, low) radii of its
+    center, where low is the least |pixel| in its _CRATER_REACH box, and
+    that is exact.  Past _CRATER_REACH radii its ridge underflows to exactly
+    0.0; past _crater_reach it is positive but below a quarter of half the
+    float spacing of every pixel in the box, so adding it rounds back to
+    the pixel.  Its bowl is 0 in both.  A typical box shrinks from ~4.4 to
+    ~1.8 radii.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    yy, xx = np.mgrid[0:size, 0:size].astype(float) / size
+    # i/size, the coordinate of row i and of column i
+    axis = np.arange(size, dtype=float) / size
+    xx, yy = axis[None, :], axis[:, None]
     img = np.zeros((size, size))
     for _ in range(4):
         fx, fy = rng.uniform(0.5, 3.0, size=2)
@@ -246,7 +270,6 @@ def synthetic_image(size: int, seed, craters: int | None = None) -> np.ndarray:
         img += rng.uniform(0.3, 1.0) * np.cos(2.0 * np.pi * (fx * xx + fy * yy) + phase)
     img = 0.35 + 0.25 * (img - img.min()) / max(np.ptp(img), 1e-12)
 
-    axis = xx[0]  # i/size, the coordinate of row i and of column i
     k = int(craters) if craters is not None else int(rng.integers(8, 16))
     for _ in range(k):
         cx, cy = rng.uniform(0.05, 0.95, size=2)
@@ -255,6 +278,9 @@ def synthetic_image(size: int, seed, craters: int | None = None) -> np.ndarray:
         rim = rng.uniform(0.10, 0.25)
         rows = _crater_span(cy, _CRATER_REACH * r, size)
         cols = _crater_span(cx, _CRATER_REACH * r, size)
+        reach = _crater_reach(rim, float(np.abs(img[rows, cols]).min())) * r
+        rows = _crater_span(cy, reach, size)
+        cols = _crater_span(cx, reach, size)
         dist = np.hypot(axis[cols] - cx, axis[rows, None] - cy) / r
         bowl = np.where(dist < 1.0, depth * (1.0 - dist ** 2), 0.0)
         ridge = rim * np.exp(-((dist - 1.0) / 0.12) ** 2)
@@ -329,6 +355,8 @@ def fit_to_size(image: np.ndarray, size: int) -> np.ndarray:
     """Center-crop larger images to size x size; interpolate smaller ones up."""
     h, w = image.shape
     if h < size or w < size:
+        from scipy import ndimage  # ~0.08 s to import, and only zoom needs it
+
         image = ndimage.zoom(image, (size / h, size / w), order=1)
         image = np.clip(image, 0.0, 1.0)
         h, w = image.shape

@@ -616,6 +616,27 @@ def test_one_window_makes_no_second_search(tmp_path, monkeypatch):
     assert calls == {"minimize_scalar": 3 + 2 + 2, "minimize_vector": 0}
 
 
+def test_train_prepares_one_objective_per_window_set(tmp_path, monkeypatch):
+    """gcv_true on non-overlapping windows starts its coupled search from
+    the per-window solution on the warm windows, which are the windowed
+    ones: one objective serves both, and one more the scalar window."""
+    import specwin.cli as cli_mod
+
+    monkeypatch.chdir(tmp_path)
+    cfg = ExperimentConfig(image_size=32, xi=4.0, snr_db=20.0, seed=7,
+                           window_kind="nonoverlap_log", window_count=3,
+                           estimators=("gcv_true",), r_train=3, val_count=1)
+    prepared = []
+
+    def counting(sys, dhats, windows, real=cli_mod.GcvObjective):
+        prepared.append(windows)
+        return real(sys, dhats, windows)
+
+    monkeypatch.setattr(cli_mod, "GcvObjective", counting)
+    cmd_train(cfg)
+    assert [ws.P for ws in prepared] == [1, 3]
+
+
 def _validate_config(tmp_path, monkeypatch) -> ExperimentConfig:
     """16x16, P=2, three estimators, include_best, 3+2+2 data sets."""
     from dataclasses import replace

@@ -10,6 +10,7 @@ from specwin import problems
 from specwin.errors import KernelSymmetryError
 from specwin.problems import (
     _CRATER_REACH,
+    _crater_reach,
     _crater_span,
     add_noise,
     blur,
@@ -207,8 +208,9 @@ def test_synthetic_image_deterministic_and_bounded():
 
 
 def _crater_boxes(size: int, seed: int) -> list[tuple[slice, slice]]:
-    """The row and column spans of each crater of synthetic_image(size,
-    seed), from a replay of its random draws."""
+    """The _CRATER_REACH row and column spans of each crater of
+    synthetic_image(size, seed), over which it takes the least |pixel|, from
+    a replay of its random draws."""
     rng = np.random.default_rng(seed)
     for _ in range(4):
         rng.uniform(0.5, 3.0, size=2), rng.uniform(), rng.uniform()
@@ -257,6 +259,82 @@ def test_crater_reach_is_past_the_ridge_underflow():
     # nor is the reach much more than it needs to be: the ridge is still
     # positive at 4.25 radii
     assert np.exp(-((4.25 - 1.0) / 0.12) ** 2) > 0.0
+
+
+def test_crater_reach_keeps_the_ridge_below_the_float_spacing():
+    lows = [f * 2.0 ** k for k in range(-1070, 1) for f in (1.0, 1.5, 1.999)]
+    for rim in np.linspace(0.10, 0.25, 7):
+        for low in lows:
+            reach = _crater_reach(rim, low)
+            assert 1.0 < reach <= _CRATER_REACH
+            ridge = rim * np.exp(-((reach - 1.0) / 0.12) ** 2)
+            # below a quarter of half the spacing at low
+            assert 8.0 * ridge < np.spacing(low), (rim, low)
+            # so adding it changes no value of magnitude low or more, also
+            # toward 0 from a negative power of two
+            for v in (low, -low, 2.0 * low, -2.0 * low):
+                assert v + ridge == v, (rim, low, v)
+    # a zero pixel gets no spacing argument: the full box
+    assert _crater_reach(0.25, 0.0) == _CRATER_REACH
+    assert _crater_reach(0.10, 0.0) == _CRATER_REACH
+
+
+def _recorded_reaches(monkeypatch, force_full_every: int = 0) -> list:
+    """Record (low, reach) of every crater that synthetic_image adds from
+    now on; with force_full_every = k, every k-th crater sees low == 0."""
+    real = problems._crater_reach
+    seen = []
+
+    def reach(rim, low):
+        if force_full_every and (len(seen) + 1) % force_full_every == 0:
+            low = 0.0
+        seen.append((low, real(rim, low)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(problems, "_crater_reach", reach)
+    return seen
+
+
+def test_crater_reach_shrinks_on_a_typical_image(monkeypatch):
+    # every crater of the 256x256 seed-1 image stops short of 2 radii, so a
+    # return to the full 4.39-radius boxes fails here by count
+    seen = _recorded_reaches(monkeypatch)
+    spans = []
+    real_span = problems._crater_span
+    monkeypatch.setattr(problems, "_crater_span",
+                        lambda *args: spans.append(real_span(*args)) or spans[-1])
+    got = synthetic_image(256, 1)
+    assert got.tobytes() == full_grid_synthetic_image(256, 1).tobytes()
+    assert len(seen) == len(_crater_boxes(256, 1)) == 15
+    assert all(reach < 2.0 for _, reach in seen)
+    # per crater, the rows and columns of its full box, then those of the
+    # narrower box it is added on: 174870 of 609190 pixels in all
+    assert len(spans) == 4 * 15
+    pixels = {"full": 0, "used": 0}
+    for k in range(0, len(spans), 4):
+        full, used = spans[k:k + 2], spans[k + 2:k + 4]
+        for f, u in zip(full, used):
+            assert f.start <= u.start and u.stop <= f.stop
+            assert u.stop - u.start < f.stop - f.start
+        for box, (rows, cols) in (("full", full), ("used", used)):
+            pixels[box] += (rows.stop - rows.start) * (cols.stop - cols.start)
+    assert pixels["used"] < 0.35 * pixels["full"]
+
+
+@pytest.mark.parametrize("force_full_every", [0, 3])
+def test_crater_dense_images_match_the_full_grid_oracle(monkeypatch,
+                                                         force_full_every):
+    # 200 craters on 48x48 pile up, and pixels cross 0 (low ~1e-5), but no
+    # pixel is exactly 0 in these seeds: the full-box fallback of a zero
+    # low is forced on every third crater, between shrunk boxes
+    seen = _recorded_reaches(monkeypatch, force_full_every)
+    for seed in range(5):
+        assert (synthetic_image(48, seed, craters=200).tobytes()
+                == full_grid_synthetic_image(48, seed, craters=200).tobytes())
+    assert len(seen) == 5 * 200
+    assert min(low for low, _ in seen if low > 0.0) < 1e-3
+    full = sum(reach == _CRATER_REACH for _, reach in seen)
+    assert full == (len(seen) // 3 if force_full_every else 0)
 
 
 @pytest.mark.parametrize("maxval", [255, 65535])
