@@ -5,7 +5,8 @@ Two backends produce the same `SpectralSystem` interface:
 * `gsvd` factors a dense pair (A, L) with an orthogonal U and an invertible
   Y such that A Y = U[:, :n] diag(delta) and (L Y)^T (L Y) = diag(lam**2),
   via QR of the stacked pair followed by an SVD of the top block (the CS
-  decomposition of the stacked orthonormal factor).
+  decomposition of the stacked orthonormal factor).  Both LAPACK calls
+  overwrite their inputs, so a square pair peaks at about 8 n**2 doubles.
 * `dct_decompose` simultaneously diagonalizes a symmetric convolution operator
   under reflexive (half-sample symmetric) boundary conditions and an
   identity/Laplacian penalty with the orthonormal 2D DCT-II, then rescales so
@@ -26,8 +27,6 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dtrcon
 
 from .errors import JointNullSpaceError, KernelSymmetryError
 
@@ -182,11 +181,22 @@ def gsvd(A: np.ndarray, L: np.ndarray) -> SpectralSystem:
     JointNullSpaceError.  The CS decomposition of Q is one SVD of its top
     block.  The returned values satisfy delta nondecreasing, lam
     nonincreasing and delta**2 + lam**2 == 1 (CS normalization).  The system
-    keeps the m-by-m orthogonal U and the invertible n-by-n Y (C-ordered)
-    with A @ Y == U[:, :n] @ diag(delta) and
+    keeps the m-by-m orthogonal U and the invertible n-by-n Y (both
+    C-ordered) with A @ Y == U[:, :n] @ diag(delta) and
     (L @ Y).T @ (L @ Y) == diag(lam**2), the factors of the filtered
     solution x = Y (phi / delta) (U^T d)[:n].
+
+    LAPACK works in place: the pair is stacked into one buffer that the QR
+    overwrites with Q, the SVD overwrites its copy of the top block, and
+    each intermediate is released once read.  For m == q == n the
+    transient peak is about 8 n**2 doubles beyond the inputs, of which the
+    returned U and Y keep 2 n**2.
     """
+    # scipy.linalg is imported here, its only user, to keep `import specwin`
+    # light
+    from scipy.linalg import qr, solve_triangular, svd
+    from scipy.linalg.lapack import dtrcon
+
     A = np.atleast_2d(np.asarray(A, dtype=float))
     L = np.atleast_2d(np.asarray(L, dtype=float))
     m, n = A.shape
@@ -196,25 +206,36 @@ def gsvd(A: np.ndarray, L: np.ndarray) -> SpectralSystem:
     if m < n:
         raise ValueError(f"need at least as many rows as columns, got {m} < {n}")
 
-    stacked = np.vstack((A, L))
-    Q, R = np.linalg.qr(stacked, mode="reduced")
+    # one Fortran-ordered buffer holds [A; L], and the QR overwrites it with Q
+    Q = np.empty((m + q, n), order="F")
+    Q[:m] = A
+    Q[m:] = L
+    Q, R = qr(Q, mode="economic", overwrite_a=True, check_finite=False)
     rcond, info = dtrcon(R, norm="1", uplo="U", diag="N")
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK dtrcon failed with info={info}")
     if not rcond > RANK_RTOL:
         raise JointNullSpaceError("joint null space nonempty")
 
-    Q1, Q2 = Q[:m], Q[m:]
-    Uf, dvals, Zt = np.linalg.svd(Q1, full_matrices=True)
+    # Q1 in Fortran order, so that the SVD overwrites it in place
+    Q1 = np.asfortranarray(Q[:m])
+    Q2 = np.ascontiguousarray(Q[m:])
+    del Q
+    Uf, dvals, Zt = svd(Q1, full_matrices=True, overwrite_a=True,
+                        check_finite=False, lapack_driver="gesdd")
+    del Q1
     # Reverse the singular-value order so delta is nondecreasing; columns of U
     # beyond n span the data-space complement of range(A) union range under Q1.
     delta = np.clip(dvals[::-1], 0.0, 1.0)
-    U = np.concatenate((Uf[:, :n][:, ::-1], Uf[:, n:]), axis=1)
+    U = np.empty((m, m))
+    U[:, :n] = Uf[:, :n][:, ::-1]
+    U[:, n:] = Uf[:, n:]
+    del Uf
     Ztr = Zt[::-1, :]
 
     # L Y == Q2 Ztr^T, whose columns are orthogonal with norms lam_j
-    lam = np.linalg.norm(Q2 @ Ztr.T, axis=0) if q > 0 else np.zeros(n)
-    lam = np.clip(lam, 0.0, 1.0)
+    lam = np.clip(np.linalg.norm(Q2 @ Ztr.T, axis=0), 0.0, 1.0)
+    del Q2
 
     delta, lam, gamma, lambda_zero, ell = _finalize_values(delta, lam)
     # lam is nonincreasing, so penalty-null directions occupy the tail; the

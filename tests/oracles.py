@@ -11,14 +11,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import hadamard
+from scipy.linalg import hadamard, solve_triangular
 from scipy.optimize import Bounds, minimize
 
 from specwin.errors import InfeasibleError, SaturatedTraceError
 from specwin.estimators import SATURATION_FLOOR
 from specwin.optimize import BOUNDARY_RTOL, SearchConfig, VectorSearchResult
 from specwin.solver import ParamVector
-from specwin.spectral import SpectralSystem, filter_factors
+from specwin.spectral import ZERO_RTOL, SpectralSystem, filter_factors
 from specwin.windows import WindowSet
 
 # ---------------------------------------------------------------------------
@@ -111,6 +111,40 @@ def dense_gcv_scalar(A: np.ndarray, L: np.ndarray, d: np.ndarray,
     m = A.shape[0]
     tr = float(np.trace(dense_influence_scalar(A, L, alpha)))
     return (float(r @ r) / m) / (1.0 - tr / m) ** 2
+
+
+def stacked_pair_gsvd(A: np.ndarray, L: np.ndarray) -> SpectralSystem:
+    """The dense mutual factorization by numpy's out-of-place routines.
+
+    np.vstack of the pair, np.linalg.qr of the stack, np.linalg.svd of the
+    top block of Q (the CS decomposition), then the same value ordering,
+    ZERO_RTOL snapping and factors as `gsvd`: U (m x m) and Y = R^-1 Ztr^T
+    (n x n).  No rank check: the pair must have full column rank.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    L = np.atleast_2d(np.asarray(L, dtype=float))
+    m, n = A.shape
+    Q, R = np.linalg.qr(np.vstack((A, L)), mode="reduced")
+    Uf, dvals, Zt = np.linalg.svd(Q[:m], full_matrices=True)
+    U = np.concatenate((Uf[:, :n][:, ::-1], Uf[:, n:]), axis=1)
+    Ztr = Zt[::-1, :]
+    delta = np.clip(dvals[::-1], 0.0, 1.0)
+    lam = np.clip(np.linalg.norm(Q[m:] @ Ztr.T, axis=0), 0.0, 1.0)
+    delta[delta <= ZERO_RTOL * delta.max()] = 0.0
+    lam[lam <= ZERO_RTOL * lam.max()] = 0.0
+    lambda_zero = lam == 0.0
+    gamma = np.where(lambda_zero, 0.0, delta / np.where(lambda_zero, 1.0, lam))
+    Y = solve_triangular(R, Ztr.T)
+    return SpectralSystem(
+        m=m, n=n,
+        q_star=n - int(np.count_nonzero(lambda_zero)),
+        ell=int(np.count_nonzero(delta == 0.0)),
+        delta=delta, lam=lam, gamma=gamma, lambda_zero=lambda_zero,
+        _analyze=lambda v: U.T @ v.ravel(),
+        _synthesize=lambda c: Y @ c,
+        _analyze_adjoint=lambda c: U @ c,
+        backend="dense", dims=None, U=U, Y=Y,
+    )
 
 
 # ---------------------------------------------------------------------------

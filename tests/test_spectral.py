@@ -1,10 +1,14 @@
 """Factorization backends against dense linear-algebra references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import fft as sfft
 
 from specwin.errors import JointNullSpaceError, KernelSymmetryError
+from specwin.solver import solve_windowed
 from specwin.spectral import (
     dct_decompose,
     diag_to_gsvd_check,
@@ -19,8 +23,10 @@ from oracles import (
     laplacian_1d,
     make_diag_system,
     reflexive_blur_matrix,
+    stacked_pair_gsvd,
     symmetric_kernel,
     tik_matrices,
+    windows_from_members,
 )
 
 SIZES = [(6, 4), (8, 8), (12, 7), (16, 12)]
@@ -142,19 +148,74 @@ def test_gsvd_rank_check_on_a_scaled_column(scale, singular):
 
 def test_gsvd_makes_one_svd_and_a_c_ordered_y(monkeypatch):
     calls = []
-    svd = np.linalg.svd
+    svd = scipy.linalg.svd
 
     def counted(*args, **kwargs):
         calls.append(np.shape(args[0]))
         return svd(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    # gsvd imports scipy.linalg.svd when called, so it reads the patch
+    monkeypatch.setattr(scipy.linalg, "svd", counted)
     rng = np.random.default_rng(8)
     A, L = tik_matrices(rng, 20, 16, "laplacian")
     sys = gsvd(A, L)
     assert calls == [(20, 16)]  # the top block of the stacked Q only
-    # the dense synthesis speed depends on this layout
+    # the dense analysis and synthesis speeds depend on this layout
+    assert sys.U.flags.c_contiguous
     assert sys.Y.flags.c_contiguous
+
+
+def test_gsvd_transient_memory_stays_below_nine_n_squared():
+    """The traced peak of one gsvd call on a 256 x 256 pair with a square
+    penalty is at most 9 n**2 doubles (in-place LAPACK reads ~8; stacking,
+    copying QR and copying SVD read ~10).
+
+    tracemalloc sees every numpy array allocation, scipy's f2py work arrays
+    included, but not the internal workspace that numpy.linalg mallocs
+    itself; the modules gsvd imports are loaded before tracing starts.
+    """
+    n = 256
+    rng = np.random.default_rng(9)
+    A, L = tik_matrices(rng, n, n, "random")
+    gsvd(A, L)
+    tracemalloc.start()
+    try:
+        gsvd(A, L)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * n * n * np.dtype(float).itemsize
+
+
+ORACLE_PAIRS = {
+    "tall-random": lambda rng: tik_matrices(rng, 16, 12, "random"),
+    "laplacian": lambda rng: tik_matrices(rng, 12, 7, "laplacian"),
+    "fewer-penalty-rows": lambda rng: (rng.standard_normal((10, 8)),
+                                       np.diff(np.eye(8), axis=0)),
+    "no-penalty-rows": lambda rng: (rng.standard_normal((9, 6)),
+                                    np.zeros((0, 6))),
+    "rank-deficient-A": lambda rng: (rng.standard_normal((12, 6))
+                                     @ rng.standard_normal((6, 9)), np.eye(9)),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_PAIRS)
+def test_gsvd_matches_the_stacked_pair_oracle(case):
+    # U and Y are not compared entry by entry: another LAPACK build may flip
+    # the sign of a singular-vector pair
+    rng = np.random.default_rng(sorted(ORACLE_PAIRS).index(case) + 21)
+    A, L = ORACLE_PAIRS[case](rng)
+    sys, ref = gsvd(A, L), stacked_pair_gsvd(A, L)
+    assert (sys.ell, sys.q_star) == (ref.ell, ref.q_star)
+    assert np.abs(sys.delta - ref.delta).max() <= 1e-13
+    assert np.abs(sys.lam - ref.lam).max() <= 1e-13
+    half = sys.n // 2
+    windows = windows_from_members([range(half), range(half, sys.n)], sys.n)
+    d = rng.standard_normal(sys.m)
+    for alphas in ([0.3, 2.0], [1e-3, 1e-3], [5.0, 0.05]):
+        x = solve_windowed(sys, d, windows, alphas).x
+        x_ref = solve_windowed(ref, d, windows, alphas).x
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
 
 # ---------------------------------------------------------------------------
