@@ -479,10 +479,8 @@ def estimate_sigma2(sys: SpectralSystem, dhat: np.ndarray) -> float:
     else:
         k = max(16, sys.n // 4)
         k = min(k, sys.n)
-        # penalty-null directions carry a gamma placeholder of 0 but are
-        # signal-dominated: push them to the back of the ordering
-        geff = np.where(sys.lambda_zero, np.inf, sys.gamma)
-        order = np.argsort(geff, kind="stable")
+        # penalty-null directions (gamma == +inf) sort last
+        order = np.argsort(sys.gamma, kind="stable")
         pool = dhat[order[:k]]
     sigma = np.median(np.abs(pool)) / 0.6745
     return float(sigma ** 2)

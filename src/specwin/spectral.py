@@ -1,6 +1,8 @@
 """Mutual spectral decompositions of a (forward, penalty) operator pair.
 
-Two backends produce the same `SpectralSystem` interface:
+Two backends produce the same `SpectralSystem` interface.  Each hands the
+system its spectral values delta and lam and its transforms; the system
+checks their layout and derives ell, q_star and gamma = delta/lam itself:
 
 * `gsvd` factors a dense pair (A, L) with an orthogonal U and an invertible
   Y such that A Y = U[:, :n] diag(delta) and (L Y)^T (L Y) = diag(lam**2),
@@ -28,7 +30,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 from scipy import fft as sfft
 
-from .errors import JointNullSpaceError, KernelSymmetryError
+from .errors import JointNullSpaceError, KernelSymmetryError, SpecwinError
 
 __all__ = [
     "SpectralSystem",
@@ -58,9 +60,14 @@ MAX_ALPHA = float(np.sqrt(np.finfo(float).max))
 class SpectralSystem:
     """A mutual diagonalization of a forward operator and a penalty operator.
 
-    delta is nondecreasing, lam nonincreasing; gamma[j] = delta[j]/lam[j]
-    where lam[j] > 0.  Entries of gamma under the `lambda_zero` mask are
-    placeholders (0.0) and must not be used without consulting the mask.
+    A backend gives delta (nondecreasing) and lam (nonincreasing); on
+    construction, and again under dataclasses.replace, each value at most
+    ZERO_RTOL times its array's largest snaps to 0 and the layout is derived:
+    delta == 0 on [0, ell) and lam == 0 on [q_star, n), so gamma =
+    delta/lam is 0 on [0, ell), finite positive on the active band
+    [ell, q_star) and +inf on [q_star, n).  Zeros of delta that do not
+    lead or zeros of lam that do not trail raise SpecwinError, a joint zero
+    JointNullSpaceError.
     analyze maps data vectors to spectral coefficients (length m, sorted
     order); synthesize maps filtered coefficients (length n) back to the
     solution space.
@@ -70,21 +77,16 @@ class SpectralSystem:
     and the forward map x -> Q^T x (`solution_coefficients`), both in sorted
     order; by Parseval ||synthesize(c) - x|| equals
     ||c / synthesis_scale - solution_coefficients(x)||.  The DCT backend has
-    this structure; the dense backend leaves synthesis_scale as None.
+    this structure; the dense backend leaves synthesis_scale as None, and
+    `backend` names which of the two a system is.
     """
 
     m: int
-    n: int
-    q_star: int
-    ell: int
     delta: np.ndarray
     lam: np.ndarray
-    gamma: np.ndarray
-    lambda_zero: np.ndarray
     _analyze: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     _synthesize: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     _analyze_adjoint: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    backend: str = "dense"
     dims: Optional[Tuple[int, int]] = None
     # Dense factors behind analyze (U^T) and synthesize (Y); None for the
     # DCT backend.
@@ -93,6 +95,37 @@ class SpectralSystem:
     synthesis_scale: Optional[np.ndarray] = field(default=None, repr=False)
     _coefficients: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, repr=False)
+    n: int = field(init=False)
+    ell: int = field(init=False)
+    q_star: int = field(init=False)
+    gamma: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        delta = np.array(self.delta, dtype=float)
+        lam = np.array(self.lam, dtype=float)
+        for values in (delta, lam):
+            values[values <= ZERO_RTOL * values.max()] = 0.0
+        delta_zero, lam_zero = delta == 0.0, lam == 0.0
+        if np.any(delta_zero & lam_zero):
+            raise JointNullSpaceError("joint null space nonempty")
+        n = delta.size
+        ell = int(np.count_nonzero(delta_zero))
+        q_star = n - int(np.count_nonzero(lam_zero))
+        if not (np.all(delta_zero[:ell]) and np.all(lam_zero[q_star:])):
+            raise SpecwinError("spectral values out of layout: the zeros of "
+                               "delta must lead and the zeros of lam trail")
+        gamma = np.full(n, np.inf)
+        gamma[:q_star] = delta[:q_star] / lam[:q_star]
+        for name, value in (("delta", delta), ("lam", lam), ("n", n),
+                            ("ell", ell), ("q_star", q_star),
+                            ("gamma", gamma)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def backend(self) -> str:
+        """The backend name: "dct" with an orthonormal synthesis, else
+        "dense"."""
+        return "dense" if self.synthesis_scale is None else "dct"
 
     def analyze(self, v: np.ndarray) -> np.ndarray:
         """Spectral coefficients of a data vector (2D input is flattened)."""
@@ -119,21 +152,17 @@ class SpectralSystem:
     @property
     def gamma_max_finite(self) -> float:
         """Largest finite generalized spectral value."""
-        finite = self.gamma[~self.lambda_zero]
-        return float(finite.max())
+        return float(self.gamma[self.ell:self.q_star].max())
 
     @property
     def gamma_min_positive(self) -> float:
         """Smallest strictly positive finite generalized spectral value."""
-        finite = self.gamma[~self.lambda_zero]
-        pos = finite[finite > 0]
-        return float(pos.min())
+        return float(self.gamma[self.ell:self.q_star].min())
 
     def delta_pinv(self) -> np.ndarray:
         """Entrywise pseudo-inverse of delta (zero where delta is zero)."""
         out = np.zeros(self.n)
-        nz = self.delta > 0
-        out[nz] = 1.0 / self.delta[nz]
+        out[self.ell:] = 1.0 / self.delta[self.ell:]
         return out
 
 
@@ -152,24 +181,6 @@ class DiagonalizationReport:
     unit_defect: float
     ordering_defect: float
     passed: bool
-
-
-def _finalize_values(delta: np.ndarray, lam: np.ndarray):
-    """Zero-snap tiny values and build the gamma array plus lambda_zero mask."""
-    delta = delta.copy()
-    lam = lam.copy()
-    dmax = delta.max() if delta.size else 0.0
-    lmax = lam.max() if lam.size else 0.0
-    delta[delta <= ZERO_RTOL * dmax] = 0.0
-    lam[lam <= ZERO_RTOL * lmax] = 0.0
-    if np.any((delta == 0.0) & (lam == 0.0)):
-        raise JointNullSpaceError("joint null space nonempty")
-    lambda_zero = lam == 0.0
-    gamma = np.zeros_like(delta)
-    nz = ~lambda_zero
-    gamma[nz] = delta[nz] / lam[nz]
-    ell = int(np.count_nonzero(delta == 0.0))
-    return delta, lam, gamma, lambda_zero, ell
 
 
 def gsvd(A: np.ndarray, L: np.ndarray) -> SpectralSystem:
@@ -237,10 +248,6 @@ def gsvd(A: np.ndarray, L: np.ndarray) -> SpectralSystem:
     lam = np.clip(np.linalg.norm(Q2 @ Ztr.T, axis=0), 0.0, 1.0)
     del Q2
 
-    delta, lam, gamma, lambda_zero, ell = _finalize_values(delta, lam)
-    # lam is nonincreasing, so penalty-null directions occupy the tail; the
-    # filter passes components beyond q_star unchanged
-    q_star = n - int(np.count_nonzero(lambda_zero))
     # Y = (Ztr R)^-1 = R^-1 Ztr^T; the solve returns Fortran order, and the
     # C-ordered copy makes the products Y @ c about twice as fast
     Y = np.ascontiguousarray(solve_triangular(R, Ztr.T))
@@ -255,10 +262,8 @@ def gsvd(A: np.ndarray, L: np.ndarray) -> SpectralSystem:
         return U @ c
 
     return SpectralSystem(
-        m=m, n=n, q_star=q_star, ell=ell,
-        delta=delta, lam=lam, gamma=gamma, lambda_zero=lambda_zero,
-        _analyze=_an, _synthesize=_syn, _analyze_adjoint=_adj,
-        backend="dense", dims=None, U=U, Y=Y,
+        m=m, delta=delta, lam=lam,
+        _analyze=_an, _synthesize=_syn, _analyze_adjoint=_adj, U=U, Y=Y,
     )
 
 
@@ -364,9 +369,7 @@ def dct_decompose(psf: np.ndarray, penalty: str = "identity") -> SpectralSystem:
     l_un = l_abs / scale
     perm = np.argsort(d_un, kind="stable")
 
-    delta, lam, gamma, lambda_zero, ell = _finalize_values(d_un[perm], l_un[perm])
     scale_sorted = scale[perm]
-    q_star = n - int(np.count_nonzero(lambda_zero))
 
     def _an(v: np.ndarray, perm=perm, sign=sign, dims=dims) -> np.ndarray:
         c = _dct2(v.reshape(dims)).ravel()
@@ -386,10 +389,8 @@ def dct_decompose(psf: np.ndarray, penalty: str = "identity") -> SpectralSystem:
         return _dct2(x.reshape(dims)).ravel()[perm]
 
     return SpectralSystem(
-        m=n, n=n, q_star=q_star, ell=ell,
-        delta=delta, lam=lam, gamma=gamma, lambda_zero=lambda_zero,
-        _analyze=_an, _synthesize=_syn, _analyze_adjoint=_adj,
-        backend="dct", dims=dims,
+        m=n, delta=d_un[perm], lam=l_un[perm],
+        _analyze=_an, _synthesize=_syn, _analyze_adjoint=_adj, dims=dims,
         synthesis_scale=scale_sorted, _coefficients=_coef,
     )
 

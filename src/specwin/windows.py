@@ -39,10 +39,28 @@ _EDGE_NUDGE = 1e-12
 
 @dataclass(frozen=True)
 class WindowSet:
-    """P weight vectors over n spectral indices forming a partition of unity."""
+    """P weight vectors over n spectral indices forming a partition of unity.
+
+    Construction raises ValueError unless the weights are (P, n) with
+    P >= 1, entries in [0, 1] and every column summing to 1 within 1e-12,
+    and there are P + 1 partitions.
+    """
 
     weights: np.ndarray  # shape (P, n), entries in [0, 1]
     partitions: np.ndarray  # P + 1 nonincreasing values
+
+    def __post_init__(self):
+        w = np.asarray(self.weights)
+        if w.ndim != 2 or w.shape[0] < 1:
+            raise ValueError(f"weights must be (P, n) with P >= 1, got shape "
+                             f"{w.shape}")
+        if np.shape(self.partitions) != (w.shape[0] + 1,):
+            raise ValueError(f"{w.shape[0]} windows need {w.shape[0] + 1} "
+                             f"partitions, got shape {np.shape(self.partitions)}")
+        if not np.all((w >= 0.0) & (w <= 1.0)):
+            raise ValueError("window weights must lie in [0, 1]")
+        if not np.all(np.abs(w.sum(axis=0) - 1.0) <= 1e-12):
+            raise ValueError("window weights must sum to 1 at every index")
 
     @property
     def P(self) -> int:
@@ -66,11 +84,6 @@ class WindowSet:
         return np.flatnonzero(self.weights[p] > 0.0)
 
 
-def _positive_finite_gamma(sys: SpectralSystem) -> np.ndarray:
-    g = sys.gamma[~sys.lambda_zero]
-    return g[g > 0.0]
-
-
 def make_partitions(sys: SpectralSystem, P: int, spacing: str = "linear") -> np.ndarray:
     """P + 1 nonincreasing partition values spanning the finite gamma range.
 
@@ -82,7 +95,7 @@ def make_partitions(sys: SpectralSystem, P: int, spacing: str = "linear") -> np.
         raise ValueError(f"window count must be at least 1, got {P}")
     if spacing not in ("linear", "log"):
         raise ValueError(f"spacing must be 'linear' or 'log', got {spacing!r}")
-    g = _positive_finite_gamma(sys)
+    g = sys.gamma[sys.ell:sys.q_star]
     if g.size == 0:
         raise EmptyWindowError("no positive finite spectral values to partition")
     gmax = float(g.max())
@@ -111,21 +124,20 @@ def make_windows(sys: SpectralSystem, kind: str, P: int) -> WindowSet:
 
 
 def _windows(partitions: np.ndarray, sys: SpectralSystem, place) -> WindowSet:
-    """The window set over these partitions whose weights on the indices of
-    finite positive gamma `place(weights, parts, gamma, columns)` writes;
-    lam == 0 indices go to window 1 and gamma == 0 indices to window P."""
+    """The window set over these partitions whose weights on the active band
+    [ell, q_star) `place(weights, parts, gamma, columns)` writes; the
+    penalty-null tail [q_star, n) goes to window 1 and the forward-null head
+    [0, ell) to window P."""
     parts = np.asarray(partitions, dtype=float)
     if parts.ndim != 1 or parts.size < 2:
         raise ValueError("partitions must be a 1D array of at least two values")
     if np.any(np.diff(parts) > 0.0):
         raise ValueError("partitions must be nonincreasing")
     weights = np.zeros((parts.size - 1, sys.n))
-    inf_mask = sys.lambda_zero
-    zero_mask = (~inf_mask) & (sys.gamma == 0.0)
-    mid = ~(inf_mask | zero_mask)
-    place(weights, parts, sys.gamma[mid], np.flatnonzero(mid))
-    weights[0, inf_mask] = 1.0
-    weights[-1, zero_mask] = 1.0
+    place(weights, parts, sys.gamma[sys.ell:sys.q_star],
+          np.arange(sys.ell, sys.q_star))
+    weights[0, sys.q_star:] = 1.0
+    weights[-1, :sys.ell] = 1.0
     empty = np.flatnonzero(weights.max(axis=1) == 0.0)
     if empty.size:
         raise EmptyWindowError(f"empty window: window {empty[0] + 1} has no weight")
@@ -182,7 +194,7 @@ def cosine_windows(partitions: np.ndarray, sys: SpectralSystem,
 
 def trivial_window(sys: SpectralSystem) -> WindowSet:
     """The single all-ones window (scalar regularization as a window set)."""
-    g = _positive_finite_gamma(sys)
+    g = sys.gamma[sys.ell:sys.q_star]
     if g.size:
         parts = np.array([float(g.max()), float(g.min()) * (1.0 - _EDGE_NUDGE)])
     else:

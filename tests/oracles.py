@@ -18,7 +18,7 @@ from specwin.errors import InfeasibleError, SaturatedTraceError
 from specwin.estimators import SATURATION_FLOOR
 from specwin.optimize import BOUNDARY_RTOL, SearchConfig, VectorSearchResult
 from specwin.solver import ParamVector
-from specwin.spectral import ZERO_RTOL, SpectralSystem, filter_factors
+from specwin.spectral import SpectralSystem, filter_factors
 from specwin.windows import WindowSet
 
 # ---------------------------------------------------------------------------
@@ -117,9 +117,9 @@ def stacked_pair_gsvd(A: np.ndarray, L: np.ndarray) -> SpectralSystem:
     """The dense mutual factorization by numpy's out-of-place routines.
 
     np.vstack of the pair, np.linalg.qr of the stack, np.linalg.svd of the
-    top block of Q (the CS decomposition), then the same value ordering,
-    ZERO_RTOL snapping and factors as `gsvd`: U (m x m) and Y = R^-1 Ztr^T
-    (n x n).  No rank check: the pair must have full column rank.
+    top block of Q (the CS decomposition), then the same value ordering and
+    factors as `gsvd`: U (m x m) and Y = R^-1 Ztr^T (n x n).  No rank check:
+    the pair must have full column rank.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     L = np.atleast_2d(np.asarray(L, dtype=float))
@@ -130,20 +130,13 @@ def stacked_pair_gsvd(A: np.ndarray, L: np.ndarray) -> SpectralSystem:
     Ztr = Zt[::-1, :]
     delta = np.clip(dvals[::-1], 0.0, 1.0)
     lam = np.clip(np.linalg.norm(Q[m:] @ Ztr.T, axis=0), 0.0, 1.0)
-    delta[delta <= ZERO_RTOL * delta.max()] = 0.0
-    lam[lam <= ZERO_RTOL * lam.max()] = 0.0
-    lambda_zero = lam == 0.0
-    gamma = np.where(lambda_zero, 0.0, delta / np.where(lambda_zero, 1.0, lam))
     Y = solve_triangular(R, Ztr.T)
     return SpectralSystem(
-        m=m, n=n,
-        q_star=n - int(np.count_nonzero(lambda_zero)),
-        ell=int(np.count_nonzero(delta == 0.0)),
-        delta=delta, lam=lam, gamma=gamma, lambda_zero=lambda_zero,
+        m=m, delta=delta, lam=lam,
         _analyze=lambda v: U.T @ v.ravel(),
         _synthesize=lambda c: Y @ c,
         _analyze_adjoint=lambda c: U @ c,
-        backend="dense", dims=None, U=U, Y=Y,
+        U=U, Y=Y,
     )
 
 
@@ -425,19 +418,11 @@ def make_diag_system(delta, lam, m: int | None = None) -> SpectralSystem:
         raise ValueError("need m >= n and matching value lengths")
     if np.any(np.diff(delta) < 0.0) or np.any(np.diff(lam) > 0.0):
         raise ValueError("delta must be nondecreasing, lam nonincreasing")
-    lambda_zero = lam == 0.0
-    if np.any((delta == 0.0) & lambda_zero):
-        raise ValueError("joint zero directions are not representable")
-    gamma = np.where(lambda_zero, 0.0, delta / np.where(lambda_zero, 1.0, lam))
     return SpectralSystem(
-        m=m, n=n,
-        q_star=n - int(np.count_nonzero(lambda_zero)),
-        ell=int(np.count_nonzero(delta == 0.0)),
-        delta=delta, lam=lam, gamma=gamma, lambda_zero=lambda_zero,
+        m=m, delta=delta, lam=lam,
         _analyze=lambda v: np.asarray(v, dtype=float).ravel().copy(),
         _synthesize=lambda c: np.asarray(c, dtype=float).copy(),
         _analyze_adjoint=lambda c: np.asarray(c, dtype=float).copy(),
-        backend="dense", dims=None,
         U=np.eye(m), Y=np.eye(n),
     )
 

@@ -1,13 +1,15 @@
 """Factorization backends against dense linear-algebra references."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy import fft as sfft
 
-from specwin.errors import JointNullSpaceError, KernelSymmetryError
+from specwin.errors import JointNullSpaceError, KernelSymmetryError, SpecwinError
+from specwin.problems import gaussian_psf
 from specwin.solver import solve_windowed
 from specwin.spectral import (
     dct_decompose,
@@ -80,12 +82,12 @@ def test_gsvd_value_contract(m, n, penalty):
     assert np.all(np.diff(sys.delta) >= 0.0)
     assert np.all(np.diff(sys.lam) <= 0.0)
     assert sys.ell == np.count_nonzero(sys.delta == 0.0)
-    assert sys.q_star == sys.n - np.count_nonzero(sys.lambda_zero)
+    assert sys.q_star == sys.n - np.count_nonzero(sys.lam == 0.0)
     # zeros of delta lead, zeros of lam trail
     assert not np.any(sys.delta[sys.ell:] == 0.0)
-    assert not np.any(sys.lambda_zero[: sys.q_star])
-    assert np.all(sys.lambda_zero[sys.q_star:])
-    assert np.all(sys.gamma[sys.lambda_zero] == 0.0)
+    assert not np.any(sys.lam[: sys.q_star] == 0.0)
+    assert np.all(sys.lam[sys.q_star:] == 0.0)
+    assert np.all(sys.gamma[sys.q_star:] == np.inf)
 
 
 def test_gsvd_rank_deficient_forward_operator():
@@ -107,8 +109,8 @@ def test_gsvd_singular_penalty_tail():
     A = rng.standard_normal((10, 7))
     sys = gsvd(A, laplacian_1d(7))
     assert sys.q_star == 6
-    assert np.count_nonzero(sys.lambda_zero) == 1
-    assert sys.lambda_zero[-1]
+    assert np.count_nonzero(sys.lam == 0.0) == 1
+    assert sys.lam[-1] == 0.0
     assert sys.delta[-1] > 0.0
 
 
@@ -321,7 +323,7 @@ def test_dct_backend_laplacian_penalty_nullspace():
     psf = _gauss_psf(dims, 1.5)
     sys = dct_decompose(psf, penalty="laplacian")
     assert sys.q_star == sys.n - 1
-    assert np.count_nonzero(sys.lambda_zero) == 1
+    assert np.count_nonzero(sys.lam == 0.0) == 1
     # the unpenalized direction is the constant image
     coef = np.zeros(sys.n)
     coef[-1] = 1.0
@@ -345,6 +347,19 @@ def test_laplacian_spectrum_matches_dense_eigendecomposition():
             v = sfft.idctn(e, type=2, norm="ortho").ravel()
             assert np.linalg.norm(dense @ v - lap[i, j] * v) <= 1e-10
     assert laplacian_spectrum((6, 6))[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("xi", [2.0, 9.0])
+@pytest.mark.parametrize("dims", [(4, 4), (6, 6), (8, 8), (9, 7), (12, 12),
+                                  (16, 16)])
+def test_gsvd_and_dct_decompose_agree_on_the_identity_penalty(dims, xi):
+    psf = gaussian_psf(xi, dims)
+    n = dims[0] * dims[1]
+    dense = gsvd(reflexive_blur_matrix(psf, dims), np.eye(n))
+    dct = dct_decompose(psf, penalty="identity")
+    assert (dense.ell, dense.q_star) == (dct.ell, dct.q_star)
+    assert np.abs(dense.delta - np.sort(dct.delta)).max() <= 1e-9
+    assert np.abs(dense.lam - np.sort(dct.lam)[::-1]).max() <= 1e-9
 
 
 def test_dct_decompose_rejects_asymmetric_kernels():
@@ -400,6 +415,50 @@ def test_system_accessors_on_explicit_values():
     pinv = sys.delta_pinv()
     assert pinv[0] == 0.0
     assert pinv[1:] == pytest.approx([1 / 0.3, 1 / 0.8, 1.0])
+
+
+def test_system_derives_its_layout_from_the_values():
+    sys = make_diag_system([0.0, 0.0, 0.6, 0.8, 1.0, 1.0],
+                           [1.0, 1.0, 0.8, 0.6, 0.0, 0.0])
+    assert (sys.n, sys.ell, sys.q_star) == (6, 2, 4)
+    assert np.all(sys.gamma[:2] == 0.0)
+    assert np.array_equal(sys.gamma[2:4], [0.6 / 0.8, 0.8 / 0.6])
+    assert np.all(sys.gamma[4:] == np.inf)
+    assert sys.backend == "dense"
+    assert replace(sys, synthesis_scale=np.ones(6)).backend == "dct"
+    assert gsvd(np.eye(3), np.eye(3)).backend == "dense"
+    assert dct_decompose(_gauss_psf((4, 4), 1.0)).backend == "dct"
+    # dataclasses.replace derives the layout of the new values
+    moved = replace(sys, delta=[0.0, 0.3, 0.6, 0.8, 1.0, 1.0],
+                    lam=[1.0, 0.9, 0.8, 0.6, 0.5, 0.0])
+    assert (moved.n, moved.ell, moved.q_star) == (6, 1, 5)
+    assert moved.gamma[1] == 0.3 / 0.9 and moved.gamma[4] == 2.0
+    assert moved.gamma[5] == np.inf
+    assert moved.gamma_min_positive == 0.3 / 0.9
+    assert moved.gamma_max_finite == 2.0
+
+
+def test_system_snaps_relative_zeros():
+    sys = make_diag_system([1e-15, 0.6, 1.0], [1.0, 0.8, 1e-15])
+    assert sys.delta[0] == 0.0 and sys.lam[-1] == 0.0
+    assert (sys.ell, sys.q_star) == (1, 2)
+    assert sys.gamma[-1] == np.inf
+    # just above the threshold a value stays
+    kept = make_diag_system([1.01e-14, 0.6, 1.0], [1.0, 0.8, 0.5])
+    assert kept.ell == 0 and kept.delta[0] == 1.01e-14
+
+
+def test_system_rejects_joint_and_misplaced_zeros():
+    with pytest.raises(JointNullSpaceError):
+        make_diag_system([0.0, 1.0], [0.0, 0.0])
+    sys = make_diag_system([0.6, 0.8, 1.0], [0.8, 0.6, 0.1])
+    with pytest.raises(JointNullSpaceError):  # both zero once snapped
+        replace(sys, delta=[1e-16, 1.0, 1.0], lam=[1e-16, 1.0, 1.0])
+    for delta, lam in (([0.6, 0.0, 0.8], [0.8, 1.0, 0.6]),
+                       ([0.6, 1.0, 0.8], [0.8, 0.0, 0.6])):
+        with pytest.raises(SpecwinError, match="out of layout") as info:
+            replace(sys, delta=delta, lam=lam)
+        assert info.type is SpecwinError
 
 
 def test_diag_to_gsvd_check_flags_unnormalized_values():

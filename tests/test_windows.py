@@ -12,6 +12,7 @@ from specwin.problems import gaussian_psf
 from specwin.spectral import dct_decompose, gsvd
 from specwin.windows import (
     KINDS,
+    WindowSet,
     cosine_windows,
     indicator_windows,
     make_partitions,
@@ -22,14 +23,14 @@ from specwin.windows import (
 from oracles import make_diag_system, tik_matrices
 
 
-def system_from_gammas(gammas, lambda_zeros: int = 0, delta_zeros: int = 0):
+def system_from_gammas(gammas, lam_zeros: int = 0, delta_zeros: int = 0):
     """Diag system whose finite positive spectral values are exactly `gammas`
     (ascending), padded with delta-null heads and penalty-null tails."""
     g = np.sort(np.asarray(gammas, dtype=float))
     delta = g / np.hypot(g, 1.0)
     lam = 1.0 / np.hypot(g, 1.0)
-    delta = np.concatenate([np.zeros(delta_zeros), delta, np.ones(lambda_zeros)])
-    lam = np.concatenate([np.ones(delta_zeros), lam, np.zeros(lambda_zeros)])
+    delta = np.concatenate([np.zeros(delta_zeros), delta, np.ones(lam_zeros)])
+    lam = np.concatenate([np.ones(delta_zeros), lam, np.zeros(lam_zeros)])
     return make_diag_system(delta, lam)
 
 
@@ -52,7 +53,7 @@ def test_make_partitions_log_spacing_is_geometric():
 
 
 def test_make_partitions_ignores_nonfinite_and_zero_directions():
-    sys = system_from_gammas([1.0, 2.0, 4.0], lambda_zeros=2, delta_zeros=1)
+    sys = system_from_gammas([1.0, 2.0, 4.0], lam_zeros=2, delta_zeros=1)
     parts = make_partitions(sys, 2)
     assert parts[0] == 4.0
     assert parts[-1] == pytest.approx(1.0, rel=1e-11)
@@ -85,7 +86,7 @@ def test_indicator_windows_upper_inclusive_membership():
 
 
 def test_indicator_windows_route_null_directions_to_the_ends():
-    sys = system_from_gammas([1.0, 2.0, 3.0, 4.0], lambda_zeros=2, delta_zeros=1)
+    sys = system_from_gammas([1.0, 2.0, 3.0, 4.0], lam_zeros=2, delta_zeros=1)
     parts = make_partitions(sys, 2)
     win = indicator_windows(parts, sys)
     # delta-null heads (gamma == 0) belong to the last window, penalty-null
@@ -133,7 +134,7 @@ def test_cosine_windows_log_spacing_midpoints():
 
 
 def test_cosine_windows_single_window_is_trivial():
-    sys = system_from_gammas([0.01, 1.0, 2.0, 3.0], lambda_zeros=1, delta_zeros=1)
+    sys = system_from_gammas([0.01, 1.0, 2.0, 3.0], lam_zeros=1, delta_zeros=1)
     for spacing in ("linear", "log"):
         win = cosine_windows(make_partitions(sys, 1, spacing), sys, spacing)
         assert win.P == 1
@@ -148,8 +149,28 @@ def test_window_set_holds_weights_and_partitions_only():
     assert win.P == win.weights.shape[0] == 3
 
 
+@pytest.mark.parametrize("weights,partitions,message", [
+    (np.ones(3), 2, r"\(P, n\) with P >= 1"),
+    (np.ones((0, 3)), 1, r"\(P, n\) with P >= 1"),
+    (np.ones((1, 3)), 3, "1 windows need 2 partitions"),
+    ([[-0.1, 1.0], [1.0, 0.0]], 3, r"in \[0, 1\]"),
+    ([[1.1, 1.0], [0.0, 0.0]], 3, r"in \[0, 1\]"),
+    ([[np.nan, 1.0], [0.5, 0.0]], 3, r"in \[0, 1\]"),
+    ([[0.5, 1.0], [0.5 + 2e-12, 0.0]], 3, "sum to 1"),
+    ([[0.5, 0.0], [0.4, 1.0]], 3, "sum to 1"),
+])
+def test_window_set_rejects_a_broken_partition_of_unity(weights, partitions,
+                                                        message):
+    with pytest.raises(ValueError, match=message):
+        WindowSet(weights=np.asarray(weights, dtype=float),
+                  partitions=np.zeros(partitions))
+    # within the tolerance the same shape is a valid window set
+    WindowSet(weights=np.array([[0.5, 1.0], [0.5 + 1e-13, 0.0]]),
+              partitions=np.zeros(3))
+
+
 def test_trivial_window_shape():
-    sys = system_from_gammas([1.0, 2.0], lambda_zeros=1)
+    sys = system_from_gammas([1.0, 2.0], lam_zeros=1)
     win = trivial_window(sys)
     assert win.P == 1
     assert np.all(win.weights == 1.0)
@@ -194,7 +215,7 @@ def test_make_windows_matches_the_generators(name):
 def test_make_windows_single_window_needs_no_partition():
     # one distinct spectral value leaves nothing to partition, but P = 1
     # is the all-ones window of every kind
-    sys = system_from_gammas([2.0], lambda_zeros=1, delta_zeros=1)
+    sys = system_from_gammas([2.0], lam_zeros=1, delta_zeros=1)
     for kind in KINDS:
         win = make_windows(sys, kind, 1)
         assert win.weights.tobytes() == trivial_window(sys).weights.tobytes()
@@ -230,7 +251,7 @@ def windowed_systems(draw):
 
 
 def _cell_counts(sys, parts):
-    g = sys.gamma[(~sys.lambda_zero) & (sys.gamma > 0.0)]
+    g = sys.gamma[(sys.lam != 0.0) & (sys.gamma > 0.0)]
     return [int(np.count_nonzero((g <= parts[p]) & (g > parts[p + 1])))
             for p in range(parts.size - 1)]
 
