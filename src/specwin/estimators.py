@@ -300,11 +300,15 @@ class _Pooled(_Objective):
                 for low, mid, _ in self.band.members]
 
     def _window(self, p: int, alpha: float) -> tuple[float, float]:
-        """Window p's pooled squared residual and one set's window trace."""
+        """Window p's pooled squared residual and one set's window trace:
+        sum phi first, then (1 - phi)**2 * energy in phi's own buffer."""
         phi = self.band.window_phi(p, alpha)
         below, energy = self.window_energies[p]
-        resid = below + np.sum((1.0 - phi) ** 2 * energy)
-        return float(resid), float(self.band.tail_sums[p] + np.sum(phi))
+        trace = float(self.band.tail_sums[p] + np.add.reduce(phi))
+        np.subtract(1.0, phi, out=phi)
+        phi *= phi
+        phi *= energy
+        return float(below + np.add.reduce(phi)), trace
 
 
 class UpreObjective(_Pooled):
@@ -441,7 +445,10 @@ class MseObjective(_Objective):
                              "synthesis (the DCT backend)")
         phi = self.band.window_phi(p, alpha)
         u, t = self._parts[p]
-        return (self._window_consts[p] + float(np.sum((phi * u - t) ** 2))) / self.R
+        r = phi * u
+        r -= t
+        r *= r
+        return (self._window_consts[p] + float(np.add.reduce(r, axis=None))) / self.R
 
 
 def mse_learning(systems: Sequence[SpectralSystem], data: Sequence[np.ndarray],

@@ -132,11 +132,19 @@ def add_noise(b: np.ndarray, target_snr_db: float, seed) -> tuple[np.ndarray, fl
     whose noise is lost, wholly (d == b) or in part, when added to b raise
     ValueError: in part means ||d - b||^2 differs from ||e||^2 by more than
     1e-6 relative, so the returned sigma2 would not describe d."""
+    d, sigma2, _ = _add_noise(b, target_snr_db, seed)
+    return d, sigma2
+
+
+def _add_noise(b: np.ndarray, target_snr_db: float,
+               seed) -> tuple[np.ndarray, float, float]:
+    """add_noise's (d, sigma2) and the achieved SNR
+    10*log10(||b||^2/||d - b||^2) from the two sums it checks anyway."""
     b = np.asarray(b, dtype=float)
     if np.isnan(target_snr_db) or target_snr_db == -np.inf:
         raise ValueError(f"SNR target must be a number or +inf, got {target_snr_db}")
     if target_snr_db == np.inf:
-        return b.copy(), 0.0
+        return b.copy(), 0.0, float("inf")
     bnorm2 = float(np.sum(b ** 2))
     if bnorm2 == 0.0:
         raise ValueError("zero-signal SNR undefined")
@@ -168,7 +176,7 @@ def add_noise(b: np.ndarray, target_snr_db: float, seed) -> tuple[np.ndarray, fl
         raise ValueError(f"SNR target {target_snr_db} dB is out of range: "
                          f"part of the noise is lost to rounding when added "
                          f"to the data")
-    return d, noise2 / b.size
+    return d, noise2 / b.size, float(10.0 * np.log10(bnorm2 / kept))
 
 
 def make_dataset(x_true: np.ndarray, psf: np.ndarray, snr_db: float,
@@ -199,13 +207,9 @@ def make_datasets(truths: Sequence[np.ndarray], psf: np.ndarray,
     datasets = []
     for x_true, seed in zip(truths, seeds):
         b = _apply_spectrum(a, x_true)
-        d, sigma2 = add_noise(b, snr_db, seed)
-        if np.isinf(snr_db):
-            achieved = float("inf")
-        else:
-            achieved = 10.0 * np.log10(np.sum(b ** 2) / np.sum((d - b) ** 2))
+        d, sigma2, achieved = _add_noise(b, snr_db, seed)
         datasets.append(DataSet(x_true=x_true, b=b, d=d, sigma2=sigma2,
-                                snr=float(achieved), seed=int(seed),
+                                snr=achieved, seed=int(seed),
                                 dims=(dims[0], dims[1])))
     return datasets
 
@@ -250,7 +254,11 @@ def synthetic_image(size: int, seed, craters: int | None = None) -> np.ndarray:
     Smooth low-frequency background plus randomly placed bowl-and-rim
     craters: piecewise-smooth content with sharp circular edges, in [0,1].
 
-    The background covers the full grid.  Each crater is added only on its
+    The background is four terms c cos(2 pi (fx x + fy y) + phase), each
+    built by angle addition from 4*size cosines and sines of one row and
+    one column, broadcast without a matrix product so that the image does
+    not depend on the BLAS; it differs from the cosine evaluated at every
+    pixel by rounding (at most ~1e-15).  Each crater is added only on its
     box of rows and columns within _crater_reach(rim, low) radii of its
     center, where low is the least |pixel| in its _CRATER_REACH box, and
     that is exact.  Past _CRATER_REACH radii its ridge underflows to exactly
@@ -262,12 +270,16 @@ def synthetic_image(size: int, seed, craters: int | None = None) -> np.ndarray:
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     # i/size, the coordinate of row i and of column i
     axis = np.arange(size, dtype=float) / size
-    xx, yy = axis[None, :], axis[:, None]
     img = np.zeros((size, size))
     for _ in range(4):
         fx, fy = rng.uniform(0.5, 3.0, size=2)
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        img += rng.uniform(0.3, 1.0) * np.cos(2.0 * np.pi * (fx * xx + fy * yy) + phase)
+        c = rng.uniform(0.3, 1.0)
+        # c cos(a + b) = c cos b cos a - c sin b sin a, by columns and rows
+        a = 2.0 * np.pi * fx * axis + phase
+        b = 2.0 * np.pi * fy * axis
+        img += (c * np.cos(b))[:, None] * np.cos(a)
+        img -= (c * np.sin(b))[:, None] * np.sin(a)
     img = 0.35 + 0.25 * (img - img.min()) / max(np.ptp(img), 1e-12)
 
     k = int(craters) if craters is not None else int(rng.integers(8, 16))

@@ -142,8 +142,10 @@ class _Band:
                                self.tail_phi))
 
     def window_phi(self, p: int, alpha: float) -> np.ndarray:
-        """phi(alpha) on window p's band members, alpha squared as `rows`
-        squares it; raises for p out of range, overlapping or empty windows."""
+        """phi(alpha) on window p's band members, in a new array that the
+        caller may overwrite: alpha squared as `rows` squares it, and each
+        element rounded as `_band_phi` rounds it, in one buffer; raises for
+        p out of range, overlapping or empty windows."""
         if not 0 <= p < self.P:
             raise IndexError(f"window index {p} out of range for P={self.P}")
         if self.members is None:
@@ -151,7 +153,10 @@ class _Band:
         if self._values[p] is None:
             raise EmptyWindowError(f"window {p} has no members")
         alpha = _positive_alpha(alpha)
-        return _band_phi(*self._values[p], alpha * alpha)
+        d2, lam2 = self._values[p]
+        phi = lam2 * (alpha * alpha)
+        phi += d2
+        return np.divide(d2, phi, out=phi)
 
 
 def phi_windowed(sys: SpectralSystem, windows: WindowSet,

@@ -328,14 +328,14 @@ def dense_laplacian_2d(dims: tuple[int, int]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# synthetic corpus with every crater evaluated on the full grid
+# synthetic corpus on the full grid
 # ---------------------------------------------------------------------------
 
 
-def full_grid_synthetic_image(size: int, seed, craters: int | None = None) -> np.ndarray:
-    """The cratered-terrain generator with each crater added on the whole
-    grid, drawing the same random numbers in the same order as
-    `problems.synthetic_image`."""
+def full_grid_background(size: int, seed) -> np.ndarray:
+    """The background of `problems.synthetic_image` (its image with no
+    craters), each term c cos(2 pi (fx x + fy y) + phase) evaluated at every
+    pixel, drawing the same random numbers in the same order."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     yy, xx = np.mgrid[0:size, 0:size].astype(float) / size
     img = np.zeros((size, size))
@@ -343,6 +343,28 @@ def full_grid_synthetic_image(size: int, seed, craters: int | None = None) -> np
         fx, fy = rng.uniform(0.5, 3.0, size=2)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         img += rng.uniform(0.3, 1.0) * np.cos(2.0 * np.pi * (fx * xx + fy * yy) + phase)
+    return 0.35 + 0.25 * (img - img.min()) / max(np.ptp(img), 1e-12)
+
+
+def full_grid_synthetic_image(size: int, seed, craters: int | None = None) -> np.ndarray:
+    """The cratered-terrain generator with each crater added on the whole
+    grid, drawing the same random numbers in the same order as
+    `problems.synthetic_image`.  Its background is written out in the
+    generator's angle-addition form, so that the two agree bit for bit and
+    a byte comparison tests the crater boxes; `full_grid_background` checks
+    that form against the cosine at every pixel."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    yy, xx = np.mgrid[0:size, 0:size].astype(float) / size
+    axis = np.arange(size, dtype=float) / size
+    img = np.zeros((size, size))
+    for _ in range(4):
+        fx, fy = rng.uniform(0.5, 3.0, size=2)
+        phase = rng.uniform(0.0, 2.0 * np.pi)
+        c = rng.uniform(0.3, 1.0)
+        a = 2.0 * np.pi * fx * axis + phase
+        b = 2.0 * np.pi * fy * axis
+        img += (c * np.cos(b))[:, None] * np.cos(a)
+        img -= (c * np.sin(b))[:, None] * np.sin(a)
     img = 0.35 + 0.25 * (img - img.min()) / max(np.ptp(img), 1e-12)
 
     k = int(craters) if craters is not None else int(rng.integers(8, 16))
@@ -356,6 +378,55 @@ def full_grid_synthetic_image(size: int, seed, craters: int | None = None) -> np
         ridge = rim * np.exp(-((dist - 1.0) / 0.12) ** 2)
         img += ridge - bowl
     return np.clip(img, 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# per-window kernels as plain expressions, on a prepared objective's own
+# band values (the in-place kernels must round every element alike)
+# ---------------------------------------------------------------------------
+
+
+def band_phi(d2: np.ndarray, lam2: np.ndarray, alpha2) -> np.ndarray:
+    """Filter factors d2 / (d2 + alpha2 lam2) on the active band."""
+    return d2 / (d2 + alpha2 * lam2)
+
+
+def _window_phi(band, p: int, alpha: float) -> np.ndarray:
+    d2, lam2 = band._values[p]
+    return band_phi(d2, lam2, alpha * alpha)
+
+
+def mse_window(obj, p: int, alpha: float) -> float:
+    """Window p's MSE share: (const_p + sum (phi u - t)**2) / R."""
+    u, t = obj._parts[p]
+    phi = _window_phi(obj.band, p, alpha)
+    return (obj._window_consts[p] + float(np.sum((phi * u - t) ** 2))) / obj.R
+
+
+def _pooled_window(obj, p: int, alpha: float) -> tuple[float, float]:
+    """Window p's pooled residual below_p + sum (1 - phi)**2 E and trace."""
+    phi = _window_phi(obj.band, p, alpha)
+    below, energy = obj.window_energies[p]
+    resid = below + np.sum((1.0 - phi) ** 2 * energy)
+    return float(resid), float(obj.band.tail_sums[p] + np.sum(phi))
+
+
+def upre_window(obj, p: int, alpha: float) -> float:
+    resid, trace = _pooled_window(obj, p, alpha)
+    return (resid + 2.0 * obj.s2 * trace) / obj.M
+
+
+def gcv_window(obj, p: int, alpha: float) -> float:
+    num, trace = _pooled_window(obj, p, alpha)
+    if p == obj.P - 1:
+        num += obj.beyond
+    trsum = obj.R * trace
+    den = (1.0 - trsum / obj.M) ** 2
+    if den < SATURATION_FLOOR:
+        raise SaturatedTraceError(
+            f"saturated trace: window {p} trace {trsum:.6g} ~ M={obj.M} "
+            f"at alpha={alpha:.3g}")
+    return (num / obj.M) / den
 
 
 # ---------------------------------------------------------------------------

@@ -810,3 +810,20 @@ def test_mse_training_requires_truths(tmp_path, monkeypatch):
     monkeypatch.setattr(cli_mod, "_split_datasets", truthless)
     with pytest.raises(ConfigError, match="needs truth images"):
         cmd_train(cfg)
+
+
+@pytest.mark.parametrize("size,xi,seed,fingerprint", [
+    (256, 36.0, 1, "51c8a5acdf39d8af"),   # the desk experiment
+    (256, 36.0, 37, "b97494812a7365fc"),
+    (128, 9.0, 1, "a0fff994c5b1d73b"),    # 128x128, Laplacian penalty
+])
+def test_synthetic_training_corpus_fingerprints_are_pinned(size, xi, seed,
+                                                            fingerprint):
+    """The fingerprint that params.json records quantizes each truth to 16
+    bits, so a corpus whose pixels move by rounding keeps its fingerprint,
+    and a change to the generator that moves a quantized pixel fails here."""
+    cfg = ExperimentConfig(image_size=size, xi=xi, snr_db=10.0, seed=seed,
+                           r_train=8)
+    truths = _split_truths(cfg, "train")
+    assert len(truths) == 8
+    assert cli._corpus_fingerprint(truths) == fingerprint

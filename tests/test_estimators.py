@@ -32,6 +32,7 @@ from specwin.problems import gaussian_psf
 from specwin.spectral import dct_decompose, filter_factors, gsvd
 from specwin.windows import cosine_windows, indicator_windows, make_partitions, trivial_window
 
+import oracles
 from oracles import (
     dense_gcv_scalar,
     dense_influence_scalar,
@@ -1046,3 +1047,51 @@ def test_residual_second_moment_tracks_covariance_trace():
     samples = np.sum((Rm @ draws) ** 2, axis=0)
     se = samples.std(ddof=1) / np.sqrt(N)
     assert abs(samples.mean() - analytic) <= 3.0 * se
+
+
+@pytest.mark.parametrize("R", [1, 3])
+def test_window_kernels_round_as_their_plain_expressions(R):
+    """The per-window forms build phi, phi u - t and (1 - phi)**2 E in place;
+    each element goes through the same operations as the plain expressions,
+    so every value is bit for bit theirs, on slice and index-array members
+    of a system with ell > 0 and q_star < n."""
+    sys = dct_decompose(_box_psf((8, 6), (4, 2)), "laplacian")
+    assert sys.ell > 0 and sys.q_star < sys.n
+    rng = np.random.default_rng(229 + R)
+    dhats = [sys.analyze(rng.standard_normal(sys.dims)) for _ in range(R)]
+    truths = [rng.standard_normal(sys.dims) for _ in range(R)]
+    alphas = [*np.exp(rng.uniform(np.log(1e-6), np.log(10.0), 25)), 1e-6, 10.0]
+    for win in (indicator_windows(make_partitions(sys, 3, "log"), sys, "log"),
+                windows_from_members([range(p, sys.n, 3) for p in range(3)],
+                                     sys.n)):
+        assert win.P == 3 and win.nonoverlapping
+        forms = [(MseObjective(sys, dhats, truths, win), oracles.mse_window),
+                 (UpreObjective(sys, dhats, win, rng.uniform(0.01, 0.1, R)),
+                  oracles.upre_window),
+                 (GcvObjective(sys, dhats, win), oracles.gcv_window)]
+        for obj, expression in forms:
+            for p in range(3):
+                for a in alphas:
+                    assert obj.window(p, a) == expression(obj, p, a), (p, a)
+
+
+def test_gcv_window_saturates_where_its_plain_expression_does():
+    # a mild blur with ell = 0: on the all-ones window the trace reaches m
+    # as alpha falls, and the decoupled GCV raises there
+    sys = dct_decompose(gaussian_psf(0.5, (6, 6)), "identity")
+    assert sys.ell == 0 and sys.q_star == sys.n == sys.m
+    rng = np.random.default_rng(233)
+    dhats = [sys.analyze(rng.standard_normal(sys.dims)) for _ in range(2)]
+    gcv = GcvObjective(sys, dhats, trivial_window(sys))
+    raised = 0
+    for a in np.geomspace(1e-6, 10.0, 61):
+        try:
+            want = oracles.gcv_window(gcv, 0, a)
+        except SaturatedTraceError as exc:
+            raised += 1
+            with pytest.raises(SaturatedTraceError) as got:
+                gcv.window(0, a)
+            assert str(got.value) == str(exc)
+        else:
+            assert gcv.window(0, a) == want
+    assert 0 < raised < 61

@@ -23,6 +23,7 @@ from oracles import (
     dense_solve_windowed,
     reflexive_blur_matrix,
     tik_matrices,
+    windows_from_weights,
 )
 
 CASES = [
@@ -224,3 +225,29 @@ def test_shape_mismatches_are_rejected():
         solve_scalar(sys, d[:-1], 0.5)  # short data vector
     with pytest.raises(ValueError):
         residual_norm_windowed(sys, sys.analyze(d), win, [0.5, 0.5, 0.5])
+
+
+def test_window_phi_rejects_bad_windows_and_parameters():
+    import specwin.solver as solver_mod
+
+    sys = dct_decompose(gaussian_psf(2.0, (8, 8)), "laplacian")
+    parts = make_partitions(sys, 2)
+    band = solver_mod._Band(sys, indicator_windows(parts, sys))
+    for p in (-1, 2):
+        with pytest.raises(IndexError, match="out of range"):
+            band.window_phi(p, 0.5)
+    for alpha in (0.0, -0.5, np.nan, np.inf, 2.0 * MAX_ALPHA):
+        with pytest.raises(ValueError, match="positive"):
+            band.window_phi(0, alpha)
+    overlapping = solver_mod._Band(sys, cosine_windows(parts, sys))
+    with pytest.raises(ValueError, match="non-overlapping"):
+        overlapping.window_phi(0, 0.5)
+    weights = np.vstack([np.ones(sys.n), np.zeros(sys.n)])
+    empty = solver_mod._Band(sys, windows_from_weights(weights))
+    with pytest.raises(EmptyWindowError):
+        empty.window_phi(1, 0.5)
+    # a valid call returns a new array each time
+    first = band.window_phi(0, 0.5)
+    assert band.window_phi(0, 0.5) is not first
+    first[:] = -1.0
+    assert np.all(band.window_phi(0, 0.5) >= 0.0)
