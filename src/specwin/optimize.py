@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -72,15 +71,6 @@ class SearchConfig:
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
-    @cached_property
-    def grid(self) -> np.ndarray:
-        """The bracketing grid of the scalar search, built once per config
-        and read-only: grid_points log-spaced alphas from alpha_min to
-        alpha_max."""
-        grid = np.geomspace(self.alpha_min, self.alpha_max, self.grid_points)
-        grid.flags.writeable = False
-        return grid
-
 
 class ScalarSearchResult(NamedTuple):
     alpha: float
@@ -123,7 +113,7 @@ def minimize_scalar(objective: Callable[[float], float],
         seen.append((alpha, val))
         return val
 
-    grid = config.grid
+    grid = np.geomspace(config.alpha_min, config.alpha_max, config.grid_points)
     vals = np.array([f(a) for a in grid])
     if not np.any(np.isfinite(vals)):
         raise InfeasibleError(

@@ -143,8 +143,7 @@ class _Band:
 
     def window_phi(self, p: int, alpha: float) -> np.ndarray:
         """phi(alpha) on window p's band members, in a new array that the
-        caller may overwrite: alpha squared as `rows` squares it, and each
-        element rounded as `_band_phi` rounds it, in one buffer; raises for
+        caller may overwrite, alpha squared as `rows` squares it; raises for
         p out of range, overlapping or empty windows."""
         if not 0 <= p < self.P:
             raise IndexError(f"window index {p} out of range for P={self.P}")
@@ -153,10 +152,7 @@ class _Band:
         if self._values[p] is None:
             raise EmptyWindowError(f"window {p} has no members")
         alpha = _positive_alpha(alpha)
-        d2, lam2 = self._values[p]
-        phi = lam2 * (alpha * alpha)
-        phi += d2
-        return np.divide(d2, phi, out=phi)
+        return _band_phi(*self._values[p], alpha * alpha)
 
 
 def phi_windowed(sys: SpectralSystem, windows: WindowSet,

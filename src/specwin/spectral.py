@@ -397,8 +397,11 @@ def dct_decompose(psf: np.ndarray, penalty: str = "identity") -> SpectralSystem:
 
 def _band_phi(d2: np.ndarray, lam2: np.ndarray, alpha2):
     """Middle-band filter factors d2 / (d2 + alpha2 lam2) from squared values
-    on [ell, q_star); a column of P squared parameters alpha2 gives P rows."""
-    return d2 / (d2 + alpha2 * lam2)
+    on [ell, q_star); a column of P squared parameters alpha2 gives P rows,
+    in one new array."""
+    phi = alpha2 * lam2
+    phi += d2
+    return np.divide(d2, phi, out=phi)
 
 
 def _positive_alpha(alpha) -> float:

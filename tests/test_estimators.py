@@ -1054,7 +1054,8 @@ def test_window_kernels_round_as_their_plain_expressions(R):
     """The per-window forms build phi, phi u - t and (1 - phi)**2 E in place;
     each element goes through the same operations as the plain expressions,
     so every value is bit for bit theirs, on slice and index-array members
-    of a system with ell > 0 and q_star < n."""
+    of a system with ell > 0 and q_star < n; so are the filter rows of all
+    windows and the scalar filter, which share phi's one-buffer form."""
     sys = dct_decompose(_box_psf((8, 6), (4, 2)), "laplacian")
     assert sys.ell > 0 and sys.q_star < sys.n
     rng = np.random.default_rng(229 + R)
@@ -1073,6 +1074,16 @@ def test_window_kernels_round_as_their_plain_expressions(R):
             for p in range(3):
                 for a in alphas:
                     assert obj.window(p, a) == expression(obj, p, a), (p, a)
+        # the filter rows and the scalar filter share the one-buffer form
+        band = forms[0][0].band
+        for trio in np.reshape(alphas[:27], (9, 3)):
+            rows = band.rows(trio)
+            want = oracles.band_phi(band.d2, band.lam2, trio[:, None] ** 2)
+            assert rows.tobytes() == want.tobytes()
+    mid = slice(sys.ell, sys.q_star)
+    for a in alphas:
+        want = oracles.band_phi(sys.delta[mid] ** 2, sys.lam[mid] ** 2, a ** 2)
+        assert filter_factors(sys, a).phi[mid].tobytes() == want.tobytes()
 
 
 def test_gcv_window_saturates_where_its_plain_expression_does():

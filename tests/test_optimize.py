@@ -204,29 +204,3 @@ def test_vector_rejects_bad_shapes():
     # a coupled search starts where its caller says; there is no default
     with pytest.raises(ValueError, match="needs a warm start"):
         minimize_vector(lambda p: float(np.sum(p.values)), 2)
-
-
-def test_bracketing_grid_is_built_once_per_config_and_read_only(monkeypatch):
-    import specwin.optimize as optimize_mod
-
-    for cfg in (SearchConfig(), SearchConfig(alpha_min=1e-3, alpha_max=50.0,
-                                             grid_points=17)):
-        want = np.geomspace(cfg.alpha_min, cfg.alpha_max, cfg.grid_points)
-        assert cfg.grid.tobytes() == want.tobytes()
-        assert cfg.grid is cfg.grid
-        with pytest.raises(ValueError, match="read-only"):
-            cfg.grid[0] = 1.0
-        # the searches read it and build no grid of their own
-        calls = []
-        real = np.geomspace
-        monkeypatch.setattr(optimize_mod.np, "geomspace",
-                            lambda *a, **k: calls.append(a) or real(*a, **k))
-        for _ in range(3):
-            res = minimize_scalar(lambda a: (math.log(a) - 0.3) ** 2, cfg)
-            assert np.array_equal(res.trace[:cfg.grid_points, 0], want)
-        monkeypatch.undo()
-        assert calls == []
-    # the cached grid is no field: configs compare and hash by their settings
-    a, b = SearchConfig(), SearchConfig()
-    assert not a.grid.flags.writeable
-    assert a == b and hash(a) == hash(b)

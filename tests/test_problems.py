@@ -186,17 +186,6 @@ def test_make_datasets_is_make_dataset_per_image(monkeypatch):
         make_datasets([np.zeros(12)], psf, 10.0, [1])
 
 
-@pytest.mark.parametrize("snr_db", [10.0, 20.0, 200.0])
-def test_make_datasets_reports_the_achieved_snr(snr_db):
-    psf = gaussian_psf(2.0, (16, 16))
-    truths = [synthetic_image(16, seed=s) for s in (4, 5)]
-    for ds in make_datasets(truths, psf, snr_db, [60, 61]):
-        want = 10.0 * np.log10(np.sum(ds.b ** 2) / np.sum((ds.d - ds.b) ** 2))
-        assert ds.snr == float(want)
-        assert ds.snr == pytest.approx(snr_db, abs=1e-6)
-    assert make_datasets(truths, psf, np.inf, [60, 61])[0].snr == np.inf
-
-
 def test_make_dataset_fields():
     x = synthetic_image(16, seed=3)
     psf = gaussian_psf(2.0, (5, 5))
