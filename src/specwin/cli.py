@@ -22,6 +22,7 @@ import json
 import sys as _sysmod
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -36,7 +37,7 @@ from .problems import (DataSet, gaussian_psf, load_corpus, make_datasets,
                        write_pgm)
 from .solver import ParamVector
 from .spectral import SpectralSystem, dct_decompose
-from .windows import KINDS, WindowSet, make_windows, trivial_window
+from .windows import KINDS, WindowSet, indicator_windows, make_windows
 
 __all__ = ["ExperimentConfig", "cmd_gen", "cmd_train", "cmd_validate",
            "cmd_report", "main"]
@@ -122,9 +123,11 @@ class ExperimentConfig:
         if self.window_count < 1:
             raise ConfigError(f"window_count must be >= 1, got {self.window_count}")
         bad = [e for e in self.estimators if e not in _ESTIMATORS]
-        if bad or not self.estimators:
+        if (bad or not self.estimators
+                or len(set(self.estimators)) < len(self.estimators)):
             raise ConfigError(f"estimators must be a nonempty subset of "
-                              f"{_ESTIMATORS}, got {self.estimators}")
+                              f"{_ESTIMATORS}, each named once, got "
+                              f"{self.estimators}")
         if self.r_train < 1:
             raise ConfigError(f"r_train must be >= 1, got {self.r_train}")
         if self.val_count < 0:
@@ -257,15 +260,13 @@ def _build_system(config: ExperimentConfig) -> SpectralSystem:
 
 def _window_sets(config: ExperimentConfig,
                  system: SpectralSystem) -> dict[str, WindowSet]:
-    """The window sets of the search policy (_learn): the single all-ones
-    window ("scalar"), the configured windows ("windowed") and indicator
-    windows over the same partitions ("warm")."""
-    kind, P = config.window_kind, config.window_count
-    warm_kind = kind.replace("cosine", "nonoverlap")
-    windowed = make_windows(system, kind, P)
-    return {"scalar": trivial_window(system), "windowed": windowed,
-            "warm": windowed if warm_kind == kind
-            else make_windows(system, warm_kind, P)}
+    """The window sets of the search policy (_learn): the configured windows
+    ("windowed") and indicator windows over the same partitions ("warm"),
+    which are the configured windows themselves when those do not overlap."""
+    windowed = make_windows(system, config.window_kind, config.window_count)
+    return {"windowed": windowed,
+            "warm": windowed if windowed.nonoverlapping
+            else indicator_windows(windowed.partitions, system)}
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +319,7 @@ def _objective(name: str, system: SpectralSystem, dhats: list[np.ndarray],
                truths: list[np.ndarray], noise: NoiseModel, windows: WindowSet):
     """One estimator's objective on one window set, prepared once from these
     data sets.  Both GCV variants share `GcvObjective`: its per-window form
-    is the decoupled GCV, on the single all-ones window the scalar
-    multi-data GCV."""
+    is the decoupled GCV, window(None, alpha) the scalar multi-data GCV."""
     if name == "mse":
         return MseObjective(system, dhats, truths, windows)
     if name == "upre":
@@ -327,36 +327,18 @@ def _objective(name: str, system: SpectralSystem, dhats: list[np.ndarray],
     return GcvObjective(system, dhats, windows)
 
 
-def _line_searches(objective, P: int, search: SearchConfig) -> list:
-    """One minimize_scalar result per window of objective.window."""
-    return [minimize_scalar(lambda a, p=p: objective.window(p, a), search)
-            for p in range(P)]
-
-
-def _per_window_set(window_sets: dict[str, WindowSet], prepare):
-    """objectives(kind) for _learn: prepare(window set of that kind), built
-    once per window set, so a warm set that is the windowed set shares its
-    objective."""
-    prepared = {}
-
-    def objectives(kind: str):
-        ws = window_sets[kind]
-        if id(ws) not in prepared:
-            prepared[id(ws)] = prepare(ws)
-        return prepared[id(ws)]
-    return objectives
-
-
-def _learn(objectives, P: int, decoupled: bool, search: SearchConfig):
+def _learn(objective, window_sets: dict[str, WindowSet], prepare,
+           decoupled: bool, search: SearchConfig):
     """The search policy of `train` and of `validate`'s per-image best, on
-    objectives(kind) = the objective over the window set of that kind
-    (_window_sets): (scalar result, windowed parameters, per-window results
-    or the coupled result).
+    the objective over the configured windows (_window_sets): (scalar
+    result, windowed parameters, per-window results or the coupled result).
 
-    The scalar search is the one-window case of the per-window line search,
-    and so is each window's search where the objective decouples.  With one
-    window the scalar result is the windowed one, its one per-window result.
-    A coupled search starts from the per-window solution on the warm windows
+    The scalar search is a line search on objective.window(None, .), the
+    single all-ones window.  With one window the scalar result is the
+    windowed one, its one per-window result.  Else each window gets a line
+    search on the warm windows: on `objective` where they are the configured
+    windows (always where the objective decouples), else on
+    prepare(warm windows).  A coupled search starts from that solution
     and from the diagonal at the scalar alpha, and the lower end point wins
     (ties go to the first).  On 64x64, identity, cosine_log P=3, ten seeds,
     UPRE from the diagonal alone ends up to 8.1e-6 (relative) too high,
@@ -365,18 +347,20 @@ def _learn(objectives, P: int, decoupled: bool, search: SearchConfig):
     never above the value at the scalar alpha on every window
     (test_validate_coupled_best_keeps_the_diagonal_start).
     """
-    scalar, = _line_searches(objectives("scalar"), 1, search)
+    scalar = minimize_scalar(lambda a: objective.window(None, a), search)
+    P = objective.P
     if P == 1:
         return scalar, ParamVector([scalar.alpha]), [scalar]
-    windowed = objectives("windowed")
+    warm = window_sets["warm"]
+    warm_obj = objective if warm is window_sets["windowed"] else prepare(warm)
+    per_window = [minimize_scalar(lambda a, p=p: warm_obj.window(p, a), search)
+                  for p in range(P)]
+    alphas = ParamVector([res.alpha for res in per_window])
     if decoupled:
-        found = _line_searches(windowed, P, search)
-        return scalar, ParamVector([res.alpha for res in found]), found
-    warm = _line_searches(objectives("warm"), P, search)
-    starts = [ParamVector([res.alpha for res in warm]),
-              ParamVector(np.full(P, scalar.alpha))]
-    found = min((minimize_vector(windowed, P, search, warm_start=ws)
-                 for ws in starts), key=lambda res: res.value)
+        return scalar, alphas, per_window
+    found = min((minimize_vector(objective, P, search, warm_start=ws)
+                 for ws in (alphas, ParamVector(np.full(P, scalar.alpha)))),
+                key=lambda res: res.value)
     return scalar, found.alphas, found
 
 
@@ -409,10 +393,11 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
     trend_rows = []
     for name in config.estimators:
         t0 = time.perf_counter()
-        objectives = _per_window_set(window_sets, lambda ws: _objective(
-            name, system, dhats, truths, noise, ws))
+        prepare = partial(_objective, name, system, dhats, truths, noise)
+        objective = prepare(windows)
         decoupled = windows.nonoverlapping and name != "gcv_true"
-        scal, alphas, found = _learn(objectives, windows.P, decoupled, search)
+        scal, alphas, found = _learn(objective, window_sets, prepare,
+                                     decoupled, search)
         _write_trace(traces_dir / f"{name}_scalar_trace.csv", scal.trace)
         windowed = {"alphas": [float(a) for a in alphas.values]}
         if isinstance(found, list):  # per-window results
@@ -420,7 +405,7 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
             if name == "gcv_decoupled":
                 windowed["per_window_values"] = [res.value for res in found]
             else:
-                windowed["value"] = objectives("windowed")(alphas)
+                windowed["value"] = objective(alphas)
             for p, res in enumerate(found):
                 _write_trace(traces_dir / f"{name}_window{p}_trace.csv",
                              res.trace)
@@ -441,10 +426,9 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
         if config.r_sweep:  # learn on the first r data sets and variances
             for r in range(1, len(datasets) + 1):
                 sub = _objective(name, system, dhats[:r], truths[:r],
-                                 NoiseModel(noise.sigma2[:r]),
-                                 window_sets["scalar"])
-                trend_rows.append(
-                    (r, name, _line_searches(sub, 1, search)[0].alpha))
+                                 NoiseModel(noise.sigma2[:r]), windows)
+                trend_rows.append((r, name, minimize_scalar(
+                    lambda a: sub.window(None, a), search).alpha))
 
     params["config"] = asdict(config)
     params["corpus"] = {
@@ -527,11 +511,11 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
         source = f"estimator {name!r} in parameters {params_path}"
         _require(entry, ("scalar.alpha", "scalar.boundary", "windowed.alphas",
                          "windowed.boundary"), source)
-        for mode, values in (("scalar", [entry["scalar"]["alpha"]]),
-                             ("windowed", entry["windowed"]["alphas"])):
+        for mode, P, values in (("scalar", 1, [entry["scalar"]["alpha"]]),
+                                ("windowed", windows.P,
+                                 entry["windowed"]["alphas"])):
             key = f"{name}_{mode}"
-            runs[key] = (mode, _stored_params(values, window_sets[mode].P,
-                                              f"{source}, {mode}"))
+            runs[key] = (mode, _stored_params(values, P, f"{source}, {mode}"))
             boundary[key] = entry[mode]["boundary"]
     if config.include_best:
         runs.update({f"best_{mode}": (mode, None)
@@ -553,17 +537,19 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
         table = errors[split] = {key: [] for key in runs}
         for ds in datasets:
             dhat = system.analyze(ds.d)
-            mse = _per_window_set(window_sets, lambda ws: MseObjective(
-                system, [dhat], [ds.x_true], ws))
+            prepare = partial(MseObjective, system, [dhat], [ds.x_true])
+            mse = prepare(windows)
             if config.include_best:
-                scal, alphas, _ = _learn(mse, windows.P,
+                scal, alphas, _ = _learn(mse, window_sets, prepare,
                                          windows.nonoverlapping, config.search)
                 best = {"scalar": ParamVector([scal.alpha]), "windowed": alphas}
             norm = float(np.linalg.norm(ds.x_true))
             for key, (mode, alphas) in runs.items():
                 if alphas is None:
                     alphas = best[mode]
-                table[key].append(float(100.0 * np.sqrt(mse(mode)(alphas)) / norm))
+                value = (mse(alphas) if mode == "windowed"
+                         else mse.window(None, alphas.values[0]))
+                table[key].append(float(100.0 * np.sqrt(value) / norm))
     means = {key: {split: float(np.mean(table[key]))
                    for split, table in errors.items()} for key in runs}
 

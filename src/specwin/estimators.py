@@ -13,9 +13,10 @@ coefficients dhat = analyze(d):
   the dense backend.
 
 Each estimator has one objective class (`UpreObjective`, `GcvObjective`,
-`MseObjective`), prepared once per search for data sets sharing one system
-and one window set, and evaluated as obj(alphas) or obj.window(p, alpha);
-each public function is one evaluation of a freshly prepared objective.
+`MseObjective`), prepared once for data sets sharing one system and one
+window set, and evaluated as obj(alphas), obj.window(p, alpha) or, on the
+single all-ones window, obj.window(None, alpha); each public function is
+one evaluation of a freshly prepared objective.
 Every objective reads the active band [ell, q_star) and its window weights
 from the solver's band object (`solver._Band`), which cuts each window's
 members on first use: by a per-window form, or by preparing the DCT
@@ -299,12 +300,15 @@ class _Pooled(_Objective):
         return [(np.sum(self.head_energy[low]), self.energy[mid])
                 for low, mid, _ in self.band.members]
 
-    def _window(self, p: int, alpha: float) -> tuple[float, float]:
-        """Window p's pooled squared residual and one set's window trace:
-        sum phi first, then (1 - phi)**2 * energy in phi's own buffer."""
+    def _window(self, p: int | None, alpha: float) -> tuple[float, float]:
+        """Window p's (p = None: the all-ones window's) pooled squared
+        residual and one set's window trace: sum phi first, then
+        (1 - phi)**2 * energy in phi's own buffer."""
         phi = self.band.window_phi(p, alpha)
-        below, energy = self.window_energies[p]
-        trace = float(self.band.tail_sums[p] + np.add.reduce(phi))
+        below, energy = ((self.below, self.energy) if p is None
+                         else self.window_energies[p])
+        tail = self.band.tail_size if p is None else self.band.tail_sums[p]
+        trace = float(tail + np.add.reduce(phi))
         np.subtract(1.0, phi, out=phi)
         phi *= phi
         phi *= energy
@@ -314,8 +318,9 @@ class _Pooled(_Objective):
 class UpreObjective(_Pooled):
     """The multi-data windowed UPRE of data sets sharing one system and one
     window set, prepared once for fixed data coefficients and noise
-    variances: obj(alphas) is upre_md_windowed, and obj.window(p, alpha) is
-    upre_window_separable."""
+    variances: obj(alphas) is upre_md_windowed, obj.window(p, alpha) is
+    upre_window_separable, and obj.window(None, alpha) is the value of the
+    single all-ones window."""
 
     def __init__(self, sys: SpectralSystem, dhats: Sequence[np.ndarray],
                  windows: WindowSet, noise) -> None:
@@ -328,7 +333,7 @@ class UpreObjective(_Pooled):
         trace = self.band.tail_size + float(np.sum(phiw))
         return (resid + 2.0 * self.s2 * trace) / self.M
 
-    def window(self, p: int, alpha: float) -> float:
+    def window(self, p: int | None, alpha: float) -> float:
         resid, trace = self._window(p, alpha)
         return (resid + 2.0 * self.s2 * trace) / self.M
 
@@ -336,9 +341,9 @@ class UpreObjective(_Pooled):
 class GcvObjective(_Pooled):
     """The multi-data windowed GCV of data sets sharing one system and one
     window set, prepared once for fixed data coefficients: obj(alphas) is
-    the coupled gcv_windowed_true_md, and obj.window(p, alpha) is the
-    decoupled gcv_windowed_decoupled (on the single all-ones window,
-    gcv_md_scalar)."""
+    the coupled gcv_windowed_true_md, obj.window(p, alpha) is the
+    decoupled gcv_windowed_decoupled, and obj.window(None, alpha) is
+    gcv_md_scalar, the decoupled GCV of the single all-ones window."""
 
     def __call__(self, alphas) -> float:
         weighted, mu, nu = _trace_complements(self.band, alphas, self.m)
@@ -352,9 +357,9 @@ class GcvObjective(_Pooled):
                 + float(coef @ (coef * self.energy))
                 + float(tail @ (tail * self.tail_energy))) / self.m / self.R
 
-    def window(self, p: int, alpha: float) -> float:
+    def window(self, p: int | None, alpha: float) -> float:
         num, trace = self._window(p, alpha)
-        if p == self.P - 1:
+        if p is None or p == self.P - 1:
             num += self.beyond
         trsum = self.R * trace
         den = (1.0 - trsum / self.M) ** 2
@@ -413,7 +418,9 @@ class MseObjective(_Objective):
         for dhat, truth in zip(dhats, truths):
             u = dpinv * dhat[: sys.n] / sys.synthesis_scale
             t = sys.solution_coefficients(truth)
-            below, tail = t[:lo] ** 2, (band.tail_phi * u[hi:] - t[hi:]) ** 2
+            # phi = 1 on the tail itself, not the tail weights' sum, which
+            # rounds off 1 on some hand-built window sets
+            below, tail = t[:lo] ** 2, (u[hi:] - t[hi:]) ** 2
             self._const += float(np.sum(below) + np.sum(tail))
             if band.members is not None:  # each window's share
                 self._window_consts += [
@@ -436,19 +443,21 @@ class MseObjective(_Objective):
         phiw = self.band.blend(self.band.rows(alphas))
         return (self._const + float(np.sum((phiw * self._u - self._t) ** 2))) / self.R
 
-    def window(self, p: int, alpha: float) -> float:
+    def window(self, p: int | None, alpha: float) -> float:
         """Window p's share of the value at alpha, on non-overlapping windows
         of a DCT system: the shares sum to the value at the assembled vector,
-        and the single all-ones window's share is the value, bit for bit."""
+        and the single all-ones window's share is the value, bit for bit.
+        p = None gives that all-ones value on any windows of a DCT system."""
         if self._dense is not None:
             raise ValueError("the per-window MSE needs an orthonormal "
                              "synthesis (the DCT backend)")
         phi = self.band.window_phi(p, alpha)
-        u, t = self._parts[p]
+        u, t = (self._u, self._t) if p is None else self._parts[p]
+        const = self._const if p is None else self._window_consts[p]
         r = phi * u
         r -= t
         r *= r
-        return (self._window_consts[p] + float(np.add.reduce(r, axis=None))) / self.R
+        return (const + float(np.add.reduce(r, axis=None))) / self.R
 
 
 def mse_learning(systems: Sequence[SpectralSystem], data: Sequence[np.ndarray],

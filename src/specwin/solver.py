@@ -141,18 +141,21 @@ class _Band:
         return np.concatenate((self.head, self.blend(self.rows(alphas)),
                                self.tail_phi))
 
-    def window_phi(self, p: int, alpha: float) -> np.ndarray:
-        """phi(alpha) on window p's band members, in a new array that the
-        caller may overwrite, alpha squared as `rows` squares it; raises for
-        p out of range, overlapping or empty windows."""
-        if not 0 <= p < self.P:
-            raise IndexError(f"window index {p} out of range for P={self.P}")
-        if self.members is None:
-            raise ValueError("per-window forms need non-overlapping windows")
-        if self._values[p] is None:
-            raise EmptyWindowError(f"window {p} has no members")
+    def window_phi(self, p: int | None, alpha: float) -> np.ndarray:
+        """phi(alpha) on window p's band members, or on the whole band for
+        p = None (the single all-ones window), in a new array that the caller
+        may overwrite, alpha squared as `rows` squares it; raises for an
+        integer p out of range, overlapping or empty windows."""
+        if p is not None:
+            if not 0 <= p < self.P:
+                raise IndexError(f"window index {p} out of range for P={self.P}")
+            if self.members is None:
+                raise ValueError("per-window forms need non-overlapping windows")
+            if self._values[p] is None:
+                raise EmptyWindowError(f"window {p} has no members")
         alpha = _positive_alpha(alpha)
-        return _band_phi(*self._values[p], alpha * alpha)
+        values = (self.d2, self.lam2) if p is None else self._values[p]
+        return _band_phi(*values, alpha * alpha)
 
 
 def phi_windowed(sys: SpectralSystem, windows: WindowSet,

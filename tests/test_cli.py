@@ -311,6 +311,15 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
         for cmd in ("gen", "train"):
             assert main(["--config", str(degenerate), cmd]) == 2, (key, value)
 
+    # an estimator named twice would be trained twice, with its trend rows
+    # written twice
+    twice = _write_config(tmp_path, estimators=["mse", "upre", "mse"],
+                          r_sweep=True)
+    for cmd in ("gen", "train"):
+        capsys.readouterr()
+        assert main(["--config", str(twice), cmd]) == 2, cmd
+        assert "each named once" in capsys.readouterr().err, cmd
+
     # an SNR so high that the noise vanishes when added to the blurred data
     # (such data sets came out noiseless, and gen wrote "snr_db": Infinity),
     # or that part of it is lost there (the data held less noise than the
@@ -617,15 +626,14 @@ def test_one_window_makes_no_second_search(tmp_path, monkeypatch):
 
 
 def test_train_prepares_one_objective_per_window_set(tmp_path, monkeypatch):
-    """gcv_true on non-overlapping windows starts its coupled search from
-    the per-window solution on the warm windows, which are the windowed
-    ones: one objective serves both, and one more the scalar window."""
+    """gcv_true starts its coupled search from the per-window solution on
+    the warm windows.  On non-overlapping windows those are the configured
+    ones, and one objective serves the scalar search, the warm start and
+    the coupled search; on cosine windows the warm indicator windows get a
+    second objective."""
     import specwin.cli as cli_mod
 
     monkeypatch.chdir(tmp_path)
-    cfg = ExperimentConfig(image_size=32, xi=4.0, snr_db=20.0, seed=7,
-                           window_kind="nonoverlap_log", window_count=3,
-                           estimators=("gcv_true",), r_train=3, val_count=1)
     prepared = []
 
     def counting(sys, dhats, windows, real=cli_mod.GcvObjective):
@@ -633,8 +641,16 @@ def test_train_prepares_one_objective_per_window_set(tmp_path, monkeypatch):
         return real(sys, dhats, windows)
 
     monkeypatch.setattr(cli_mod, "GcvObjective", counting)
-    cmd_train(cfg)
-    assert [ws.P for ws in prepared] == [1, 3]
+    for kind, overlapping in (("nonoverlap_log", [False]),
+                              ("cosine_log", [True, False])):
+        cfg = ExperimentConfig(image_size=32, xi=4.0, snr_db=20.0, seed=7,
+                               window_kind=kind, window_count=3,
+                               estimators=("gcv_true",), r_train=3,
+                               val_count=1)
+        prepared.clear()
+        cmd_train(cfg)
+        assert [ws.P for ws in prepared] == [3] * len(overlapping), kind
+        assert [not ws.nonoverlapping for ws in prepared] == overlapping
 
 
 def _validate_config(tmp_path, monkeypatch) -> ExperimentConfig:
@@ -652,7 +668,7 @@ def test_validate_analyzes_each_data_set_once(tmp_path, monkeypatch):
 
     cfg = _validate_config(tmp_path, monkeypatch)
     params = cmd_train(cfg)
-    calls = {"analyze": 0, "synthesize": 0}
+    calls = {"analyze": 0, "synthesize": 0, "solution_coefficients": 0}
     for method in calls:
         real = getattr(SpectralSystem, method)
 
@@ -661,12 +677,22 @@ def test_validate_analyzes_each_data_set_once(tmp_path, monkeypatch):
             return real(self, v)
 
         monkeypatch.setattr(SpectralSystem, method, counting)
+    prepared = []
+
+    def preparing(*args, real=cli.MseObjective):
+        prepared.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(cli, "MseObjective", preparing)
     cmd_validate(cfg, params)
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert {"best_scalar", "best_windowed"} <= set(report["means"])
-    # every run is scored by its data set's MSE objective: no solution is
-    # synthesized
-    assert calls == {"analyze": 3 + 2 + 2, "synthesize": 0}
+    # every run, the scalar ones and the per-image best included, is scored
+    # by its data set's one MSE objective over the configured windows: one
+    # truth transform per image and no solution synthesized
+    assert calls == {"analyze": 3 + 2 + 2, "synthesize": 0,
+                     "solution_coefficients": 3 + 2 + 2}
+    assert [ws.P for ws in prepared] == [cfg.window_count] * (3 + 2 + 2)
 
 
 def _per_window_search(mse, search) -> list[float]:
@@ -683,7 +709,8 @@ def test_validate_errors_are_solution_errors(tmp_path, monkeypatch):
     cmd_validate(cfg, tmp_path / "out" / "params.json")
     errors = json.loads((tmp_path / "out" / "report.json").read_text())["errors"]
     system = _build_system(cfg)
-    window_sets = _window_sets(cfg, system)
+    window_sets = {"scalar": trivial_window(system),
+                   "windowed": _window_sets(cfg, system)["windowed"]}
     # the windowed MSE parameters are per-window line searches over the
     # training sets
     train = _split_datasets(cfg, "train")

@@ -991,12 +991,22 @@ def test_mse_window_rejects_what_the_pooled_window_forms_reject():
         for form in forms:
             with pytest.raises(error):
                 form(p, 0.5)
-    # the dense backend has no orthonormal synthesis to split the error by
+            assert np.isfinite(form(None, 0.5))  # the all-ones window
+    # the dense backend has no orthonormal synthesis to split the error by;
+    # the pooled forms' all-ones window is still the trivial window's
     _, _, dense, _, dense_dhats = _md_problem(seed=223)
     win = indicator_windows(make_partitions(dense, 2, "log"), dense, "log")
     mse = MseObjective(dense, dense_dhats, [np.zeros(dense.n)] * 2, win)
-    with pytest.raises(ValueError, match="DCT backend"):
-        mse.window(0, 0.5)
+    for p in (0, None):
+        with pytest.raises(ValueError, match="DCT backend"):
+            mse.window(p, 0.5)
+    trivial = trivial_window(dense)
+    for obj, one in [(UpreObjective(dense, dense_dhats, win, 0.01),
+                      UpreObjective(dense, dense_dhats, trivial, 0.01)),
+                     (GcvObjective(dense, dense_dhats, win),
+                      GcvObjective(dense, dense_dhats, trivial))]:
+        for a in ALPHA_GRID:
+            assert obj.window(None, a) == one.window(0, a)
 
 
 def test_estimate_sigma2_from_spectral_tail():
@@ -1055,31 +1065,62 @@ def test_window_kernels_round_as_their_plain_expressions(R):
     each element goes through the same operations as the plain expressions,
     so every value is bit for bit theirs, on slice and index-array members
     of a system with ell > 0 and q_star < n; so are the filter rows of all
-    windows and the scalar filter, which share phi's one-buffer form."""
+    windows and the scalar filter, which share phi's one-buffer form.
+
+    On any window set, window(None, alpha) is the trivial window's
+    window(0, alpha) bit for bit: on overlapping cosine windows too, and on
+    tail weights 0.7, 0.2 and 0.1, whose sum rounds to 1 - 2**-53."""
     sys = dct_decompose(_box_psf((8, 6), (4, 2)), "laplacian")
     assert sys.ell > 0 and sys.q_star < sys.n
     rng = np.random.default_rng(229 + R)
     dhats = [sys.analyze(rng.standard_normal(sys.dims)) for _ in range(R)]
     truths = [rng.standard_normal(sys.dims) for _ in range(R)]
     alphas = [*np.exp(rng.uniform(np.log(1e-6), np.log(10.0), 25)), 1e-6, 10.0]
+    noise = rng.uniform(0.01, 0.1, R)
+
+    def objectives(win):
+        return [MseObjective(sys, dhats, truths, win),
+                UpreObjective(sys, dhats, win, noise),
+                GcvObjective(sys, dhats, win)]
+
+    trivial = objectives(trivial_window(sys))
+    cosine = cosine_windows(make_partitions(sys, 3, "log"), sys, "log")
+    split = cosine.weights.copy()
+    split[:, sys.q_star:] = np.array([[0.7], [0.2], [0.1]])
+    tail_split = windows_from_weights(split)
+    assert tail_split.weights[:, sys.q_star:].sum(axis=0)[0] == 1.0 - 2.0 ** -53
     for win in (indicator_windows(make_partitions(sys, 3, "log"), sys, "log"),
                 windows_from_members([range(p, sys.n, 3) for p in range(3)],
-                                     sys.n)):
-        assert win.P == 3 and win.nonoverlapping
-        forms = [(MseObjective(sys, dhats, truths, win), oracles.mse_window),
-                 (UpreObjective(sys, dhats, win, rng.uniform(0.01, 0.1, R)),
-                  oracles.upre_window),
-                 (GcvObjective(sys, dhats, win), oracles.gcv_window)]
+                                     sys.n),
+                cosine, tail_split):
+        assert win.P == 3
+        objs = objectives(win)
+        for obj, one in zip(objs, trivial):
+            for a in alphas:
+                assert obj.window(None, a) == one.window(0, a), (obj, a)
+        if not win.nonoverlapping:
+            continue
+        forms = zip(objs, (oracles.mse_window, oracles.upre_window,
+                           oracles.gcv_window))
         for obj, expression in forms:
             for p in range(3):
                 for a in alphas:
                     assert obj.window(p, a) == expression(obj, p, a), (p, a)
         # the filter rows and the scalar filter share the one-buffer form
-        band = forms[0][0].band
+        band = objs[0].band
         for trio in np.reshape(alphas[:27], (9, 3)):
             rows = band.rows(trio)
             want = oracles.band_phi(band.d2, band.lam2, trio[:, None] ** 2)
             assert rows.tobytes() == want.tobytes()
+    # with data only from q_star on and zero truths, the MSE is its tail
+    # constant alone, which reads phi = 1 there and not the rounded sum of
+    # the tail weights
+    tail = [np.where(np.arange(sys.m) >= sys.q_star, dhat, 0.0) for dhat in dhats]
+    zeros = [np.zeros(sys.dims)] * R
+    one = MseObjective(sys, tail, zeros, trivial_window(sys))
+    mse = MseObjective(sys, tail, zeros, tail_split)
+    for a in alphas:
+        assert mse.window(None, a) == one.window(0, a) > 0.0
     mid = slice(sys.ell, sys.q_star)
     for a in alphas:
         want = oracles.band_phi(sys.delta[mid] ** 2, sys.lam[mid] ** 2, a ** 2)
@@ -1088,12 +1129,15 @@ def test_window_kernels_round_as_their_plain_expressions(R):
 
 def test_gcv_window_saturates_where_its_plain_expression_does():
     # a mild blur with ell = 0: on the all-ones window the trace reaches m
-    # as alpha falls, and the decoupled GCV raises there
+    # as alpha falls, and the decoupled GCV raises there, as does the
+    # all-ones window of three windows
     sys = dct_decompose(gaussian_psf(0.5, (6, 6)), "identity")
     assert sys.ell == 0 and sys.q_star == sys.n == sys.m
     rng = np.random.default_rng(233)
     dhats = [sys.analyze(rng.standard_normal(sys.dims)) for _ in range(2)]
     gcv = GcvObjective(sys, dhats, trivial_window(sys))
+    three = GcvObjective(sys, dhats, indicator_windows(
+        make_partitions(sys, 3, "log"), sys, "log"))
     raised = 0
     for a in np.geomspace(1e-6, 10.0, 61):
         try:
@@ -1103,6 +1147,9 @@ def test_gcv_window_saturates_where_its_plain_expression_does():
             with pytest.raises(SaturatedTraceError) as got:
                 gcv.window(0, a)
             assert str(got.value) == str(exc)
+            with pytest.raises(SaturatedTraceError):
+                three.window(None, a)
         else:
             assert gcv.window(0, a) == want
+            assert three.window(None, a) == want
     assert 0 < raised < 61
