@@ -424,11 +424,12 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
             print(f"train {name}: scalar alpha={scal.alpha:.5g}, windowed "
                   f"alphas={windowed['alphas']}, {dt:.2f} s")
         if config.r_sweep:  # learn on the first r data sets and variances
-            for r in range(1, len(datasets) + 1):
+            for r in range(1, len(datasets)):
                 sub = _objective(name, system, dhats[:r], truths[:r],
                                  NoiseModel(noise.sigma2[:r]), windows)
                 trend_rows.append((r, name, minimize_scalar(
                     lambda a: sub.window(None, a), search).alpha))
+            trend_rows.append((len(datasets), name, scal.alpha))  # r = R: as above
 
     params["config"] = asdict(config)
     params["corpus"] = {

@@ -8,19 +8,18 @@ coefficients dhat = analyze(d):
 * cross-validation (GCV) objectives: scalar, multi-data scalar, the coupled
   windowed form, and the per-window decoupled approximation;
 * the supervised learning objective (mean squared solution error against
-  known truths): in coefficient space on the DCT backend, with per-window
-  shares on non-overlapping windows, and by one matrix product per call on
-  the dense backend.
+  known truths): on the DCT backend the weighted fit to the best filter of
+  the pooled data sets, with per-window shares on non-overlapping windows;
+  on the dense backend one matrix product per call.
 
 Each estimator has one objective class (`UpreObjective`, `GcvObjective`,
 `MseObjective`), prepared once for data sets sharing one system and one
 window set, and evaluated as obj(alphas), obj.window(p, alpha) or, on the
 single all-ones window, obj.window(None, alpha); each public function is
-one evaluation of a freshly prepared objective.
-Every objective reads the active band [ell, q_star) and its window weights
-from the solver's band object (`solver._Band`), which cuts each window's
-members on first use: by a per-window form, or by preparing the DCT
-`MseObjective` on non-overlapping windows.
+one evaluation of a freshly prepared objective.  UPRE, the decoupled GCV
+and the DCT MSE evaluate one band cost (`_Pooled`) on the active band
+[ell, q_star) of the solver's band object (`solver._Band`), which cuts each
+window's members on first use.
 
 Scalar forms keep their constant terms; the multi-data windowed UPRE drops
 alpha-independent constants, so cross-form tests must compare minimizers
@@ -272,11 +271,11 @@ class _Objective:
 
 
 class _Pooled(_Objective):
-    """The pooled energies sum_r dhat_r**2, through which alone the UPRE and
-    GCV objectives read the data.  Every phi is 0 below ell and 1 from
-    q_star on, so the terms there do not depend on the parameters and are
-    summed here once: an evaluation touches only the active band
-    [ell, q_star), runs no transform and costs the same for any R."""
+    """The band cost sum_j energy_j (phi_j - target_j)**2 plus a fixed cost,
+    through which alone UPRE, GCV (the pooled energies sum_r dhat_r**2, target
+    1 and their sum below ell) and the DCT MSE read the data.  Every phi is 0
+    below ell and 1 from q_star on, so an evaluation touches only the active
+    band [ell, q_star), runs no transform and costs the same for any R."""
 
     def __init__(self, sys: SpectralSystem, dhats: Sequence[np.ndarray],
                  windows: WindowSet) -> None:
@@ -290,29 +289,36 @@ class _Pooled(_Objective):
         self.m = sys.m
         self.M = self.R * sys.m
         self.head_energy = energy[:lo]
-        self.below = float(np.sum(self.head_energy))
+        self.fixed = float(np.sum(self.head_energy))
         self.energy = energy[lo:hi]
+        self.target = np.ones(hi - lo)
         self.tail_energy = energy[hi:]
 
     @cached_property
-    def window_energies(self) -> list:
-        """Each window's pooled energy below ell (summed) and on the band."""
-        return [(np.sum(self.head_energy[low]), self.energy[mid])
+    def window_terms(self) -> list:
+        """Each window's fixed cost, energy and target (the MSE sets its own)."""
+        return [(np.sum(self.head_energy[low]), self.energy[mid], self.target[mid])
                 for low, mid, _ in self.band.members]
 
-    def _window(self, p: int | None, alpha: float) -> tuple[float, float]:
-        """Window p's (p = None: the all-ones window's) pooled squared
-        residual and one set's window trace: sum phi first, then
-        (1 - phi)**2 * energy in phi's own buffer."""
-        phi = self.band.window_phi(p, alpha)
-        below, energy = ((self.below, self.energy) if p is None
-                         else self.window_energies[p])
-        tail = self.band.tail_size if p is None else self.band.tail_sums[p]
-        trace = float(tail + np.add.reduce(phi))
-        np.subtract(1.0, phi, out=phi)
+    def _cost(self, phiw: np.ndarray) -> float:
+        """The cost at the band filter phiw."""
+        return self.fixed + float(np.sum((phiw - self.target) ** 2 * self.energy))
+
+    def _resid(self, p: int | None, phi: np.ndarray) -> float:
+        """Window p's (None: the all-ones window's) cost at phi, in phi's buffer."""
+        fixed, energy, target = ((self.fixed, self.energy, self.target)
+                                 if p is None else self.window_terms[p])
+        phi -= target
         phi *= phi
         phi *= energy
-        return float(below + np.add.reduce(phi)), trace
+        return float(fixed + np.add.reduce(phi))
+
+    def _window(self, p: int | None, alpha: float) -> tuple[float, float]:
+        """Window p's pooled residual and one set's trace, summed first."""
+        phi = self.band.window_phi(p, alpha)
+        tail = self.band.tail_size if p is None else self.band.tail_sums[p]
+        trace = float(tail + np.add.reduce(phi))
+        return self._resid(p, phi), trace
 
 
 class UpreObjective(_Pooled):
@@ -329,9 +335,8 @@ class UpreObjective(_Pooled):
 
     def __call__(self, alphas) -> float:
         phiw = self.band.blend(self.band.rows(alphas))
-        resid = self.below + float(np.sum((1.0 - phiw) ** 2 * self.energy))
         trace = self.band.tail_size + float(np.sum(phiw))
-        return (resid + 2.0 * self.s2 * trace) / self.M
+        return (self._cost(phiw) + 2.0 * self.s2 * trace) / self.M
 
     def window(self, p: int | None, alpha: float) -> float:
         resid, trace = self._window(p, alpha)
@@ -353,7 +358,7 @@ class GcvObjective(_Pooled):
         S = float(np.sum((1.0 - nu) / mu))
         coef = 1.0 + S - np.divide(weighted, mu[:, None], out=weighted).sum(axis=0)
         tail = 1.0 + S - np.sum(self.band.tail_weights / mu[:, None], axis=0)
-        return ((1.0 + S) ** 2 * (self.below + self.beyond)
+        return ((1.0 + S) ** 2 * (self.fixed + self.beyond)
                 + float(coef @ (coef * self.energy))
                 + float(tail @ (tail * self.tail_energy))) / self.m / self.R
 
@@ -370,7 +375,7 @@ class GcvObjective(_Pooled):
         return (num / self.M) / den
 
 
-class MseObjective(_Objective):
+class MseObjective(_Pooled):
     """(1/R) sum_r ||x_win^(r)(alphas) - x_true^(r)||^2 as a function of the
     parameter vector, prepared once for data sets sharing one system and one
     window set, with fixed data coefficients and truths.  For one data set
@@ -378,16 +383,19 @@ class MseObjective(_Objective):
 
     On a system with an orthonormal synthesis (`synthesis_scale` set: the DCT
     backend) the error is taken in coefficient space by Parseval.  With
-    u = pinv(delta) dhat[:n] / synthesis_scale and t = Q^T x_true,
+    u_r = pinv(delta) dhat_r[:n] / synthesis_scale and t_r = Q^T x_true^(r),
+    one filter shared by the R sets gives the `_Pooled` cost
 
-      ||x_win - x_true||^2 = sum_j (phi_win_j u_j - t_j)^2.
+      sum_rj (phi_win_j u_rj - t_rj)^2 = sum_j a_j (phi_win_j - phi*_j)^2 + c_j
 
-    Indices below ell (u = 0) and from q_star on (phi = 1 in every window) do
-    not depend on the parameters and are summed here once, so a call touches
-    only the active band [ell, q_star), evaluates the filter once for every
-    data set and runs no transform.  Other systems (the dense backend) keep
-    the heads dhat[:n] and the flattened truths as n-by-R column stacks H
-    and X; a call synthesizes all R solutions in one matrix product,
+    with energies a = sum_r u_r**2, the best filter phi* = sum_r u_r t_r / a
+    (0 where a = 0) and c_j = sum_r (phi*_j u_rj - t_rj)^2 (Chung, Chung and
+    O'Leary, SIAM J. Sci. Comput. 2011).  Below ell (u = 0) and from q_star
+    on (phi = 1) every term joins the fixed cost, so a call touches only the
+    active band, runs no transform and costs the same for any R.  Other
+    systems (the dense backend) keep the heads dhat[:n] and the flattened
+    truths as n-by-R column stacks H and X; a call synthesizes all R
+    solutions in one matrix product,
 
       (1/R) ||synthesize(phi_win pinv(delta) H) - X||^2 (Frobenius).
     """
@@ -398,41 +406,39 @@ class MseObjective(_Objective):
             raise ValueError("missing truths: the learning objective needs x_true")
         if len(truths) != len(dhats):
             raise ValueError("data and truths must have equal lengths")
-        super().__init__(sys, dhats, windows)
+        _Objective.__init__(self, sys, dhats, windows)
         for truth in truths:
             if np.size(truth) != sys.n:
                 raise ValueError(f"truth size {np.size(truth)} does not match "
                                  f"n={sys.n}")
-        band = self.band
-        dpinv = sys.delta_pinv()
         if sys.synthesis_scale is None:
             heads = np.stack([dhat[: sys.n] for dhat in dhats], axis=1)
             flat = np.stack([np.ravel(truth) for truth in truths], axis=1)
-            self._dense = (sys, dpinv, heads, flat)
+            self._dense = (sys, sys.delta_pinv(), heads, flat)
             return
         self._dense = None
-        lo, hi = sys.ell, sys.q_star
-        self._const = 0.0
-        self._window_consts = np.zeros(self.P)
-        us, ts = [], []
-        for dhat, truth in zip(dhats, truths):
-            u = dpinv * dhat[: sys.n] / sys.synthesis_scale
-            t = sys.solution_coefficients(truth)
+        lo, hi, n = sys.ell, sys.q_star, sys.n
+        dpinv, scale = 1.0 / sys.delta[lo:], sys.synthesis_scale[lo:]
+        fixed = np.zeros(n)  # each index's parameter-free cost
+        u, t = np.empty((self.R, hi - lo)), np.empty((self.R, hi - lo))
+        for r, (dhat, truth) in enumerate(zip(dhats, truths)):
+            u_r = dpinv * dhat[lo:n] / scale
+            t_r = sys.solution_coefficients(truth)
+            fixed[:lo] += t_r[:lo] ** 2
             # phi = 1 on the tail itself, not the tail weights' sum, which
             # rounds off 1 on some hand-built window sets
-            below, tail = t[:lo] ** 2, (u[hi:] - t[hi:]) ** 2
-            self._const += float(np.sum(below) + np.sum(tail))
-            if band.members is not None:  # each window's share
-                self._window_consts += [
-                    float(np.sum(below[low]) + np.sum(tail[high]))
-                    for low, _, high in band.members]
-            us.append(u[lo:hi])
-            ts.append(t[lo:hi])
-        self._u = np.array(us)
-        self._t = np.array(ts)
-        if band.members is not None:
-            self._parts = [(self._u[:, mid], self._t[:, mid])
-                           for _, mid, _ in band.members]
+            fixed[hi:] += (u_r[hi - lo:] - t_r[hi:]) ** 2
+            u[r], t[r] = u_r[: hi - lo], t_r[lo:hi]
+        self.energy = np.einsum("rj,rj->j", u, u)
+        self.target = np.divide(np.einsum("rj,rj->j", u, t), self.energy,
+                                out=np.zeros(hi - lo), where=self.energy > 0.0)
+        res = self.target * u - t  # each set's residual at the best filter
+        fixed[lo:hi] = np.einsum("rj,rj->j", res, res)
+        self.fixed = float(np.sum(fixed))
+        if self.band.members is not None:  # each window's share
+            self.window_terms = [
+                (float(np.sum(fixed[idx])), self.energy[mid], self.target[mid])
+                for idx, (_, mid, _) in zip(windows.members, self.band.members)]
 
     def __call__(self, alphas) -> float:
         if self._dense is not None:
@@ -440,8 +446,7 @@ class MseObjective(_Objective):
             scaled = self.band.phi_win(alphas) * dpinv
             x = sys.synthesize(scaled[:, None] * heads)
             return float(np.sum((x - flat) ** 2)) / self.R
-        phiw = self.band.blend(self.band.rows(alphas))
-        return (self._const + float(np.sum((phiw * self._u - self._t) ** 2))) / self.R
+        return self._cost(self.band.blend(self.band.rows(alphas))) / self.R
 
     def window(self, p: int | None, alpha: float) -> float:
         """Window p's share of the value at alpha, on non-overlapping windows
@@ -451,13 +456,7 @@ class MseObjective(_Objective):
         if self._dense is not None:
             raise ValueError("the per-window MSE needs an orthonormal "
                              "synthesis (the DCT backend)")
-        phi = self.band.window_phi(p, alpha)
-        u, t = (self._u, self._t) if p is None else self._parts[p]
-        const = self._const if p is None else self._window_consts[p]
-        r = phi * u
-        r -= t
-        r *= r
-        return (const + float(np.add.reduce(r, axis=None))) / self.R
+        return self._resid(p, self.band.window_phi(p, alpha)) / self.R
 
 
 def mse_learning(systems: Sequence[SpectralSystem], data: Sequence[np.ndarray],

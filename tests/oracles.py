@@ -397,16 +397,18 @@ def _window_phi(band, p: int, alpha: float) -> np.ndarray:
 
 
 def mse_window(obj, p: int, alpha: float) -> float:
-    """Window p's MSE share: (const_p + sum (phi u - t)**2) / R."""
-    u, t = obj._parts[p]
+    """Window p's MSE share in pooled form:
+    (fixed_p + sum a (phi - phi*)**2) / R, with the energies a and the best
+    filter phi* on the window's band members."""
+    fixed, energy, target = obj.window_terms[p]
     phi = _window_phi(obj.band, p, alpha)
-    return (obj._window_consts[p] + float(np.sum((phi * u - t) ** 2))) / obj.R
+    return (fixed + float(np.sum((phi - target) ** 2 * energy))) / obj.R
 
 
 def _pooled_window(obj, p: int, alpha: float) -> tuple[float, float]:
     """Window p's pooled residual below_p + sum (1 - phi)**2 E and trace."""
     phi = _window_phi(obj.band, p, alpha)
-    below, energy = obj.window_energies[p]
+    below, energy, _ = obj.window_terms[p]  # the target is 1
     resid = below + np.sum((1.0 - phi) ** 2 * energy)
     return float(resid), float(obj.band.tail_sums[p] + np.sum(phi))
 

@@ -630,7 +630,8 @@ def test_train_prepares_one_objective_per_window_set(tmp_path, monkeypatch):
     the warm windows.  On non-overlapping windows those are the configured
     ones, and one objective serves the scalar search, the warm start and
     the coupled search; on cosine windows the warm indicator windows get a
-    second objective."""
+    second objective.  An r_sweep over R = 3 sets prepares one objective
+    for each r < R and reuses the scalar search on all sets at r = R."""
     import specwin.cli as cli_mod
 
     monkeypatch.chdir(tmp_path)
@@ -641,12 +642,13 @@ def test_train_prepares_one_objective_per_window_set(tmp_path, monkeypatch):
         return real(sys, dhats, windows)
 
     monkeypatch.setattr(cli_mod, "GcvObjective", counting)
-    for kind, overlapping in (("nonoverlap_log", [False]),
-                              ("cosine_log", [True, False])):
+    for kind, r_sweep, overlapping in (("nonoverlap_log", False, [False]),
+                                       ("cosine_log", False, [True, False]),
+                                       ("nonoverlap_log", True, [False] * 3)):
         cfg = ExperimentConfig(image_size=32, xi=4.0, snr_db=20.0, seed=7,
                                window_kind=kind, window_count=3,
                                estimators=("gcv_true",), r_train=3,
-                               val_count=1)
+                               val_count=1, r_sweep=r_sweep)
         prepared.clear()
         cmd_train(cfg)
         assert [ws.P for ws in prepared] == [3] * len(overlapping), kind

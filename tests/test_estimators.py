@@ -1,6 +1,7 @@
 """Selection objectives against dense references, the leave-one-out oracle,
 and their documented reductions."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -935,13 +936,18 @@ TIGHT = SearchConfig(alpha_min=1e-4, alpha_max=10.0, grid_points=80,
 @pytest.mark.parametrize("penalty", ["identity", "laplacian"])
 def test_mse_window_shares_are_separable(penalty):
     """On non-overlapping windows the MSE splits into one share per window,
-    as the separable UPRE does (criterion 06)."""
+    as the separable UPRE does (criterion 06).  One band index has a zero
+    data coefficient in every set, so its pooled energy is 0 and its best
+    filter is taken as 0 rather than 0/0."""
     sys = dct_decompose(_box_psf((8, 6), (4, 2)), penalty)
     assert sys.ell > 0 and (sys.q_star < sys.n) == (penalty == "laplacian")
     rng = np.random.default_rng(211)
-    for P, R in [(2, 1), (3, 3), (2, 3), (3, 1)]:
+    zero = (sys.ell + sys.q_star) // 2
+    for P, R in [(2, 1), (3, 3), (2, 3), (3, 1), (3, 8)]:
         win = indicator_windows(make_partitions(sys, P, "log"), sys, "log")
         dhats = [sys.analyze(rng.standard_normal(sys.dims)) for _ in range(R)]
+        for dh in dhats:
+            dh[zero] = 0.0
         truths = [rng.standard_normal(sys.dims) for _ in range(R)]
         mse = MseObjective(sys, dhats, truths, win)
         # window p's share from the full coefficient vectors (Parseval)
@@ -972,6 +978,34 @@ def test_mse_window_shares_are_separable(penalty):
         scalar = MseObjective(sys, dhats, truths, trivial_window(sys))
         for a in np.geomspace(1e-4, 10.0, 40):
             assert scalar.window(0, a) == scalar([a])
+
+
+def test_mse_objective_memory_does_not_grow_with_the_data_sets():
+    """A DCT MseObjective keeps its pooled band energies, best filter and
+    fixed sums, not each data set's band rows: prepared on eight data sets
+    of a 128x128 system and evaluated on each window, it retains at most
+    1.25 times what it retains on one.  tracemalloc sees every numpy array
+    it allocates; one preparation before tracing loads the transforms."""
+    sys = dct_decompose(gaussian_psf(9.0, (128, 128)), "identity")
+    win = indicator_windows(make_partitions(sys, 2, "linear"), sys)
+    rng = np.random.default_rng(227)
+
+    def retained(R: int) -> int:
+        dhats = [sys.analyze(rng.standard_normal(sys.dims)) for _ in range(R)]
+        truths = [rng.standard_normal(sys.dims) for _ in range(R)]
+        MseObjective(sys, dhats, truths, win).window(0, 0.5)
+        tracemalloc.start()
+        try:
+            mse = MseObjective(sys, dhats, truths, win)
+            for p in range(win.P):
+                mse.window(p, 0.5)
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return size
+
+    one, eight = retained(1), retained(8)
+    assert 0 < eight <= 1.25 * one, (one, eight)
 
 
 def test_mse_window_rejects_what_the_pooled_window_forms_reject():
