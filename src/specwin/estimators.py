@@ -411,7 +411,7 @@ class MseObjective(_Pooled):
             if np.size(truth) != sys.n:
                 raise ValueError(f"truth size {np.size(truth)} does not match "
                                  f"n={sys.n}")
-        if sys.synthesis_scale is None:
+        if sys.backend == "dense":
             heads = np.stack([dhat[: sys.n] for dhat in dhats], axis=1)
             flat = np.stack([np.ravel(truth) for truth in truths], axis=1)
             self._dense = (sys, sys.delta_pinv(), heads, flat)

@@ -132,11 +132,18 @@ def add_noise(b: np.ndarray, target_snr_db: float, seed) -> tuple[np.ndarray, fl
     whose noise is lost, wholly (d == b) or in part, when added to b raise
     ValueError: in part means ||d - b||^2 differs from ||e||^2 by more than
     1e-6 relative, so the returned sigma2 would not describe d."""
+    d, sigma2, _ = _noisy(b, target_snr_db, seed)
+    return d, sigma2
+
+
+def _noisy(b: np.ndarray, target_snr_db: float, seed):
+    """add_noise's (d, sigma2) and the achieved SNR 10*log10(||b||^2 /
+    ||d - b||^2) in dB, from the sums its checks take."""
     b = np.asarray(b, dtype=float)
     if np.isnan(target_snr_db) or target_snr_db == -np.inf:
         raise ValueError(f"SNR target must be a number or +inf, got {target_snr_db}")
     if target_snr_db == np.inf:
-        return b.copy(), 0.0
+        return b.copy(), 0.0, float("inf")
     bnorm2 = float(np.sum(b ** 2))
     if bnorm2 == 0.0:
         raise ValueError("zero-signal SNR undefined")
@@ -168,7 +175,7 @@ def add_noise(b: np.ndarray, target_snr_db: float, seed) -> tuple[np.ndarray, fl
         raise ValueError(f"SNR target {target_snr_db} dB is out of range: "
                          f"part of the noise is lost to rounding when added "
                          f"to the data")
-    return d, noise2 / b.size
+    return d, noise2 / b.size, float(10.0 * np.log10(bnorm2 / kept))
 
 
 def make_dataset(x_true: np.ndarray, psf: np.ndarray, snr_db: float,
@@ -199,13 +206,9 @@ def make_datasets(truths: Sequence[np.ndarray], psf: np.ndarray,
     datasets = []
     for x_true, seed in zip(truths, seeds):
         b = _apply_spectrum(a, x_true)
-        d, sigma2 = add_noise(b, snr_db, seed)
-        if np.isinf(snr_db):
-            achieved = float("inf")
-        else:
-            achieved = 10.0 * np.log10(np.sum(b ** 2) / np.sum((d - b) ** 2))
+        d, sigma2, achieved = _noisy(b, snr_db, seed)
         datasets.append(DataSet(x_true=x_true, b=b, d=d, sigma2=sigma2,
-                                snr=float(achieved), seed=int(seed),
+                                snr=achieved, seed=int(seed),
                                 dims=(dims[0], dims[1])))
     return datasets
 

@@ -1,18 +1,23 @@
 """Mutual spectral decompositions of a (forward, penalty) operator pair.
 
-Two backends produce the same `SpectralSystem` interface.  Each hands the
-system its spectral values delta and lam and its transforms; the system
-checks their layout and derives ell, q_star and gamma = delta/lam itself:
+Two backends produce the same `SpectralSystem`.  Each hands the system its
+spectral values delta and lam and the factors of its transforms; the system
+checks the layout of the values, derives ell, q_star and gamma = delta/lam,
+and applies the transforms from the factors itself:
 
 * `gsvd` factors a dense pair (A, L) with an orthogonal U and an invertible
   Y such that A Y = U[:, :n] diag(delta) and (L Y)^T (L Y) = diag(lam**2),
   via QR of the stacked pair followed by an SVD of the top block (the CS
   decomposition of the stacked orthonormal factor).  Both LAPACK calls
   overwrite their inputs, so a square pair peaks at about 8 n**2 doubles.
+  The system keeps U and Y: analyze is U^T, synthesize is Y.
 * `dct_decompose` simultaneously diagonalizes a symmetric convolution operator
   under reflexive (half-sample symmetric) boundary conditions and an
   identity/Laplacian penalty with the orthonormal 2D DCT-II, then rescales so
-  that delta_j**2 + lam_j**2 == 1.
+  that delta_j**2 + lam_j**2 == 1.  The system keeps the image dims, the
+  permutation that sorts the DCT coefficients, the signs of the blur
+  spectrum and the rescaling (`synthesis_scale`), the last two in sorted
+  order.
 
 Either way the solution of  min ||A x - d||^2 + alpha^2 ||L x||^2  is
 x = synthesize(phi * pinv(delta) * analyze(d)[:n]) with the filter factors
@@ -25,7 +30,7 @@ be taken in coefficient space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy import fft as sfft
@@ -70,37 +75,42 @@ class SpectralSystem:
     JointNullSpaceError.
     analyze maps data vectors to spectral coefficients (length m, sorted
     order); synthesize maps filtered coefficients (length n) back to the
-    solution space.
+    solution space.  The system applies both from the factors it keeps,
+    branching on `backend`: "dense" when synthesis_scale is None, else "dct";
+    a backend's missing factors raise ValueError.
 
-    Where synthesize is an orthonormal transform Q after a diagonal scale,
-    synthesize(c) == Q(c / synthesis_scale), the system carries that scale
-    and the forward map x -> Q^T x (`solution_coefficients`), both in sorted
-    order; by Parseval ||synthesize(c) - x|| equals
-    ||c / synthesis_scale - solution_coefficients(x)||.  The DCT backend has
-    this structure; the dense backend leaves synthesis_scale as None, and
-    `backend` names which of the two a system is.
+    * dense: analyze(v) == U^T v and synthesize(c) == Y c.
+    * dct: with Q the orthonormal 2D DCT-II of a dims image and perm the
+      permutation that sorts its coefficients, analyze(v) ==
+      sign * (Q^T v)[perm] and synthesize(c) == Q(c / synthesis_scale),
+      where synthesize scatters c back to DCT order before Q.  The forward
+      map x -> (Q^T x)[perm] is `solution_coefficients`, so by Parseval
+      ||synthesize(c) - x|| equals
+      ||c / synthesis_scale - solution_coefficients(x)||.
     """
 
     m: int
     delta: np.ndarray
     lam: np.ndarray
-    _analyze: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    _synthesize: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    _analyze_adjoint: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    dims: Optional[Tuple[int, int]] = None
-    # Dense factors behind analyze (U^T) and synthesize (Y); None for the
-    # DCT backend.
+    # dense factors, None on the DCT backend
     U: Optional[np.ndarray] = field(default=None, repr=False)
     Y: Optional[np.ndarray] = field(default=None, repr=False)
+    # DCT factors, None on the dense backend: the image shape, and in sorted
+    # order the scale, the DCT index of each coefficient and its sign
+    dims: Optional[Tuple[int, int]] = None
     synthesis_scale: Optional[np.ndarray] = field(default=None, repr=False)
-    _coefficients: Optional[Callable[[np.ndarray], np.ndarray]] = field(
-        default=None, repr=False)
+    perm: Optional[np.ndarray] = field(default=None, repr=False)
+    sign: Optional[np.ndarray] = field(default=None, repr=False)
     n: int = field(init=False)
     ell: int = field(init=False)
     q_star: int = field(init=False)
     gamma: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        needs = ("U", "Y") if self.backend == "dense" else ("dims", "perm", "sign")
+        missing = [name for name in needs if getattr(self, name) is None]
+        if missing:
+            raise ValueError(f"a {self.backend} system needs {', '.join(missing)}")
         delta = np.array(self.delta, dtype=float)
         lam = np.array(self.lam, dtype=float)
         for values in (delta, lam):
@@ -129,25 +139,44 @@ class SpectralSystem:
 
     def analyze(self, v: np.ndarray) -> np.ndarray:
         """Spectral coefficients of a data vector (2D input is flattened)."""
-        return self._analyze(np.asarray(v, dtype=float))
+        v = np.asarray(v, dtype=float)
+        if self.backend == "dense":
+            return self.U.T @ v.ravel()
+        return self.sign * self._dct(v)
 
     def synthesize(self, c: np.ndarray) -> np.ndarray:
         """Solution-space vector from length-n filtered coefficients.  On the
         dense backend an n-by-k column stack maps to the k solutions as
         columns, in one matrix product."""
-        return self._synthesize(np.asarray(c, dtype=float))
+        c = np.asarray(c, dtype=float)
+        if self.backend == "dense":
+            return self.Y @ c
+        return self._idct(c / self.synthesis_scale)
 
     def analyze_adjoint(self, c: np.ndarray) -> np.ndarray:
         """Adjoint of analyze; analyze_adjoint(analyze(v)) == v."""
-        return self._analyze_adjoint(np.asarray(c, dtype=float))
+        c = np.asarray(c, dtype=float)
+        if self.backend == "dense":
+            return self.U @ c
+        return self._idct(self.sign * c)
 
     def solution_coefficients(self, x: np.ndarray) -> np.ndarray:
         """Orthonormal coefficients Q^T x of a solution-space vector, in sorted
         order (2D input is flattened); needs a synthesis_scale."""
-        if self._coefficients is None:
-            raise ValueError(
-                f"the {self.backend} backend has no orthonormal synthesis")
-        return self._coefficients(np.asarray(x, dtype=float))
+        if self.backend == "dense":
+            raise ValueError("the dense backend has no orthonormal synthesis")
+        return self._dct(np.asarray(x, dtype=float))
+
+    def _dct(self, v: np.ndarray) -> np.ndarray:
+        """Sorted orthonormal DCT-II coefficients of an image or its
+        flattening."""
+        return _dct2(v.reshape(self.dims)).ravel()[self.perm]
+
+    def _idct(self, c: np.ndarray) -> np.ndarray:
+        """Image whose sorted DCT-II coefficients are c."""
+        z = np.zeros(self.n)
+        z[self.perm] = c
+        return _idct2(z.reshape(self.dims))
 
     @property
     def gamma_max_finite(self) -> float:
@@ -251,20 +280,7 @@ def gsvd(A: np.ndarray, L: np.ndarray) -> SpectralSystem:
     # Y = (Ztr R)^-1 = R^-1 Ztr^T; the solve returns Fortran order, and the
     # C-ordered copy makes the products Y @ c about twice as fast
     Y = np.ascontiguousarray(solve_triangular(R, Ztr.T))
-
-    def _an(v: np.ndarray, U=U) -> np.ndarray:
-        return U.T @ v.ravel()
-
-    def _syn(c: np.ndarray, Y=Y) -> np.ndarray:
-        return Y @ c
-
-    def _adj(c: np.ndarray, U=U) -> np.ndarray:
-        return U @ c
-
-    return SpectralSystem(
-        m=m, delta=delta, lam=lam,
-        _analyze=_an, _synthesize=_syn, _analyze_adjoint=_adj, U=U, Y=Y,
-    )
+    return SpectralSystem(m=m, delta=delta, lam=lam, U=U, Y=Y)
 
 
 def reflexive_kernel(psf: np.ndarray) -> np.ndarray:
@@ -340,8 +356,8 @@ def dct_decompose(psf: np.ndarray, penalty: str = "identity") -> SpectralSystem:
 
     The PSF must be doubly symmetric and share the image dimensions.  The
     spectral values are normalized so delta**2 + lam**2 == 1 and sorted so
-    that delta is nondecreasing; the sorting permutation is folded into the
-    analyze/synthesize transforms.
+    that delta is nondecreasing; the system keeps the sorting permutation,
+    from which it applies its transforms in sorted order.
     """
     psf = np.asarray(psf, dtype=float)
     _check_doubly_symmetric(psf)
@@ -368,30 +384,9 @@ def dct_decompose(psf: np.ndarray, penalty: str = "identity") -> SpectralSystem:
     d_un = a_abs / scale
     l_un = l_abs / scale
     perm = np.argsort(d_un, kind="stable")
-
-    scale_sorted = scale[perm]
-
-    def _an(v: np.ndarray, perm=perm, sign=sign, dims=dims) -> np.ndarray:
-        c = _dct2(v.reshape(dims)).ravel()
-        return (sign * c)[perm]
-
-    def _syn(c: np.ndarray, perm=perm, ssorted=scale_sorted, dims=dims) -> np.ndarray:
-        z = np.zeros(dims[0] * dims[1])
-        z[perm] = c / ssorted
-        return _idct2(z.reshape(dims))
-
-    def _adj(c: np.ndarray, perm=perm, sign=sign, dims=dims) -> np.ndarray:
-        z = np.zeros(dims[0] * dims[1])
-        z[perm] = c
-        return _idct2((sign * z).reshape(dims))
-
-    def _coef(x: np.ndarray, perm=perm, dims=dims) -> np.ndarray:
-        return _dct2(x.reshape(dims)).ravel()[perm]
-
     return SpectralSystem(
-        m=n, delta=d_un[perm], lam=l_un[perm],
-        _analyze=_an, _synthesize=_syn, _analyze_adjoint=_adj, dims=dims,
-        synthesis_scale=scale_sorted, _coefficients=_coef,
+        m=n, delta=d_un[perm], lam=l_un[perm], dims=dims,
+        synthesis_scale=scale[perm], perm=perm, sign=sign[perm],
     )
 
 

@@ -131,13 +131,7 @@ def stacked_pair_gsvd(A: np.ndarray, L: np.ndarray) -> SpectralSystem:
     delta = np.clip(dvals[::-1], 0.0, 1.0)
     lam = np.clip(np.linalg.norm(Q[m:] @ Ztr.T, axis=0), 0.0, 1.0)
     Y = solve_triangular(R, Ztr.T)
-    return SpectralSystem(
-        m=m, delta=delta, lam=lam,
-        _analyze=lambda v: U.T @ v.ravel(),
-        _synthesize=lambda c: Y @ c,
-        _analyze_adjoint=lambda c: U @ c,
-        U=U, Y=Y,
-    )
+    return SpectralSystem(m=m, delta=delta, lam=lam, U=U, Y=Y)
 
 
 # ---------------------------------------------------------------------------
@@ -491,13 +485,7 @@ def make_diag_system(delta, lam, m: int | None = None) -> SpectralSystem:
         raise ValueError("need m >= n and matching value lengths")
     if np.any(np.diff(delta) < 0.0) or np.any(np.diff(lam) > 0.0):
         raise ValueError("delta must be nondecreasing, lam nonincreasing")
-    return SpectralSystem(
-        m=m, delta=delta, lam=lam,
-        _analyze=lambda v: np.asarray(v, dtype=float).ravel().copy(),
-        _synthesize=lambda c: np.asarray(c, dtype=float).copy(),
-        _analyze_adjoint=lambda c: np.asarray(c, dtype=float).copy(),
-        U=np.eye(m), Y=np.eye(n),
-    )
+    return SpectralSystem(m=m, delta=delta, lam=lam, U=np.eye(m), Y=np.eye(n))
 
 
 def windows_from_members(members, n: int) -> WindowSet:

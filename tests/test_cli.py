@@ -401,6 +401,36 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     assert "seed must be >= 0" in capsys.readouterr().err
 
 
+def test_out_override_and_config_errors_through_main(tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    # --out replaces output_dir: train writes there, and validate reads its
+    # default params.json and writes its report there
+    moved = _write_config(tmp_path, output_dir="configured")
+    for cmd in ("train", "validate"):
+        assert main(["--config", str(moved), "--out", "elsewhere", cmd]) == 0
+    assert {p.name for p in (tmp_path / "elsewhere").iterdir()} >= {
+        "params.json", "report.json"}
+    assert not (tmp_path / "configured").exists()
+
+    def fails_with(argv, message):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    # a config whose JSON document is not an object
+    listed = tmp_path / "listed.json"
+    listed.write_text("[1, 2]")
+    fails_with(["--config", str(listed), "train"], "must be a JSON object")
+    # more training sets than the training manifest holds
+    _write_corpus(tmp_path, "two.csv", ["train", "train"])
+    short = _write_config(tmp_path, train_manifest=str(tmp_path / "two.csv"),
+                          r_train=3)
+    fails_with(["--config", str(short), "train"],
+               "r_train=3 exceeds training corpus size 2")
+
+
 def _write_corpus(tmp_path, name, splits):
     """PGM images with a manifest labelling image i with splits[i]."""
     lines = []

@@ -184,6 +184,11 @@ def test_make_datasets_is_make_dataset_per_image(monkeypatch):
         make_datasets([truths[0], np.zeros((12, 13))], psf, 10.0, [1, 2])
     with pytest.raises(ValueError, match="2D"):
         make_datasets([np.zeros(12)], psf, 10.0, [1])
+    # an infinite SNR adds no noise: the data are the blurred truths
+    for ds, x in zip(make_datasets(truths, psf, np.inf, seeds), truths):
+        assert np.array_equal(ds.d, ds.b) and ds.d is not ds.b
+        assert np.array_equal(ds.b, blur(x, psf))
+        assert ds.sigma2 == 0.0 and ds.snr == np.inf
 
 
 def test_make_dataset_fields():

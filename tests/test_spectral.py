@@ -70,6 +70,19 @@ def test_gsvd_factors_are_orthonormal(m, n):
         sys.solution_coefficients(np.zeros(n))
 
 
+@pytest.mark.parametrize("m,n", [(12, 7), (8, 8)])
+def test_gsvd_analyze_adjoint_inverts_analyze(m, n):
+    # U is orthogonal, so on tall and square pairs analyze_adjoint is both
+    # the adjoint and the inverse of analyze
+    rng = np.random.default_rng(_seed(m, n, "random") + 213)
+    A, L = tik_matrices(rng, m, n, "random")
+    sys = gsvd(A, L)
+    v, c = rng.standard_normal(m), rng.standard_normal(m)
+    assert np.abs(sys.analyze_adjoint(sys.analyze(v)) - v).max() <= 1e-12
+    gap = sys.analyze(v) @ c - v @ sys.analyze_adjoint(c)
+    assert abs(gap) <= 1e-12 * np.linalg.norm(v) * np.linalg.norm(c)
+
+
 @pytest.mark.parametrize("m,n", SIZES)
 @pytest.mark.parametrize("penalty", PENALTIES)
 def test_gsvd_value_contract(m, n, penalty):
@@ -296,6 +309,34 @@ def test_dct_backend_transforms_are_orthonormal_and_consistent():
         np.linalg.norm(y / sys.synthesis_scale - t), rel=1e-12)
 
 
+def test_replaced_systems_transform_as_their_originals():
+    # the transforms read only the stored factors, so a dataclasses.replace
+    # copy of either backend applies them bit for bit alike; the box blur's
+    # spectrum has negative entries, so the DCT signs are exercised
+    rng = np.random.default_rng(29)
+    A, L = tik_matrices(rng, 12, 7, "laplacian")
+    box = np.zeros((7, 5))
+    box[2:5, 1:4] = 1.0 / 9.0
+    dct = dct_decompose(box, "laplacian")
+    assert np.any(dct.sign < 0.0)
+    for sys in (gsvd(A, L), dct):
+        copy = replace(sys)
+        assert copy is not sys and copy.backend == sys.backend
+        v, c = rng.standard_normal(sys.m), rng.standard_normal(sys.m)
+        for name, arg in (("analyze", v), ("analyze_adjoint", c),
+                          ("synthesize", c[: sys.n])):
+            out = getattr(copy, name)(arg)
+            assert np.array_equal(out, getattr(sys, name)(arg)), name
+        assert np.abs(copy.analyze_adjoint(copy.analyze(v)).ravel()
+                      - v).max() <= 1e-12
+        if sys.backend == "dct":
+            assert np.array_equal(copy.solution_coefficients(v),
+                                  sys.solution_coefficients(v))
+        else:
+            with pytest.raises(ValueError, match="no orthonormal synthesis"):
+                copy.solution_coefficients(v[: sys.n])
+
+
 def test_dct_backend_applies_the_blur_spectrally():
     dims = (8, 8)
     psf = _gauss_psf(dims, 3.0)
@@ -425,7 +466,13 @@ def test_system_derives_its_layout_from_the_values():
     assert np.array_equal(sys.gamma[2:4], [0.6 / 0.8, 0.8 / 0.6])
     assert np.all(sys.gamma[4:] == np.inf)
     assert sys.backend == "dense"
-    assert replace(sys, synthesis_scale=np.ones(6)).backend == "dct"
+    assert replace(sys, synthesis_scale=np.ones(6), dims=(2, 3),
+                   perm=np.arange(6), sign=np.ones(6)).backend == "dct"
+    # each backend needs the factors of its transforms
+    with pytest.raises(ValueError, match="a dct system needs dims, perm, sign"):
+        replace(sys, synthesis_scale=np.ones(6))
+    with pytest.raises(ValueError, match="a dense system needs Y"):
+        replace(sys, Y=None)
     assert gsvd(np.eye(3), np.eye(3)).backend == "dense"
     assert dct_decompose(_gauss_psf((4, 4), 1.0)).backend == "dct"
     # dataclasses.replace derives the layout of the new values

@@ -175,6 +175,15 @@ def test_trivial_window_shape():
     assert win.P == 1
     assert np.all(win.weights == 1.0)
     assert win.weights.shape == (1, sys.n)
+    # one delta-null head and one penalty-null tail: the active band is
+    # empty, so no finite positive gamma spans the partitions, and [1, 0]
+    # stands in
+    empty = make_diag_system([0.0, 1.0], [1.0, 0.0])
+    assert empty.ell == empty.q_star == 1
+    win = trivial_window(empty)
+    assert win.P == 1 and np.all(win.weights == 1.0)
+    assert win.weights.shape == (1, empty.n)
+    assert np.array_equal(win.partitions, [1.0, 0.0])
 
 
 def _builder_systems():
