@@ -22,7 +22,6 @@ import json
 import sys as _sysmod
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -37,7 +36,7 @@ from .problems import (DataSet, gaussian_psf, load_corpus, make_datasets,
                        write_pgm)
 from .solver import ParamVector
 from .spectral import SpectralSystem, dct_decompose
-from .windows import KINDS, WindowSet, indicator_windows, make_windows
+from .windows import KINDS, WindowSet, make_windows
 
 __all__ = ["ExperimentConfig", "cmd_gen", "cmd_train", "cmd_validate",
            "cmd_report", "main"]
@@ -258,17 +257,6 @@ def _build_system(config: ExperimentConfig) -> SpectralSystem:
     return dct_decompose(_psf(config), penalty=config.penalty)
 
 
-def _window_sets(config: ExperimentConfig,
-                 system: SpectralSystem) -> dict[str, WindowSet]:
-    """The window sets of the search policy (_learn): the configured windows
-    ("windowed") and indicator windows over the same partitions ("warm"),
-    which are the configured windows themselves when those do not overlap."""
-    windowed = make_windows(system, config.window_kind, config.window_count)
-    return {"windowed": windowed,
-            "warm": windowed if windowed.nonoverlapping
-            else indicator_windows(windowed.partitions, system)}
-
-
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
@@ -327,18 +315,17 @@ def _objective(name: str, system: SpectralSystem, dhats: list[np.ndarray],
     return GcvObjective(system, dhats, windows)
 
 
-def _learn(objective, window_sets: dict[str, WindowSet], prepare,
-           decoupled: bool, search: SearchConfig):
+def _learn(objective, decoupled: bool, search: SearchConfig):
     """The search policy of `train` and of `validate`'s per-image best, on
-    the objective over the configured windows (_window_sets): (scalar
-    result, windowed parameters, per-window results or the coupled result).
+    the objective over the configured windows: (scalar result, windowed
+    parameters, per-window results or the coupled result).
 
     The scalar search is a line search on objective.window(None, .), the
     single all-ones window.  With one window the scalar result is the
     windowed one, its one per-window result.  Else each window gets a line
-    search on the warm windows: on `objective` where they are the configured
-    windows (always where the objective decouples), else on
-    prepare(warm windows).  A coupled search starts from that solution
+    search on objective.window(p, .), which reads partition cell p: window
+    p where the windows do not overlap, else the indicator window over the
+    same partitions.  A coupled search starts from that solution
     and from the diagonal at the scalar alpha, and the lower end point wins
     (ties go to the first).  On 64x64, identity, cosine_log P=3, ten seeds,
     UPRE from the diagonal alone ends up to 8.1e-6 (relative) too high,
@@ -351,9 +338,7 @@ def _learn(objective, window_sets: dict[str, WindowSet], prepare,
     P = objective.P
     if P == 1:
         return scalar, ParamVector([scalar.alpha]), [scalar]
-    warm = window_sets["warm"]
-    warm_obj = objective if warm is window_sets["windowed"] else prepare(warm)
-    per_window = [minimize_scalar(lambda a, p=p: warm_obj.window(p, a), search)
+    per_window = [minimize_scalar(lambda a, p=p: objective.window(p, a), search)
                   for p in range(P)]
     alphas = ParamVector([res.alpha for res in per_window])
     if decoupled:
@@ -384,8 +369,7 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
     noise = NoiseModel([estimate_sigma2(system, dh) for dh in dhats]
                        if config.sigma_mode == "estimate"
                        else [ds.sigma2 for ds in datasets])
-    window_sets = _window_sets(config, system)
-    windows = window_sets["windowed"]
+    windows = make_windows(system, config.window_kind, config.window_count)
     search = config.search
 
     params: dict = {"estimators": {}}
@@ -393,11 +377,9 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
     trend_rows = []
     for name in config.estimators:
         t0 = time.perf_counter()
-        prepare = partial(_objective, name, system, dhats, truths, noise)
-        objective = prepare(windows)
+        objective = _objective(name, system, dhats, truths, noise, windows)
         decoupled = windows.nonoverlapping and name != "gcv_true"
-        scal, alphas, found = _learn(objective, window_sets, prepare,
-                                     decoupled, search)
+        scal, alphas, found = _learn(objective, decoupled, search)
         _write_trace(traces_dir / f"{name}_scalar_trace.csv", scal.trace)
         windowed = {"alphas": [float(a) for a in alphas.values]}
         if isinstance(found, list):  # per-window results
@@ -503,13 +485,14 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
                 f"{key}={stored!r}, config asks {key}={asked!r}")
 
     system = _build_system(config)
-    window_sets = _window_sets(config, system)
-    windows = window_sets["windowed"]
+    windows = make_windows(system, config.window_kind, config.window_count)
     # run key -> (mode, stored parameters, or None for the per-image best)
     runs: dict = {}
     boundary: dict = {}
     for name, entry in sorted(params["estimators"].items()):
         source = f"estimator {name!r} in parameters {params_path}"
+        if name not in _ESTIMATORS:
+            raise ConfigError(f"{source}: not one of {_ESTIMATORS}")
         _require(entry, ("scalar.alpha", "scalar.boundary", "windowed.alphas",
                          "windowed.boundary"), source)
         for mode, P, values in (("scalar", 1, [entry["scalar"]["alpha"]]),
@@ -538,11 +521,10 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
         table = errors[split] = {key: [] for key in runs}
         for ds in datasets:
             dhat = system.analyze(ds.d)
-            prepare = partial(MseObjective, system, [dhat], [ds.x_true])
-            mse = prepare(windows)
+            mse = MseObjective(system, [dhat], [ds.x_true], windows)
             if config.include_best:
-                scal, alphas, _ = _learn(mse, window_sets, prepare,
-                                         windows.nonoverlapping, config.search)
+                scal, alphas, _ = _learn(mse, windows.nonoverlapping,
+                                         config.search)
                 best = {"scalar": ParamVector([scal.alpha]), "windowed": alphas}
             norm = float(np.linalg.norm(ds.x_true))
             for key, (mode, alphas) in runs.items():

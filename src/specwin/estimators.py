@@ -18,8 +18,9 @@ window set, and evaluated as obj(alphas), obj.window(p, alpha) or, on the
 single all-ones window, obj.window(None, alpha); each public function is
 one evaluation of a freshly prepared objective.  UPRE, the decoupled GCV
 and the DCT MSE evaluate one band cost (`_Pooled`) on the active band
-[ell, q_star) of the solver's band object (`solver._Band`), which cuts each
-window's members on first use.
+[ell, q_star) of the solver's band object (`solver._Band`); obj.window(p,
+alpha) reads its partition cell p, window p or, on overlapping windows, p's
+indicator window over the same partitions, where coupled searches start.
 
 Scalar forms keep their constant terms; the multi-data windowed UPRE drops
 alpha-independent constants, so cross-form tests must compare minimizers
@@ -160,6 +161,8 @@ def upre_window_separable(systems: Sequence[SpectralSystem],
     reproduces upre_md_windowed at the assembled parameter vector.
     """
     sys = _common_system(systems, dhats)
+    if not windows.nonoverlapping:
+        raise ValueError("the separable UPRE needs non-overlapping windows")
     return UpreObjective(sys, dhats, windows, noise).window(p, alpha)
 
 
@@ -247,6 +250,8 @@ def gcv_windowed_decoupled(systems: Sequence[SpectralSystem],
     Denominator: squared complement of the pooled single-window trace.
     """
     sys = _common_system(systems, dhats)
+    if not windows.nonoverlapping:
+        raise ValueError("the decoupled GCV needs non-overlapping windows")
     return GcvObjective(sys, dhats, windows).window(p, alpha)
 
 
@@ -296,7 +301,7 @@ class _Pooled(_Objective):
 
     @cached_property
     def window_terms(self) -> list:
-        """Each window's fixed cost, energy and target (the MSE sets its own)."""
+        """Each cell's fixed cost, energy and target (the MSE sets its own)."""
         return [(np.sum(self.head_energy[low]), self.energy[mid], self.target[mid])
                 for low, mid, _ in self.band.members]
 
@@ -314,9 +319,9 @@ class _Pooled(_Objective):
         return float(fixed + np.add.reduce(phi))
 
     def _window(self, p: int | None, alpha: float) -> tuple[float, float]:
-        """Window p's pooled residual and one set's trace, summed first."""
+        """Cell p's pooled residual and one set's trace, summed first."""
         phi = self.band.window_phi(p, alpha)
-        tail = self.band.tail_size if p is None else self.band.tail_sums[p]
+        tail = self.band.tail_size if p is None else self.band.cell_tails[p]
         trace = float(tail + np.add.reduce(phi))
         return self._resid(p, phi), trace
 
@@ -325,8 +330,8 @@ class UpreObjective(_Pooled):
     """The multi-data windowed UPRE of data sets sharing one system and one
     window set, prepared once for fixed data coefficients and noise
     variances: obj(alphas) is upre_md_windowed, obj.window(p, alpha) is
-    upre_window_separable, and obj.window(None, alpha) is the value of the
-    single all-ones window."""
+    upre_window_separable on the cells, and obj.window(None, alpha) is the
+    value of the single all-ones window."""
 
     def __init__(self, sys: SpectralSystem, dhats: Sequence[np.ndarray],
                  windows: WindowSet, noise) -> None:
@@ -346,8 +351,8 @@ class UpreObjective(_Pooled):
 class GcvObjective(_Pooled):
     """The multi-data windowed GCV of data sets sharing one system and one
     window set, prepared once for fixed data coefficients: obj(alphas) is
-    the coupled gcv_windowed_true_md, obj.window(p, alpha) is the
-    decoupled gcv_windowed_decoupled, and obj.window(None, alpha) is
+    the coupled gcv_windowed_true_md, obj.window(p, alpha) the decoupled
+    gcv_windowed_decoupled on the cells, and obj.window(None, alpha)
     gcv_md_scalar, the decoupled GCV of the single all-ones window."""
 
     def __call__(self, alphas) -> float:
@@ -435,10 +440,14 @@ class MseObjective(_Pooled):
         res = self.target * u - t  # each set's residual at the best filter
         fixed[lo:hi] = np.einsum("rj,rj->j", res, res)
         self.fixed = float(np.sum(fixed))
-        if self.band.members is not None:  # each window's share
-            self.window_terms = [
-                (float(np.sum(fixed[idx])), self.energy[mid], self.target[mid])
-                for idx, (_, mid, _) in zip(windows.members, self.band.members)]
+        self._fixed_at = fixed
+
+    @cached_property
+    def window_terms(self) -> list:
+        """Each cell's share of the fixed cost, its energy and target."""
+        fixed, cells = self._fixed_at, self.band.cells.members
+        return [(float(np.sum(fixed[idx])), self.energy[mid], self.target[mid])
+                for idx, (_, mid, _) in zip(cells, self.band.members)]
 
     def __call__(self, alphas) -> float:
         if self._dense is not None:
@@ -449,10 +458,10 @@ class MseObjective(_Pooled):
         return self._cost(self.band.blend(self.band.rows(alphas))) / self.R
 
     def window(self, p: int | None, alpha: float) -> float:
-        """Window p's share of the value at alpha, on non-overlapping windows
-        of a DCT system: the shares sum to the value at the assembled vector,
-        and the single all-ones window's share is the value, bit for bit.
-        p = None gives that all-ones value on any windows of a DCT system."""
+        """Cell p's share of the value at alpha, on a DCT system: on
+        non-overlapping windows the shares sum to the value at the assembled
+        vector, and the single all-ones window's share is the value, bit for
+        bit; p = None gives that all-ones value."""
         if self._dense is not None:
             raise ValueError("the per-window MSE needs an orthonormal "
                              "synthesis (the DCT backend)")

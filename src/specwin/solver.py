@@ -17,7 +17,7 @@ import numpy as np
 from .errors import EmptyWindowError
 from .spectral import (MAX_ALPHA, SpectralSystem, _band_phi, _positive_alpha,
                        filter_factors)
-from .windows import WindowSet
+from .windows import WindowSet, indicator_windows
 
 __all__ = [
     "ParamVector",
@@ -91,8 +91,8 @@ class _Band:
     Every phi is 0 below ell and 1 from q_star on, so only the band depends
     on the parameters.  The band keeps delta**2, lam**2 and the window
     weights there, and the tail [q_star, n) weights with their sums per
-    window (tail_sums) and per index (tail_phi, phi_win there).  Only the
-    per-window forms read `members`, cut on first use.
+    window (tail_sums) and per index (tail_phi, phi_win there).  The
+    per-window forms read the partition `cells`, cut on first use.
     """
 
     def __init__(self, sys: SpectralSystem, windows: WindowSet) -> None:
@@ -106,26 +106,36 @@ class _Band:
         self.tail_phi = self.tail_weights.sum(axis=0)
         self.tail_size = sys.n - hi
         self.head = np.zeros(lo)
+        self._sys = sys
         self._windows = windows
-        self._edges = (lo, hi, sys.n)
 
     @cached_property
-    def members(self) -> list | None:
-        """On non-overlapping windows each window's members, cut once:
-        members[p] indexes [0, ell), the band and [q_star, n); else None."""
-        if not self._windows.nonoverlapping:
-            return None
-        lo, hi, n = self._edges
+    def cells(self) -> WindowSet:
+        """The windows where they do not overlap, else indicator windows over
+        their partitions (EmptyWindowError where one of those is empty)."""
+        if self._windows.nonoverlapping:
+            return self._windows
+        return indicator_windows(self._windows.partitions, self._sys)
+
+    @cached_property
+    def members(self) -> list:
+        """Each cell's members, cut once: members[p] indexes [0, ell), the
+        band and [q_star, n)."""
+        lo, hi, n = self._sys.ell, self._sys.q_star, self._sys.n
         return [(_cut(idx, 0, lo), _cut(idx, lo, hi), _cut(idx, hi, n))
-                for idx in self._windows.members]
+                for idx in self.cells.members]
+
+    @cached_property
+    def cell_tails(self) -> np.ndarray:
+        """Each cell's weight sum on the tail [q_star, n)."""
+        return self.cells.weights[:, self._sys.q_star:].sum(axis=1)
 
     @cached_property
     def _values(self) -> list:
-        """Window p's band delta**2 and lam**2, or None where it has none."""
+        """Cell p's band delta**2 and lam**2, or None where it has none."""
         return [None if isinstance(idx, np.ndarray) and not idx.size
                 else (self.d2[mid], self.lam2[mid])
-                for idx, (_, mid, _) in zip(self._windows.members,
-                                            self.members)]
+                for idx, (_, mid, _) in zip(self.cells.members, self.members)]
 
     def rows(self, alphas) -> np.ndarray:
         """The filter rows phi(alpha_p) on the band, shape (P, q_star - ell)."""
@@ -142,15 +152,13 @@ class _Band:
                                self.tail_phi))
 
     def window_phi(self, p: int | None, alpha: float) -> np.ndarray:
-        """phi(alpha) on window p's band members, or on the whole band for
+        """phi(alpha) on cell p's band members, or on the whole band for
         p = None (the single all-ones window), in a new array that the caller
         may overwrite, alpha squared as `rows` squares it; raises for an
-        integer p out of range, overlapping or empty windows."""
+        integer p out of range or an empty cell."""
         if p is not None:
             if not 0 <= p < self.P:
                 raise IndexError(f"window index {p} out of range for P={self.P}")
-            if self.members is None:
-                raise ValueError("per-window forms need non-overlapping windows")
             if self._values[p] is None:
                 raise EmptyWindowError(f"window {p} has no members")
         alpha = _positive_alpha(alpha)

@@ -13,7 +13,6 @@ from specwin.cli import (
     _build_system,
     _split_datasets,
     _split_truths,
-    _window_sets,
     cmd_gen,
     cmd_report,
     cmd_train,
@@ -27,7 +26,7 @@ from specwin.estimators import (MseObjective, NoiseModel, estimate_sigma2,
                                  mse_learning, upre_md_windowed)
 from specwin.optimize import minimize_scalar
 from specwin.problems import synthetic_image, write_pgm
-from specwin.windows import trivial_window
+from specwin.windows import make_windows, trivial_window
 
 from oracles import nelder_mead_vector
 
@@ -189,7 +188,7 @@ def test_trained_values_reproducible_from_params(tmp_path, monkeypatch):
     datasets = _split_datasets(cfg, "train")
     dhats = [system.analyze(ds.d) for ds in datasets]
     noise = NoiseModel([ds.sigma2 for ds in datasets])
-    windows = _window_sets(cfg, system)["windowed"]
+    windows = make_windows(system, cfg.window_kind, cfg.window_count)
 
     entry = params["estimators"]["upre"]["windowed"]
     val = upre_md_windowed([system] * len(datasets), dhats, windows,
@@ -198,15 +197,23 @@ def test_trained_values_reproducible_from_params(tmp_path, monkeypatch):
 
 
 def test_pipeline_byte_identical_across_runs(tmp_path, monkeypatch):
-    out_a = _run_pipeline(tmp_path, monkeypatch, workdir="a")
-    out_b = _run_pipeline(tmp_path, monkeypatch, workdir="b")
-    files_a = sorted(p.relative_to(out_a) for p in out_a.rglob("*")
-                     if p.is_file() and p.name != "timings.txt")
-    files_b = sorted(p.relative_to(out_b) for p in out_b.rglob("*")
-                     if p.is_file() and p.name != "timings.txt")
-    assert files_a == files_b
-    for rel in files_a:
-        assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
+    """On non-overlapping windows, and on cosine windows with coupled
+    searches and the per-image best."""
+    cosine = {"image_size": 16, "xi": 2.0, "window_kind": "cosine_log",
+              "window_count": 3, "estimators": ["mse", "upre", "gcv_true"],
+              "include_best": True}
+    for name, overrides in (("nonoverlap", {}), ("cosine", cosine)):
+        out_a = _run_pipeline(tmp_path, monkeypatch, workdir=f"{name}_a",
+                              **overrides)
+        out_b = _run_pipeline(tmp_path, monkeypatch, workdir=f"{name}_b",
+                              **overrides)
+        files_a = sorted(p.relative_to(out_a) for p in out_a.rglob("*")
+                         if p.is_file() and p.name != "timings.txt")
+        files_b = sorted(p.relative_to(out_b) for p in out_b.rglob("*")
+                         if p.is_file() and p.name != "timings.txt")
+        assert files_a == files_b
+        for rel in files_a:
+            assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
 
 
 def test_seed_override_changes_data(tmp_path, monkeypatch):
@@ -245,10 +252,17 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["--config", str(bad_cfg), "gen"]) == 2
     assert main(["--config", str(tmp_path / "nope.json"), "train"]) == 2
 
-    # infeasible windowing: more windows than distinct spectral values
+    # infeasible windowing: more windows than distinct spectral values, and
+    # cosine windows whose partition cell 2 holds no spectral value, where
+    # the per-window searches run
     over = _write_config(tmp_path, window_count=500,
                          estimators=["upre"])
     assert main(["--config", str(over), "train"]) == 3
+    empty_cell = _write_config(tmp_path, xi=36.0, penalty="laplacian",
+                               window_kind="cosine_linear", window_count=3)
+    capsys.readouterr()
+    assert main(["--config", str(empty_cell), "train"]) == 3
+    assert "empty window" in capsys.readouterr().err
 
     # output path collides with an existing regular file
     (tmp_path / "clobber").write_text("a file, not a directory")
@@ -291,6 +305,17 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     bad_params.write_text(json.dumps({**params, "config": 5}))
     assert main(["--config", str(good), "validate",
                  "--params", str(bad_params)]) == 2
+    # a stored estimator that train does not make: a "best" entry would
+    # collide with the per-image best's runs
+    best = _write_config(tmp_path, include_best=True)
+    entry = {"scalar": {"alpha": 5.0, "boundary": True},
+             "windowed": {"alphas": [5.0, 5.0], "boundary": [True, True]}}
+    bad_params.write_text(json.dumps(
+        {**params, "estimators": {**params["estimators"], "best": entry}}))
+    capsys.readouterr()
+    assert main(["--config", str(best), "validate",
+                 "--params", str(bad_params)]) == 2
+    assert "'best'" in capsys.readouterr().err
 
     # config values of the wrong JSON type
     for key, value in [("image_size", "abc"), ("xi", True), ("seed", 1.5),
@@ -657,10 +682,10 @@ def test_one_window_makes_no_second_search(tmp_path, monkeypatch):
 
 def test_train_prepares_one_objective_per_window_set(tmp_path, monkeypatch):
     """gcv_true starts its coupled search from the per-window solution on
-    the warm windows.  On non-overlapping windows those are the configured
-    ones, and one objective serves the scalar search, the warm start and
-    the coupled search; on cosine windows the warm indicator windows get a
-    second objective.  An r_sweep over R = 3 sets prepares one objective
+    the partition cells of the configured windows, which its objective's
+    window(p, alpha) reads: on non-overlapping and on cosine windows one
+    objective serves the scalar search, the per-window start and the
+    coupled search.  An r_sweep over R = 3 sets prepares one objective
     for each r < R and reuses the scalar search on all sets at r = R."""
     import specwin.cli as cli_mod
 
@@ -673,7 +698,7 @@ def test_train_prepares_one_objective_per_window_set(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "GcvObjective", counting)
     for kind, r_sweep, overlapping in (("nonoverlap_log", False, [False]),
-                                       ("cosine_log", False, [True, False]),
+                                       ("cosine_log", False, [True]),
                                        ("nonoverlap_log", True, [False] * 3)):
         cfg = ExperimentConfig(image_size=32, xi=4.0, snr_db=20.0, seed=7,
                                window_kind=kind, window_count=3,
@@ -696,35 +721,43 @@ def _validate_config(tmp_path, monkeypatch) -> ExperimentConfig:
 
 
 def test_validate_analyzes_each_data_set_once(tmp_path, monkeypatch):
+    """On cosine windows too, the per-image best searches the one MSE
+    objective of that image, its per-window searches on the cells."""
+    from dataclasses import replace
+
     from specwin.spectral import SpectralSystem
 
-    cfg = _validate_config(tmp_path, monkeypatch)
-    params = cmd_train(cfg)
-    calls = {"analyze": 0, "synthesize": 0, "solution_coefficients": 0}
-    for method in calls:
-        real = getattr(SpectralSystem, method)
+    base = _validate_config(tmp_path, monkeypatch)
+    # the decoupled GCV needs non-overlapping windows
+    for cfg in (base, replace(base, window_kind="cosine_linear",
+                              estimators=("mse", "upre"))):
+        params = cmd_train(cfg)
+        calls = {"analyze": 0, "synthesize": 0, "solution_coefficients": 0}
+        prepared = []
+        with monkeypatch.context() as patch:
+            for method in calls:
+                real = getattr(SpectralSystem, method)
 
-        def counting(self, v, real=real, method=method):
-            calls[method] += 1
-            return real(self, v)
+                def counting(self, v, real=real, method=method):
+                    calls[method] += 1
+                    return real(self, v)
 
-        monkeypatch.setattr(SpectralSystem, method, counting)
-    prepared = []
+                patch.setattr(SpectralSystem, method, counting)
 
-    def preparing(*args, real=cli.MseObjective):
-        prepared.append(args[3])
-        return real(*args)
+            def preparing(*args, real=cli.MseObjective):
+                prepared.append(args[3])
+                return real(*args)
 
-    monkeypatch.setattr(cli, "MseObjective", preparing)
-    cmd_validate(cfg, params)
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert {"best_scalar", "best_windowed"} <= set(report["means"])
-    # every run, the scalar ones and the per-image best included, is scored
-    # by its data set's one MSE objective over the configured windows: one
-    # truth transform per image and no solution synthesized
-    assert calls == {"analyze": 3 + 2 + 2, "synthesize": 0,
-                     "solution_coefficients": 3 + 2 + 2}
-    assert [ws.P for ws in prepared] == [cfg.window_count] * (3 + 2 + 2)
+            patch.setattr(cli, "MseObjective", preparing)
+            cmd_validate(cfg, params)
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert {"best_scalar", "best_windowed"} <= set(report["means"])
+        # every run, the scalar ones and the per-image best included, is
+        # scored by its data set's one MSE objective over the configured
+        # windows: one truth transform per image and no solution synthesized
+        assert calls == {"analyze": 3 + 2 + 2, "synthesize": 0,
+                         "solution_coefficients": 3 + 2 + 2}, cfg.window_kind
+        assert [ws.P for ws in prepared] == [cfg.window_count] * (3 + 2 + 2)
 
 
 def _per_window_search(mse, search) -> list[float]:
@@ -742,7 +775,8 @@ def test_validate_errors_are_solution_errors(tmp_path, monkeypatch):
     errors = json.loads((tmp_path / "out" / "report.json").read_text())["errors"]
     system = _build_system(cfg)
     window_sets = {"scalar": trivial_window(system),
-                   "windowed": _window_sets(cfg, system)["windowed"]}
+                   "windowed": make_windows(system, cfg.window_kind,
+                                            cfg.window_count)}
     # the windowed MSE parameters are per-window line searches over the
     # training sets
     train = _split_datasets(cfg, "train")
@@ -783,7 +817,7 @@ def test_validate_coupled_best_keeps_the_diagonal_start(tmp_path, monkeypatch):
     cmd_validate(cfg, tmp_path / "out" / "params.json")
     errors = json.loads((tmp_path / "out" / "report.json").read_text())["errors"]
     system = _build_system(cfg)
-    windows = _window_sets(cfg, system)["windowed"]
+    windows = make_windows(system, cfg.window_kind, cfg.window_count)
     assert not windows.nonoverlapping
     for split, table in errors.items():
         datasets = _split_datasets(cfg, split)

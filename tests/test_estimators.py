@@ -2,7 +2,7 @@
 and their documented reductions."""
 
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -31,7 +31,8 @@ from specwin.solver import (ParamVector, phi_windowed, residual_norm_windowed,
                             solve_windowed, trace_windowed)
 from specwin.problems import gaussian_psf
 from specwin.spectral import SpectralSystem, dct_decompose, filter_factors, gsvd
-from specwin.windows import cosine_windows, indicator_windows, make_partitions, trivial_window
+from specwin.windows import (cosine_windows, indicator_windows, make_partitions,
+                             make_windows, trivial_window)
 
 import oracles
 from oracles import (
@@ -1028,7 +1029,6 @@ def test_mse_window_rejects_what_the_pooled_window_forms_reject():
     empty = windows_from_weights(np.vstack([np.ones(sys.n), np.zeros(sys.n)]))
     for windows, p, error in [
             (indicator_windows(parts, sys, "log"), 2, IndexError),
-            (cosine_windows(parts, sys, "log"), 0, ValueError),
             (empty, 1, EmptyWindowError)]:
         forms = [MseObjective(sys, dhats, truths, windows).window,
                  UpreObjective(sys, dhats, windows, 0.01).window,
@@ -1037,6 +1037,32 @@ def test_mse_window_rejects_what_the_pooled_window_forms_reject():
             with pytest.raises(error):
                 form(p, 0.5)
             assert np.isfinite(form(None, 0.5))  # the all-ones window
+    # on overlapping windows each form reads the indicator cell of the same
+    # partitions; where one of those is empty, every cell raises
+    cosine = cosine_windows(parts, sys, "log")
+    cells = indicator_windows(parts, sys, "log")
+    for make in (lambda w: MseObjective(sys, dhats, truths, w),
+                 lambda w: UpreObjective(sys, dhats, w, 0.01),
+                 lambda w: GcvObjective(sys, dhats, w)):
+        obj, cell = make(cosine), make(cells)
+        for p in range(2):
+            assert obj.window(p, 0.5) == cell.window(p, 0.5)
+        with pytest.raises(IndexError):
+            obj.window(2, 0.5)
+    wide = dct_decompose(gaussian_psf(36.0, (8, 8)), "laplacian")
+    wide_cosine = make_windows(wide, "cosine_linear", 3)
+    with pytest.raises(EmptyWindowError):
+        indicator_windows(wide_cosine.partitions, wide)
+    wide_dhats = [wide.analyze(rng.standard_normal(wide.dims)) for _ in range(2)]
+    wide_truths = [rng.standard_normal(wide.dims) for _ in range(2)]
+    for obj in (MseObjective(wide, wide_dhats, wide_truths, wide_cosine),
+                UpreObjective(wide, wide_dhats, wide_cosine, 0.01),
+                GcvObjective(wide, wide_dhats, wide_cosine)):
+        for p in range(3):
+            with pytest.raises(EmptyWindowError):
+                obj.window(p, 0.5)
+        assert np.isfinite(obj.window(None, 0.5))
+        assert np.isfinite(obj([0.5, 0.5, 0.5]))
     # the dense backend has no orthonormal synthesis to split the error by;
     # the pooled forms' all-ones window is still the trivial window's
     _, _, dense, _, dense_dhats = _md_problem(seed=223)
@@ -1114,7 +1140,9 @@ def test_window_kernels_round_as_their_plain_expressions(R):
 
     On any window set, window(None, alpha) is the trivial window's
     window(0, alpha) bit for bit: on overlapping cosine windows too, and on
-    tail weights 0.7, 0.2 and 0.1, whose sum rounds to 1 - 2**-53."""
+    tail weights 0.7, 0.2 and 0.1, whose sum rounds to 1 - 2**-53.  On
+    those two overlapping sets window(p, alpha) reads cell p, the indicator
+    window over the same partitions, bit for bit."""
     sys = dct_decompose(_box_psf((8, 6), (4, 2)), "laplacian")
     assert sys.ell > 0 and sys.q_star < sys.n
     rng = np.random.default_rng(229 + R)
@@ -1132,7 +1160,7 @@ def test_window_kernels_round_as_their_plain_expressions(R):
     cosine = cosine_windows(make_partitions(sys, 3, "log"), sys, "log")
     split = cosine.weights.copy()
     split[:, sys.q_star:] = np.array([[0.7], [0.2], [0.1]])
-    tail_split = windows_from_weights(split)
+    tail_split = replace(cosine, weights=split)  # cosine's partitions
     assert tail_split.weights[:, sys.q_star:].sum(axis=0)[0] == 1.0 - 2.0 ** -53
     for win in (indicator_windows(make_partitions(sys, 3, "log"), sys, "log"),
                 windows_from_members([range(p, sys.n, 3) for p in range(3)],
@@ -1144,6 +1172,11 @@ def test_window_kernels_round_as_their_plain_expressions(R):
             for a in alphas:
                 assert obj.window(None, a) == one.window(0, a), (obj, a)
         if not win.nonoverlapping:
+            cells = objectives(indicator_windows(win.partitions, sys))
+            for obj, cell in zip(objs, cells):
+                for p in range(3):
+                    for a in alphas:
+                        assert obj.window(p, a) == cell.window(p, a), (obj, p, a)
             continue
         forms = zip(objs, (oracles.mse_window, oracles.upre_window,
                            oracles.gcv_window))

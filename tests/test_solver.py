@@ -239,9 +239,14 @@ def test_window_phi_rejects_bad_windows_and_parameters():
     for alpha in (0.0, -0.5, np.nan, np.inf, 2.0 * MAX_ALPHA):
         with pytest.raises(ValueError, match="positive"):
             band.window_phi(0, alpha)
+    # overlapping windows give each window's partition cell, the indicator
+    # window over the same partitions
     overlapping = solver_mod._Band(sys, cosine_windows(parts, sys))
-    with pytest.raises(ValueError, match="non-overlapping"):
-        overlapping.window_phi(0, 0.5)
+    for p in range(2):
+        assert np.array_equal(overlapping.window_phi(p, 0.5),
+                              band.window_phi(p, 0.5))
+    with pytest.raises(IndexError, match="out of range"):
+        overlapping.window_phi(2, 0.5)
     weights = np.vstack([np.ones(sys.n), np.zeros(sys.n)])
     empty = solver_mod._Band(sys, windows_from_weights(weights))
     with pytest.raises(EmptyWindowError):
