@@ -17,7 +17,7 @@ from .windows import (KINDS, WindowSet, cosine_windows, indicator_windows,
 from .solver import (ParamVector, RegularizedSolution, phi_windowed,
                      residual_norm_windowed, solve_scalar, solve_windowed,
                      trace_windowed)
-from .estimators import (GcvObjective, MseObjective, NoiseModel,
+from .estimators import (DataPool, GcvObjective, MseObjective, NoiseModel,
                          UpreObjective, WindowedGcvTerms, estimate_sigma2,
                          gcv_md_scalar, gcv_scalar, gcv_windowed_decoupled,
                          gcv_windowed_true, gcv_windowed_true_md,
@@ -26,8 +26,8 @@ from .estimators import (GcvObjective, MseObjective, NoiseModel,
 from .optimize import (BOUNDARY_RTOL, ScalarSearchResult, SearchConfig,
                        VectorSearchResult, minimize_scalar, minimize_vector)
 from .problems import (DataSet, add_noise, blur, blur_spectrum, gaussian_psf,
-                       load_corpus, make_dataset, make_datasets, read_pgm,
-                       synthetic_image, write_pgm)
+                       iter_datasets, load_corpus, make_dataset,
+                       make_datasets, read_pgm, synthetic_image, write_pgm)
 
 __version__ = "0.1.0"
 
@@ -45,11 +45,13 @@ __all__ = [
     "NoiseModel", "WindowedGcvTerms", "upre_scalar", "upre_md_windowed",
     "upre_window_separable", "gcv_scalar", "gcv_md_scalar",
     "gcv_windowed_true", "gcv_windowed_true_md", "gcv_windowed_decoupled",
-    "windowed_gcv_terms", "UpreObjective", "GcvObjective", "MseObjective",
+    "windowed_gcv_terms", "DataPool", "UpreObjective", "GcvObjective",
+    "MseObjective",
     "mse_learning", "estimate_sigma2",
     "SearchConfig", "ScalarSearchResult", "VectorSearchResult",
     "minimize_scalar", "minimize_vector", "BOUNDARY_RTOL",
     "DataSet", "gaussian_psf", "blur", "blur_spectrum",
-    "add_noise", "make_dataset", "make_datasets", "synthetic_image",
+    "add_noise", "make_dataset", "make_datasets", "iter_datasets",
+    "synthetic_image",
     "read_pgm", "write_pgm", "load_corpus",
 ]

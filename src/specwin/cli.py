@@ -11,6 +11,11 @@ A single flat JSON config drives everything; (config, seed) determines every
 CSV/PGM/JSON output byte.  Wall-clock timings go to a separate plain-text log
 so they cannot perturb the deterministic artifacts.
 
+train and validate stream each synthetic split: a data set is generated,
+used and dropped before the next one is drawn, so they hold one image at a
+time.  train folds each set into a `DataPool`, from which every objective
+(and each r_sweep step) is prepared; validate scores each set as it comes.
+
 Exit codes: 0 success, 2 config error, 3 numerical infeasibility, 4 I/O error.
 """
 
@@ -18,20 +23,21 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys as _sysmod
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, SpecwinError
-from .estimators import (GcvObjective, MseObjective, NoiseModel,
+from .estimators import (DataPool, GcvObjective, MseObjective,
                          UpreObjective, estimate_sigma2)
 from .optimize import SearchConfig, minimize_scalar, minimize_vector
-from .problems import (DataSet, gaussian_psf, load_corpus, make_datasets,
+from .problems import (DataSet, gaussian_psf, iter_datasets, load_corpus,
                        read_manifest, synthetic_image, write_manifest,
                        write_pgm)
 from .solver import ParamVector
@@ -197,9 +203,10 @@ def _split_seed(config: ExperimentConfig, stream: int, idx: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _split_truths(config: ExperimentConfig, split: str) -> list[np.ndarray]:
-    """Truth images for one split: external manifest if configured, else the
-    synthetic corpus.  Deterministic ordering either way.
+def _split_truths(config: ExperimentConfig, split: str) -> Iterable[np.ndarray]:
+    """Truth images for one split: external manifest if configured, loaded
+    whole, else the synthetic corpus, drawn lazily one image at a time.
+    Deterministic ordering either way.
 
     A manifest (or directory) whose records carry none of the split labels
     serves every split with all of its records; a labelled manifest serves
@@ -222,9 +229,9 @@ def _split_truths(config: ExperimentConfig, split: str) -> list[np.ndarray]:
             raise ConfigError(f"r_train={config.r_train} exceeds training "
                               f"corpus size {len(images)}")
         return images[:count] if split == "train" else images
-    return [synthetic_image(config.image_size,
+    return (synthetic_image(config.image_size,
                             _split_seed(config, 1000 + split_idx, i))
-            for i in range(count)]
+            for i in range(count))
 
 
 def _psf(config: ExperimentConfig) -> np.ndarray:
@@ -234,23 +241,23 @@ def _psf(config: ExperimentConfig) -> np.ndarray:
         raise ConfigError(f"blur kernel: {exc}") from exc
 
 
-def _split_datasets(config: ExperimentConfig, split: str) -> list[DataSet]:
+def _split_datasets(config: ExperimentConfig, split: str) -> Iterator[DataSet]:
+    """One split's data sets, built one at a time as the caller takes them,
+    under one blur spectrum."""
     split_idx = _SPLITS.index(split)
     psf = _psf(config)
+    truths = _split_truths(config, split)
+    seeds = (_split_seed(config, 2000 + split_idx, i) for i in itertools.count())
     try:
-        truths = _split_truths(config, split)
-        return make_datasets(truths, psf, config.snr_db,
-                             [_split_seed(config, 2000 + split_idx, i)
-                              for i in range(len(truths))])
+        yield from iter_datasets(truths, psf, config.snr_db, seeds)
     except ValueError as exc:
         raise ConfigError(f"{split} data: {exc}") from exc
 
 
-def _corpus_fingerprint(truths: Sequence[np.ndarray]) -> str:
-    h = hashlib.sha256()
-    for x in truths:
-        h.update(np.ascontiguousarray(np.rint(x * 65535.0).astype(">u2")).tobytes())
-    return h.hexdigest()[:16]
+def _quantized(x: np.ndarray) -> bytes:
+    """One truth as the 16-bit samples that the corpus fingerprint hashes:
+    a corpus whose pixels move by rounding keeps its fingerprint."""
+    return np.ascontiguousarray(np.rint(x * 65535.0).astype(">u2")).tobytes()
 
 
 def _build_system(config: ExperimentConfig) -> SpectralSystem:
@@ -271,7 +278,7 @@ def cmd_gen(config: ExperimentConfig, verbose: bool = False) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     records = []
     for split in _SPLITS:
-        datasets = _split_datasets(config, split)
+        datasets = list(_split_datasets(config, split))
         split_dir = out / split
         split_dir.mkdir(exist_ok=True)
         for stale in split_dir.glob("img_*"):  # an earlier run's data sets
@@ -303,16 +310,13 @@ def _write_trace(path: Path, trace) -> None:
                fmt="%.12g")
 
 
-def _objective(name: str, system: SpectralSystem, dhats: list[np.ndarray],
-               truths: list[np.ndarray], noise: NoiseModel, windows: WindowSet):
-    """One estimator's objective on one window set, prepared once from these
-    data sets.  Both GCV variants share `GcvObjective`: its per-window form
-    is the decoupled GCV, window(None, alpha) the scalar multi-data GCV."""
-    if name == "mse":
-        return MseObjective(system, dhats, truths, windows)
-    if name == "upre":
-        return UpreObjective(system, dhats, windows, noise)
-    return GcvObjective(system, dhats, windows)
+def _objective(name: str, pool: DataPool, windows: WindowSet):
+    """One estimator's objective on one window set, prepared from the data
+    sets folded into pool so far.  Both GCV variants share `GcvObjective`:
+    its per-window form is the decoupled GCV, window(None, alpha) the scalar
+    multi-data GCV."""
+    cls = {"mse": MseObjective, "upre": UpreObjective}.get(name, GcvObjective)
+    return cls.from_pool(pool, windows)
 
 
 def _learn(objective, decoupled: bool, search: SearchConfig):
@@ -351,7 +355,14 @@ def _learn(objective, decoupled: bool, search: SearchConfig):
 
 def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
     """Learn scalar and windowed parameters for every requested estimator
-    by the search policy of _learn."""
+    by the search policy of _learn.
+
+    The training sets stream through one `DataPool`: each is generated,
+    analyzed, folded and dropped, and the corpus fingerprint is a running
+    hash, so memory holds one image at a time (and, for mse, two band rows
+    per set).  An r_sweep learns the scalar parameter of the first r sets
+    from the pool before set r + 1 joins it; r = R is the scalar result.
+    """
     t_start = time.perf_counter()
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -361,23 +372,32 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
         stale.unlink()
 
     system = _build_system(config)
-    datasets = _split_datasets(config, "train")
-    truths = [ds.x_true for ds in datasets]
-    if "mse" in config.estimators and any(t is None for t in truths):
-        raise ConfigError("mse estimator needs truth images")
-    dhats = [system.analyze(ds.d) for ds in datasets]
-    noise = NoiseModel([estimate_sigma2(system, dh) for dh in dhats]
-                       if config.sigma_mode == "estimate"
-                       else [ds.sigma2 for ds in datasets])
     windows = make_windows(system, config.window_kind, config.window_count)
     search = config.search
+    learn_mse = "mse" in config.estimators
+    pool = DataPool(system)
+    corpus = hashlib.sha256()
+    sweep: dict = {name: [] for name in config.estimators}  # alpha at r < R
+    for ds in _split_datasets(config, "train"):
+        if learn_mse and ds.x_true is None:
+            raise ConfigError("mse estimator needs truth images")
+        if config.r_sweep and pool.R:
+            for name in config.estimators:
+                sub = _objective(name, pool, windows)
+                sweep[name].append(minimize_scalar(
+                    lambda a: sub.window(None, a), search).alpha)
+        corpus.update(_quantized(ds.x_true))
+        dhat = system.analyze(ds.d)
+        pool.fold(dhat, estimate_sigma2(system, dhat)
+                  if config.sigma_mode == "estimate" else ds.sigma2,
+                  ds.x_true if learn_mse else None)
 
     params: dict = {"estimators": {}}
-    timing_lines = []
+    timing_lines = [f"train data: {time.perf_counter() - t_start:.3f} s"]
     trend_rows = []
     for name in config.estimators:
         t0 = time.perf_counter()
-        objective = _objective(name, system, dhats, truths, noise, windows)
+        objective = _objective(name, pool, windows)
         decoupled = windows.nonoverlapping and name != "gcv_true"
         scal, alphas, found = _learn(objective, decoupled, search)
         _write_trace(traces_dir / f"{name}_scalar_trace.csv", scal.trace)
@@ -405,20 +425,16 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
         if verbose:
             print(f"train {name}: scalar alpha={scal.alpha:.5g}, windowed "
                   f"alphas={windowed['alphas']}, {dt:.2f} s")
-        if config.r_sweep:  # learn on the first r data sets and variances
-            for r in range(1, len(datasets)):
-                sub = _objective(name, system, dhats[:r], truths[:r],
-                                 NoiseModel(noise.sigma2[:r]), windows)
-                trend_rows.append((r, name, minimize_scalar(
-                    lambda a: sub.window(None, a), search).alpha))
-            trend_rows.append((len(datasets), name, scal.alpha))  # r = R: as above
+        if config.r_sweep:
+            trend_rows += [(r, name, alpha) for r, alpha
+                           in enumerate(sweep[name] + [scal.alpha], 1)]
 
     params["config"] = asdict(config)
     params["corpus"] = {
-        "fingerprint": _corpus_fingerprint(truths),
+        "fingerprint": corpus.hexdigest()[:16],
         "label": config.corpus_label or (
             "external" if config.train_manifest else "substitute-synthetic"),
-        "r_train": len(datasets),
+        "r_train": pool.R,
     }
     params["windows"] = {
         "P": config.window_count, "kind": config.window_kind,
@@ -464,11 +480,13 @@ def _stored_params(values, P: int, source: str) -> ParamVector:
 
 def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -> Path:
     """Apply frozen parameters to all corpora and emit the error tables.
-    Each data set is analyzed once, and every run is scored by that data
-    set's MSE objective: 100 sqrt(mse(alphas)) / ||x_true|| is the percent
-    relative solution error, and no solution image is formed.  The per-image
-    best (include_best) is train's MSE search policy (_learn) on that one
-    data set."""
+    Each data set is scored as it is generated and then dropped: it is
+    analyzed once, and every run is scored by that data set's MSE
+    objective: 100 sqrt(mse(alphas)) / ||x_true|| is the percent relative
+    solution error, and no solution image is formed.  The per-image best
+    (include_best) is train's MSE search policy (_learn) on that one data
+    set.  The training split's fingerprint is checked when that split
+    ends, before any output file is written or removed."""
     t_start = time.perf_counter()
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -506,20 +524,12 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
                      for mode in ("scalar", "windowed")})
 
     errors: dict = {}  # {split: {run key: [per-image pct errors]}}
+    corpus = hashlib.sha256()  # of the training split
     for split in _SPLITS:
-        datasets = _split_datasets(config, split)
-        if split == "train":
-            fingerprint = _corpus_fingerprint([ds.x_true for ds in datasets])
-            if fingerprint != params["corpus"]["fingerprint"]:
-                raise ConfigError(
-                    f"corpus mismatch: parameters were trained on corpus "
-                    f"{params['corpus']['fingerprint']}, this config's "
-                    f"training split is {fingerprint}")
-        if not datasets:
-            (out / f"errors_{split}.csv").unlink(missing_ok=True)
-            continue
-        table = errors[split] = {key: [] for key in runs}
-        for ds in datasets:
+        table = {key: [] for key in runs}
+        for ds in _split_datasets(config, split):
+            if split == "train":
+                corpus.update(_quantized(ds.x_true))
             dhat = system.analyze(ds.d)
             mse = MseObjective(system, [dhat], [ds.x_true], windows)
             if config.include_best:
@@ -533,6 +543,17 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
                 value = (mse(alphas) if mode == "windowed"
                          else mse.window(None, alphas.values[0]))
                 table[key].append(float(100.0 * np.sqrt(value) / norm))
+        if split == "train":
+            fingerprint = corpus.hexdigest()[:16]
+            if fingerprint != params["corpus"]["fingerprint"]:
+                raise ConfigError(
+                    f"corpus mismatch: parameters were trained on corpus "
+                    f"{params['corpus']['fingerprint']}, this config's "
+                    f"training split is {fingerprint}")
+        if any(table.values()):
+            errors[split] = table
+        else:
+            (out / f"errors_{split}.csv").unlink(missing_ok=True)
     means = {key: {split: float(np.mean(table[key]))
                    for split, table in errors.items()} for key in runs}
 

@@ -32,7 +32,12 @@ class KernelSymmetryError(SpecwinError):
 
 
 class EmptyWindowError(SpecwinError):
-    """A spectral window received no indices (or no weight)."""
+    """A spectral window received no indices (or no weight); `window` is its
+    index, counted from 0, where the raiser names one."""
+
+    def __init__(self, message: str, window: int | None = None) -> None:
+        super().__init__(message)
+        self.window = window
 
 
 class SaturatedTraceError(SpecwinError):

@@ -16,7 +16,11 @@ Each estimator has one objective class (`UpreObjective`, `GcvObjective`,
 `MseObjective`), prepared once for data sets sharing one system and one
 window set, and evaluated as obj(alphas), obj.window(p, alpha) or, on the
 single all-ones window, obj.window(None, alpha); each public function is
-one evaluation of a freshly prepared objective.  UPRE, the decoupled GCV
+one evaluation of a freshly prepared objective.  A `DataPool` folds the data
+sets in one at a time, and `cls.from_pool(pool, windows)` prepares an
+objective from the sets folded so far (the list constructors fold each set,
+then prepare), so a caller need not hold a corpus; the dense MSE keeps its
+column stacks instead.  UPRE, the decoupled GCV
 and the DCT MSE evaluate one band cost (`_Pooled`) on the active band
 [ell, q_star) of the solver's band object (`solver._Band`); obj.window(p,
 alpha) reads its partition cell p, window p or, on overlapping windows, p's
@@ -56,6 +60,7 @@ __all__ = [
     "UpreObjective",
     "GcvObjective",
     "MseObjective",
+    "DataPool",
     "mse_learning",
     "estimate_sigma2",
 ]
@@ -259,20 +264,112 @@ def gcv_windowed_decoupled(systems: Sequence[SpectralSystem],
 # Prepared objectives
 # ---------------------------------------------------------------------------
 
-class _Objective:
-    """What every prepared objective shares: data sets of one system, each
-    checked against it, and the active band of one window set."""
+class DataPool:
+    """Data sets of one system folded in one at a time, so that a caller
+    holds one set at a time: the pooled sums through which alone
+    `UpreObjective`, `GcvObjective` and, on the DCT backend, `MseObjective`
+    read their data.  `UpreObjective.from_pool(pool, windows)`, and likewise
+    the other two, prepares one from the sets folded so far; it owns its
+    arrays, so sets folded later leave it unchanged.
 
-    def __init__(self, sys: SpectralSystem, dhats: Sequence[np.ndarray],
-                 windows: WindowSet) -> None:
-        if not len(dhats):
+    fold(dhat, sigma2, truth) adds dhat[:n]**2 to the per-index energies,
+    sum dhat[n:]**2 to `beyond` and sigma2 to the noise variances, each in
+    the order the sets arrive.  A truth (the learning objective) also adds
+    its parameter-free costs below ell and from q_star on, and keeps its band
+    rows u = pinv(delta) dhat / synthesis_scale and t = Q^T x_true on
+    [ell, q_star): the MSE's best filter and fixed costs there need every
+    row.  So with truths the pool grows by two band rows per set, else by
+    one variance.
+    """
+
+    def __init__(self, sys: SpectralSystem) -> None:
+        self.sys = sys
+        self.R = 0
+        self.energy = np.zeros(sys.n)
+        self.beyond = 0.0
+        self.sigma2: list[float] = []
+        self.truths = 0  # sets folded with a truth
+        self._fixed = None
+        self._u: list = []  # band rows, stacked when an objective needs them
+        self._t: list = []
+
+    def fold(self, dhat: np.ndarray, sigma2: float = 0.0,
+             truth: np.ndarray | None = None) -> None:
+        """Add one data set: its coefficients dhat = analyze(d), its noise
+        variance and, for the learning objective, its truth."""
+        sys = self.sys
+        _check_set(sys, dhat, truth)
+        sigma2 = float(sigma2)
+        if not 0.0 <= sigma2 < np.inf:
+            raise ValueError(f"noise variances must be finite and >= 0, got "
+                             f"{sigma2}")
+        lo, hi, n = sys.ell, sys.q_star, sys.n
+        if truth is not None:
+            t_r = sys.solution_coefficients(truth)  # raises on the dense backend
+            if self._fixed is None:
+                self._fixed = np.zeros(n)  # each index's parameter-free cost
+                self._dpinv = 1.0 / sys.delta[lo:]
+                self._scale = sys.synthesis_scale[lo:]
+            u_r = self._dpinv * dhat[lo:n] / self._scale
+            self._fixed[:lo] += t_r[:lo] ** 2
+            # phi = 1 on the tail itself, not the tail weights' sum, which
+            # rounds off 1 on some hand-built window sets
+            self._fixed[hi:] += (u_r[hi - lo:] - t_r[hi:]) ** 2
+            self._u.append(u_r[None, : hi - lo].copy())
+            self._t.append(t_r[None, lo:hi].copy())
+            self.truths += 1
+        self.energy += dhat[:n] ** 2
+        self.beyond += float(dhat[n:] @ dhat[n:])
+        self.sigma2.append(sigma2)
+        self.R += 1
+
+    def _band_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The band rows u and t of every set, each stacked in one array and
+        kept so; stacking one list at a time, the pool peaks at three band
+        rows per set."""
+        for rows in (self._u, self._t):
+            if len(rows) > 1:
+                rows[:] = [np.concatenate(rows)]
+        return self._u[0], self._t[0]
+
+
+def _check_set(sys: SpectralSystem, dhat: np.ndarray, truth=None) -> None:
+    """ValueError unless dhat has m entries and a truth, if any, n."""
+    if dhat.size != sys.m:
+        raise ValueError(f"data length {dhat.size} does not match m={sys.m}")
+    if truth is not None and np.size(truth) != sys.n:
+        raise ValueError(f"truth size {np.size(truth)} does not match n={sys.n}")
+
+
+def _pool(sys: SpectralSystem, dhats: Sequence[np.ndarray], sigma2=None,
+          truths=None) -> DataPool:
+    """These data sets folded in order, with their variances and truths
+    where given."""
+    pool = DataPool(sys)
+    for r, dhat in enumerate(dhats):
+        pool.fold(dhat, 0.0 if sigma2 is None else sigma2[r],
+                  None if truths is None else truths[r])
+    return pool
+
+
+class _Objective:
+    """What every prepared objective shares: R data sets of one system and
+    the active band of one window set."""
+
+    def _setup(self, sys: SpectralSystem, R: int, windows: WindowSet) -> None:
+        if not R:
             raise ValueError("need at least one data set")
-        for dhat in dhats:
-            if dhat.size != sys.m:
-                raise ValueError(f"data length {dhat.size} does not match m={sys.m}")
-        self.R = len(dhats)
+        self.R = R
         self.P = windows.P
         self.band = _Band(sys, windows)
+
+    @classmethod
+    def from_pool(cls, pool: DataPool, windows: WindowSet):
+        """The objective of the data sets folded into pool so far, over
+        these windows; the pool may go on folding."""
+        obj = cls.__new__(cls)
+        obj._prepare(pool, windows)
+        return obj
 
 
 class _Pooled(_Objective):
@@ -280,17 +377,19 @@ class _Pooled(_Objective):
     through which alone UPRE, GCV (the pooled energies sum_r dhat_r**2, target
     1 and their sum below ell) and the DCT MSE read the data.  Every phi is 0
     below ell and 1 from q_star on, so an evaluation touches only the active
-    band [ell, q_star), runs no transform and costs the same for any R."""
+    band [ell, q_star), runs no transform and costs the same for any R.  The
+    list constructors fold each data set into a `DataPool`, then prepare."""
 
     def __init__(self, sys: SpectralSystem, dhats: Sequence[np.ndarray],
                  windows: WindowSet) -> None:
-        super().__init__(sys, dhats, windows)
-        lo, hi, n = sys.ell, sys.q_star, sys.n
-        energy = np.zeros(n)
-        self.beyond = 0.0
-        for dhat in dhats:
-            energy += dhat[:n] ** 2
-            self.beyond += float(dhat[n:] @ dhat[n:])
+        self._prepare(_pool(sys, dhats), windows)
+
+    def _prepare(self, pool: DataPool, windows: WindowSet) -> None:
+        sys = pool.sys
+        self._setup(sys, pool.R, windows)
+        lo, hi = sys.ell, sys.q_star
+        energy = pool.energy.copy()
+        self.beyond = pool.beyond
         self.m = sys.m
         self.M = self.R * sys.m
         self.head_energy = energy[:lo]
@@ -335,8 +434,11 @@ class UpreObjective(_Pooled):
 
     def __init__(self, sys: SpectralSystem, dhats: Sequence[np.ndarray],
                  windows: WindowSet, noise) -> None:
-        super().__init__(sys, dhats, windows)
-        self.s2 = float(np.sum(_noise_for(noise, self.R)))
+        self._prepare(_pool(sys, dhats, _noise_for(noise, len(dhats))), windows)
+
+    def _prepare(self, pool: DataPool, windows: WindowSet) -> None:
+        super()._prepare(pool, windows)
+        self.s2 = float(np.sum(pool.sigma2))
 
     def __call__(self, alphas) -> float:
         phiw = self.band.blend(self.band.rows(alphas))
@@ -411,33 +513,32 @@ class MseObjective(_Pooled):
             raise ValueError("missing truths: the learning objective needs x_true")
         if len(truths) != len(dhats):
             raise ValueError("data and truths must have equal lengths")
-        _Objective.__init__(self, sys, dhats, windows)
-        for truth in truths:
-            if np.size(truth) != sys.n:
-                raise ValueError(f"truth size {np.size(truth)} does not match "
-                                 f"n={sys.n}")
-        if sys.backend == "dense":
-            heads = np.stack([dhat[: sys.n] for dhat in dhats], axis=1)
-            flat = np.stack([np.ravel(truth) for truth in truths], axis=1)
-            self._dense = (sys, sys.delta_pinv(), heads, flat)
+        if sys.backend != "dense":
+            self._prepare(_pool(sys, dhats, truths=truths), windows)
             return
+        self._setup(sys, len(dhats), windows)
+        for dhat, truth in zip(dhats, truths):
+            _check_set(sys, dhat, truth)
+        heads = np.stack([dhat[: sys.n] for dhat in dhats], axis=1)
+        flat = np.stack([np.ravel(truth) for truth in truths], axis=1)
+        self._dense = (sys, sys.delta_pinv(), heads, flat)
+
+    def _prepare(self, pool: DataPool, windows: WindowSet) -> None:
+        """The energies, best filter and fixed costs from the stacked band
+        rows of a DCT pool."""
+        if pool.truths < pool.R:
+            raise ValueError("missing truths: the learning objective needs x_true")
+        sys = pool.sys
+        self._setup(sys, pool.R, windows)
         self._dense = None
-        lo, hi, n = sys.ell, sys.q_star, sys.n
-        dpinv, scale = 1.0 / sys.delta[lo:], sys.synthesis_scale[lo:]
-        fixed = np.zeros(n)  # each index's parameter-free cost
-        u, t = np.empty((self.R, hi - lo)), np.empty((self.R, hi - lo))
-        for r, (dhat, truth) in enumerate(zip(dhats, truths)):
-            u_r = dpinv * dhat[lo:n] / scale
-            t_r = sys.solution_coefficients(truth)
-            fixed[:lo] += t_r[:lo] ** 2
-            # phi = 1 on the tail itself, not the tail weights' sum, which
-            # rounds off 1 on some hand-built window sets
-            fixed[hi:] += (u_r[hi - lo:] - t_r[hi:]) ** 2
-            u[r], t[r] = u_r[: hi - lo], t_r[lo:hi]
+        lo, hi = sys.ell, sys.q_star
+        u, t = pool._band_rows()
         self.energy = np.einsum("rj,rj->j", u, u)
         self.target = np.divide(np.einsum("rj,rj->j", u, t), self.energy,
                                 out=np.zeros(hi - lo), where=self.energy > 0.0)
-        res = self.target * u - t  # each set's residual at the best filter
+        res = self.target * u  # each set's residual at the best filter
+        res -= t
+        fixed = pool._fixed.copy()
         fixed[lo:hi] = np.einsum("rj,rj->j", res, res)
         self.fixed = float(np.sum(fixed))
         self._fixed_at = fixed

@@ -2,8 +2,10 @@
 
 Provides the pieces the experiment driver assembles: circularly symmetric
 Gaussian point-spread functions, reflexive-boundary blurring through the
-fast spectral path, exact-SNR noise injection, and a small grayscale corpus
-toolchain (binary PGM + CSV matrices, manifest files, and a synthetic
+fast spectral path, exact-SNR noise injection, data sets built one at a
+time from a stream of truths under one blur spectrum (`iter_datasets`;
+`make_datasets` is its list), and a small grayscale corpus toolchain
+(binary PGM + CSV matrices, manifest files, and a synthetic
 cratered-terrain generator used when no external imagery is available).
 """
 
@@ -13,7 +15,7 @@ import csv
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.fft import dctn, idctn
@@ -29,6 +31,7 @@ __all__ = [
     "add_noise",
     "make_dataset",
     "make_datasets",
+    "iter_datasets",
     "synthetic_image",
     "read_pgm",
     "write_pgm",
@@ -138,18 +141,20 @@ def add_noise(b: np.ndarray, target_snr_db: float, seed) -> tuple[np.ndarray, fl
 
 def _noisy(b: np.ndarray, target_snr_db: float, seed):
     """add_noise's (d, sigma2) and the achieved SNR 10*log10(||b||^2 /
-    ||d - b||^2) in dB, from the sums its checks take."""
+    ||d - b||^2) in dB, from the sums its checks take.  Every sum of squares
+    goes through one scratch buffer the size of b."""
     b = np.asarray(b, dtype=float)
     if np.isnan(target_snr_db) or target_snr_db == -np.inf:
         raise ValueError(f"SNR target must be a number or +inf, got {target_snr_db}")
     if target_snr_db == np.inf:
         return b.copy(), 0.0, float("inf")
-    bnorm2 = float(np.sum(b ** 2))
+    buf = np.empty_like(b)
+    bnorm2 = _sum_of_squares(b, buf)
     if bnorm2 == 0.0:
         raise ValueError("zero-signal SNR undefined")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     e = rng.standard_normal(b.shape)
-    enorm2 = float(np.sum(e ** 2))
+    enorm2 = _sum_of_squares(e, buf)
     if enorm2 == 0.0:
         raise ValueError("degenerate zero noise draw")
     # a target whose power ratio overflows or underflows (a Python float
@@ -166,16 +171,23 @@ def _noisy(b: np.ndarray, target_snr_db: float, seed):
     # noise far below the rounding step of b is lost in the sum, wholly (the
     # achieved SNR would be infinite) or in part (it would miss the target,
     # and sigma2 would overstate the noise in d)
-    kept = float(np.sum((d - b) ** 2))
+    kept = _sum_of_squares(np.subtract(d, b, out=buf), buf)
     if kept == 0.0:
         raise ValueError(f"SNR target {target_snr_db} dB is out of range: "
                          f"the noise vanishes when added to the data")
-    noise2 = float(np.sum(e ** 2))
+    # summed again after scaling, not taken as scale**2 * enorm2: sigma2's
+    # bits rest on this sum
+    noise2 = _sum_of_squares(e, buf)
     if abs(kept / noise2 - 1.0) > 1e-6:
         raise ValueError(f"SNR target {target_snr_db} dB is out of range: "
                          f"part of the noise is lost to rounding when added "
                          f"to the data")
     return d, noise2 / b.size, float(10.0 * np.log10(bnorm2 / kept))
+
+
+def _sum_of_squares(x: np.ndarray, buf: np.ndarray) -> float:
+    """np.sum(x ** 2), bit for bit, squaring into buf (which may be x)."""
+    return float(np.add.reduce(np.square(x, out=buf), axis=None))
 
 
 def make_dataset(x_true: np.ndarray, psf: np.ndarray, snr_db: float,
@@ -187,30 +199,49 @@ def make_dataset(x_true: np.ndarray, psf: np.ndarray, snr_db: float,
 def make_datasets(truths: Sequence[np.ndarray], psf: np.ndarray,
                   snr_db: float, seeds: Sequence[int]) -> list[DataSet]:
     """make_dataset(x, psf, snr_db, seed) for each truth and its noise seed,
-    with one blur spectrum for all of them.
+    with one blur spectrum for all of them: the list of iter_datasets.
 
-    Every truth must be 2D with the shape of the first.  An empty list
-    builds no spectrum and returns [].
+    Every truth must be 2D with the shape of the first, and there must be
+    one seed per truth; both are checked before any data set is built.  An
+    empty list builds no spectrum and returns [].
     """
     truths = [np.asarray(x, dtype=float) for x in truths]
     if len(truths) != len(seeds):
         raise ValueError(f"{len(truths)} truth images but {len(seeds)} seeds")
-    if not truths:
-        return []
-    dims = truths[0].shape
-    if len(dims) != 2:
-        raise ValueError("image must be 2D")
-    if any(x.shape != dims for x in truths):
-        raise ValueError(f"truth images differ in shape from {dims}")
-    a = blur_spectrum(psf, dims)
-    datasets = []
+    for x in truths:
+        _check_shape(x, truths[0].shape)
+    return list(iter_datasets(truths, psf, snr_db, seeds))
+
+
+def iter_datasets(truths: Iterable[np.ndarray], psf: np.ndarray,
+                  snr_db: float, seeds: Iterable[int]) -> Iterator[DataSet]:
+    """make_dataset(x, psf, snr_db, seed) for each truth in turn, paired
+    with the seeds as zip pairs them, so that a caller can hold one data set
+    at a time.  The blur spectrum is built once, on the first truth's shape,
+    and a truth that is not 2D or differs in shape from the first raises
+    when it is reached; no truth builds no spectrum.
+    """
+    a = dims = None
     for x_true, seed in zip(truths, seeds):
+        x_true = np.asarray(x_true, dtype=float)
+        if a is None:
+            dims = x_true.shape
+            _check_shape(x_true, dims)
+            a = blur_spectrum(psf, dims)
+        else:
+            _check_shape(x_true, dims)
         b = _apply_spectrum(a, x_true)
         d, sigma2, achieved = _noisy(b, snr_db, seed)
-        datasets.append(DataSet(x_true=x_true, b=b, d=d, sigma2=sigma2,
-                                snr=achieved, seed=int(seed),
-                                dims=(dims[0], dims[1])))
-    return datasets
+        yield DataSet(x_true=x_true, b=b, d=d, sigma2=sigma2, snr=achieved,
+                      seed=int(seed), dims=(dims[0], dims[1]))
+
+
+def _check_shape(x: np.ndarray, dims: tuple) -> None:
+    """ValueError unless the truth x is 2D with shape dims."""
+    if x.ndim != 2:
+        raise ValueError("image must be 2D")
+    if x.shape != dims:
+        raise ValueError(f"truth images differ in shape from {dims}")
 
 
 # A crater's ridge rim*exp(-((dist-1)/0.12)**2) is exactly 0.0 once the

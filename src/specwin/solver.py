@@ -112,10 +112,17 @@ class _Band:
     @cached_property
     def cells(self) -> WindowSet:
         """The windows where they do not overlap, else indicator windows over
-        their partitions (EmptyWindowError where one of those is empty)."""
+        their partitions (EmptyWindowError, naming the configured windows'
+        partition cell from 0, where one of those is empty)."""
         if self._windows.nonoverlapping:
             return self._windows
-        return indicator_windows(self._windows.partitions, self._sys)
+        try:
+            return indicator_windows(self._windows.partitions, self._sys)
+        except EmptyWindowError as exc:
+            raise EmptyWindowError(
+                f"empty window: partition cell {exc.window} of the overlapping "
+                f"windows holds no spectral value, and their per-window "
+                f"searches run on these cells", window=exc.window) from exc
 
     @cached_property
     def members(self) -> list:

@@ -2,10 +2,11 @@
 non-overlapping indicator windows, and overlapping raised-cosine windows.
 
 All generators return a `WindowSet` whose P weight vectors form a partition
-of unity over every spectral index.  Indices with lam == 0 (infinite
-generalized value) always belong to window 1; indices with delta == 0
-(zero generalized value) always belong to window P.  `make_windows` maps a
-window kind in `KINDS` and a window count to its window set.
+of unity over every spectral index.  Windows are counted from 0.  Indices
+with lam == 0 (infinite generalized value) always belong to window 0;
+indices with delta == 0 (zero generalized value) always belong to the last
+window, P - 1.  `make_windows` maps a window kind in `KINDS` and a window
+count to its window set.
 """
 
 from __future__ import annotations
@@ -126,8 +127,9 @@ def make_windows(sys: SpectralSystem, kind: str, P: int) -> WindowSet:
 def _windows(partitions: np.ndarray, sys: SpectralSystem, place) -> WindowSet:
     """The window set over these partitions whose weights on the active band
     [ell, q_star) `place(weights, parts, gamma, columns)` writes; the
-    penalty-null tail [q_star, n) goes to window 1 and the forward-null head
-    [0, ell) to window P."""
+    penalty-null tail [q_star, n) goes to window 0 and the forward-null head
+    [0, ell) to window P - 1.  EmptyWindowError names an empty window by
+    its index."""
     parts = np.asarray(partitions, dtype=float)
     if parts.ndim != 1 or parts.size < 2:
         raise ValueError("partitions must be a 1D array of at least two values")
@@ -140,7 +142,8 @@ def _windows(partitions: np.ndarray, sys: SpectralSystem, place) -> WindowSet:
     weights[-1, :sys.ell] = 1.0
     empty = np.flatnonzero(weights.max(axis=1) == 0.0)
     if empty.size:
-        raise EmptyWindowError(f"empty window: window {empty[0] + 1} has no weight")
+        raise EmptyWindowError(f"empty window: window {empty[0]} has no weight",
+                               window=int(empty[0]))
     return WindowSet(weights=weights, partitions=parts)
 
 

@@ -426,6 +426,42 @@ def gcv_window(obj, p: int, alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the pooled sums taken as one batch over every data set, as the multi-data
+# objectives took them before the data sets were folded in one at a time
+# ---------------------------------------------------------------------------
+
+
+def batch_pooled_terms(sys: SpectralSystem, dhats, sigma2, truths) -> dict:
+    """The energies sum_r dhat_r[:n]**2 and the beyond-n sum by a loop over
+    the sets, s2 = np.sum(sigma2), and, on a DCT system, the MSE's band
+    energies, best filter and per-index fixed costs from (R, q_star - ell)
+    stacks of the rows u = pinv(delta) dhat / synthesis_scale and
+    t = Q^T x_true."""
+    lo, hi, n = sys.ell, sys.q_star, sys.n
+    energy, beyond = np.zeros(n), 0.0
+    for dhat in dhats:
+        energy += dhat[:n] ** 2
+        beyond += float(dhat[n:] @ dhat[n:])
+    R = len(dhats)
+    dpinv, scale = 1.0 / sys.delta[lo:], sys.synthesis_scale[lo:]
+    fixed = np.zeros(n)
+    u, t = np.empty((R, hi - lo)), np.empty((R, hi - lo))
+    for r, (dhat, truth) in enumerate(zip(dhats, truths)):
+        u_r = dpinv * dhat[lo:n] / scale
+        t_r = sys.solution_coefficients(truth)
+        fixed[:lo] += t_r[:lo] ** 2
+        fixed[hi:] += (u_r[hi - lo:] - t_r[hi:]) ** 2
+        u[r], t[r] = u_r[: hi - lo], t_r[lo:hi]
+    a = np.einsum("rj,rj->j", u, u)
+    target = np.divide(np.einsum("rj,rj->j", u, t), a, out=np.zeros(hi - lo),
+                       where=a > 0.0)
+    res = target * u - t
+    fixed[lo:hi] = np.einsum("rj,rj->j", res, res)
+    return {"energy": energy, "beyond": beyond, "s2": float(np.sum(sigma2)),
+            "mse_energy": a, "mse_target": target, "mse_fixed": fixed}
+
+
+# ---------------------------------------------------------------------------
 # leave-one-out cross-validation reference for the coupled windowed GCV
 # ---------------------------------------------------------------------------
 

@@ -1,7 +1,10 @@
 """Experiment driver: config handling, artifacts, exit codes, determinism."""
 
+import hashlib
 import json
+import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -185,7 +188,7 @@ def test_trained_values_reproducible_from_params(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path / "reval")
 
     system = _build_system(cfg)
-    datasets = _split_datasets(cfg, "train")
+    datasets = list(_split_datasets(cfg, "train"))
     dhats = [system.analyze(ds.d) for ds in datasets]
     noise = NoiseModel([ds.sigma2 for ds in datasets])
     windows = make_windows(system, cfg.window_kind, cfg.window_count)
@@ -253,8 +256,9 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["--config", str(tmp_path / "nope.json"), "train"]) == 2
 
     # infeasible windowing: more windows than distinct spectral values, and
-    # cosine windows whose partition cell 2 holds no spectral value, where
-    # the per-window searches run
+    # cosine windows whose partition cell 1 (counted from 0, as the windows
+    # are) holds no spectral value, where the per-window searches run; the
+    # message names that cell of the configured windows
     over = _write_config(tmp_path, window_count=500,
                          estimators=["upre"])
     assert main(["--config", str(over), "train"]) == 3
@@ -262,7 +266,10 @@ def test_exit_codes(tmp_path, monkeypatch, capsys):
                                window_kind="cosine_linear", window_count=3)
     capsys.readouterr()
     assert main(["--config", str(empty_cell), "train"]) == 3
-    assert "empty window" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical infeasibility: empty window: partition cell 1 of the "
+        "overlapping windows holds no spectral value, and their per-window "
+        "searches run on these cells"]
 
     # output path collides with an existing regular file
     (tmp_path / "clobber").write_text("a file, not a directory")
@@ -467,7 +474,6 @@ def _write_corpus(tmp_path, name, splits):
 
 
 def test_manifest_split_labels(tmp_path):
-    from dataclasses import replace
     cfg = ExperimentConfig(image_size=8, xi=1.0, snr_db=10.0, seed=1,
                            r_train=2, val_count=1)
     # records carrying none of the split labels serve every split
@@ -486,8 +492,6 @@ def test_manifest_split_labels(tmp_path):
 
 
 def test_split_datasets_are_make_dataset_per_image(tmp_path, monkeypatch):
-    from dataclasses import replace
-
     from specwin import problems
     from specwin.cli import _SPLITS, _psf, _split_seed
     from specwin.problems import make_dataset
@@ -519,9 +523,9 @@ def test_split_datasets_are_make_dataset_per_image(tmp_path, monkeypatch):
     for cfg in (synthetic, external):
         for split_idx, split in enumerate(_SPLITS):
             calls.clear()
-            got = _split_datasets(cfg, split)
+            got = list(_split_datasets(cfg, split))
             assert len(calls) == 1, split  # one blur spectrum per split
-            truths = _split_truths(cfg, split)
+            truths = list(_split_truths(cfg, split))
             assert len(got) == len(truths) > 0
             for i, (ds, x) in enumerate(zip(got, truths)):
                 want = make_dataset(x, _psf(cfg), cfg.snr_db,
@@ -533,14 +537,14 @@ def test_split_datasets_are_make_dataset_per_image(tmp_path, monkeypatch):
                     (want.sigma2, want.snr, want.seed, want.dims)
     # an empty split builds no spectrum
     calls.clear()
-    assert _split_datasets(replace(synthetic, val_count=0), "validation_1") == []
+    assert list(_split_datasets(replace(synthetic, val_count=0),
+                                "validation_1")) == []
     assert calls == []
 
 
 def test_validate_window_mismatch(tmp_path, monkeypatch):
     out = _run_pipeline(tmp_path, monkeypatch, workdir="mm")
     cfg = ExperimentConfig.from_json(tmp_path / "config.json")
-    from dataclasses import replace
     monkeypatch.chdir(tmp_path / "mm")
     wrong = replace(cfg, window_count=3)
     with pytest.raises(ConfigError, match="parameter/config mismatch"):
@@ -559,7 +563,6 @@ def test_validate_window_mismatch(tmp_path, monkeypatch):
 def test_validate_corpus_mismatch(tmp_path, monkeypatch):
     out = _run_pipeline(tmp_path, monkeypatch, workdir="fp")
     cfg = ExperimentConfig.from_json(tmp_path / "config.json")
-    from dataclasses import replace
     monkeypatch.chdir(tmp_path / "fp")
     with pytest.raises(ConfigError, match="corpus mismatch"):
         cmd_validate(replace(cfg, seed=99), out / "params.json")
@@ -568,8 +571,6 @@ def test_validate_corpus_mismatch(tmp_path, monkeypatch):
 
 
 def test_second_run_leaves_none_of_the_first_runs_files(tmp_path, monkeypatch):
-    from dataclasses import replace
-
     monkeypatch.chdir(tmp_path)
     base = ExperimentConfig.from_json(_write_config(tmp_path))
     first = replace(base, window_count=3, estimators=("upre", "gcv_decoupled"),
@@ -588,8 +589,6 @@ def test_second_run_leaves_none_of_the_first_runs_files(tmp_path, monkeypatch):
 
 
 def test_second_gen_leaves_none_of_the_first_gens_files(tmp_path, monkeypatch):
-    from dataclasses import replace
-
     monkeypatch.chdir(tmp_path)
     base = ExperimentConfig.from_json(_write_config(tmp_path))
 
@@ -692,11 +691,13 @@ def test_train_prepares_one_objective_per_window_set(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     prepared = []
 
-    def counting(sys, dhats, windows, real=cli_mod.GcvObjective):
-        prepared.append(windows)
-        return real(sys, dhats, windows)
+    class Counting(cli_mod.GcvObjective):
+        @classmethod
+        def from_pool(cls, pool, windows):
+            prepared.append(windows)
+            return super().from_pool(pool, windows)
 
-    monkeypatch.setattr(cli_mod, "GcvObjective", counting)
+    monkeypatch.setattr(cli_mod, "GcvObjective", Counting)
     for kind, r_sweep, overlapping in (("nonoverlap_log", False, [False]),
                                        ("cosine_log", False, [True]),
                                        ("nonoverlap_log", True, [False] * 3)):
@@ -712,7 +713,6 @@ def test_train_prepares_one_objective_per_window_set(tmp_path, monkeypatch):
 
 def _validate_config(tmp_path, monkeypatch) -> ExperimentConfig:
     """16x16, P=2, three estimators, include_best, 3+2+2 data sets."""
-    from dataclasses import replace
 
     monkeypatch.chdir(tmp_path)
     return replace(ExperimentConfig.from_json(_write_config(tmp_path)),
@@ -723,7 +723,6 @@ def _validate_config(tmp_path, monkeypatch) -> ExperimentConfig:
 def test_validate_analyzes_each_data_set_once(tmp_path, monkeypatch):
     """On cosine windows too, the per-image best searches the one MSE
     objective of that image, its per-window searches on the cells."""
-    from dataclasses import replace
 
     from specwin.spectral import SpectralSystem
 
@@ -779,13 +778,13 @@ def test_validate_errors_are_solution_errors(tmp_path, monkeypatch):
                                             cfg.window_count)}
     # the windowed MSE parameters are per-window line searches over the
     # training sets
-    train = _split_datasets(cfg, "train")
+    train = list(_split_datasets(cfg, "train"))
     mse = MseObjective(system, [system.analyze(ds.d) for ds in train],
                        [ds.x_true for ds in train], window_sets["windowed"])
     assert (params["estimators"]["mse"]["windowed"]["alphas"]
             == _per_window_search(mse, cfg.search))
     for split, table in errors.items():
-        datasets = _split_datasets(cfg, split)
+        datasets = list(_split_datasets(cfg, split))
         assert len(datasets) == len(table["best_windowed"])
         for name, entry in params["estimators"].items():
             for mode, alphas in (("scalar", [entry["scalar"]["alpha"]]),
@@ -809,8 +808,6 @@ def test_validate_errors_are_solution_errors(tmp_path, monkeypatch):
 
 
 def test_validate_coupled_best_keeps_the_diagonal_start(tmp_path, monkeypatch):
-    from dataclasses import replace
-
     cfg = replace(_validate_config(tmp_path, monkeypatch),
                   window_kind="cosine_linear", estimators=("mse",))
     cmd_train(cfg)
@@ -820,7 +817,7 @@ def test_validate_coupled_best_keeps_the_diagonal_start(tmp_path, monkeypatch):
     windows = make_windows(system, cfg.window_kind, cfg.window_count)
     assert not windows.nonoverlapping
     for split, table in errors.items():
-        datasets = _split_datasets(cfg, split)
+        datasets = list(_split_datasets(cfg, split))
         for ds, best in zip(datasets, table["best_windowed"]):
             dhat, truth = system.analyze(ds.d), ds.x_true
             scalar = MseObjective(system, [dhat], [truth], trivial_window(system))
@@ -829,6 +826,52 @@ def test_validate_coupled_best_keeps_the_diagonal_start(tmp_path, monkeypatch):
                 system, [dhat], [truth], windows)(diagonal))
                 / np.linalg.norm(truth))
             assert best <= at_diagonal * (1.0 + 1e-12), split
+
+
+# 64x64 with a third of the indices on the active band, where a band row
+# is a third of an image
+MEMORY = ExperimentConfig(image_size=64, xi=16.0, snr_db=20.0, seed=5,
+                          estimators=("upre", "gcv_decoupled"), r_train=2,
+                          val_count=2, include_best=False)
+
+
+def _traced_peak(run) -> int:
+    """The peak of the memory that tracemalloc traces, which sees every
+    numpy array allocation, while run() runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("estimators", [("upre", "gcv_decoupled"), ("mse",)],
+                         ids=["upre_gcv", "mse"])
+def test_train_memory_holds_one_image_at_a_time(tmp_path, estimators):
+    """train streams its data sets through one DataPool: from R = 2 to
+    R = 8 its peak grows by less than one image for UPRE and GCV, and for
+    the MSE by at most three band rows per extra set (its rows u and t, and
+    their residuals at the best filter when an objective is prepared)."""
+    cfg = replace(MEMORY, estimators=estimators, output_dir=str(tmp_path))
+    cmd_train(cfg)  # loads the transforms
+    two, eight = (_traced_peak(lambda: cmd_train(replace(cfg, r_train=R)))
+                  for R in (2, 8))
+    system = _build_system(cfg)
+    image, row = 8 * system.n, 8 * (system.q_star - system.ell)
+    bound = 3 * 6 * row if "mse" in estimators else image
+    assert eight - two <= bound, (two, eight, bound)
+
+
+def test_validate_memory_holds_one_image_at_a_time(tmp_path):
+    """validate scores each data set as it is generated: from two images
+    per validation split to eight its peak grows by less than one image."""
+    cfg = replace(MEMORY, output_dir=str(tmp_path))
+    params = cmd_train(cfg)
+    cmd_validate(cfg, params)  # loads the transforms
+    two, eight = (_traced_peak(lambda: cmd_validate(
+        replace(cfg, val_count=count), params)) for count in (2, 8))
+    assert eight - two < 8 * _build_system(cfg).n, (two, eight)
 
 
 def test_train_r_sweep_and_sigma_estimate(tmp_path, monkeypatch):
@@ -849,7 +892,7 @@ def test_train_r_sweep_and_sigma_estimate(tmp_path, monkeypatch):
     assert all(a > 0 for a in alphas)
     # each sweep step learns MSE on its own first r training sets
     system = _build_system(cfg)
-    datasets = _split_datasets(cfg, "train")
+    datasets = list(_split_datasets(cfg, "train"))
     trivial = trivial_window(system)
     for r, _, alpha in rows[:3]:
         sets = datasets[: int(r)]
@@ -868,6 +911,30 @@ def test_train_r_sweep_and_sigma_estimate(tmp_path, monkeypatch):
                                        NoiseModel(sigma2[:r])),
             cfg.search)
         assert float(alpha) == pytest.approx(res.alpha, rel=1e-9)
+
+
+def test_r_sweep_takes_one_truth_transform_per_set(tmp_path, monkeypatch):
+    """train generates, analyzes and folds each set once: an r_sweep over
+    R sets prepares step r from the pool after fold r, so it takes R truth
+    transforms, where a fresh objective per step took R + R(R - 1)/2."""
+    from specwin.spectral import SpectralSystem
+
+    monkeypatch.chdir(tmp_path)
+    R = 5
+    cfg = ExperimentConfig(image_size=16, xi=2.0, snr_db=20.0, seed=3,
+                           estimators=("mse", "upre"), r_train=R, r_sweep=True)
+    calls = {"analyze": 0, "solution_coefficients": 0}
+    for method in calls:
+        def counting(self, v, real=getattr(SpectralSystem, method),
+                     method=method):
+            calls[method] += 1
+            return real(self, v)
+
+        monkeypatch.setattr(SpectralSystem, method, counting)
+    cmd_train(cfg)
+    assert calls == {"analyze": R, "solution_coefficients": R}
+    trend = (tmp_path / "out" / "trend.csv").read_text().splitlines()
+    assert len(trend) == 1 + 2 * R
 
 
 def test_report_multiple_and_missing(tmp_path, monkeypatch):
@@ -917,6 +984,7 @@ def test_synthetic_training_corpus_fingerprints_are_pinned(size, xi, seed,
     and a change to the generator that moves a quantized pixel fails here."""
     cfg = ExperimentConfig(image_size=size, xi=xi, snr_db=10.0, seed=seed,
                            r_train=8)
-    truths = _split_truths(cfg, "train")
+    truths = list(_split_truths(cfg, "train"))
     assert len(truths) == 8
-    assert cli._corpus_fingerprint(truths) == fingerprint
+    corpus = hashlib.sha256(b"".join(map(cli._quantized, truths)))
+    assert corpus.hexdigest()[:16] == fingerprint

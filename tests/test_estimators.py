@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from specwin.errors import EmptyWindowError, SaturatedTraceError
 from specwin.estimators import (
+    DataPool,
     GcvObjective,
     MseObjective,
     NoiseModel,
@@ -712,7 +713,7 @@ def test_upre_window_of_the_one_window_is_upre_bit_for_bit():
                               r_train=8, val_count=0)
     sys = _build_system(config)
     assert sys.ell > 0
-    datasets = _split_datasets(config, "train")
+    datasets = list(_split_datasets(config, "train"))
     upre = UpreObjective(sys, [sys.analyze(ds.d) for ds in datasets],
                          trivial_window(sys),
                          NoiseModel([ds.sigma2 for ds in datasets]))
@@ -851,6 +852,85 @@ def test_objective_surface_is_the_one_shot_path(estimator):
                                             alphas))]
     for value, one_shot in pairs:
         assert value == one_shot
+
+
+@pytest.mark.parametrize("kind", ["nonoverlap_linear", "cosine_log"])
+def test_objectives_prepared_from_a_pool_are_the_list_objectives(kind):
+    """Folded into a DataPool one set at a time, the data sets give after
+    fold r, bit for bit, the objectives that the list constructors prepare
+    on the first r sets, in every form; their pooled sums are the batch
+    sums over those sets; and an objective prepared from the pool owns its
+    arrays, so the sets folded after it leave it as it was."""
+    sys = dct_decompose(_box_psf((8, 6), (4, 2)), "laplacian")
+    assert 0 < sys.ell and sys.q_star < sys.n
+    win = make_windows(sys, kind, 3)
+    assert win.nonoverlapping == (kind == "nonoverlap_linear")
+    rng = np.random.default_rng(233)
+    R = 5
+    dhats = [sys.analyze(rng.standard_normal(sys.dims)) for _ in range(R)]
+    truths = [rng.standard_normal(sys.dims) for _ in range(R)]
+    sigma2 = rng.uniform(0.01, 0.1, R)
+    alphas = [0.05, 0.7, 3.0]
+
+    def values(obj) -> list:
+        return ([obj(alphas)] + [obj.window(None, a) for a in alphas]
+                + [obj.window(p, a) for p, a in enumerate(alphas)])
+
+    pool = DataPool(sys)
+    prepared = []
+    for r in range(1, R + 1):
+        pool.fold(dhats[r - 1], sigma2[r - 1], truths[r - 1])
+        folded = (UpreObjective.from_pool(pool, win),
+                  GcvObjective.from_pool(pool, win),
+                  MseObjective.from_pool(pool, win))
+        listed = (UpreObjective(sys, dhats[:r], win, NoiseModel(sigma2[:r])),
+                  GcvObjective(sys, dhats[:r], win),
+                  MseObjective(sys, dhats[:r], truths[:r], win))
+        for obj, want in zip(folded, listed):
+            assert values(obj) == values(want), (type(obj).__name__, r)
+        batch = oracles.batch_pooled_terms(sys, dhats[:r], sigma2[:r],
+                                           truths[:r])
+        upre, gcv, mse = folded
+        lo, hi = sys.ell, sys.q_star
+        for obj in (upre, gcv):
+            assert obj.head_energy.tobytes() == batch["energy"][:lo].tobytes()
+            assert obj.energy.tobytes() == batch["energy"][lo:hi].tobytes()
+            assert obj.tail_energy.tobytes() == batch["energy"][hi:].tobytes()
+            assert obj.beyond == batch["beyond"]
+        assert upre.s2 == batch["s2"]
+        assert mse.energy.tobytes() == batch["mse_energy"].tobytes()
+        assert mse.target.tobytes() == batch["mse_target"].tobytes()
+        assert mse._fixed_at.tobytes() == batch["mse_fixed"].tobytes()
+        prepared.append((folded, [values(obj) for obj in folded]))
+    for folded, before in prepared:
+        assert [values(obj) for obj in folded] == before
+
+
+def test_pool_rejects_what_the_list_constructors_reject():
+    """A pool folds nothing from a bad data set, and an MSE needs a truth
+    for every set folded."""
+    sys = dct_decompose(_box_psf((8, 6), (4, 2)), "laplacian")
+    win = make_windows(sys, "nonoverlap_linear", 2)
+    rng = np.random.default_rng(239)
+    dhat = sys.analyze(rng.standard_normal(sys.dims))
+    pool = DataPool(sys)
+    for bad in (dict(dhat=dhat[:-1]), dict(dhat=dhat, sigma2=-1.0),
+                dict(dhat=dhat, sigma2=np.nan),
+                dict(dhat=dhat, truth=np.zeros(sys.n + 1))):
+        with pytest.raises(ValueError):
+            pool.fold(**bad)
+    assert pool.R == 0 and not pool.beyond and not np.any(pool.energy)
+    for cls in (UpreObjective, GcvObjective, MseObjective):
+        with pytest.raises(ValueError, match="at least one data set"):
+            cls.from_pool(pool, win)
+    pool.fold(dhat, 0.01, rng.standard_normal(sys.dims))
+    pool.fold(dhat, 0.01)
+    with pytest.raises(ValueError, match="missing truths"):
+        MseObjective.from_pool(pool, win)
+    # the dense backend keeps its column stacks: its pool folds no truth
+    _, _, dense, _, dense_dhats = _md_problem(seed=241)
+    with pytest.raises(ValueError, match="dense backend"):
+        DataPool(dense).fold(dense_dhats[0], 0.01, np.zeros(dense.n))
 
 
 def test_mse_objective_dense_fallback_is_the_direct_loop():

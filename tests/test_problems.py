@@ -1,5 +1,6 @@
 """Deblurring test-problem construction and the corpus toolchain."""
 
+import itertools
 import warnings
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from specwin.problems import (
     blur_spectrum,
     fit_to_size,
     gaussian_psf,
+    iter_datasets,
     load_corpus,
     load_image,
     make_dataset,
@@ -159,6 +161,19 @@ def test_add_noise_seed_determinism():
     assert np.abs(d1 - d3).max() > 0.0
 
 
+def test_noise_sums_are_pinned():
+    """sigma2 and the achieved SNR of two seeded 64x64 draws, bit for bit.
+    sigma2 is the sum of e**2 taken after scaling, and at 230 dB the part
+    of the noise that the sum b + e keeps moves the achieved SNR off its
+    target."""
+    psf = gaussian_psf(4.0, (64, 64))
+    for seed, snr, sigma2, achieved in [
+            (5, 10.0, 0.022289790389207656, 10.0),
+            (6, 230.0, 2.1168532416881872e-24, 229.99999883923755)]:
+        ds = make_dataset(synthetic_image(64, seed=seed), psf, snr, 100 + seed)
+        assert (ds.sigma2, ds.snr) == (sigma2, achieved), seed
+
+
 def test_make_datasets_is_make_dataset_per_image(monkeypatch):
     psf = gaussian_psf(3.0, (12, 12))
     truths = [synthetic_image(12, seed=s) for s in (1, 2, 3)]
@@ -175,8 +190,22 @@ def test_make_datasets_is_make_dataset_per_image(monkeypatch):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
         assert (got.sigma2, got.snr, got.seed, got.dims) == \
             (want.sigma2, want.snr, want.seed, want.dims)
+    # iter_datasets builds the same data sets one at a time under one
+    # spectrum, and a truth of another shape raises only when it is reached
+    calls.clear()
+    stream = iter_datasets(iter(truths + [np.zeros((12, 13))]), psf, 10.0,
+                           iter(seeds + [43]))
+    for got, want in zip(itertools.islice(stream, len(truths)), batch):
+        for field in ("x_true", "b", "d"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert (got.sigma2, got.snr, got.seed) == (want.sigma2, want.snr,
+                                                   want.seed)
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="differ in shape"):
+        next(stream)
     calls.clear()
     assert make_datasets([], psf, 10.0, []) == []
+    assert list(iter_datasets([], psf, 10.0, [])) == []
     assert calls == []
     with pytest.raises(ValueError, match="seeds"):
         make_datasets(truths, psf, 10.0, seeds[:2])

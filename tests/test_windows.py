@@ -99,8 +99,11 @@ def test_indicator_windows_route_null_directions_to_the_ends():
 def test_indicator_windows_raise_on_empty_window():
     sys = system_from_gammas([1.0, 2.0, 3.0])
     parts = np.array([3.0, 2.99, 2.98, 0.9])
-    with pytest.raises(EmptyWindowError, match="empty window"):
+    # windows are counted from 0, as WindowSet.member_indices counts them
+    with pytest.raises(EmptyWindowError,
+                       match="empty window: window 1 has no weight") as exc:
         indicator_windows(parts, sys)
+    assert exc.value.window == 1
 
 
 def test_cosine_windows_half_weight_on_cell_midpoints():
