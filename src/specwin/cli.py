@@ -28,6 +28,7 @@ import json
 import sys as _sysmod
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -359,9 +360,9 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
 
     The training sets stream through one `DataPool`: each is generated,
     analyzed, folded and dropped, and the corpus fingerprint is a running
-    hash, so memory holds one image at a time (and, for mse, two band rows
-    per set).  An r_sweep learns the scalar parameter of the first r sets
-    from the pool before set r + 1 joins it; r = R is the scalar result.
+    hash, so memory holds one image at a time.  An r_sweep learns the scalar
+    parameter of the first r sets from the pool before set r + 1 joins it;
+    r = R is the scalar result.
     """
     t_start = time.perf_counter()
     out = Path(config.output_dir)
@@ -382,10 +383,9 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
         if learn_mse and ds.x_true is None:
             raise ConfigError("mse estimator needs truth images")
         if config.r_sweep and pool.R:
-            for name in config.estimators:
-                sub = _objective(name, pool, windows)
-                sweep[name].append(minimize_scalar(
-                    lambda a: sub.window(None, a), search).alpha)
+            for name in config.estimators:  # no objective outlives its step
+                sweep[name].append(minimize_scalar(partial(
+                    _objective(name, pool, windows).window, None), search).alpha)
         corpus.update(_quantized(ds.x_true))
         dhat = system.analyze(ds.d)
         pool.fold(dhat, estimate_sigma2(system, dhat)

@@ -275,12 +275,16 @@ class DataPool:
     fold(dhat, sigma2, truth) adds dhat[:n]**2 to the per-index energies,
     sum dhat[n:]**2 to `beyond` and sigma2 to the noise variances, each in
     the order the sets arrive.  A truth (the learning objective) also adds
-    its parameter-free costs below ell and from q_star on, and keeps its band
+    its parameter-free costs below ell and from q_star on, and folds its band
     rows u = pinv(delta) dhat / synthesis_scale and t = Q^T x_true on
-    [ell, q_star): the MSE's best filter and fixed costs there need every
-    row.  So with truths the pool grows by two band rows per set, else by
-    one variance.
-    """
+    [ell, q_star) into a = sum u**2, s = sum u t and the fixed cost c at the
+    best filter s / a by the recursive least-squares update (Bjorck,
+    Numerical Methods for Least Squares Problems, SIAM 1996)
+
+      c += (phi_old u - t)**2 a_old / (a_old + u**2),  phi_old = s_old / a_old
+
+    (phi_old = 0 where a_old = 0, weight 1 where a_old + u**2 = 0).  So only
+    the list of variances grows with R."""
 
     def __init__(self, sys: SpectralSystem) -> None:
         self.sys = sys
@@ -290,8 +294,6 @@ class DataPool:
         self.sigma2: list[float] = []
         self.truths = 0  # sets folded with a truth
         self._fixed = None
-        self._u: list = []  # band rows, stacked when an objective needs them
-        self._t: list = []
 
     def fold(self, dhat: np.ndarray, sigma2: float = 0.0,
              truth: np.ndarray | None = None) -> None:
@@ -308,6 +310,8 @@ class DataPool:
             t_r = sys.solution_coefficients(truth)  # raises on the dense backend
             if self._fixed is None:
                 self._fixed = np.zeros(n)  # each index's parameter-free cost
+                self._a = np.zeros(hi - lo)
+                self._s = np.zeros(hi - lo)
                 self._dpinv = 1.0 / sys.delta[lo:]
                 self._scale = sys.synthesis_scale[lo:]
             u_r = self._dpinv * dhat[lo:n] / self._scale
@@ -315,22 +319,20 @@ class DataPool:
             # phi = 1 on the tail itself, not the tail weights' sum, which
             # rounds off 1 on some hand-built window sets
             self._fixed[hi:] += (u_r[hi - lo:] - t_r[hi:]) ** 2
-            self._u.append(u_r[None, : hi - lo].copy())
-            self._t.append(t_r[None, lo:hi].copy())
+            u, t = u_r[: hi - lo], t_r[lo:hi]
+            a = self._a + u * u
+            # the residual at the best filter so far, weighted into c
+            res = np.divide(self._s, self._a, out=np.zeros(hi - lo),
+                            where=self._a > 0.0) * u - t
+            self._fixed[lo:hi] += res * res * np.divide(
+                self._a, a, out=np.ones(hi - lo), where=a > 0.0)
+            self._a = a
+            self._s += u * t
             self.truths += 1
         self.energy += dhat[:n] ** 2
         self.beyond += float(dhat[n:] @ dhat[n:])
         self.sigma2.append(sigma2)
         self.R += 1
-
-    def _band_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The band rows u and t of every set, each stacked in one array and
-        kept so; stacking one list at a time, the pool peaks at three band
-        rows per set."""
-        for rows in (self._u, self._t):
-            if len(rows) > 1:
-                rows[:] = [np.concatenate(rows)]
-        return self._u[0], self._t[0]
 
 
 def _check_set(sys: SpectralSystem, dhat: np.ndarray, truth=None) -> None:
@@ -352,27 +354,7 @@ def _pool(sys: SpectralSystem, dhats: Sequence[np.ndarray], sigma2=None,
     return pool
 
 
-class _Objective:
-    """What every prepared objective shares: R data sets of one system and
-    the active band of one window set."""
-
-    def _setup(self, sys: SpectralSystem, R: int, windows: WindowSet) -> None:
-        if not R:
-            raise ValueError("need at least one data set")
-        self.R = R
-        self.P = windows.P
-        self.band = _Band(sys, windows)
-
-    @classmethod
-    def from_pool(cls, pool: DataPool, windows: WindowSet):
-        """The objective of the data sets folded into pool so far, over
-        these windows; the pool may go on folding."""
-        obj = cls.__new__(cls)
-        obj._prepare(pool, windows)
-        return obj
-
-
-class _Pooled(_Objective):
+class _Pooled:
     """The band cost sum_j energy_j (phi_j - target_j)**2 plus a fixed cost,
     through which alone UPRE, GCV (the pooled energies sum_r dhat_r**2, target
     1 and their sum below ell) and the DCT MSE read the data.  Every phi is 0
@@ -383,6 +365,22 @@ class _Pooled(_Objective):
     def __init__(self, sys: SpectralSystem, dhats: Sequence[np.ndarray],
                  windows: WindowSet) -> None:
         self._prepare(_pool(sys, dhats), windows)
+
+    @classmethod
+    def from_pool(cls, pool: DataPool, windows: WindowSet):
+        """The objective of the data sets folded into pool so far, over
+        these windows; the pool may go on folding."""
+        obj = cls.__new__(cls)
+        obj._prepare(pool, windows)
+        return obj
+
+    def _setup(self, sys: SpectralSystem, R: int, windows: WindowSet) -> None:
+        """R data sets of one system and the active band of one window set."""
+        if not R:
+            raise ValueError("need at least one data set")
+        self.R = R
+        self.P = windows.P
+        self.band = _Band(sys, windows)
 
     def _prepare(self, pool: DataPool, windows: WindowSet) -> None:
         sys = pool.sys
@@ -497,7 +495,8 @@ class MseObjective(_Pooled):
 
     with energies a = sum_r u_r**2, the best filter phi* = sum_r u_r t_r / a
     (0 where a = 0) and c_j = sum_r (phi*_j u_rj - t_rj)^2 (Chung, Chung and
-    O'Leary, SIAM J. Sci. Comput. 2011).  Below ell (u = 0) and from q_star
+    O'Leary, SIAM J. Sci. Comput. 2011), which a `DataPool` folds one set at
+    a time by recursive least squares.  Below ell (u = 0) and from q_star
     on (phi = 1) every term joins the fixed cost, so a call touches only the
     active band, runs no transform and costs the same for any R.  Other
     systems (the dense backend) keep the heads dhat[:n] and the flattened
@@ -524,24 +523,19 @@ class MseObjective(_Pooled):
         self._dense = (sys, sys.delta_pinv(), heads, flat)
 
     def _prepare(self, pool: DataPool, windows: WindowSet) -> None:
-        """The energies, best filter and fixed costs from the stacked band
-        rows of a DCT pool."""
+        """The energies, best filter and fixed costs from the band sums of
+        a DCT pool."""
         if pool.truths < pool.R:
             raise ValueError("missing truths: the learning objective needs x_true")
         sys = pool.sys
         self._setup(sys, pool.R, windows)
         self._dense = None
-        lo, hi = sys.ell, sys.q_star
-        u, t = pool._band_rows()
-        self.energy = np.einsum("rj,rj->j", u, u)
-        self.target = np.divide(np.einsum("rj,rj->j", u, t), self.energy,
-                                out=np.zeros(hi - lo), where=self.energy > 0.0)
-        res = self.target * u  # each set's residual at the best filter
-        res -= t
-        fixed = pool._fixed.copy()
-        fixed[lo:hi] = np.einsum("rj,rj->j", res, res)
-        self.fixed = float(np.sum(fixed))
-        self._fixed_at = fixed
+        self.energy = pool._a.copy()
+        self.target = np.divide(pool._s, self.energy,
+                                out=np.zeros(self.energy.size),
+                                where=self.energy > 0.0)
+        self._fixed_at = pool._fixed.copy()
+        self.fixed = float(np.sum(self._fixed_at))
 
     @cached_property
     def window_terms(self) -> list:

@@ -436,7 +436,9 @@ def batch_pooled_terms(sys: SpectralSystem, dhats, sigma2, truths) -> dict:
     the sets, s2 = np.sum(sigma2), and, on a DCT system, the MSE's band
     energies, best filter and per-index fixed costs from (R, q_star - ell)
     stacks of the rows u = pinv(delta) dhat / synthesis_scale and
-    t = Q^T x_true."""
+    t = Q^T x_true.  The fixed costs are the two-pass reference: the best
+    filter first, then the residuals of every set at it, where a
+    `DataPool` folds them one set at a time by recursive least squares."""
     lo, hi, n = sys.ell, sys.q_star, sys.n
     energy, beyond = np.zeros(n), 0.0
     for dhat in dhats:

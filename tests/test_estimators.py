@@ -858,16 +858,26 @@ def test_objective_surface_is_the_one_shot_path(estimator):
 def test_objectives_prepared_from_a_pool_are_the_list_objectives(kind):
     """Folded into a DataPool one set at a time, the data sets give after
     fold r, bit for bit, the objectives that the list constructors prepare
-    on the first r sets, in every form; their pooled sums are the batch
-    sums over those sets; and an objective prepared from the pool owns its
-    arrays, so the sets folded after it leave it as it was."""
+    on the first r sets, in every form; the UPRE and GCV pooled sums are the
+    batch sums over those sets, bit for bit; the MSE's band energies, best
+    filter and fixed costs, which the pool folds recursively, are the
+    two-pass sums of the oracle to rounding; and an objective prepared from
+    the pool owns its arrays, so the sets folded after it leave it as it
+    was.  Some band coefficients are zero, at indices that differ between
+    sets: zero in every set (no energy ever), zero before any energy and
+    nonzero after only zeros, and zero after energy."""
     sys = dct_decompose(_box_psf((8, 6), (4, 2)), "laplacian")
-    assert 0 < sys.ell and sys.q_star < sys.n
+    lo, hi = sys.ell, sys.q_star
+    assert 0 < lo and hi < sys.n and hi - lo >= 8
     win = make_windows(sys, kind, 3)
     assert win.nonoverlapping == (kind == "nonoverlap_linear")
     rng = np.random.default_rng(233)
     R = 5
     dhats = [sys.analyze(rng.standard_normal(sys.dims)) for _ in range(R)]
+    j = np.arange(hi - lo) % 4
+    for r, dhat in enumerate(dhats):
+        zero = (j == 0) | ((j == 1) & (r < 2)) | ((j == 2) & (r % 2 == 1))
+        dhat[lo:hi][zero] = 0.0
     truths = [rng.standard_normal(sys.dims) for _ in range(R)]
     sigma2 = rng.uniform(0.01, 0.1, R)
     alphas = [0.05, 0.7, 3.0]
@@ -891,16 +901,28 @@ def test_objectives_prepared_from_a_pool_are_the_list_objectives(kind):
         batch = oracles.batch_pooled_terms(sys, dhats[:r], sigma2[:r],
                                            truths[:r])
         upre, gcv, mse = folded
-        lo, hi = sys.ell, sys.q_star
         for obj in (upre, gcv):
             assert obj.head_energy.tobytes() == batch["energy"][:lo].tobytes()
             assert obj.energy.tobytes() == batch["energy"][lo:hi].tobytes()
             assert obj.tail_energy.tobytes() == batch["energy"][hi:].tobytes()
             assert obj.beyond == batch["beyond"]
         assert upre.s2 == batch["s2"]
-        assert mse.energy.tobytes() == batch["mse_energy"].tobytes()
-        assert mse.target.tobytes() == batch["mse_target"].tobytes()
-        assert mse._fixed_at.tobytes() == batch["mse_fixed"].tobytes()
+        # the oracle's einsums may round apart from sequential sums (fused
+        # multiply-adds, another order), and the recursive fixed cost from
+        # the two-pass residuals at the best filter: each may differ by the
+        # rounding of the sums it is made of
+        tt = sum(sys.solution_coefficients(truth) ** 2 for truth in truths[:r])
+        a, target = batch["mse_energy"], batch["mse_target"]
+        assert np.all(np.abs(mse.energy - a) <= 1e-14 * a)
+        assert np.all(np.abs(mse.target - target) <= 1e-14 * np.sqrt(
+            np.divide(tt[lo:hi], a, out=np.zeros(hi - lo), where=a > 0.0)))
+        assert np.all(np.abs(mse._fixed_at - batch["mse_fixed"]) <= 1e-14 * tt)
+        for out in (slice(None, lo), slice(hi, None)):  # no fit off the band
+            assert mse._fixed_at[out].tobytes() == batch["mse_fixed"][out].tobytes()
+        if r == 1:  # one set: the best filter fits every nonzero u exactly
+            assert np.all(mse._fixed_at[lo:hi][a > 0.0] == 0.0)
+        assert not np.any(a[j == 0])
+        assert np.all(mse._fixed_at[lo:hi][j == 0] == tt[lo:hi][j == 0])
         prepared.append((folded, [values(obj) for obj in folded]))
     for folded, before in prepared:
         assert [values(obj) for obj in folded] == before
