@@ -270,7 +270,8 @@ def _build_system(config: ExperimentConfig) -> SpectralSystem:
 # ---------------------------------------------------------------------------
 
 def cmd_gen(config: ExperimentConfig, verbose: bool = False) -> Path:
-    """Write the corpus (truth, blurred, noisy previews) plus a manifest.
+    """Write the corpus (truth, blurred, noisy previews) plus a manifest,
+    streaming each split: one data set in memory at a time.
 
     d previews are clipped into [0,1] for PGM storage; downstream stages
     regenerate the exact noisy data from the stored seeds.
@@ -279,13 +280,13 @@ def cmd_gen(config: ExperimentConfig, verbose: bool = False) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     records = []
     for split in _SPLITS:
-        datasets = list(_split_datasets(config, split))
         split_dir = out / split
         split_dir.mkdir(exist_ok=True)
         for stale in split_dir.glob("img_*"):  # an earlier run's data sets
             stale.unlink()
-        for i, ds in enumerate(datasets):
-            stem = f"img_{i:03d}"
+        count = 0
+        for ds in _split_datasets(config, split):
+            stem = f"img_{count:03d}"
             write_pgm(split_dir / f"{stem}_x.pgm", ds.x_true)
             write_pgm(split_dir / f"{stem}_b.pgm", ds.b)
             write_pgm(split_dir / f"{stem}_d.pgm", ds.d)
@@ -295,8 +296,10 @@ def cmd_gen(config: ExperimentConfig, verbose: bool = False) -> Path:
                 json.dumps(meta, sort_keys=True, indent=1) + "\n")
             records.append({"path": split_dir / f"{stem}_x.pgm",
                             "split": split, "seed": ds.seed})
+            count += 1
+            del ds  # one data set in memory at a time
         if verbose:
-            print(f"gen: wrote {len(datasets)} data sets to {split_dir}")
+            print(f"gen: wrote {count} data sets to {split_dir}")
     write_manifest(out / "manifest.csv", records)
     return out
 
@@ -391,6 +394,7 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
         pool.fold(dhat, estimate_sigma2(system, dhat)
                   if config.sigma_mode == "estimate" else ds.sigma2,
                   ds.x_true if learn_mse else None)
+        del ds, dhat  # one data set in memory at a time
 
     params: dict = {"estimators": {}}
     timing_lines = [f"train data: {time.perf_counter() - t_start:.3f} s"]
@@ -543,6 +547,7 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
                 value = (mse(alphas) if mode == "windowed"
                          else mse.window(None, alphas.values[0]))
                 table[key].append(float(100.0 * np.sqrt(value) / norm))
+            del ds, dhat, mse  # one data set in memory at a time
         if split == "train":
             fingerprint = corpus.hexdigest()[:16]
             if fingerprint != params["corpus"]["fingerprint"]:

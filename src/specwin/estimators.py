@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SaturatedTraceError
-from .solver import _Band, _params_for
+from .solver import _Band, _check_set, _params_for
 from .spectral import SpectralSystem
 from .windows import WindowSet, trivial_window
 
@@ -335,14 +335,6 @@ class DataPool:
         self.R += 1
 
 
-def _check_set(sys: SpectralSystem, dhat: np.ndarray, truth=None) -> None:
-    """ValueError unless dhat has m entries and a truth, if any, n."""
-    if dhat.size != sys.m:
-        raise ValueError(f"data length {dhat.size} does not match m={sys.m}")
-    if truth is not None and np.size(truth) != sys.n:
-        raise ValueError(f"truth size {np.size(truth)} does not match n={sys.n}")
-
-
 def _pool(sys: SpectralSystem, dhats: Sequence[np.ndarray], sigma2=None,
           truths=None) -> DataPool:
     """These data sets folded in order, with their variances and truths
@@ -398,16 +390,18 @@ class _Pooled:
 
     @cached_property
     def window_terms(self) -> list:
-        """Each cell's fixed cost, energy and target (the MSE sets its own)."""
-        return [(np.sum(self.head_energy[low]), self.energy[mid], self.target[mid])
-                for low, mid, _ in self.band.members]
+        """Each cell's fixed cost, energy and target, or None if it is empty."""
+        return [None if cell is None else (self._cell_fixed(cell),
+                                           self.energy[cell.mid],
+                                           self.target[cell.mid])
+                for cell in self.band.cells]
 
-    def _cost(self, phiw: np.ndarray) -> float:
-        """The cost at the band filter phiw."""
-        return self.fixed + float(np.sum((phiw - self.target) ** 2 * self.energy))
+    def _cell_fixed(self, cell) -> float:
+        """A cell's fixed cost: its energy below ell."""
+        return np.sum(self.head_energy[cell.low])
 
     def _resid(self, p: int | None, phi: np.ndarray) -> float:
-        """Window p's (None: the all-ones window's) cost at phi, in phi's buffer."""
+        """Window p's (None: the whole band's) cost at phi, in phi's buffer."""
         fixed, energy, target = ((self.fixed, self.energy, self.target)
                                  if p is None else self.window_terms[p])
         phi -= target
@@ -415,10 +409,10 @@ class _Pooled:
         phi *= energy
         return float(fixed + np.add.reduce(phi))
 
-    def _window(self, p: int | None, alpha: float) -> tuple[float, float]:
-        """Cell p's pooled residual and one set's trace, summed first."""
-        phi = self.band.window_phi(p, alpha)
-        tail = self.band.tail_size if p is None else self.band.cell_tails[p]
+    def _window(self, p: int | None, phi: np.ndarray) -> tuple[float, float]:
+        """Cell p's (None: the whole band's) pooled residual and one set's
+        trace at phi, the trace summed first."""
+        tail = self.band.tail_size if p is None else self.band.cells[p].tail
         trace = float(tail + np.add.reduce(phi))
         return self._resid(p, phi), trace
 
@@ -439,12 +433,11 @@ class UpreObjective(_Pooled):
         self.s2 = float(np.sum(pool.sigma2))
 
     def __call__(self, alphas) -> float:
-        phiw = self.band.blend(self.band.rows(alphas))
-        trace = self.band.tail_size + float(np.sum(phiw))
-        return (self._cost(phiw) + 2.0 * self.s2 * trace) / self.M
+        resid, trace = self._window(None, self.band.blend(self.band.rows(alphas)))
+        return (resid + 2.0 * self.s2 * trace) / self.M
 
     def window(self, p: int | None, alpha: float) -> float:
-        resid, trace = self._window(p, alpha)
+        resid, trace = self._window(p, self.band.window_phi(p, alpha))
         return (resid + 2.0 * self.s2 * trace) / self.M
 
 
@@ -468,7 +461,7 @@ class GcvObjective(_Pooled):
                 + float(tail @ (tail * self.tail_energy))) / self.m / self.R
 
     def window(self, p: int | None, alpha: float) -> float:
-        num, trace = self._window(p, alpha)
+        num, trace = self._window(p, self.band.window_phi(p, alpha))
         if p is None or p == self.P - 1:
             num += self.beyond
         trsum = self.R * trace
@@ -537,12 +530,9 @@ class MseObjective(_Pooled):
         self._fixed_at = pool._fixed.copy()
         self.fixed = float(np.sum(self._fixed_at))
 
-    @cached_property
-    def window_terms(self) -> list:
-        """Each cell's share of the fixed cost, its energy and target."""
-        fixed, cells = self._fixed_at, self.band.cells.members
-        return [(float(np.sum(fixed[idx])), self.energy[mid], self.target[mid])
-                for idx, (_, mid, _) in zip(cells, self.band.members)]
+    def _cell_fixed(self, cell) -> float:
+        """A cell's share of the fixed cost, over all its members."""
+        return float(np.sum(self._fixed_at[cell.members]))
 
     def __call__(self, alphas) -> float:
         if self._dense is not None:
@@ -550,7 +540,7 @@ class MseObjective(_Pooled):
             scaled = self.band.phi_win(alphas) * dpinv
             x = sys.synthesize(scaled[:, None] * heads)
             return float(np.sum((x - flat) ** 2)) / self.R
-        return self._cost(self.band.blend(self.band.rows(alphas))) / self.R
+        return self._resid(None, self.band.blend(self.band.rows(alphas))) / self.R
 
     def window(self, p: int | None, alpha: float) -> float:
         """Cell p's share of the value at alpha, on a DCT system: on
@@ -591,8 +581,7 @@ def estimate_sigma2(sys: SpectralSystem, dhat: np.ndarray) -> float:
     the selection theory (UPRE assumes sigma known); provided as a practical
     fallback.
     """
-    if dhat.size != sys.m:
-        raise ValueError(f"data length {dhat.size} does not match m={sys.m}")
+    _check_set(sys, dhat)
     if sys.m > sys.n:
         pool = dhat[sys.n:]
     else:

@@ -234,6 +234,7 @@ def iter_datasets(truths: Iterable[np.ndarray], psf: np.ndarray,
         d, sigma2, achieved = _noisy(b, snr_db, seed)
         yield DataSet(x_true=x_true, b=b, d=d, sigma2=sigma2, snr=achieved,
                       seed=int(seed), dims=(dims[0], dims[1]))
+        del x_true, b, d  # the caller's set dies before the next is drawn
 
 
 def _check_shape(x: np.ndarray, dims: tuple) -> None:

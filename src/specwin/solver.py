@@ -9,6 +9,7 @@ sum_p weights[p] * phi(alpha_p).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -62,13 +63,10 @@ class RegularizedSolution:
     phi_win: np.ndarray
 
 
-def _as_params(alphas) -> ParamVector:
-    return alphas if isinstance(alphas, ParamVector) else ParamVector(alphas)
-
-
 def _params_for(alphas, P: int) -> ParamVector:
     """The parameter vector of P windows, rejecting any other count."""
-    alphas = _as_params(alphas)
+    if not isinstance(alphas, ParamVector):
+        alphas = ParamVector(alphas)
     if alphas.P != P:
         raise ValueError(
             f"parameter/window count mismatch: {alphas.P} parameters for "
@@ -84,6 +82,9 @@ def _cut(idx, lo: int, hi: int):
     return idx[(idx >= lo) & (idx < hi)] - lo
 
 
+_Cell = namedtuple("_Cell", "low mid members tail d2 lam2")
+
+
 class _Band:
     """The active band [ell, q_star) of one system under one window set,
     the one place that cuts window weights and members at ell and q_star.
@@ -91,8 +92,8 @@ class _Band:
     Every phi is 0 below ell and 1 from q_star on, so only the band depends
     on the parameters.  The band keeps delta**2, lam**2 and the window
     weights there, and the tail [q_star, n) weights with their sums per
-    window (tail_sums) and per index (tail_phi, phi_win there).  The
-    per-window forms read the partition `cells`, cut on first use.
+    window (tail_sums).  The per-window forms read the partition `cells`,
+    each cut on first use into one record.
     """
 
     def __init__(self, sys: SpectralSystem, windows: WindowSet) -> None:
@@ -103,46 +104,36 @@ class _Band:
         self.weights = windows.weights[:, lo:hi]
         self.tail_weights = windows.weights[:, hi:]
         self.tail_sums = self.tail_weights.sum(axis=1)
-        self.tail_phi = self.tail_weights.sum(axis=0)
         self.tail_size = sys.n - hi
-        self.head = np.zeros(lo)
         self._sys = sys
         self._windows = windows
 
     @cached_property
-    def cells(self) -> WindowSet:
-        """The windows where they do not overlap, else indicator windows over
-        their partitions (EmptyWindowError, naming the configured windows'
-        partition cell from 0, where one of those is empty)."""
-        if self._windows.nonoverlapping:
-            return self._windows
-        try:
-            return indicator_windows(self._windows.partitions, self._sys)
-        except EmptyWindowError as exc:
-            raise EmptyWindowError(
-                f"empty window: partition cell {exc.window} of the overlapping "
-                f"windows holds no spectral value, and their per-window "
-                f"searches run on these cells", window=exc.window) from exc
-
-    @cached_property
-    def members(self) -> list:
-        """Each cell's members, cut once: members[p] indexes [0, ell), the
-        band and [q_star, n)."""
-        lo, hi, n = self._sys.ell, self._sys.q_star, self._sys.n
-        return [(_cut(idx, 0, lo), _cut(idx, lo, hi), _cut(idx, hi, n))
-                for idx in self.cells.members]
-
-    @cached_property
-    def cell_tails(self) -> np.ndarray:
-        """Each cell's weight sum on the tail [q_star, n)."""
-        return self.cells.weights[:, self._sys.q_star:].sum(axis=1)
-
-    @cached_property
-    def _values(self) -> list:
-        """Cell p's band delta**2 and lam**2, or None where it has none."""
+    def cells(self) -> list:
+        """Each partition cell cut once into one record, or None where it has
+        no member: its members below ell (low) and on the band counted from
+        ell (mid), all its members, its weight sum on the tail [q_star, n),
+        and its band delta**2 and lam**2 (views where mid is a slice).  The
+        cells are the windows where they do not overlap, else indicator
+        windows over their partitions (EmptyWindowError, naming the
+        configured windows' partition cell from 0, where one is empty)."""
+        win = self._windows
+        if not win.nonoverlapping:
+            try:
+                win = indicator_windows(win.partitions, self._sys)
+            except EmptyWindowError as exc:
+                raise EmptyWindowError(
+                    f"empty window: partition cell {exc.window} of the "
+                    f"overlapping windows holds no spectral value, and their "
+                    f"per-window searches run on these cells",
+                    window=exc.window) from exc
+        lo, hi = self._sys.ell, self._sys.q_star
+        mids = [_cut(idx, lo, hi) for idx in win.members]
         return [None if isinstance(idx, np.ndarray) and not idx.size
-                else (self.d2[mid], self.lam2[mid])
-                for idx, (_, mid, _) in zip(self.cells.members, self.members)]
+                else _Cell(_cut(idx, 0, lo), mid, idx, tail, self.d2[mid],
+                           self.lam2[mid])
+                for idx, mid, tail in zip(win.members, mids,
+                                          win.weights[:, hi:].sum(axis=1))]
 
     def rows(self, alphas) -> np.ndarray:
         """The filter rows phi(alpha_p) on the band, shape (P, q_star - ell)."""
@@ -155,22 +146,24 @@ class _Band:
 
     def phi_win(self, alphas) -> np.ndarray:
         """The effective filter over all n indices."""
-        return np.concatenate((self.head, self.blend(self.rows(alphas)),
-                               self.tail_phi))
+        return np.concatenate((np.zeros(self._sys.ell),
+                               self.blend(self.rows(alphas)),
+                               self.tail_weights.sum(axis=0)))
 
     def window_phi(self, p: int | None, alpha: float) -> np.ndarray:
         """phi(alpha) on cell p's band members, or on the whole band for
         p = None (the single all-ones window), in a new array that the caller
         may overwrite, alpha squared as `rows` squares it; raises for an
         integer p out of range or an empty cell."""
+        cell = self  # p = None reads the whole band's delta**2 and lam**2
         if p is not None:
             if not 0 <= p < self.P:
                 raise IndexError(f"window index {p} out of range for P={self.P}")
-            if self._values[p] is None:
+            cell = self.cells[p]
+            if cell is None:
                 raise EmptyWindowError(f"window {p} has no members")
         alpha = _positive_alpha(alpha)
-        values = (self.d2, self.lam2) if p is None else self._values[p]
-        return _band_phi(*values, alpha * alpha)
+        return _band_phi(cell.d2, cell.lam2, alpha * alpha)
 
 
 def phi_windowed(sys: SpectralSystem, windows: WindowSet,
@@ -183,11 +176,18 @@ def phi_windowed(sys: SpectralSystem, windows: WindowSet,
     return _Band(sys, windows).phi_win(alphas)
 
 
+def _check_set(sys: SpectralSystem, dhat: np.ndarray, truth=None) -> None:
+    """ValueError unless dhat has m entries and a truth, if any, n."""
+    if dhat.size != sys.m:
+        raise ValueError(f"data length {dhat.size} does not match m={sys.m}")
+    if truth is not None and np.size(truth) != sys.n:
+        raise ValueError(f"truth size {np.size(truth)} does not match n={sys.n}")
+
+
 def _solution(sys: SpectralSystem, dhat: np.ndarray,
               phi: np.ndarray) -> RegularizedSolution:
     """Filtered solution from the data coefficients dhat = analyze(d)."""
-    if dhat.size != sys.m:
-        raise ValueError(f"data length {dhat.size} does not match m={sys.m}")
+    _check_set(sys, dhat)
     x = sys.synthesize(phi * sys.delta_pinv() * dhat[: sys.n])
     return RegularizedSolution(x=x, dhat=dhat, phi_win=phi)
 

@@ -386,8 +386,8 @@ def band_phi(d2: np.ndarray, lam2: np.ndarray, alpha2) -> np.ndarray:
 
 
 def _window_phi(band, p: int, alpha: float) -> np.ndarray:
-    d2, lam2 = band._values[p]
-    return band_phi(d2, lam2, alpha * alpha)
+    cell = band.cells[p]
+    return band_phi(cell.d2, cell.lam2, alpha * alpha)
 
 
 def mse_window(obj, p: int, alpha: float) -> float:
@@ -423,6 +423,26 @@ def gcv_window(obj, p: int, alpha: float) -> float:
             f"saturated trace: window {p} trace {trsum:.6g} ~ M={obj.M} "
             f"at alpha={alpha:.3g}")
     return (num / obj.M) / den
+
+
+def _band_cost(obj, alphas) -> tuple[float, np.ndarray]:
+    """The band cost fixed + sum E (phi_win - target)**2 at the blend of
+    the band rows, and that blend."""
+    phiw = obj.band.blend(obj.band.rows(alphas))
+    return obj.fixed + float(np.sum((phiw - obj.target) ** 2 * obj.energy)), phiw
+
+
+def mse_value(obj, alphas) -> float:
+    """The DCT MSE at the parameter vector alphas in pooled form."""
+    return _band_cost(obj, alphas)[0] / obj.R
+
+
+def upre_value(obj, alphas) -> float:
+    """The multi-data windowed UPRE at the parameter vector alphas: the
+    pooled residual plus 2 s2 times one set's trace."""
+    cost, phiw = _band_cost(obj, alphas)
+    trace = obj.band.tail_size + float(np.sum(phiw))
+    return (cost + 2.0 * obj.s2 * trace) / obj.M
 
 
 # ---------------------------------------------------------------------------

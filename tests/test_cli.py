@@ -4,6 +4,7 @@ import hashlib
 import json
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -870,6 +871,36 @@ def test_validate_memory_holds_one_image_at_a_time(tmp_path):
     two, eight = (_traced_peak(lambda: cmd_validate(
         replace(cfg, val_count=count), params)) for count in (2, 8))
     assert eight - two < 8 * _build_system(cfg).n, (two, eight)
+
+
+def test_stages_drop_each_data_set_before_the_next(tmp_path, monkeypatch):
+    """gen, train and validate hold one data set at a time: when the next
+    truth image is drawn, no earlier set's blurred or noisy image is alive,
+    within a split or across splits.  The cost of a second set is constant
+    in R, so the R = 2 to 8 memory tests do not see it.  (The zip in
+    iter_datasets keeps the last truth in its result tuple until the next
+    one is drawn; the peak falls in the transforms, not there.)"""
+    live = []
+
+    def record(ds):
+        live.extend((weakref.ref(ds.b), weakref.ref(ds.d)))
+        return ds
+
+    def draw(*args):
+        assert [ref for ref in live if ref() is not None] == [], len(live)
+        return real_image(*args)
+
+    real_iter, real_image = cli.iter_datasets, cli.synthetic_image
+    # map holds no set between draws, as a wrapping generator's loop
+    # variable would
+    monkeypatch.setattr(cli, "iter_datasets",
+                        lambda *args: map(record, real_iter(*args)))
+    monkeypatch.setattr(cli, "synthetic_image", draw)
+    cfg = replace(MEMORY, estimators=("mse", "upre"), r_train=3, val_count=2,
+                  include_best=True, output_dir=str(tmp_path))
+    cmd_gen(cfg)
+    cmd_validate(cfg, cmd_train(cfg))
+    assert len(live) == 2 * (7 + 3 + 7)  # sets of gen, train and validate
 
 
 def test_train_r_sweep_and_sigma_estimate(tmp_path, monkeypatch):

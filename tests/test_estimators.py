@@ -1238,7 +1238,10 @@ def test_window_kernels_round_as_their_plain_expressions(R):
     each element goes through the same operations as the plain expressions,
     so every value is bit for bit theirs, on slice and index-array members
     of a system with ell > 0 and q_star < n; so are the filter rows of all
-    windows and the scalar filter, which share phi's one-buffer form.
+    windows and the scalar filter, which share phi's one-buffer form.  The
+    UPRE and MSE values at a parameter vector run the same in-place kernel
+    on the blended filter, and are bit for bit their plain expressions on
+    every window set.
 
     On any window set, window(None, alpha) is the trivial window's
     window(0, alpha) bit for bit: on overlapping cosine windows too, and on
@@ -1273,6 +1276,10 @@ def test_window_kernels_round_as_their_plain_expressions(R):
         for obj, one in zip(objs, trivial):
             for a in alphas:
                 assert obj.window(None, a) == one.window(0, a), (obj, a)
+        for obj, expression in zip(objs, (oracles.mse_value,
+                                          oracles.upre_value)):
+            for trio in np.reshape(alphas[:27], (9, 3)):
+                assert obj(trio) == expression(obj, trio), (obj, trio)
         if not win.nonoverlapping:
             cells = objectives(indicator_windows(win.partitions, sys))
             for obj, cell in zip(objs, cells):

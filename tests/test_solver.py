@@ -148,10 +148,10 @@ def test_phi_windowed_cuts_no_members(monkeypatch):
     phi = phi_windowed(sys, win, alphas)
     assert cuts == []
     band = solver_mod._Band(sys, win)
-    for p, (_, mid, _) in enumerate(band.members):
+    for p, cell in enumerate(band.cells):
         own = band.window_phi(p, alphas.values[p])
-        assert np.array_equal(own, phi[sys.ell:sys.q_star][mid])
-    assert len(cuts) == 3 * win.P  # each window cut once, at first use
+        assert np.array_equal(own, phi[sys.ell:sys.q_star][cell.mid])
+    assert len(cuts) == 2 * win.P  # each window cut once, at first use
 
 
 def test_dct_solve_matches_dense_eigensolve():
