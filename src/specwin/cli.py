@@ -38,9 +38,9 @@ from .errors import ConfigError, SpecwinError
 from .estimators import (DataPool, GcvObjective, MseObjective,
                          UpreObjective, estimate_sigma2)
 from .optimize import SearchConfig, minimize_scalar, minimize_vector
-from .problems import (DataSet, gaussian_psf, iter_datasets, load_corpus,
-                       read_manifest, synthetic_image, write_manifest,
-                       write_pgm)
+from .problems import (DataSet, blur_spectrum, gaussian_psf, iter_datasets,
+                       load_corpus, read_manifest, synthetic_image,
+                       write_manifest, write_pgm)
 from .solver import ParamVector
 from .spectral import SpectralSystem, dct_decompose
 from .windows import KINDS, WindowSet, make_windows
@@ -242,15 +242,23 @@ def _psf(config: ExperimentConfig) -> np.ndarray:
         raise ConfigError(f"blur kernel: {exc}") from exc
 
 
-def _split_datasets(config: ExperimentConfig, split: str) -> Iterator[DataSet]:
+def _blur_spectrum(config: ExperimentConfig) -> np.ndarray:
+    """The blur spectrum of the configured PSF, which a command that streams
+    several splits builds once for all of them."""
+    psf = _psf(config)
+    return blur_spectrum(psf, psf.shape)
+
+
+def _split_datasets(config: ExperimentConfig, split: str,
+                    spectrum: np.ndarray | None = None) -> Iterator[DataSet]:
     """One split's data sets, built one at a time as the caller takes them,
-    under one blur spectrum."""
+    under one blur spectrum: `spectrum` where given, else built here."""
     split_idx = _SPLITS.index(split)
     psf = _psf(config)
     truths = _split_truths(config, split)
     seeds = (_split_seed(config, 2000 + split_idx, i) for i in itertools.count())
     try:
-        yield from iter_datasets(truths, psf, config.snr_db, seeds)
+        yield from iter_datasets(truths, psf, config.snr_db, seeds, spectrum)
     except ValueError as exc:
         raise ConfigError(f"{split} data: {exc}") from exc
 
@@ -271,13 +279,15 @@ def _build_system(config: ExperimentConfig) -> SpectralSystem:
 
 def cmd_gen(config: ExperimentConfig, verbose: bool = False) -> Path:
     """Write the corpus (truth, blurred, noisy previews) plus a manifest,
-    streaming each split: one data set in memory at a time.
+    streaming each split under one blur spectrum: one data set in memory at
+    a time.
 
     d previews are clipped into [0,1] for PGM storage; downstream stages
     regenerate the exact noisy data from the stored seeds.
     """
     out = Path(config.output_dir) / "gen"
     out.mkdir(parents=True, exist_ok=True)
+    spectrum = _blur_spectrum(config)
     records = []
     for split in _SPLITS:
         split_dir = out / split
@@ -285,7 +295,7 @@ def cmd_gen(config: ExperimentConfig, verbose: bool = False) -> Path:
         for stale in split_dir.glob("img_*"):  # an earlier run's data sets
             stale.unlink()
         count = 0
-        for ds in _split_datasets(config, split):
+        for ds in _split_datasets(config, split, spectrum):
             stem = f"img_{count:03d}"
             write_pgm(split_dir / f"{stem}_x.pgm", ds.x_true)
             write_pgm(split_dir / f"{stem}_b.pgm", ds.b)
@@ -333,7 +343,11 @@ def _learn(objective, decoupled: bool, search: SearchConfig):
     windowed one, its one per-window result.  Else each window gets a line
     search on objective.window(p, .), which reads partition cell p: window
     p where the windows do not overlap, else the indicator window over the
-    same partitions.  A coupled search starts from that solution
+    same partitions.  These P + 1 line searches share one grid pass: at
+    each grid alpha objective.windows_at filters the band once and gives
+    every search its value, bit for bit window(p, alpha), so each search
+    only refines and returns what it would return alone.  A coupled search
+    starts from that solution
     and from the diagonal at the scalar alpha, and the lower end point wins
     (ties go to the first).  On 64x64, identity, cosine_log P=3, ten seeds,
     UPRE from the diagonal alone ends up to 8.1e-6 (relative) too high,
@@ -342,12 +356,15 @@ def _learn(objective, decoupled: bool, search: SearchConfig):
     never above the value at the scalar alpha on every window
     (test_validate_coupled_best_keeps_the_diagonal_start).
     """
-    scalar = minimize_scalar(lambda a: objective.window(None, a), search)
     P = objective.P
     if P == 1:
+        scalar = minimize_scalar(partial(objective.window, None), search)
         return scalar, ParamVector([scalar.alpha]), [scalar]
-    per_window = [minimize_scalar(lambda a, p=p: objective.window(p, a), search)
-                  for p in range(P)]
+    grid = np.array([objective.windows_at(a) for a in search.grid])
+    scalar, *per_window = [
+        minimize_scalar(partial(objective.window, p), search,
+                        grid_values=values)
+        for p, values in zip([None, *range(P)], grid.T)]
     alphas = ParamVector([res.alpha for res in per_window])
     if decoupled:
         return scalar, alphas, per_window
@@ -393,7 +410,7 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
         dhat = system.analyze(ds.d)
         pool.fold(dhat, estimate_sigma2(system, dhat)
                   if config.sigma_mode == "estimate" else ds.sigma2,
-                  ds.x_true if learn_mse else None)
+                  ds.x_true if learn_mse else None, ds.truth_dct)
         del ds, dhat  # one data set in memory at a time
 
     params: dict = {"estimators": {}}
@@ -484,10 +501,12 @@ def _stored_params(values, P: int, source: str) -> ParamVector:
 
 def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -> Path:
     """Apply frozen parameters to all corpora and emit the error tables.
-    Each data set is scored as it is generated and then dropped: it is
-    analyzed once, and every run is scored by that data set's MSE
-    objective: 100 sqrt(mse(alphas)) / ||x_true|| is the percent relative
-    solution error, and no solution image is formed.  The per-image best
+    The three splits share one blur spectrum.  Each data set is scored as
+    it is generated and then dropped: it is analyzed once and folded, with
+    the truth's DCT that its blur took, into a one-set pool, and every run
+    is scored by that data set's MSE objective from the pool:
+    100 sqrt(mse(alphas)) / ||x_true|| is the percent relative solution
+    error, and no solution image is formed.  The per-image best
     (include_best) is train's MSE search policy (_learn) on that one data
     set.  The training split's fingerprint is checked when that split
     ends, before any output file is written or removed."""
@@ -508,6 +527,7 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
 
     system = _build_system(config)
     windows = make_windows(system, config.window_kind, config.window_count)
+    spectrum = _blur_spectrum(config)
     # run key -> (mode, stored parameters, or None for the per-image best)
     runs: dict = {}
     boundary: dict = {}
@@ -531,11 +551,14 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
     corpus = hashlib.sha256()  # of the training split
     for split in _SPLITS:
         table = {key: [] for key in runs}
-        for ds in _split_datasets(config, split):
+        for ds in _split_datasets(config, split, spectrum):
             if split == "train":
                 corpus.update(_quantized(ds.x_true))
             dhat = system.analyze(ds.d)
-            mse = MseObjective(system, [dhat], [ds.x_true], windows)
+            pool = DataPool(system)
+            pool.fold(dhat, 0.0, ds.x_true, ds.truth_dct)
+            mse = MseObjective.from_pool(pool, windows)
+            del pool  # the objective owns its arrays
             if config.include_best:
                 scal, alphas, _ = _learn(mse, windows.nonoverlapping,
                                          config.search)

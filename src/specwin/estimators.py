@@ -15,13 +15,14 @@ coefficients dhat = analyze(d):
 Each estimator has one objective class (`UpreObjective`, `GcvObjective`,
 `MseObjective`), prepared once for data sets sharing one system and one
 window set, and evaluated as obj(alphas), obj.window(p, alpha) or, on the
-single all-ones window, obj.window(None, alpha); each public function is
-one evaluation of a freshly prepared objective.  A `DataPool` folds the data
-sets in one at a time, and `cls.from_pool(pool, windows)` prepares an
-objective from the sets folded so far (the list constructors fold each set,
-then prepare), so a caller need not hold a corpus; the dense MSE keeps its
-column stacks instead.  UPRE, the decoupled GCV
-and the DCT MSE evaluate one band cost (`_Pooled`) on the active band
+single all-ones window, obj.window(None, alpha), or as every window form at
+one alpha in one pass over the band, obj.windows_at(alpha); each public
+function is one evaluation of a freshly prepared objective.  A `DataPool`
+folds the data sets in one at a time, and `cls.from_pool(pool, windows)`
+prepares an objective from the sets folded so far (the list constructors
+fold each set, then prepare), so a caller need not hold a corpus; the dense
+MSE keeps its column stacks instead.  UPRE, the decoupled GCV and the DCT
+MSE evaluate one band cost (`_Pooled`) on the active band
 [ell, q_star) of the solver's band object (`solver._Band`); obj.window(p,
 alpha) reads its partition cell p, window p or, on overlapping windows, p's
 indicator window over the same partitions, where coupled searches start.
@@ -277,8 +278,9 @@ class DataPool:
     the order the sets arrive.  A truth (the learning objective) also adds
     its parameter-free costs below ell and from q_star on, and folds its band
     rows u = pinv(delta) dhat / synthesis_scale and t = Q^T x_true on
-    [ell, q_star) into a = sum u**2, s = sum u t and the fixed cost c at the
-    best filter s / a by the recursive least-squares update (Bjorck,
+    [ell, q_star) (t read from the truth's DCT where the caller kept it,
+    else transformed) into a = sum u**2, s = sum u t and the fixed cost c at
+    the best filter s / a by the recursive least-squares update (Bjorck,
     Numerical Methods for Least Squares Problems, SIAM 1996)
 
       c += (phi_old u - t)**2 a_old / (a_old + u**2),  phi_old = s_old / a_old
@@ -296,43 +298,59 @@ class DataPool:
         self._fixed = None
 
     def fold(self, dhat: np.ndarray, sigma2: float = 0.0,
-             truth: np.ndarray | None = None) -> None:
+             truth: np.ndarray | None = None,
+             truth_dct: np.ndarray | None = None) -> None:
         """Add one data set: its coefficients dhat = analyze(d), its noise
-        variance and, for the learning objective, its truth."""
+        variance and, for the learning objective, its truth.  truth_dct,
+        where given with the truth, is the truth's orthonormal 2D DCT-II
+        (`DataSet.truth_dct`, which its blur took), read in place of
+        transforming the truth again: the pool is bit for bit the same."""
         sys = self.sys
         _check_set(sys, dhat, truth)
         sigma2 = float(sigma2)
         if not 0.0 <= sigma2 < np.inf:
             raise ValueError(f"noise variances must be finite and >= 0, got "
                              f"{sigma2}")
-        lo, hi, n = sys.ell, sys.q_star, sys.n
         if truth is not None:
-            t_r = sys.solution_coefficients(truth)  # raises on the dense backend
-            if self._fixed is None:
-                self._fixed = np.zeros(n)  # each index's parameter-free cost
-                self._a = np.zeros(hi - lo)
-                self._s = np.zeros(hi - lo)
-                self._dpinv = 1.0 / sys.delta[lo:]
-                self._scale = sys.synthesis_scale[lo:]
-            u_r = self._dpinv * dhat[lo:n] / self._scale
-            self._fixed[:lo] += t_r[:lo] ** 2
-            # phi = 1 on the tail itself, not the tail weights' sum, which
-            # rounds off 1 on some hand-built window sets
-            self._fixed[hi:] += (u_r[hi - lo:] - t_r[hi:]) ** 2
-            u, t = u_r[: hi - lo], t_r[lo:hi]
-            a = self._a + u * u
-            # the residual at the best filter so far, weighted into c
-            res = np.divide(self._s, self._a, out=np.zeros(hi - lo),
-                            where=self._a > 0.0) * u - t
-            self._fixed[lo:hi] += res * res * np.divide(
-                self._a, a, out=np.ones(hi - lo), where=a > 0.0)
-            self._a = a
-            self._s += u * t
-            self.truths += 1
+            self._fold_truth(dhat, truth, truth_dct)
+        n = sys.n
         self.energy += dhat[:n] ** 2
         self.beyond += float(dhat[n:] @ dhat[n:])
         self.sigma2.append(sigma2)
         self.R += 1
+
+    def _fold_truth(self, dhat: np.ndarray, truth: np.ndarray,
+                    truth_dct: np.ndarray | None) -> None:
+        """The learning objective's sums of one set: its costs below ell
+        and from q_star on, and a, s and c by the update above.  Its rows
+        die on return, before fold forms the energies."""
+        sys = self.sys
+        lo, hi, n = sys.ell, sys.q_star, sys.n
+        # solution_coefficients raises on the dense backend
+        t_r = (sys._sorted(truth_dct)
+               if truth_dct is not None and sys.backend == "dct"
+               else sys.solution_coefficients(truth))
+        if self._fixed is None:
+            self._fixed = np.zeros(n)  # each index's parameter-free cost
+            self._a = np.zeros(hi - lo)
+            self._s = np.zeros(hi - lo)
+            self._dpinv = 1.0 / sys.delta[lo:]
+            self._scale = sys.synthesis_scale[lo:]
+        u_r = self._dpinv * dhat[lo:n] / self._scale
+        self._fixed[:lo] += t_r[:lo] ** 2
+        # phi = 1 on the tail itself, not the tail weights' sum, which
+        # rounds off 1 on some hand-built window sets
+        self._fixed[hi:] += (u_r[hi - lo:] - t_r[hi:]) ** 2
+        u, t = u_r[: hi - lo], t_r[lo:hi]
+        a = self._a + u * u
+        # the residual at the best filter so far, weighted into c
+        res = np.divide(self._s, self._a, out=np.zeros(hi - lo),
+                        where=self._a > 0.0) * u - t
+        self._fixed[lo:hi] += res * res * np.divide(
+            self._a, a, out=np.ones(hi - lo), where=a > 0.0)
+        self._a = a
+        self._s += u * t
+        self.truths += 1
 
 
 def _pool(sys: SpectralSystem, dhats: Sequence[np.ndarray], sigma2=None,
@@ -353,6 +371,9 @@ class _Pooled:
     below ell and 1 from q_star on, so an evaluation touches only the active
     band [ell, q_star), runs no transform and costs the same for any R.  The
     list constructors fold each data set into a `DataPool`, then prepare."""
+
+    # whether the value reads one set's trace (UPRE, GCV) or not (the MSE)
+    _traced = True
 
     def __init__(self, sys: SpectralSystem, dhats: Sequence[np.ndarray],
                  windows: WindowSet) -> None:
@@ -409,12 +430,51 @@ class _Pooled:
         phi *= energy
         return float(fixed + np.add.reduce(phi))
 
-    def _window(self, p: int | None, phi: np.ndarray) -> tuple[float, float]:
-        """Cell p's (None: the whole band's) pooled residual and one set's
-        trace at phi, the trace summed first."""
+    def _trace(self, p: int | None, phi: np.ndarray) -> float:
+        """One set's trace at cell p's (None: the whole band's) filter."""
         tail = self.band.tail_size if p is None else self.band.cells[p].tail
-        trace = float(tail + np.add.reduce(phi))
-        return self._resid(p, phi), trace
+        return float(tail + np.add.reduce(phi))
+
+    def _at(self, p: int | None, phi: np.ndarray, alpha) -> float:
+        """Cell p's (None: the whole band's) value at its filter phi, formed
+        in phi's buffer, the trace summed first."""
+        trace = self._trace(p, phi) if self._traced else None
+        return self._value(p, self._resid(p, phi), trace, alpha)
+
+    def _phi(self, p: int | None, alpha: float) -> np.ndarray:
+        """phi(alpha) on cell p's (None: the whole band's) members, for a
+        per-window form."""
+        return self.band.window_phi(p, alpha)
+
+    def window(self, p: int | None, alpha: float) -> float:
+        """Cell p's value at alpha; p = None gives the value of the single
+        all-ones window on the same band."""
+        return self._at(p, self._phi(p, alpha), alpha)
+
+    def windows_at(self, alpha: float) -> list[float]:
+        """[window(None, alpha), window(0, alpha), ..., window(P-1, alpha)],
+        each bit for bit, from one pass over the band: phi(alpha) is filtered
+        once, the traces (UPRE, GCV) are summed over the band and over each
+        cell, then (phi - target)**2 energy is formed once in place and summed
+        the same way.  The cells partition the band, so each element goes
+        through the operations that window(p, alpha) applies to it.  A value
+        whose trace saturates (GCV) reads +inf; an empty cell raises as
+        window(p, alpha) does."""
+        phi = self._phi(None, alpha)
+        cells = [(None, slice(None))] + [(p, self.band.cell(p).mid)
+                                         for p in range(self.P)]
+        traces = [self._trace(p, phi[mid]) if self._traced else None
+                  for p, mid in cells]
+        resids = [self._resid(None, phi)]  # leaves the cost in phi's buffer
+        resids += [float(self.window_terms[p][0] + np.add.reduce(phi[mid]))
+                   for p, mid in cells[1:]]
+        values = []
+        for (p, _), resid, trace in zip(cells, resids, traces):
+            try:
+                values.append(self._value(p, resid, trace, alpha))
+            except SaturatedTraceError:
+                values.append(np.inf)
+        return values
 
 
 class UpreObjective(_Pooled):
@@ -433,11 +493,9 @@ class UpreObjective(_Pooled):
         self.s2 = float(np.sum(pool.sigma2))
 
     def __call__(self, alphas) -> float:
-        resid, trace = self._window(None, self.band.blend(self.band.rows(alphas)))
-        return (resid + 2.0 * self.s2 * trace) / self.M
+        return self._at(None, self.band.blend(self.band.rows(alphas)), None)
 
-    def window(self, p: int | None, alpha: float) -> float:
-        resid, trace = self._window(p, self.band.window_phi(p, alpha))
+    def _value(self, p, resid: float, trace: float, alpha) -> float:
         return (resid + 2.0 * self.s2 * trace) / self.M
 
 
@@ -460,8 +518,7 @@ class GcvObjective(_Pooled):
                 + float(coef @ (coef * self.energy))
                 + float(tail @ (tail * self.tail_energy))) / self.m / self.R
 
-    def window(self, p: int | None, alpha: float) -> float:
-        num, trace = self._window(p, self.band.window_phi(p, alpha))
+    def _value(self, p, num: float, trace: float, alpha) -> float:
         if p is None or p == self.P - 1:
             num += self.beyond
         trsum = self.R * trace
@@ -498,6 +555,8 @@ class MseObjective(_Pooled):
 
       (1/R) ||synthesize(phi_win pinv(delta) H) - X||^2 (Frobenius).
     """
+
+    _traced = False
 
     def __init__(self, sys: SpectralSystem, dhats: Sequence[np.ndarray],
                  truths: Sequence[np.ndarray], windows: WindowSet) -> None:
@@ -540,17 +599,20 @@ class MseObjective(_Pooled):
             scaled = self.band.phi_win(alphas) * dpinv
             x = sys.synthesize(scaled[:, None] * heads)
             return float(np.sum((x - flat) ** 2)) / self.R
-        return self._resid(None, self.band.blend(self.band.rows(alphas))) / self.R
+        return self._at(None, self.band.blend(self.band.rows(alphas)), None)
 
-    def window(self, p: int | None, alpha: float) -> float:
-        """Cell p's share of the value at alpha, on a DCT system: on
-        non-overlapping windows the shares sum to the value at the assembled
-        vector, and the single all-ones window's share is the value, bit for
-        bit; p = None gives that all-ones value."""
+    def _phi(self, p: int | None, alpha: float) -> np.ndarray:
+        """The per-window forms need a DCT system: there window(p, alpha) is
+        cell p's share of the value at alpha.  On non-overlapping windows the
+        shares sum to the value at the assembled vector, and the single
+        all-ones window's share is the value, bit for bit."""
         if self._dense is not None:
             raise ValueError("the per-window MSE needs an orthonormal "
                              "synthesis (the DCT backend)")
-        return self._resid(p, self.band.window_phi(p, alpha)) / self.R
+        return super()._phi(p, alpha)
+
+    def _value(self, p, resid: float, trace, alpha) -> float:
+        return resid / self.R
 
 
 def mse_learning(systems: Sequence[SpectralSystem], data: Sequence[np.ndarray],

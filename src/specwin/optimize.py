@@ -3,7 +3,9 @@
 Scalar objectives get a global log-spaced bracketing grid followed by
 golden-section refinement; coupled vector objectives get bounded L-BFGS-B in
 log-parameter coordinates, started where the caller says.  Saturated-trace
-evaluations count as +inf rather than aborting the search.
+evaluations count as +inf rather than aborting the search.  A caller that
+evaluates several objectives on the one grid (`SearchConfig.grid`) in one
+pass hands each scalar search its grid values, and the search only refines.
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ class SearchConfig:
     `tol` is the golden-section bracket width in log(alpha); `max_iter` caps
     golden-section steps, L-BFGS-B iterations per run and the runs of one
     coupled search.  The upper bound default of 10 matches the experiment
-    setups; the lower bound and tolerances are artifact choices.
+    setups; the lower bound and tolerances are artifact choices.  `grid` is
+    the scalar search's bracketing grid, grid_points log-spaced values from
+    alpha_min to alpha_max (read-only).
     """
 
     alpha_min: float = 1e-6
@@ -70,6 +74,11 @@ class SearchConfig:
             raise ValueError(f"tol must be > 0, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        # derived once, as SpectralSystem derives its layout; not a field,
+        # so a config's JSON form and its equality ignore it
+        grid = np.geomspace(self.alpha_min, self.alpha_max, self.grid_points)
+        grid.flags.writeable = False
+        object.__setattr__(self, "grid", grid)
 
 
 class ScalarSearchResult(NamedTuple):
@@ -94,11 +103,16 @@ def _near_bound(alpha: float, config: SearchConfig) -> bool:
 
 
 def minimize_scalar(objective: Callable[[float], float],
-                    config: SearchConfig | None = None) -> ScalarSearchResult:
+                    config: SearchConfig | None = None,
+                    grid_values=None) -> ScalarSearchResult:
     """Global grid bracketing plus golden-section refinement in log(alpha).
 
     Saturated evaluations are treated as +inf; if every grid point is
     infeasible the search aborts.  Ties prefer the smallest alpha.
+    `grid_values`, where given, are the objective's values on config.grid,
+    taken by the caller (+inf where saturated): the search then calls the
+    objective only to refine, and its result, trace and evaluation count
+    included, is the one it would reach by evaluating the grid itself.
     """
     config = config or SearchConfig()
     seen: list[tuple[float, float]] = []
@@ -113,8 +127,16 @@ def minimize_scalar(objective: Callable[[float], float],
         seen.append((alpha, val))
         return val
 
-    grid = np.geomspace(config.alpha_min, config.alpha_max, config.grid_points)
-    vals = np.array([f(a) for a in grid])
+    grid = config.grid
+    if grid_values is None:
+        vals = np.array([f(a) for a in grid])
+    else:
+        vals = np.array(grid_values, dtype=float)
+        if vals.shape != grid.shape:
+            raise ValueError(f"need {grid.size} grid values, got shape "
+                             f"{vals.shape}")
+        vals[np.isnan(vals)] = math.inf
+        seen += zip(grid, vals.tolist())
     if not np.any(np.isfinite(vals)):
         raise InfeasibleError(
             "no feasible alpha: objective saturated or non-finite on the "

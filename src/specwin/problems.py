@@ -50,6 +50,9 @@ class DataSet:
     b is exactly blur(x_true) when the truth is known; d = b + e with e
     scaled so the achieved SNR matches the target to rounding; sigma2 =
     ||e||^2 / size is the noise power of d - b to 1e-6 relative.
+    truth_dct, where kept (`iter_datasets` keeps it), is the orthonormal
+    2D DCT-II of x_true that the blur took, so that a DCT system need not
+    transform the truth again (`DataPool.fold`).
     """
 
     x_true: np.ndarray | None
@@ -59,6 +62,7 @@ class DataSet:
     snr: float
     seed: int
     dims: tuple[int, int]
+    truth_dct: np.ndarray | None = None
 
 
 def gaussian_psf(xi: float, size: tuple[int, int]) -> np.ndarray:
@@ -120,11 +124,16 @@ def blur(image: np.ndarray, psf: np.ndarray) -> np.ndarray:
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
         raise ValueError("image must be 2D")
-    return _apply_spectrum(blur_spectrum(psf, image.shape), image)
+    return _apply_spectrum(blur_spectrum(psf, image.shape), _dct(image))
 
 
-def _apply_spectrum(a: np.ndarray, image: np.ndarray) -> np.ndarray:
-    coeff = dctn(image, type=2, norm="ortho")
+def _dct(image: np.ndarray) -> np.ndarray:
+    """The orthonormal 2D DCT-II of an image."""
+    return dctn(image, type=2, norm="ortho")
+
+
+def _apply_spectrum(a: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """The image whose orthonormal 2D DCT-II is a * coeff."""
     return idctn(a * coeff, type=2, norm="ortho")
 
 
@@ -214,27 +223,36 @@ def make_datasets(truths: Sequence[np.ndarray], psf: np.ndarray,
 
 
 def iter_datasets(truths: Iterable[np.ndarray], psf: np.ndarray,
-                  snr_db: float, seeds: Iterable[int]) -> Iterator[DataSet]:
+                  snr_db: float, seeds: Iterable[int],
+                  spectrum: np.ndarray | None = None) -> Iterator[DataSet]:
     """make_dataset(x, psf, snr_db, seed) for each truth in turn, paired
     with the seeds as zip pairs them, so that a caller can hold one data set
     at a time.  The blur spectrum is built once, on the first truth's shape,
-    and a truth that is not 2D or differs in shape from the first raises
-    when it is reached; no truth builds no spectrum.
+    unless the caller passes it as `spectrum` (blur_spectrum(psf, dims),
+    which must have the truths' shape), and a truth that is not 2D or
+    differs in shape from the first raises when it is reached; no truth
+    builds no spectrum.  Each set keeps the truth's DCT that its blur took
+    (`DataSet.truth_dct`).
     """
-    a = dims = None
+    a, dims = spectrum, None
     for x_true, seed in zip(truths, seeds):
         x_true = np.asarray(x_true, dtype=float)
-        if a is None:
+        if dims is None:
             dims = x_true.shape
             _check_shape(x_true, dims)
-            a = blur_spectrum(psf, dims)
+            if a is None:
+                a = blur_spectrum(psf, dims)
+            elif a.shape != dims:
+                raise ValueError(f"blur spectrum of shape {a.shape} for "
+                                 f"truth images of shape {dims}")
         else:
             _check_shape(x_true, dims)
-        b = _apply_spectrum(a, x_true)
+        t = _dct(x_true)
+        b = _apply_spectrum(a, t)
         d, sigma2, achieved = _noisy(b, snr_db, seed)
         yield DataSet(x_true=x_true, b=b, d=d, sigma2=sigma2, snr=achieved,
-                      seed=int(seed), dims=(dims[0], dims[1]))
-        del x_true, b, d  # the caller's set dies before the next is drawn
+                      seed=int(seed), dims=(dims[0], dims[1]), truth_dct=t)
+        del x_true, t, b, d  # the caller's set dies before the next is drawn
 
 
 def _check_shape(x: np.ndarray, dims: tuple) -> None:

@@ -150,18 +150,23 @@ class _Band:
                                self.blend(self.rows(alphas)),
                                self.tail_weights.sum(axis=0)))
 
+    def cell(self, p: int):
+        """Partition cell p's record; raises for p out of range or an empty
+        cell."""
+        if not 0 <= p < self.P:
+            raise IndexError(f"window index {p} out of range for P={self.P}")
+        cell = self.cells[p]
+        if cell is None:
+            raise EmptyWindowError(f"window {p} has no members")
+        return cell
+
     def window_phi(self, p: int | None, alpha: float) -> np.ndarray:
         """phi(alpha) on cell p's band members, or on the whole band for
         p = None (the single all-ones window), in a new array that the caller
         may overwrite, alpha squared as `rows` squares it; raises for an
         integer p out of range or an empty cell."""
-        cell = self  # p = None reads the whole band's delta**2 and lam**2
-        if p is not None:
-            if not 0 <= p < self.P:
-                raise IndexError(f"window index {p} out of range for P={self.P}")
-            cell = self.cells[p]
-            if cell is None:
-                raise EmptyWindowError(f"window {p} has no members")
+        # p = None reads the whole band's delta**2 and lam**2
+        cell = self if p is None else self.cell(p)
         alpha = _positive_alpha(alpha)
         return _band_phi(cell.d2, cell.lam2, alpha * alpha)
 

@@ -170,7 +170,12 @@ class SpectralSystem:
     def _dct(self, v: np.ndarray) -> np.ndarray:
         """Sorted orthonormal DCT-II coefficients of an image or its
         flattening."""
-        return _dct2(v.reshape(self.dims)).ravel()[self.perm]
+        return self._sorted(_dct2(v.reshape(self.dims)))
+
+    def _sorted(self, coef: np.ndarray) -> np.ndarray:
+        """Orthonormal DCT-II coefficients in DCT order (an image's, or
+        their flattening) in sorted order."""
+        return np.ravel(coef)[self.perm]
 
     def _idct(self, c: np.ndarray) -> np.ndarray:
         """Image whose sorted DCT-II coefficients are c."""

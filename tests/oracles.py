@@ -16,7 +16,8 @@ from scipy.optimize import Bounds, minimize
 
 from specwin.errors import InfeasibleError, SaturatedTraceError
 from specwin.estimators import SATURATION_FLOOR
-from specwin.optimize import BOUNDARY_RTOL, SearchConfig, VectorSearchResult
+from specwin.optimize import (BOUNDARY_RTOL, SearchConfig, VectorSearchResult,
+                              minimize_scalar, minimize_vector)
 from specwin.solver import ParamVector
 from specwin.spectral import SpectralSystem, filter_factors
 from specwin.windows import WindowSet
@@ -631,3 +632,29 @@ def nelder_mead_vector(objective, P: int, config: SearchConfig,
         for a in alphas.values])
     return VectorSearchResult(alphas=alphas, value=v_star, boundary=flags,
                               evaluations=counter["n"])
+
+
+# ---------------------------------------------------------------------------
+# the search policy with one independent line search per window
+# ---------------------------------------------------------------------------
+
+
+def independent_learn(objective, decoupled: bool, search: SearchConfig):
+    """cli._learn's search policy with every line search evaluating its own
+    grid: the scalar search on objective.window(None, .), then one search
+    per window on objective.window(p, .), then, unless decoupled, the
+    coupled search from the per-window solution and from the diagonal at
+    the scalar alpha, the lower end point winning (ties to the first)."""
+    scalar = minimize_scalar(lambda a: objective.window(None, a), search)
+    P = objective.P
+    if P == 1:
+        return scalar, ParamVector([scalar.alpha]), [scalar]
+    per_window = [minimize_scalar(lambda a, p=p: objective.window(p, a), search)
+                  for p in range(P)]
+    alphas = ParamVector([res.alpha for res in per_window])
+    if decoupled:
+        return scalar, alphas, per_window
+    found = min((minimize_vector(objective, P, search, warm_start=ws)
+                 for ws in (alphas, ParamVector(np.full(P, scalar.alpha)))),
+                key=lambda res: res.value)
+    return scalar, found.alphas, found

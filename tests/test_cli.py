@@ -721,6 +721,32 @@ def _validate_config(tmp_path, monkeypatch) -> ExperimentConfig:
                    r_train=3, val_count=2, include_best=True)
 
 
+def _count_truth_transforms(patch) -> dict:
+    """Patch the forward DCTs of problems and spectral to count, for each
+    truth image that cli draws (by its bytes), the DCTs taken of it."""
+    from specwin import problems, spectral
+
+    drawn: dict = {}
+
+    def draw(*args, real=cli.synthetic_image):
+        x = real(*args)
+        drawn[x.tobytes()] = 0
+        return x
+
+    def counting(real):
+        def dctn(x, *args, **kwargs):
+            key = np.asarray(x, dtype=float).tobytes()
+            if key in drawn:
+                drawn[key] += 1
+            return real(x, *args, **kwargs)
+        return dctn
+
+    patch.setattr(cli, "synthetic_image", draw)
+    patch.setattr(problems, "dctn", counting(problems.dctn))
+    patch.setattr(spectral.sfft, "dctn", counting(spectral.sfft.dctn))
+    return drawn
+
+
 def test_validate_analyzes_each_data_set_once(tmp_path, monkeypatch):
     """On cosine windows too, the per-image best searches the one MSE
     objective of that image, its per-window searches on the cells."""
@@ -744,19 +770,24 @@ def test_validate_analyzes_each_data_set_once(tmp_path, monkeypatch):
 
                 patch.setattr(SpectralSystem, method, counting)
 
-            def preparing(*args, real=cli.MseObjective):
-                prepared.append(args[3])
-                return real(*args)
+            class Preparing(cli.MseObjective):
+                @classmethod
+                def from_pool(cls, pool, windows):
+                    prepared.append(windows)
+                    return super().from_pool(pool, windows)
 
-            patch.setattr(cli, "MseObjective", preparing)
+            patch.setattr(cli, "MseObjective", Preparing)
+            drawn = _count_truth_transforms(patch)
             cmd_validate(cfg, params)
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert {"best_scalar", "best_windowed"} <= set(report["means"])
         # every run, the scalar ones and the per-image best included, is
         # scored by its data set's one MSE objective over the configured
-        # windows: one truth transform per image and no solution synthesized
+        # windows: no solution synthesized, and each truth's one forward
+        # transform is the blur's, which the pool reuses
         assert calls == {"analyze": 3 + 2 + 2, "synthesize": 0,
-                         "solution_coefficients": 3 + 2 + 2}, cfg.window_kind
+                         "solution_coefficients": 0}, cfg.window_kind
+        assert list(drawn.values()) == [1] * (3 + 2 + 2), cfg.window_kind
         assert [ws.P for ws in prepared] == [cfg.window_count] * (3 + 2 + 2)
 
 
@@ -942,10 +973,35 @@ def test_train_r_sweep_and_sigma_estimate(tmp_path, monkeypatch):
         assert float(alpha) == pytest.approx(res.alpha, rel=1e-9)
 
 
+def test_each_stage_builds_one_blur_spectrum(tmp_path, monkeypatch):
+    """gen and validate stream their three splits under one blur spectrum,
+    built once per command; train streams one split."""
+    from specwin import problems
+
+    calls = []
+    real = problems.blur_spectrum
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(problems, "blur_spectrum", counting)
+    monkeypatch.setattr(cli, "blur_spectrum", counting)
+    cfg = ExperimentConfig(image_size=16, xi=2.0, snr_db=10.0, seed=4,
+                           estimators=("mse", "upre"), r_train=2, val_count=1,
+                           include_best=True, output_dir=str(tmp_path))
+    for stage in (cmd_gen, cmd_train,
+                  lambda c: cmd_validate(c, tmp_path / "params.json")):
+        calls.clear()
+        stage(cfg)
+        assert len(calls) == 1, stage
+
+
 def test_r_sweep_takes_one_truth_transform_per_set(tmp_path, monkeypatch):
     """train generates, analyzes and folds each set once: an r_sweep over
     R sets prepares step r from the pool after fold r, so it takes R truth
-    transforms, where a fresh objective per step took R + R(R - 1)/2."""
+    transforms, where a fresh objective per step took R + R(R - 1)/2, and
+    each is the blur's, which the pool reuses."""
     from specwin.spectral import SpectralSystem
 
     monkeypatch.chdir(tmp_path)
@@ -960,8 +1016,10 @@ def test_r_sweep_takes_one_truth_transform_per_set(tmp_path, monkeypatch):
             return real(self, v)
 
         monkeypatch.setattr(SpectralSystem, method, counting)
+    drawn = _count_truth_transforms(monkeypatch)
     cmd_train(cfg)
-    assert calls == {"analyze": R, "solution_coefficients": R}
+    assert calls == {"analyze": R, "solution_coefficients": 0}
+    assert list(drawn.values()) == [1] * R
     trend = (tmp_path / "out" / "trend.csv").read_text().splitlines()
     assert len(trend) == 1 + 2 * R
 

@@ -1340,3 +1340,146 @@ def test_gcv_window_saturates_where_its_plain_expression_does():
             assert gcv.window(0, a) == want
             assert three.window(None, a) == want
     assert 0 < raised < 61
+
+
+def _windows_at_case(obj, one, a, expression=None) -> int:
+    """Check obj.windows_at(a) against window(None|p, a), the trivial
+    window's value `one` and, on non-overlapping windows, the plain
+    per-window expression; return how many values read +inf."""
+    got = obj.windows_at(a)
+    assert len(got) == obj.P + 1
+    infs = 0
+    for p, value in zip([None, *range(obj.P)], got):
+        try:
+            want = obj.window(p, a)
+        except SaturatedTraceError:
+            assert value == np.inf, (obj, p, a)
+            infs += 1
+            continue
+        assert value == want, (obj, p, a)
+        if p is None:
+            assert value == one.window(0, a), (obj, a)
+        elif expression is not None:
+            assert value == expression(obj, p, a), (obj, p, a)
+    return infs
+
+
+@pytest.mark.parametrize("R", [1, 3])
+def test_windows_at_is_every_window_form_bit_for_bit(R):
+    """One pass over the band gives [window(None, a), window(0, a), ...]:
+    bit for bit the per-window forms and their plain expressions, for each
+    objective on slice and index-array cells of a system with ell > 0 and
+    q_star < n, on the non-overlapping and cosine kinds, at every grid alpha
+    and at random ones.  A GCV value whose trace saturates reads +inf
+    exactly where window(p, a) raises; every other value is finite."""
+    sys = dct_decompose(_box_psf((8, 6), (4, 2)), "laplacian")
+    assert sys.ell > 0 and sys.q_star < sys.n
+    rng = np.random.default_rng(331 + R)
+    dhats = [sys.analyze(rng.standard_normal(sys.dims)) for _ in range(R)]
+    truths = [rng.standard_normal(sys.dims) for _ in range(R)]
+    noise = rng.uniform(0.01, 0.1, R)
+    alphas = [*SearchConfig().grid,
+              *np.exp(rng.uniform(np.log(1e-6), np.log(10.0), 20))]
+
+    def objectives(win):
+        return [MseObjective(sys, dhats, truths, win),
+                UpreObjective(sys, dhats, win, noise),
+                GcvObjective(sys, dhats, win)]
+
+    trivial = objectives(trivial_window(sys))
+    sets = [make_windows(sys, kind, P)
+            for kind in ("nonoverlap_linear", "nonoverlap_log", "cosine_log")
+            for P in (2, 3)]
+    sets.append(windows_from_members([range(p, sys.n, 3) for p in range(3)],
+                                     sys.n))
+    assert all(isinstance(cell.mid, slice)
+               for cell in objectives(sets[0])[0].band.cells)
+    assert not any(isinstance(cell.mid, slice)
+                   for cell in objectives(sets[-1])[0].band.cells)
+    for win in sets:
+        expressions = ((oracles.mse_window, oracles.upre_window,
+                        oracles.gcv_window) if win.nonoverlapping
+                       else (None,) * 3)
+        for obj, one, expression in zip(objectives(win), trivial, expressions):
+            for a in alphas:
+                assert _windows_at_case(obj, one, a, expression) == 0
+
+    # a mild blur whose all-ones GCV trace saturates at small alpha
+    mild = dct_decompose(gaussian_psf(0.5, (6, 6)), "identity")
+    mild_dhats = [mild.analyze(rng.standard_normal(mild.dims))
+                  for _ in range(R)]
+    one = GcvObjective(mild, mild_dhats, trivial_window(mild))
+    infs = 0
+    for win in (trivial_window(mild), make_windows(mild, "nonoverlap_log", 3)):
+        gcv = GcvObjective(mild, mild_dhats, win)
+        infs += sum(_windows_at_case(gcv, one, a) for a in alphas)
+    assert infs > 0
+
+
+def test_windows_at_rejects_what_window_rejects():
+    """An empty cell raises EmptyWindowError with window(p, a)'s message,
+    on hand-built and on overlapping windows; the dense MSE has no
+    per-window form."""
+    sys = dct_decompose(_box_psf((8, 6), (4, 2)), "laplacian")
+    rng = np.random.default_rng(337)
+    dhats = [sys.analyze(rng.standard_normal(sys.dims)) for _ in range(2)]
+    truths = [rng.standard_normal(sys.dims) for _ in range(2)]
+    empty = windows_from_weights(np.vstack([np.ones(sys.n), np.zeros(sys.n)]))
+    wide = dct_decompose(gaussian_psf(36.0, (8, 8)), "laplacian")
+    wide_cosine = make_windows(wide, "cosine_linear", 3)
+    wide_dhats = [wide.analyze(rng.standard_normal(wide.dims))
+                  for _ in range(2)]
+    wide_truths = [rng.standard_normal(wide.dims) for _ in range(2)]
+    for s, ds, ts, win, p in [(sys, dhats, truths, empty, 1),
+                              (wide, wide_dhats, wide_truths, wide_cosine, 0)]:
+        for obj in (MseObjective(s, ds, ts, win),
+                    UpreObjective(s, ds, win, 0.01), GcvObjective(s, ds, win)):
+            with pytest.raises(EmptyWindowError) as want:
+                obj.window(p, 0.5)
+            with pytest.raises(EmptyWindowError) as got:
+                obj.windows_at(0.5)
+            assert str(got.value) == str(want.value)
+    _, _, dense, _, dense_dhats = _md_problem(seed=337)
+    win = indicator_windows(make_partitions(dense, 2, "log"), dense, "log")
+    mse = MseObjective(dense, dense_dhats, [np.zeros(dense.n)] * 2, win)
+    with pytest.raises(ValueError, match="DCT backend"):
+        mse.windows_at(0.5)
+
+
+def test_pool_folds_the_truth_dct_its_blur_took_bit_for_bit():
+    """iter_datasets keeps each truth's orthonormal DCT, the one its blur
+    took; a pool that folds it in place of transforming the truth is bit
+    for bit the pool folded from the truth, on a system with ell > 0 and
+    q_star < n, and so is every objective prepared from it.  The dense
+    backend has no DCT to read it by."""
+    from scipy.fft import dctn
+
+    from specwin.problems import iter_datasets
+
+    psf = _box_psf((8, 6), (4, 2))
+    sys = dct_decompose(psf, "laplacian")
+    assert sys.ell > 0 and sys.q_star < sys.n
+    rng = np.random.default_rng(347)
+    truths = [rng.uniform(size=sys.dims) for _ in range(3)]
+    from_truth, from_dct = DataPool(sys), DataPool(sys)
+    for ds in iter_datasets(truths, psf, 20.0, [5, 6, 7]):
+        assert (ds.truth_dct.tobytes()
+                == dctn(ds.x_true, type=2, norm="ortho").tobytes())
+        dhat = sys.analyze(ds.d)
+        from_truth.fold(dhat, ds.sigma2, ds.x_true)
+        from_dct.fold(dhat, ds.sigma2, ds.x_true, ds.truth_dct)
+    for name in ("energy", "_a", "_s", "_fixed"):
+        assert (getattr(from_dct, name).tobytes()
+                == getattr(from_truth, name).tobytes()), name
+    assert (from_dct.beyond, from_dct.sigma2, from_dct.R, from_dct.truths) == \
+        (from_truth.beyond, from_truth.sigma2, from_truth.R, from_truth.truths)
+    windows = make_windows(sys, "nonoverlap_log", 3)
+    want = MseObjective.from_pool(from_truth, windows)
+    got = MseObjective.from_pool(from_dct, windows)
+    for a in ALPHA_GRID:
+        assert got.windows_at(a) == want.windows_at(a)
+        assert got([a, 2 * a, 3 * a]) == want([a, 2 * a, 3 * a])
+    _, _, dense, _, dense_dhats = _md_problem(seed=347)
+    with pytest.raises(ValueError, match="no orthonormal synthesis"):
+        DataPool(dense).fold(dense_dhats[0], 0.01, np.zeros(dense.n),
+                             np.zeros(dense.n))

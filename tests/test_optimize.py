@@ -15,6 +15,7 @@ from specwin.optimize import (
 from specwin.solver import ParamVector
 from specwin.spectral import gsvd
 
+import oracles
 from oracles import tik_matrices
 
 
@@ -95,6 +96,22 @@ def test_search_config_validation():
         SearchConfig(tol=0.0)
     with pytest.raises(ValueError):
         SearchConfig(max_iter=0)
+
+
+def test_search_config_grid_is_derived_once():
+    """The bracketing grid is geomspace over the bounds, bit for bit, derived
+    on construction (and again under replace), read-only, and neither a
+    field nor part of equality."""
+    from dataclasses import asdict, replace
+
+    cfg = SearchConfig(alpha_min=1e-4, alpha_max=5.0, grid_points=17)
+    want = np.geomspace(1e-4, 5.0, 17)
+    assert cfg.grid.tobytes() == want.tobytes()
+    assert cfg.grid is cfg.grid and not cfg.grid.flags.writeable
+    coarse = replace(cfg, grid_points=9)
+    assert coarse.grid.tobytes() == np.geomspace(1e-4, 5.0, 9).tobytes()
+    assert "grid" not in asdict(cfg)
+    assert cfg == SearchConfig(alpha_min=1e-4, alpha_max=5.0, grid_points=17)
 
 
 def test_scalar_log_rescaling_consistency():
@@ -204,3 +221,130 @@ def test_vector_rejects_bad_shapes():
     # a coupled search starts where its caller says; there is no default
     with pytest.raises(ValueError, match="needs a warm start"):
         minimize_vector(lambda p: float(np.sum(p.values)), 2)
+
+
+def _grid_values(objective, config: SearchConfig) -> list[float]:
+    """The objective on config.grid as a caller that shares the grid phase
+    hands it over: +inf where it saturates, NaN left for the search."""
+    values = []
+    for a in config.grid:
+        try:
+            values.append(objective(a))
+        except SaturatedTraceError:
+            values.append(math.inf)
+    return values
+
+
+def _same_search(got, want) -> bool:
+    """Two scalar search results equal field for field, trace bytes too."""
+    return (tuple(got[:4]) == tuple(want[:4])
+            and got.trace.dtype == want.trace.dtype
+            and got.trace.tobytes() == want.trace.tobytes())
+
+
+def _saturating(a):
+    if a < 0.05:
+        raise SaturatedTraceError("saturated trace: small alpha")
+    return (math.log(a) - math.log(0.8)) ** 2
+
+
+@pytest.mark.parametrize("objective", [
+    lambda a: (math.log(a) - math.log(0.8)) ** 2,       # interior bowl
+    _saturating,                                         # raises below 0.05
+    lambda a: math.nan if a < 0.01 else abs(math.log(a) - 1.0),
+    lambda a: math.inf if a > 1.0 else -math.log(a),     # +inf past the winner
+    lambda a: 1.0,                                       # ties everywhere
+    lambda a: max(abs(math.log(a)) - 1.0, 0.0),          # a flat valley
+    lambda a: round(math.log(a), 1) ** 2,                # ties on refinement
+    lambda a: 1.0 / a,                                   # monotone: boundary
+], ids=["bowl", "saturated", "nan", "inf", "constant", "valley", "steps",
+        "boundary"])
+@pytest.mark.parametrize("config", [
+    SearchConfig(),
+    SearchConfig(alpha_min=1e-4, alpha_max=10.0, grid_points=20, tol=1e-7),
+], ids=["default", "coarse"])
+def test_search_on_shared_grid_values_is_the_plain_search(objective, config):
+    """Handed its values on config.grid, the search returns what it returns
+    when it evaluates the grid itself, trace bytes included, and calls the
+    objective only to refine."""
+    want = minimize_scalar(objective, config)
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return objective(a)
+
+    got = minimize_scalar(counted, config,
+                          grid_values=_grid_values(objective, config))
+    assert _same_search(got, want), (got[:4], want[:4])
+    assert len(calls) == want.evaluations - config.grid_points
+
+
+def test_search_on_shared_grid_values_rejects_what_the_plain_search_does():
+    config = SearchConfig(grid_points=12)
+
+    def saturated(_):
+        raise SaturatedTraceError("saturated trace: test stub")
+
+    for objective in (saturated, lambda a: math.nan, lambda a: math.inf):
+        with pytest.raises(InfeasibleError) as plain:
+            minimize_scalar(objective, config)
+        with pytest.raises(InfeasibleError) as shared:
+            minimize_scalar(objective, config,
+                            grid_values=_grid_values(objective, config))
+        assert str(shared.value) == str(plain.value)
+    for values in (np.zeros(11), np.zeros(13), np.zeros((12, 1))):
+        with pytest.raises(ValueError, match="12 grid values"):
+            minimize_scalar(lambda a: a, config, grid_values=values)
+
+
+def _learning_objectives(windows, sys, dhats, truths):
+    """Every estimator's objective on one window set: (name, objective,
+    decoupled) as cli.cmd_train pairs them."""
+    from specwin.estimators import GcvObjective, MseObjective, UpreObjective
+
+    out = [("mse", MseObjective(sys, dhats, truths, windows)),
+           ("upre", UpreObjective(sys, dhats, windows, [0.01, 0.02, 0.015])),
+           ("gcv_true", GcvObjective(sys, dhats, windows))]
+    if windows.nonoverlapping:
+        out.append(("gcv_decoupled", GcvObjective(sys, dhats, windows)))
+    return [(name, obj, windows.nonoverlapping and name != "gcv_true")
+            for name, obj in out]
+
+
+@pytest.mark.parametrize("kind,P", [("nonoverlap_linear", 2),
+                                    ("nonoverlap_log", 3),
+                                    ("cosine_log", 3),
+                                    ("nonoverlap_linear", 1)])
+def test_learn_shares_its_grid_phase_and_matches_independent_searches(kind, P):
+    """cli._learn runs the scalar and the per-window line searches on one
+    shared grid pass; every result is the one that independent searches,
+    each evaluating its own grid, return: scalar and per-window results
+    field for field with their trace bytes, and the coupled search's end
+    point."""
+    from specwin.cli import _learn
+    from specwin.problems import gaussian_psf, make_dataset, synthetic_image
+    from specwin.spectral import dct_decompose
+    from specwin.windows import make_windows
+
+    psf = gaussian_psf(2.0, (16, 16))
+    sys = dct_decompose(psf, "laplacian")
+    truths = [synthetic_image(16, seed) for seed in range(3)]
+    dhats = [sys.analyze(make_dataset(x, psf, 20.0, seed).d)
+             for seed, x in enumerate(truths)]
+    windows = make_windows(sys, kind, P)
+    search = SearchConfig(grid_points=24, tol=1e-5)
+    for name, objective, decoupled in _learning_objectives(windows, sys,
+                                                           dhats, truths):
+        scalar, alphas, found = _learn(objective, decoupled, search)
+        want_scalar, want_alphas, want_found = oracles.independent_learn(
+            objective, decoupled, search)
+        assert _same_search(scalar, want_scalar), name
+        assert alphas.values.tobytes() == want_alphas.values.tobytes(), name
+        if isinstance(want_found, list):
+            assert len(found) == len(want_found) == P
+            assert all(map(_same_search, found, want_found)), name
+        else:
+            assert found.value == want_found.value, name
+            assert found.evaluations == want_found.evaluations, name
+            assert np.array_equal(found.boundary, want_found.boundary), name

@@ -518,3 +518,28 @@ def test_read_manifest_rejects_bad_rows(tmp_path):
     p.write_text("# only a comment\n")
     with pytest.raises(ValueError, match="empty manifest"):
         read_manifest(p)
+
+
+def test_iter_datasets_takes_the_callers_blur_spectrum(monkeypatch):
+    """A spectrum passed in is used as built: the same data sets, bit for
+    bit, and no spectrum built; one of another shape raises when the first
+    truth is reached.  Each set keeps its truth's DCT."""
+    psf = gaussian_psf(3.0, (12, 12))
+    truths = [synthetic_image(12, seed=s) for s in (4, 5)]
+    seeds = [50, 51]
+    want = make_datasets(truths, psf, 10.0, seeds)
+    spectrum = blur_spectrum(psf, (12, 12))
+    calls = []
+    real = problems.blur_spectrum
+    monkeypatch.setattr(problems, "blur_spectrum",
+                        lambda *a: calls.append(a) or real(*a))
+    got = list(iter_datasets(truths, psf, 10.0, seeds, spectrum))
+    assert calls == []
+    for g, w in zip(got, want):
+        for field in ("x_true", "b", "d", "truth_dct"):
+            assert getattr(g, field).tobytes() == getattr(w, field).tobytes()
+        assert (g.sigma2, g.snr, g.seed) == (w.sigma2, w.snr, w.seed)
+        assert np.array_equal(blur(g.x_true, psf), g.b)
+    stream = iter_datasets(truths, psf, 10.0, seeds, spectrum[:, :11])
+    with pytest.raises(ValueError, match="blur spectrum of shape"):
+        next(stream)
