@@ -205,13 +205,14 @@ def _split_seed(config: ExperimentConfig, stream: int, idx: int) -> int:
 
 
 def _split_truths(config: ExperimentConfig, split: str) -> Iterable[np.ndarray]:
-    """Truth images for one split: external manifest if configured, loaded
-    whole, else the synthetic corpus, drawn lazily one image at a time.
-    Deterministic ordering either way.
+    """Truth images for one split: external manifest if configured, else the
+    synthetic corpus, drawn lazily one image at a time.  Deterministic
+    ordering either way.
 
     A manifest (or directory) whose records carry none of the split labels
     serves every split with all of its records; a labelled manifest serves
-    only its records of this split.
+    only its records of this split.  Of a manifest, train loads only its
+    first r_train images by file name; a directory is loaded whole.
     """
     split_idx = _SPLITS.index(split)
     manifest = {"train": config.train_manifest,
@@ -219,17 +220,23 @@ def _split_truths(config: ExperimentConfig, split: str) -> Iterable[np.ndarray]:
                 "validation_2": config.validation2_manifest}[split]
     count = config.r_train if split == "train" else config.val_count
     if manifest is not None:
+        keep = count if split == "train" else None
         try:
-            labelled = not Path(manifest).is_dir() and any(
-                rec["split"] in _SPLITS for rec in read_manifest(manifest))
-            images, _ = load_corpus(manifest, split=split if labelled else None,
-                                    size=config.image_size)
+            source = manifest
+            if not Path(manifest).is_dir():
+                records = read_manifest(manifest)
+                labelled = any(rec["split"] in _SPLITS for rec in records)
+                # the split's paths in the order load_corpus sorts them in
+                source = sorted((r["path"] for r in records
+                                 if not labelled or r["split"] == split),
+                                key=lambda p: p.name)[:keep]
+            images, _ = load_corpus(source, size=config.image_size)
         except ValueError as exc:
             raise ConfigError(f"{split} corpus {manifest}: {exc}") from exc
         if split == "train" and len(images) < config.r_train:
             raise ConfigError(f"r_train={config.r_train} exceeds training "
                               f"corpus size {len(images)}")
-        return images[:count] if split == "train" else images
+        return images[:keep]
     return (synthetic_image(config.image_size,
                             _split_seed(config, 1000 + split_idx, i))
             for i in range(count))

@@ -1,12 +1,13 @@
 """Test-problem construction and corpus I/O.
 
 Provides the pieces the experiment driver assembles: circularly symmetric
-Gaussian point-spread functions, reflexive-boundary blurring through the
-fast spectral path, exact-SNR noise injection, data sets built one at a
-time from a stream of truths under one blur spectrum (`iter_datasets`;
-`make_datasets` is its list), and a small grayscale corpus toolchain
-(binary PGM + CSV matrices, manifest files, and a synthetic
-cratered-terrain generator used when no external imagery is available).
+Gaussian point-spread functions, exact-SNR noise injection, data sets built
+one at a time from a stream of truths under one blur spectrum
+(`iter_datasets`; `make_datasets` is its list; the spectrum's one builder
+is `spectral.blur_spectrum`, re-exported here with `blur`), and a small
+grayscale corpus toolchain (binary PGM + CSV matrices, manifest files, and
+a synthetic cratered-terrain generator used when no external imagery is
+available).
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
-from .spectral import (_check_doubly_symmetric, _first_column_spectrum,
-                       reflexive_kernel)
+from .spectral import _dct2, _idct2, blur, blur_spectrum
 
 __all__ = [
     "DataSet",
@@ -85,56 +84,6 @@ def gaussian_psf(xi: float, size: tuple[int, int]) -> np.ndarray:
         raise ValueError(f"xi={xi} gives a kernel sum of {total}, not a "
                          f"positive finite number")
     return k / total
-
-
-def _embedded_kernel(psf: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """Center a (possibly smaller) PSF on an image-sized canvas.
-
-    The PSF's center sample (hp-1)//2 lands on the canvas center (H-1)//2.
-    """
-    hp, wp = psf.shape
-    H, W = dims
-    if hp > H or wp > W:
-        raise ValueError(f"PSF {psf.shape} larger than image {dims}")
-    if (hp, wp) == (H, W):
-        return psf
-    canvas = np.zeros((H, W))
-    r0 = (H - 1) // 2 - (hp - 1) // 2
-    c0 = (W - 1) // 2 - (wp - 1) // 2
-    canvas[r0:r0 + hp, c0:c0 + wp] = psf
-    return canvas
-
-
-def blur_spectrum(psf: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """Eigenvalues of the reflexive-boundary blur on a dims-sized grid, in
-    the cosine basis (unsorted, one per 2D frequency).
-
-    The operator is defined by the symmetrized integer-shift kernel of the
-    PSF, which is exact for odd sizes and the canonical symmetric extension
-    for even ones."""
-    psf = np.asarray(psf, dtype=float)
-    _check_doubly_symmetric(psf)
-    kern = _embedded_kernel(psf, dims)
-    return _first_column_spectrum(reflexive_kernel(kern), dims)
-
-
-def blur(image: np.ndarray, psf: np.ndarray) -> np.ndarray:
-    """Apply the reflexive-boundary blur: cosine transform, multiply by the
-    kernel spectrum, transform back."""
-    image = np.asarray(image, dtype=float)
-    if image.ndim != 2:
-        raise ValueError("image must be 2D")
-    return _apply_spectrum(blur_spectrum(psf, image.shape), _dct(image))
-
-
-def _dct(image: np.ndarray) -> np.ndarray:
-    """The orthonormal 2D DCT-II of an image."""
-    return dctn(image, type=2, norm="ortho")
-
-
-def _apply_spectrum(a: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """The image whose orthonormal 2D DCT-II is a * coeff."""
-    return idctn(a * coeff, type=2, norm="ortho")
 
 
 def add_noise(b: np.ndarray, target_snr_db: float, seed) -> tuple[np.ndarray, float]:
@@ -247,8 +196,8 @@ def iter_datasets(truths: Iterable[np.ndarray], psf: np.ndarray,
                                  f"truth images of shape {dims}")
         else:
             _check_shape(x_true, dims)
-        t = _dct(x_true)
-        b = _apply_spectrum(a, t)
+        t = _dct2(x_true)
+        b = _idct2(a * t)
         d, sigma2, achieved = _noisy(b, snr_db, seed)
         yield DataSet(x_true=x_true, b=b, d=d, sigma2=sigma2, snr=achieved,
                       seed=int(seed), dims=(dims[0], dims[1]), truth_dct=t)

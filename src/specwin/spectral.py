@@ -17,7 +17,8 @@ and applies the transforms from the factors itself:
   that delta_j**2 + lam_j**2 == 1.  The system keeps the image dims, the
   permutation that sorts the DCT coefficients, the signs of the blur
   spectrum and the rescaling (`synthesis_scale`), the last two in sorted
-  order.
+  order.  Its eigenvalues come from `blur_spectrum`, which `blur` and the
+  data sets of `problems` share, so system and data agree by construction.
 
 Either way the solution of  min ||A x - d||^2 + alpha^2 ||L x||^2  is
 x = synthesize(phi * pinv(delta) * analyze(d)[:n]) with the filter factors
@@ -47,6 +48,8 @@ __all__ = [
     "diag_to_gsvd_check",
     "laplacian_spectrum",
     "reflexive_kernel",
+    "blur_spectrum",
+    "blur",
 ]
 
 # Relative threshold below which a spectral value counts as an exact zero.
@@ -356,6 +359,46 @@ def _check_doubly_symmetric(psf: np.ndarray) -> None:
             "its center in both axes")
 
 
+def _embedded_kernel(psf: np.ndarray, dims: Tuple[int, int]) -> np.ndarray:
+    """Center a (possibly smaller) PSF on an image-sized canvas.
+
+    The PSF's center sample (hp-1)//2 lands on the canvas center (H-1)//2.
+    """
+    hp, wp = psf.shape
+    H, W = dims
+    if hp > H or wp > W:
+        raise ValueError(f"PSF {psf.shape} larger than image {dims}")
+    if (hp, wp) == (H, W):
+        return psf
+    canvas = np.zeros((H, W))
+    r0 = (H - 1) // 2 - (hp - 1) // 2
+    c0 = (W - 1) // 2 - (wp - 1) // 2
+    canvas[r0:r0 + hp, c0:c0 + wp] = psf
+    return canvas
+
+
+def blur_spectrum(psf: np.ndarray, dims: Tuple[int, int]) -> np.ndarray:
+    """Eigenvalues of the reflexive-boundary blur on a dims-sized grid, in
+    the cosine basis (unsorted, one per 2D frequency).
+
+    The operator is defined by the symmetrized integer-shift kernel of the
+    PSF, which is exact for odd sizes and the canonical symmetric extension
+    for even ones."""
+    psf = np.asarray(psf, dtype=float)
+    _check_doubly_symmetric(psf)
+    kern = _embedded_kernel(psf, dims)
+    return _first_column_spectrum(reflexive_kernel(kern), dims)
+
+
+def blur(image: np.ndarray, psf: np.ndarray) -> np.ndarray:
+    """Apply the reflexive-boundary blur: cosine transform, multiply by the
+    kernel spectrum, transform back."""
+    image = np.asarray(image, dtype=float)
+    if image.ndim != 2:
+        raise ValueError("image must be 2D")
+    return _idct2(blur_spectrum(psf, image.shape) * _dct2(image))
+
+
 def dct_decompose(psf: np.ndarray, penalty: str = "identity") -> SpectralSystem:
     """Simultaneous DCT-II diagonalization of a symmetric blur and a penalty.
 
@@ -365,12 +408,10 @@ def dct_decompose(psf: np.ndarray, penalty: str = "identity") -> SpectralSystem:
     from which it applies its transforms in sorted order.
     """
     psf = np.asarray(psf, dtype=float)
-    _check_doubly_symmetric(psf)
+    a = blur_spectrum(psf, psf.shape).ravel()
     dims = psf.shape
-    n1, n2 = dims
-    n = n1 * n2
+    n = a.size
 
-    a = _first_column_spectrum(reflexive_kernel(psf), dims).ravel()
     if penalty == "identity":
         l = np.ones(n)
     elif penalty == "laplacian":

@@ -37,3 +37,35 @@ def test_cli_imports_no_private_name():
                if alias.name.startswith("_")
                or (alias.asname or "").startswith("_")]
     assert private == []
+
+
+def _imported_names(path: Path) -> list[tuple[str, str]]:
+    """(module, name) for every import in a source file: `import a.b` gives
+    ("a.b", ""), `from a import b` gives ("a", "b"), relative modules keep
+    their leading dots."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names += [(alias.name, "") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            names += [(module, alias.name) for alias in node.names]
+    return names
+
+
+def test_spectral_owns_the_reflexive_blur():
+    """One module builds the reflexive blur: only spectral imports scipy.fft,
+    and problems takes the blur whole rather than the kernel steps it is
+    built from."""
+    package = Path(specwin.__file__).parent
+    fft_users = sorted(
+        path.name for path in package.glob("*.py")
+        if any(module == "scipy.fft" or module.startswith("scipy.fft.")
+               or (module == "scipy" and name == "fft")
+               for module, name in _imported_names(path)))
+    assert fft_users == ["spectral.py"]
+    kernel_steps = {"_check_doubly_symmetric", "_first_column_spectrum",
+                    "reflexive_kernel"}
+    borrowed = [name for _, name in _imported_names(package / "problems.py")
+                if name in kernel_steps]
+    assert borrowed == []

@@ -492,6 +492,35 @@ def test_manifest_split_labels(tmp_path):
         _split_truths(cfg_mixed, "validation_2")
 
 
+def test_manifest_images_past_r_train_are_not_loaded(tmp_path):
+    """train takes the first r_train training records by file name and loads
+    only those: a truncated image past them, listed first in the manifest,
+    neither fails train nor validate nor moves the corpus fingerprint."""
+    lines = []
+    for i, (name, split) in enumerate([("a", "train"), ("b", "train"),
+                                       ("v1", "validation_1"),
+                                       ("v2", "validation_2")]):
+        write_pgm(tmp_path / f"{name}.pgm", synthetic_image(8, seed=i))
+        lines.append(f"{name}.pgm,{split},{i}")
+    (tmp_path / "good.csv").write_text("\n".join(lines) + "\n")
+    (tmp_path / "c.pgm").write_bytes(b"P5\n8 8\n255\n" + bytes(10))
+    (tmp_path / "bad.csv").write_text("\n".join(["c.pgm,train,9", *lines])
+                                      + "\n")
+    fingerprints = []
+    for name in ("bad", "good"):
+        manifest = str(tmp_path / f"{name}.csv")
+        out = tmp_path / f"out_{name}"
+        cfg = _write_config(tmp_path, train_manifest=manifest,
+                            validation1_manifest=manifest,
+                            validation2_manifest=manifest, r_train=2,
+                            output_dir=str(out))
+        assert main(["--config", str(cfg), "train"]) == 0, name
+        assert main(["--config", str(cfg), "validate"]) == 0, name
+        params = json.loads((out / "params.json").read_text())
+        fingerprints.append(params["corpus"]["fingerprint"])
+    assert fingerprints[0] == fingerprints[1]
+
+
 def test_split_datasets_are_make_dataset_per_image(tmp_path, monkeypatch):
     from specwin import problems
     from specwin.cli import _SPLITS, _psf, _split_seed
@@ -722,9 +751,10 @@ def _validate_config(tmp_path, monkeypatch) -> ExperimentConfig:
 
 
 def _count_truth_transforms(patch) -> dict:
-    """Patch the forward DCTs of problems and spectral to count, for each
-    truth image that cli draws (by its bytes), the DCTs taken of it."""
-    from specwin import problems, spectral
+    """Patch spectral's forward DCT, which every truth transform goes
+    through, to count, for each truth image that cli draws (by its bytes),
+    the DCTs taken of it."""
+    from specwin import spectral
 
     drawn: dict = {}
 
@@ -742,7 +772,6 @@ def _count_truth_transforms(patch) -> dict:
         return dctn
 
     patch.setattr(cli, "synthetic_image", draw)
-    patch.setattr(problems, "dctn", counting(problems.dctn))
     patch.setattr(spectral.sfft, "dctn", counting(spectral.sfft.dctn))
     return drawn
 
