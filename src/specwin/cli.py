@@ -38,9 +38,9 @@ from .errors import ConfigError, SpecwinError
 from .estimators import (DataPool, GcvObjective, MseObjective,
                          UpreObjective, estimate_sigma2)
 from .optimize import SearchConfig, minimize_scalar, minimize_vector
-from .problems import (DataSet, blur_spectrum, gaussian_psf, iter_datasets,
-                       load_corpus, read_manifest, synthetic_image,
-                       write_manifest, write_pgm)
+from .problems import (DataSet, gaussian_psf, iter_datasets, load_corpus,
+                       read_manifest, synthetic_image, write_manifest,
+                       write_pgm)
 from .solver import ParamVector
 from .spectral import SpectralSystem, dct_decompose
 from .windows import KINDS, WindowSet, make_windows
@@ -209,10 +209,11 @@ def _split_truths(config: ExperimentConfig, split: str) -> Iterable[np.ndarray]:
     synthetic corpus, drawn lazily one image at a time.  Deterministic
     ordering either way.
 
-    A manifest (or directory) whose records carry none of the split labels
-    serves every split with all of its records; a labelled manifest serves
-    only its records of this split.  Of a manifest, train loads only its
-    first r_train images by file name; a directory is loaded whole.
+    A manifest whose records carry none of the split labels serves every
+    split with all of its records, and so does a directory, which reads as
+    an unlabelled manifest of its images; a labelled manifest serves only
+    its records of this split.  train loads only the first r_train images
+    by file name.
     """
     split_idx = _SPLITS.index(split)
     manifest = {"train": config.train_manifest,
@@ -222,15 +223,13 @@ def _split_truths(config: ExperimentConfig, split: str) -> Iterable[np.ndarray]:
     if manifest is not None:
         keep = count if split == "train" else None
         try:
-            source = manifest
-            if not Path(manifest).is_dir():
-                records = read_manifest(manifest)
-                labelled = any(rec["split"] in _SPLITS for rec in records)
-                # the split's paths in the order load_corpus sorts them in
-                source = sorted((r["path"] for r in records
-                                 if not labelled or r["split"] == split),
-                                key=lambda p: p.name)[:keep]
-            images, _ = load_corpus(source, size=config.image_size)
+            records = read_manifest(manifest)
+            labelled = any(rec["split"] in _SPLITS for rec in records)
+            # the split's paths in the order load_corpus sorts them in
+            paths = sorted((r["path"] for r in records
+                            if not labelled or r["split"] == split),
+                           key=lambda p: p.name)[:keep]
+            images, _ = load_corpus(paths, size=config.image_size)
         except ValueError as exc:
             raise ConfigError(f"{split} corpus {manifest}: {exc}") from exc
         if split == "train" and len(images) < config.r_train:
@@ -249,23 +248,15 @@ def _psf(config: ExperimentConfig) -> np.ndarray:
         raise ConfigError(f"blur kernel: {exc}") from exc
 
 
-def _blur_spectrum(config: ExperimentConfig) -> np.ndarray:
-    """The blur spectrum of the configured PSF, which a command that streams
-    several splits builds once for all of them."""
-    psf = _psf(config)
-    return blur_spectrum(psf, psf.shape)
-
-
-def _split_datasets(config: ExperimentConfig, split: str,
-                    spectrum: np.ndarray | None = None) -> Iterator[DataSet]:
+def _split_datasets(config: ExperimentConfig, split: str) -> Iterator[DataSet]:
     """One split's data sets, built one at a time as the caller takes them,
-    under one blur spectrum: `spectrum` where given, else built here."""
+    under the configured PSF's one blur spectrum."""
     split_idx = _SPLITS.index(split)
     psf = _psf(config)
     truths = _split_truths(config, split)
     seeds = (_split_seed(config, 2000 + split_idx, i) for i in itertools.count())
     try:
-        yield from iter_datasets(truths, psf, config.snr_db, seeds, spectrum)
+        yield from iter_datasets(truths, psf, config.snr_db, seeds)
     except ValueError as exc:
         raise ConfigError(f"{split} data: {exc}") from exc
 
@@ -286,15 +277,13 @@ def _build_system(config: ExperimentConfig) -> SpectralSystem:
 
 def cmd_gen(config: ExperimentConfig, verbose: bool = False) -> Path:
     """Write the corpus (truth, blurred, noisy previews) plus a manifest,
-    streaming each split under one blur spectrum: one data set in memory at
-    a time.
+    streaming each split: one data set in memory at a time.
 
     d previews are clipped into [0,1] for PGM storage; downstream stages
     regenerate the exact noisy data from the stored seeds.
     """
     out = Path(config.output_dir) / "gen"
     out.mkdir(parents=True, exist_ok=True)
-    spectrum = _blur_spectrum(config)
     records = []
     for split in _SPLITS:
         split_dir = out / split
@@ -302,7 +291,7 @@ def cmd_gen(config: ExperimentConfig, verbose: bool = False) -> Path:
         for stale in split_dir.glob("img_*"):  # an earlier run's data sets
             stale.unlink()
         count = 0
-        for ds in _split_datasets(config, split, spectrum):
+        for ds in _split_datasets(config, split):
             stem = f"img_{count:03d}"
             write_pgm(split_dir / f"{stem}_x.pgm", ds.x_true)
             write_pgm(split_dir / f"{stem}_b.pgm", ds.b)
@@ -508,15 +497,14 @@ def _stored_params(values, P: int, source: str) -> ParamVector:
 
 def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -> Path:
     """Apply frozen parameters to all corpora and emit the error tables.
-    The three splits share one blur spectrum.  Each data set is scored as
-    it is generated and then dropped: it is analyzed once and folded, with
-    the truth's DCT that its blur took, into a one-set pool, and every run
-    is scored by that data set's MSE objective from the pool:
-    100 sqrt(mse(alphas)) / ||x_true|| is the percent relative solution
-    error, and no solution image is formed.  The per-image best
-    (include_best) is train's MSE search policy (_learn) on that one data
-    set.  The training split's fingerprint is checked when that split
-    ends, before any output file is written or removed."""
+    Each data set is scored as it is generated and then dropped: it is
+    analyzed once and folded, with the truth's DCT that its blur took, into
+    a one-set pool, and every run is scored by that data set's MSE
+    objective from the pool: 100 sqrt(mse(alphas)) / ||x_true|| is the
+    percent relative solution error, and no solution image is formed.  The
+    per-image best (include_best) is train's MSE search policy (_learn) on
+    that one data set.  The training split's fingerprint is checked when
+    that split ends, before any output file is written or removed."""
     t_start = time.perf_counter()
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -534,7 +522,6 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
 
     system = _build_system(config)
     windows = make_windows(system, config.window_kind, config.window_count)
-    spectrum = _blur_spectrum(config)
     # run key -> (mode, stored parameters, or None for the per-image best)
     runs: dict = {}
     boundary: dict = {}
@@ -558,7 +545,7 @@ def cmd_validate(config: ExperimentConfig, params_path, verbose: bool = False) -
     corpus = hashlib.sha256()  # of the training split
     for split in _SPLITS:
         table = {key: [] for key in runs}
-        for ds in _split_datasets(config, split, spectrum):
+        for ds in _split_datasets(config, split):
             if split == "train":
                 corpus.update(_quantized(ds.x_true))
             dhat = system.analyze(ds.d)

@@ -3,8 +3,8 @@
 Provides the pieces the experiment driver assembles: circularly symmetric
 Gaussian point-spread functions, exact-SNR noise injection, data sets built
 one at a time from a stream of truths under one blur spectrum
-(`iter_datasets`; `make_datasets` is its list; the spectrum's one builder
-is `spectral.blur_spectrum`, re-exported here with `blur`), and a small
+(`iter_datasets`; `make_datasets` is its list; `spectral.blur_spectrum`,
+re-exported here with `blur`, builds and keeps the spectrum), and a small
 grayscale corpus toolchain (binary PGM + CSV matrices, manifest files, and
 a synthetic cratered-terrain generator used when no external imagery is
 available).
@@ -172,28 +172,21 @@ def make_datasets(truths: Sequence[np.ndarray], psf: np.ndarray,
 
 
 def iter_datasets(truths: Iterable[np.ndarray], psf: np.ndarray,
-                  snr_db: float, seeds: Iterable[int],
-                  spectrum: np.ndarray | None = None) -> Iterator[DataSet]:
+                  snr_db: float, seeds: Iterable[int]) -> Iterator[DataSet]:
     """make_dataset(x, psf, snr_db, seed) for each truth in turn, paired
     with the seeds as zip pairs them, so that a caller can hold one data set
-    at a time.  The blur spectrum is built once, on the first truth's shape,
-    unless the caller passes it as `spectrum` (blur_spectrum(psf, dims),
-    which must have the truths' shape), and a truth that is not 2D or
-    differs in shape from the first raises when it is reached; no truth
-    builds no spectrum.  Each set keeps the truth's DCT that its blur took
-    (`DataSet.truth_dct`).
+    at a time.  The blur spectrum is taken once, on the first truth's
+    shape, and a truth that is not 2D or differs in shape from the first
+    raises when it is reached; no truth takes no spectrum.  Each set keeps
+    the truth's DCT that its blur took (`DataSet.truth_dct`).
     """
-    a, dims = spectrum, None
+    dims = None
     for x_true, seed in zip(truths, seeds):
         x_true = np.asarray(x_true, dtype=float)
         if dims is None:
             dims = x_true.shape
             _check_shape(x_true, dims)
-            if a is None:
-                a = blur_spectrum(psf, dims)
-            elif a.shape != dims:
-                raise ValueError(f"blur spectrum of shape {a.shape} for "
-                                 f"truth images of shape {dims}")
+            a = blur_spectrum(psf, dims)
         else:
             _check_shape(x_true, dims)
         t = _dct2(x_true)
@@ -385,7 +378,14 @@ def _subimages(image: np.ndarray, size: int) -> list[np.ndarray]:
 
 def read_manifest(path) -> list[dict]:
     """Corpus manifest: one `path,split,seed` record per line, paths
-    resolved relative to the manifest location."""
+    resolved relative to the manifest location.  A directory reads as the
+    manifest of its PGM, PNM and CSV files: unlabelled (split ""), in file
+    name order, seeded by position, and empty if it holds none."""
+    if Path(path).is_dir():
+        paths = sorted(p for p in Path(path).iterdir()
+                       if p.suffix.lower() in (".pgm", ".pnm", ".csv"))
+        return [{"path": p, "split": "", "seed": i}
+                for i, p in enumerate(paths)]
     base = Path(path).parent
     records = []
     with open(path, newline="") as fh:
@@ -421,17 +421,14 @@ def load_corpus(source, split: str | None = None, size: int | None = None,
 
     Returns (images, records) with deterministic filename ordering; when
     subimage mode is on each input contributes its northwest and southeast
-    corners as separate entries.  A str or Path that is not a directory is
-    read as a manifest, so one naming nothing raises FileNotFoundError.
+    corners as separate entries.  A str or Path is read by read_manifest,
+    so one naming nothing raises FileNotFoundError; a directory's records
+    take the requested split, or "train".
     """
     if isinstance(source, (str, Path)):
-        if Path(source).is_dir():
-            paths = sorted(p for p in Path(source).iterdir()
-                           if p.suffix.lower() in (".pgm", ".pnm", ".csv"))
-            records = [{"path": p, "split": split or "train", "seed": i}
-                       for i, p in enumerate(paths)]
-        else:
-            records = read_manifest(source)
+        records = read_manifest(source)
+        if Path(source).is_dir():  # unlabelled: each takes the split asked
+            records = [{**rec, "split": split or "train"} for rec in records]
     else:
         records = [{"path": Path(p), "split": split or "train", "seed": i}
                    for i, p in enumerate(source)]

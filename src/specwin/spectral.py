@@ -18,7 +18,8 @@ and applies the transforms from the factors itself:
   permutation that sorts the DCT coefficients, the signs of the blur
   spectrum and the rescaling (`synthesis_scale`), the last two in sorted
   order.  Its eigenvalues come from `blur_spectrum`, which `blur` and the
-  data sets of `problems` share, so system and data agree by construction.
+  data sets of `problems` share, so system and data agree by construction;
+  it keeps the last spectrum it built, so one PSF's is built once.
 
 Either way the solution of  min ||A x - d||^2 + alpha^2 ||L x||^2  is
 x = synthesize(phi * pinv(delta) * analyze(d)[:n]) with the filter factors
@@ -31,6 +32,7 @@ be taken in coefficient space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -383,11 +385,23 @@ def blur_spectrum(psf: np.ndarray, dims: Tuple[int, int]) -> np.ndarray:
 
     The operator is defined by the symmetrized integer-shift kernel of the
     PSF, which is exact for odd sizes and the canonical symmetric extension
-    for even ones."""
+    for even ones.  The result is read-only and reused: the last spectrum
+    built is kept, keyed by the PSF's values and dims, so that the system
+    and every data set of one PSF share one build."""
     psf = np.asarray(psf, dtype=float)
+    return _spectrum(psf.shape, psf.tobytes(), tuple(dims))
+
+
+@lru_cache(maxsize=1)  # one PSF per process: a CLI command, a benchmark run
+def _spectrum(shape: tuple, values: bytes, dims: tuple) -> np.ndarray:
+    """blur_spectrum of the float64 PSF with this shape and these bytes; an
+    error is raised and not kept."""
+    psf = np.frombuffer(values).reshape(shape)
     _check_doubly_symmetric(psf)
     kern = _embedded_kernel(psf, dims)
-    return _first_column_spectrum(reflexive_kernel(kern), dims)
+    spectrum = _first_column_spectrum(reflexive_kernel(kern), dims)
+    spectrum.flags.writeable = False
+    return spectrum
 
 
 def blur(image: np.ndarray, psf: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specwin import cli
+from specwin import cli, spectral
 from specwin.cli import (
     ExperimentConfig,
     _build_system,
@@ -117,16 +117,19 @@ def test_config_validate_rules():
         cfg.validate()
 
 
-def _run_pipeline(tmp_path, monkeypatch, workdir="run", **overrides):
+def _run_pipeline(tmp_path, monkeypatch, workdir="run", cold=False,
+                  **overrides):
+    """gen, train, validate and report in workdir; with cold, each command
+    starts with no kept blur spectrum, as a fresh process does."""
     cfg_path = _write_config(tmp_path, **overrides)
     wd = tmp_path / workdir
     wd.mkdir()
     monkeypatch.chdir(wd)
-    for cmd in (["gen"], ["train"], ["validate"]):
+    for cmd in (["gen"], ["train"], ["validate"], ["report"]):
+        if cold:
+            spectral._spectrum.cache_clear()
         rc = main(["--config", str(cfg_path)] + cmd)
         assert rc == 0, f"{cmd} failed"
-    rc = main(["--config", str(cfg_path), "report"])
-    assert rc == 0
     return wd / "out"
 
 
@@ -182,6 +185,24 @@ def test_end_to_end_artifacts(tmp_path, monkeypatch):
     assert len(box) == 1 + 3 * 4  # three splits x four estimator_modes
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
+def test_end_to_end_errors_stay_bounded_across_seeds(tmp_path, monkeypatch):
+    """test_end_to_end_artifacts' bound of 200 % on every mean validation
+    error, on its config at seeds 1-12: windowed UPRE exceeds it at seeds
+    5-10, where it picks a tiny alpha on a window whose data are noise."""
+    monkeypatch.chdir(tmp_path)
+    worst = {}
+    for seed in range(1, 13):
+        cfg = _write_config(tmp_path, seed=seed, output_dir=f"s{seed}")
+        for cmd in ("train", "validate"):
+            assert main(["--config", str(cfg), cmd]) == 0, (seed, cmd)
+        report = json.loads((tmp_path / f"s{seed}" / "report.json").read_text())
+        worst[seed] = max(v for table in report["means"].values()
+                          for v in table.values())
+    over = {seed: v for seed, v in worst.items() if not v < 200.0}
+    assert not over, over
+
+
 def test_trained_values_reproducible_from_params(tmp_path, monkeypatch):
     out = _run_pipeline(tmp_path, monkeypatch, workdir="reval")
     params = json.loads((out / "params.json").read_text())
@@ -202,22 +223,25 @@ def test_trained_values_reproducible_from_params(tmp_path, monkeypatch):
 
 def test_pipeline_byte_identical_across_runs(tmp_path, monkeypatch):
     """On non-overlapping windows, and on cosine windows with coupled
-    searches and the per-image best."""
+    searches and the per-image best; a run whose every command starts with
+    no kept blur spectrum writes the same bytes as runs that reuse it."""
     cosine = {"image_size": 16, "xi": 2.0, "window_kind": "cosine_log",
               "window_count": 3, "estimators": ["mse", "upre", "gcv_true"],
               "include_best": True}
     for name, overrides in (("nonoverlap", {}), ("cosine", cosine)):
-        out_a = _run_pipeline(tmp_path, monkeypatch, workdir=f"{name}_a",
-                              **overrides)
-        out_b = _run_pipeline(tmp_path, monkeypatch, workdir=f"{name}_b",
-                              **overrides)
+        out_a, *others = [
+            _run_pipeline(tmp_path, monkeypatch, workdir=f"{name}_{run}",
+                          cold=run == "cold", **overrides)
+            for run in ("a", "b", "cold")]
         files_a = sorted(p.relative_to(out_a) for p in out_a.rglob("*")
                          if p.is_file() and p.name != "timings.txt")
-        files_b = sorted(p.relative_to(out_b) for p in out_b.rglob("*")
-                         if p.is_file() and p.name != "timings.txt")
-        assert files_a == files_b
-        for rel in files_a:
-            assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
+        for out_b in others:
+            files_b = sorted(p.relative_to(out_b) for p in out_b.rglob("*")
+                             if p.is_file() and p.name != "timings.txt")
+            assert files_a == files_b
+            for rel in files_a:
+                assert ((out_a / rel).read_bytes()
+                        == (out_b / rel).read_bytes()), (out_b, rel)
 
 
 def test_seed_override_changes_data(tmp_path, monkeypatch):
@@ -495,7 +519,9 @@ def test_manifest_split_labels(tmp_path):
 def test_manifest_images_past_r_train_are_not_loaded(tmp_path):
     """train takes the first r_train training records by file name and loads
     only those: a truncated image past them, listed first in the manifest,
-    neither fails train nor validate nor moves the corpus fingerprint."""
+    neither fails train nor validate nor moves the corpus fingerprint.  A
+    directory reads as an unlabelled manifest of its images, so a truncated
+    image past the first r_train there is not loaded either."""
     lines = []
     for i, (name, split) in enumerate([("a", "train"), ("b", "train"),
                                        ("v1", "validation_1"),
@@ -506,19 +532,26 @@ def test_manifest_images_past_r_train_are_not_loaded(tmp_path):
     (tmp_path / "c.pgm").write_bytes(b"P5\n8 8\n255\n" + bytes(10))
     (tmp_path / "bad.csv").write_text("\n".join(["c.pgm,train,9", *lines])
                                       + "\n")
+    for name, images in (("bad_dir", "abc"), ("good_dir", "ab")):
+        (tmp_path / name).mkdir()
+        for image in images:
+            (tmp_path / name / f"{image}.pgm").write_bytes(
+                (tmp_path / f"{image}.pgm").read_bytes())
     fingerprints = []
-    for name in ("bad", "good"):
-        manifest = str(tmp_path / f"{name}.csv")
+    for name in ("bad.csv", "good.csv", "bad_dir", "good_dir"):
+        source = str(tmp_path / name)
         out = tmp_path / f"out_{name}"
-        cfg = _write_config(tmp_path, train_manifest=manifest,
-                            validation1_manifest=manifest,
-                            validation2_manifest=manifest, r_train=2,
+        # the directories serve train; validate draws synthetic splits
+        manifests = ({"train_manifest": source} if name.endswith("_dir") else
+                     {"train_manifest": source, "validation1_manifest": source,
+                      "validation2_manifest": source})
+        cfg = _write_config(tmp_path, **manifests, r_train=2,
                             output_dir=str(out))
         assert main(["--config", str(cfg), "train"]) == 0, name
         assert main(["--config", str(cfg), "validate"]) == 0, name
         params = json.loads((out / "params.json").read_text())
         fingerprints.append(params["corpus"]["fingerprint"])
-    assert fingerprints[0] == fingerprints[1]
+    assert len(set(fingerprints)) == 1
 
 
 def test_split_datasets_are_make_dataset_per_image(tmp_path, monkeypatch):
@@ -1003,27 +1036,27 @@ def test_train_r_sweep_and_sigma_estimate(tmp_path, monkeypatch):
 
 
 def test_each_stage_builds_one_blur_spectrum(tmp_path, monkeypatch):
-    """gen and validate stream their three splits under one blur spectrum,
-    built once per command; train streams one split."""
-    from specwin import problems
-
-    calls = []
-    real = problems.blur_spectrum
+    """gen streams three splits, train builds its system and streams one
+    split, validate does both for three splits: each builds the configured
+    PSF's blur spectrum once, the build inside dct_decompose included,
+    from a cold cache as a fresh process starts."""
+    builds = []
+    real = spectral._first_column_spectrum
 
     def counting(*args):
-        calls.append(args)
+        builds.append(args)
         return real(*args)
 
-    monkeypatch.setattr(problems, "blur_spectrum", counting)
-    monkeypatch.setattr(cli, "blur_spectrum", counting)
+    monkeypatch.setattr(spectral, "_first_column_spectrum", counting)
     cfg = ExperimentConfig(image_size=16, xi=2.0, snr_db=10.0, seed=4,
                            estimators=("mse", "upre"), r_train=2, val_count=1,
                            include_best=True, output_dir=str(tmp_path))
     for stage in (cmd_gen, cmd_train,
                   lambda c: cmd_validate(c, tmp_path / "params.json")):
-        calls.clear()
+        spectral._spectrum.cache_clear()
+        builds.clear()
         stage(cfg)
-        assert len(calls) == 1, stage
+        assert len(builds) == 1, stage
 
 
 def test_r_sweep_takes_one_truth_transform_per_set(tmp_path, monkeypatch):

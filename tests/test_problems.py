@@ -175,6 +175,8 @@ def test_noise_sums_are_pinned():
 
 
 def test_make_datasets_is_make_dataset_per_image(monkeypatch):
+    """Each set keeps the truth's DCT that its blur took, and its b is
+    blur(x_true, psf) bit for bit."""
     psf = gaussian_psf(3.0, (12, 12))
     truths = [synthetic_image(12, seed=s) for s in (1, 2, 3)]
     seeds = [40, 41, 42]
@@ -186,10 +188,11 @@ def test_make_datasets_is_make_dataset_per_image(monkeypatch):
     assert len(calls) == 1  # one spectrum for all three images
     for got, x, seed in zip(batch, truths, seeds):
         want = make_dataset(x, psf, 10.0, seed)
-        for field in ("x_true", "b", "d"):
+        for field in ("x_true", "b", "d", "truth_dct"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
         assert (got.sigma2, got.snr, got.seed, got.dims) == \
             (want.sigma2, want.snr, want.seed, want.dims)
+        assert np.array_equal(blur(got.x_true, psf), got.b)
     # iter_datasets builds the same data sets one at a time under one
     # spectrum, and a truth of another shape raises only when it is reached
     calls.clear()
@@ -518,28 +521,3 @@ def test_read_manifest_rejects_bad_rows(tmp_path):
     p.write_text("# only a comment\n")
     with pytest.raises(ValueError, match="empty manifest"):
         read_manifest(p)
-
-
-def test_iter_datasets_takes_the_callers_blur_spectrum(monkeypatch):
-    """A spectrum passed in is used as built: the same data sets, bit for
-    bit, and no spectrum built; one of another shape raises when the first
-    truth is reached.  Each set keeps its truth's DCT."""
-    psf = gaussian_psf(3.0, (12, 12))
-    truths = [synthetic_image(12, seed=s) for s in (4, 5)]
-    seeds = [50, 51]
-    want = make_datasets(truths, psf, 10.0, seeds)
-    spectrum = blur_spectrum(psf, (12, 12))
-    calls = []
-    real = problems.blur_spectrum
-    monkeypatch.setattr(problems, "blur_spectrum",
-                        lambda *a: calls.append(a) or real(*a))
-    got = list(iter_datasets(truths, psf, 10.0, seeds, spectrum))
-    assert calls == []
-    for g, w in zip(got, want):
-        for field in ("x_true", "b", "d", "truth_dct"):
-            assert getattr(g, field).tobytes() == getattr(w, field).tobytes()
-        assert (g.sigma2, g.snr, g.seed) == (w.sigma2, w.snr, w.seed)
-        assert np.array_equal(blur(g.x_true, psf), g.b)
-    stream = iter_datasets(truths, psf, 10.0, seeds, spectrum[:, :11])
-    with pytest.raises(ValueError, match="blur spectrum of shape"):
-        next(stream)

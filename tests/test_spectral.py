@@ -421,6 +421,52 @@ def test_dct_decompose_rejects_joint_null_space():
     dct_decompose(psf, penalty="identity")  # fine with a full-rank penalty
 
 
+def test_blur_spectrum_keeps_its_last_build(monkeypatch):
+    """blur_spectrum returns its last build, read-only, while the PSF's
+    values and the grid stay the same; another grid, another PSF or the
+    same PSF array changed in place builds again, and an error is raised on
+    every call and never kept.  So one PSF's data sets and its system share
+    one build."""
+    from specwin import problems, spectral
+
+    builds = []
+    real = spectral._first_column_spectrum
+    monkeypatch.setattr(spectral, "_first_column_spectrum",
+                        lambda *a: builds.append(a) or real(*a))
+    spectral._spectrum.cache_clear()
+    psf = gaussian_psf(2.0, (12, 12))
+    first = spectral.blur_spectrum(psf, (12, 12))
+    assert not first.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first[0, 0] = 0.0
+    assert spectral.blur_spectrum(psf.copy(), [12, 12]) is first
+    assert len(builds) == 1
+    assert spectral.blur_spectrum(psf, (14, 12)).shape == (14, 12)
+    assert len(builds) == 2
+    spectral.blur_spectrum(gaussian_psf(3.0, (12, 12)), (12, 12))
+    assert len(builds) == 3
+    psf *= 2.0
+    doubled = spectral.blur_spectrum(psf, (12, 12))
+    assert len(builds) == 4
+    assert np.array_equal(doubled, 2.0 * first)
+
+    bad = psf.copy()
+    bad[0, 1] += 1e-3
+    for _ in range(2):
+        with pytest.raises(KernelSymmetryError):
+            spectral.blur_spectrum(bad, (12, 12))
+    assert spectral.blur_spectrum(psf, (12, 12)) is doubled
+    assert len(builds) == 4
+
+    spectral._spectrum.cache_clear()
+    builds.clear()
+    for seed in range(5):
+        problems.make_dataset(problems.synthetic_image(12, seed), psf, 10.0,
+                              seed)
+    dct_decompose(psf)
+    assert len(builds) == 1
+
+
 # ---------------------------------------------------------------------------
 # filter factors and system accessors
 # ---------------------------------------------------------------------------
