@@ -159,15 +159,13 @@ def make_datasets(truths: Sequence[np.ndarray], psf: np.ndarray,
     """make_dataset(x, psf, snr_db, seed) for each truth and its noise seed,
     with one blur spectrum for all of them: the list of iter_datasets.
 
-    Every truth must be 2D with the shape of the first, and there must be
-    one seed per truth; both are checked before any data set is built.  An
+    There must be one seed per truth, checked first; iter_datasets checks
+    each truth's shape, and as the list is returned only once complete, a
+    bad truth anywhere raises before any data set reaches the caller.  An
     empty list builds no spectrum and returns [].
     """
-    truths = [np.asarray(x, dtype=float) for x in truths]
     if len(truths) != len(seeds):
         raise ValueError(f"{len(truths)} truth images but {len(seeds)} seeds")
-    for x in truths:
-        _check_shape(x, truths[0].shape)
     return list(iter_datasets(truths, psf, snr_db, seeds))
 
 
@@ -175,34 +173,27 @@ def iter_datasets(truths: Iterable[np.ndarray], psf: np.ndarray,
                   snr_db: float, seeds: Iterable[int]) -> Iterator[DataSet]:
     """make_dataset(x, psf, snr_db, seed) for each truth in turn, paired
     with the seeds as zip pairs them, so that a caller can hold one data set
-    at a time.  The blur spectrum is taken once, on the first truth's
-    shape, and a truth that is not 2D or differs in shape from the first
-    raises when it is reached; no truth takes no spectrum.  Each set keeps
-    the truth's DCT that its blur took (`DataSet.truth_dct`).
+    at a time.  Each truth must be 2D with the shape of the first, and one
+    that is not raises when it is reached.  The first truth fixes that shape
+    and takes the one blur spectrum; no truth takes no spectrum.  Each set
+    keeps the truth's DCT that its blur took (`DataSet.truth_dct`).
     """
     dims = None
     for x_true, seed in zip(truths, seeds):
         x_true = np.asarray(x_true, dtype=float)
+        if x_true.ndim != 2:
+            raise ValueError("image must be 2D")
         if dims is None:
             dims = x_true.shape
-            _check_shape(x_true, dims)
             a = blur_spectrum(psf, dims)
-        else:
-            _check_shape(x_true, dims)
+        elif x_true.shape != dims:
+            raise ValueError(f"truth images differ in shape from {dims}")
         t = _dct2(x_true)
         b = _idct2(a * t)
         d, sigma2, achieved = _noisy(b, snr_db, seed)
         yield DataSet(x_true=x_true, b=b, d=d, sigma2=sigma2, snr=achieved,
                       seed=int(seed), dims=(dims[0], dims[1]), truth_dct=t)
         del x_true, t, b, d  # the caller's set dies before the next is drawn
-
-
-def _check_shape(x: np.ndarray, dims: tuple) -> None:
-    """ValueError unless the truth x is 2D with shape dims."""
-    if x.ndim != 2:
-        raise ValueError("image must be 2D")
-    if x.shape != dims:
-        raise ValueError(f"truth images differ in shape from {dims}")
 
 
 # A crater's ridge rim*exp(-((dist-1)/0.12)**2) is exactly 0.0 once the
@@ -378,9 +369,11 @@ def _subimages(image: np.ndarray, size: int) -> list[np.ndarray]:
 
 def read_manifest(path) -> list[dict]:
     """Corpus manifest: one `path,split,seed` record per line, paths
-    resolved relative to the manifest location.  A directory reads as the
-    manifest of its PGM, PNM and CSV files: unlabelled (split ""), in file
-    name order, seeded by position, and empty if it holds none."""
+    resolved relative to the manifest location; an empty split column
+    leaves the record unlabelled (split "").  A directory reads as the
+    manifest of its PGM, PNM and CSV files: unlabelled, in file name order,
+    seeded by position, and empty if it holds none.  load_corpus gives an
+    unlabelled record the split it is asked for."""
     if Path(path).is_dir():
         paths = sorted(p for p in Path(path).iterdir()
                        if p.suffix.lower() in (".pgm", ".pnm", ".csv"))
@@ -422,16 +415,17 @@ def load_corpus(source, split: str | None = None, size: int | None = None,
     Returns (images, records) with deterministic filename ordering; when
     subimage mode is on each input contributes its northwest and southeast
     corners as separate entries.  A str or Path is read by read_manifest,
-    so one naming nothing raises FileNotFoundError; a directory's records
-    take the requested split, or "train".
+    so one naming nothing raises FileNotFoundError; explicit paths are
+    unlabelled records seeded by position.  A record without a split label
+    (every record of a directory or of a path list) takes the requested
+    split, or "train"; labelled records serve only their own split.
     """
     if isinstance(source, (str, Path)):
         records = read_manifest(source)
-        if Path(source).is_dir():  # unlabelled: each takes the split asked
-            records = [{**rec, "split": split or "train"} for rec in records]
     else:
-        records = [{"path": Path(p), "split": split or "train", "seed": i}
+        records = [{"path": Path(p), "split": "", "seed": i}
                    for i, p in enumerate(source)]
+    records = [{**r, "split": r["split"] or split or "train"} for r in records]
     if split is not None:
         records = [r for r in records if r["split"] == split]
     records.sort(key=lambda r: Path(r["path"]).name)

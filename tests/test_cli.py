@@ -501,11 +501,14 @@ def _write_corpus(tmp_path, name, splits):
 def test_manifest_split_labels(tmp_path):
     cfg = ExperimentConfig(image_size=8, xi=1.0, snr_db=10.0, seed=1,
                            r_train=2, val_count=1)
-    # records carrying none of the split labels serve every split
-    plain = str(_write_corpus(tmp_path, "plain.csv", ["all"] * 3))
-    cfg_plain = replace(cfg, train_manifest=plain, validation1_manifest=plain)
-    assert len(_split_truths(cfg_plain, "train")) == 2
-    assert len(_split_truths(cfg_plain, "validation_1")) == 3
+    # records carrying none of the split labels serve every split, and so
+    # do records with an empty split column
+    for name, label in (("plain.csv", "all"), ("empty.csv", "")):
+        plain = str(_write_corpus(tmp_path, name, [label] * 3))
+        cfg_plain = replace(cfg, train_manifest=plain,
+                            validation1_manifest=plain)
+        assert len(_split_truths(cfg_plain, "train")) == 2
+        assert len(_split_truths(cfg_plain, "validation_1")) == 3
     # a labelled manifest serves each split only its own records
     mixed = str(_write_corpus(tmp_path, "mixed.csv",
                               ["train", "train", "validation_1"]))

@@ -212,10 +212,14 @@ def test_make_datasets_is_make_dataset_per_image(monkeypatch):
     assert calls == []
     with pytest.raises(ValueError, match="seeds"):
         make_datasets(truths, psf, 10.0, seeds[:2])
-    with pytest.raises(ValueError, match="differ in shape"):
-        make_datasets([truths[0], np.zeros((12, 13))], psf, 10.0, [1, 2])
-    with pytest.raises(ValueError, match="2D"):
-        make_datasets([np.zeros(12)], psf, 10.0, [1])
+    # a bad truth raises the same message wherever it stands
+    wrong, flat = np.zeros((12, 13)), np.zeros(12)
+    for bad, message in (([truths[0], wrong], "differ in shape"),
+                         ([*truths[:2], wrong], "differ in shape"),
+                         ([flat], "image must be 2D"),
+                         ([*truths[:2], flat], "image must be 2D")):
+        with pytest.raises(ValueError, match=message):
+            make_datasets(bad, psf, 10.0, seeds[:len(bad)])
     # an infinite SNR adds no noise: the data are the blurred truths
     for ds, x in zip(make_datasets(truths, psf, np.inf, seeds), truths):
         assert np.array_equal(ds.d, ds.b) and ds.d is not ds.b
@@ -487,6 +491,29 @@ def test_manifest_roundtrip_and_split_filter(tmp_path):
     assert val[0].shape == (8, 8)
     with pytest.raises(ValueError, match="empty corpus"):
         load_corpus(mpath, split="test")
+
+    # an empty split column leaves a record unlabelled: like a directory's,
+    # it serves whichever split is asked, and "train" when none is
+    plain = tmp_path / "plain.csv"
+    write_manifest(plain, [{**r, "split": ""} for r in records])
+    for split in ("train", "validation_1"):
+        got, recs = load_corpus(plain, split=split)
+        assert [r["split"] for r in recs] == [split] * 3
+        np.testing.assert_array_equal(got[2], imgs["c.pgm"])
+    _, recs = load_corpus(plain)
+    assert [r["split"] for r in recs] == ["train"] * 3
+    # in a mixed manifest the labelled records serve only their own split
+    mixed = tmp_path / "mixed.csv"
+    write_manifest(mixed, [{**records[0], "split": ""}, records[1],
+                           records[2]])
+    for split, names in (("train", ["a.pgm", "b.pgm"]),
+                         ("validate", ["a.pgm", "c.pgm"]),
+                         ("validation_1", ["a.pgm"])):
+        _, recs = load_corpus(mixed, split=split)
+        assert [r["path"].name for r in recs] == names
+        assert {r["split"] for r in recs} == {split}
+    _, recs = load_corpus(mixed)
+    assert [r["split"] for r in recs] == ["train", "train", "validate"]
 
 
 def test_load_corpus_from_directory_and_subimages(tmp_path):
