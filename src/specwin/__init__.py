@@ -18,11 +18,10 @@ from .solver import (ParamVector, RegularizedSolution, phi_windowed,
                      residual_norm_windowed, solve_scalar, solve_windowed,
                      trace_windowed)
 from .estimators import (DataPool, GcvObjective, MseObjective, NoiseModel,
-                         UpreObjective, WindowedGcvTerms, estimate_sigma2,
-                         gcv_md_scalar, gcv_scalar, gcv_windowed_decoupled,
-                         gcv_windowed_true, gcv_windowed_true_md,
-                         mse_learning, upre_md_windowed, upre_scalar,
-                         upre_window_separable, windowed_gcv_terms)
+                         UpreObjective, estimate_sigma2, gcv_md_scalar,
+                         gcv_scalar, gcv_windowed_decoupled, gcv_windowed_true,
+                         gcv_windowed_true_md, mse_learning, upre_md_windowed,
+                         upre_scalar, upre_window_separable)
 from .optimize import (BOUNDARY_RTOL, ScalarSearchResult, SearchConfig,
                        VectorSearchResult, minimize_scalar, minimize_vector)
 from .problems import (DataSet, add_noise, blur, blur_spectrum, gaussian_psf,
@@ -42,11 +41,10 @@ __all__ = [
     "indicator_windows", "cosine_windows", "trivial_window",
     "ParamVector", "RegularizedSolution", "solve_scalar", "solve_windowed",
     "phi_windowed", "residual_norm_windowed", "trace_windowed",
-    "NoiseModel", "WindowedGcvTerms", "upre_scalar", "upre_md_windowed",
+    "NoiseModel", "upre_scalar", "upre_md_windowed",
     "upre_window_separable", "gcv_scalar", "gcv_md_scalar",
     "gcv_windowed_true", "gcv_windowed_true_md", "gcv_windowed_decoupled",
-    "windowed_gcv_terms", "DataPool", "UpreObjective", "GcvObjective",
-    "MseObjective",
+    "DataPool", "UpreObjective", "GcvObjective", "MseObjective",
     "mse_learning", "estimate_sigma2",
     "SearchConfig", "ScalarSearchResult", "VectorSearchResult",
     "minimize_scalar", "minimize_vector", "BOUNDARY_RTOL",

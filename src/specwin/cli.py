@@ -11,10 +11,11 @@ A single flat JSON config drives everything; (config, seed) determines every
 CSV/PGM/JSON output byte.  Wall-clock timings go to a separate plain-text log
 so they cannot perturb the deterministic artifacts.
 
-train and validate stream each synthetic split: a data set is generated,
-used and dropped before the next one is drawn, so they hold one image at a
-time.  train folds each set into a `DataPool`, from which every objective
-(and each r_sweep step) is prepared; validate scores each set as it comes.
+train and validate stream every split, synthetic or read from a manifest:
+a data set is generated, used and dropped before the next one is drawn, so
+they hold one image at a time.  train folds each set into a `DataPool`,
+from which every objective (and each r_sweep step) is prepared; validate
+scores each set as it comes.
 
 Exit codes: 0 success, 2 config error, 3 numerical infeasibility, 4 I/O error.
 """
@@ -30,7 +31,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -38,9 +39,9 @@ from .errors import ConfigError, SpecwinError
 from .estimators import (DataPool, GcvObjective, MseObjective,
                          UpreObjective, estimate_sigma2)
 from .optimize import SearchConfig, minimize_scalar, minimize_vector
-from .problems import (DataSet, gaussian_psf, iter_datasets, load_corpus,
-                       read_manifest, synthetic_image, write_manifest,
-                       write_pgm)
+from .problems import (DataSet, corpus_records, fit_to_size, gaussian_psf,
+                       iter_datasets, load_image, synthetic_image,
+                       write_manifest, write_pgm)
 from .solver import ParamVector
 from .spectral import SpectralSystem, dct_decompose
 from .windows import KINDS, WindowSet, make_windows
@@ -204,41 +205,34 @@ def _split_seed(config: ExperimentConfig, stream: int, idx: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _split_truths(config: ExperimentConfig, split: str) -> Iterable[np.ndarray]:
-    """Truth images for one split: external manifest if configured, else the
-    synthetic corpus, drawn lazily one image at a time.  Deterministic
-    ordering either way.
-
-    A manifest whose records carry none of the split labels serves every
-    split with all of its records, and so does a directory, which reads as
-    an unlabelled manifest of its images; a labelled manifest serves only
-    its records of this split.  train loads only the first r_train images
-    by file name.
+def _split_truths(config: ExperimentConfig, split: str) -> Iterator[np.ndarray]:
+    """Truth images for one split, drawn lazily one image at a time: the
+    split's records of its manifest (problems.corpus_records: unlabelled
+    records, and so every image of a directory, serve every split) fitted
+    to image_size, else the synthetic corpus.  Deterministic ordering
+    either way.  train takes only the first r_train records by file name,
+    and checks that it has that many before it reads an image.
     """
     split_idx = _SPLITS.index(split)
     manifest = {"train": config.train_manifest,
                 "validation_1": config.validation1_manifest,
                 "validation_2": config.validation2_manifest}[split]
-    count = config.r_train if split == "train" else config.val_count
-    if manifest is not None:
-        keep = count if split == "train" else None
-        try:
-            records = read_manifest(manifest)
-            labelled = any(rec["split"] in _SPLITS for rec in records)
-            # the split's paths in the order load_corpus sorts them in
-            paths = sorted((r["path"] for r in records
-                            if not labelled or r["split"] == split),
-                           key=lambda p: p.name)[:keep]
-            images, _ = load_corpus(paths, size=config.image_size)
-        except ValueError as exc:
-            raise ConfigError(f"{split} corpus {manifest}: {exc}") from exc
-        if split == "train" and len(images) < config.r_train:
+    if manifest is None:
+        count = config.r_train if split == "train" else config.val_count
+        return (synthetic_image(config.image_size,
+                                _split_seed(config, 1000 + split_idx, i))
+                for i in range(count))
+    try:
+        records = corpus_records(manifest, split)
+    except ValueError as exc:
+        raise ConfigError(f"{split} corpus {manifest}: {exc}") from exc
+    if split == "train":
+        if len(records) < config.r_train:
             raise ConfigError(f"r_train={config.r_train} exceeds training "
-                              f"corpus size {len(images)}")
-        return images[:keep]
-    return (synthetic_image(config.image_size,
-                            _split_seed(config, 1000 + split_idx, i))
-            for i in range(count))
+                              f"corpus size {len(records)}")
+        records = records[:config.r_train]
+    return (fit_to_size(load_image(r["path"]), config.image_size)
+            for r in records)
 
 
 def _psf(config: ExperimentConfig) -> np.ndarray:

@@ -48,7 +48,6 @@ from .windows import WindowSet, trivial_window
 __all__ = [
     "SATURATION_FLOOR",
     "NoiseModel",
-    "WindowedGcvTerms",
     "upre_scalar",
     "upre_md_windowed",
     "upre_window_separable",
@@ -57,7 +56,6 @@ __all__ = [
     "gcv_windowed_true",
     "gcv_windowed_true_md",
     "gcv_windowed_decoupled",
-    "windowed_gcv_terms",
     "UpreObjective",
     "GcvObjective",
     "MseObjective",
@@ -92,21 +90,6 @@ class NoiseModel:
 
     def __len__(self) -> int:
         return self.sigma2.size
-
-
-@dataclass(frozen=True)
-class WindowedGcvTerms:
-    """Per-window trace complements for the coupled windowed GCV.
-
-    mu[p] = 1 - (1/m) sum_j phi_j(alpha_p)          (unweighted)
-    nu[p] = 1 - (1/m) sum_j w_j^(p) phi_j(alpha_p)  (window weighted)
-
-    Both live in (0, 1] away from saturation, and nu >= mu whenever the
-    weights are <= 1.
-    """
-
-    mu: np.ndarray
-    nu: np.ndarray
 
 
 def _noise_for(noise, R: int) -> np.ndarray:
@@ -208,13 +191,6 @@ def _trace_complements(band: _Band, alphas,
             f"saturated window trace: mu[{bad}]**2 < {SATURATION_FLOOR:g} at "
             f"alpha={alphas.values[bad]:.3g}")
     return weighted, mu, nu
-
-
-def windowed_gcv_terms(sys: SpectralSystem, windows: WindowSet,
-                       alphas) -> WindowedGcvTerms:
-    """Trace complements mu_p, nu_p entering the coupled windowed GCV."""
-    _, mu, nu = _trace_complements(_Band(sys, windows), alphas, sys.m)
-    return WindowedGcvTerms(mu=mu, nu=nu)
 
 
 def gcv_windowed_true(sys: SpectralSystem, dhat: np.ndarray, windows: WindowSet,

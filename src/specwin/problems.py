@@ -36,6 +36,7 @@ __all__ = [
     "write_pgm",
     "load_image",
     "fit_to_size",
+    "corpus_records",
     "load_corpus",
     "read_manifest",
     "write_manifest",
@@ -372,8 +373,8 @@ def read_manifest(path) -> list[dict]:
     resolved relative to the manifest location; an empty split column
     leaves the record unlabelled (split "").  A directory reads as the
     manifest of its PGM, PNM and CSV files: unlabelled, in file name order,
-    seeded by position, and empty if it holds none.  load_corpus gives an
-    unlabelled record the split it is asked for."""
+    seeded by position, and empty if it holds none.  corpus_records gives
+    an unlabelled record the split it is asked for."""
     if Path(path).is_dir():
         paths = sorted(p for p in Path(path).iterdir()
                        if p.suffix.lower() in (".pgm", ".pnm", ".csv"))
@@ -385,11 +386,12 @@ def read_manifest(path) -> list[dict]:
         for row in csv.reader(fh):
             if not row or row[0].lstrip().startswith("#"):
                 continue
-            if len(row) != 3:
-                raise ValueError(f"{path}: bad manifest record {row!r}")
-            records.append({"path": (base / row[0].strip()).resolve(),
-                            "split": row[1].strip(),
-                            "seed": int(row[2])})
+            try:  # three fields, the last an integer seed
+                name, split, seed = row
+                records.append({"path": (base / name.strip()).resolve(),
+                                "split": split.strip(), "seed": int(seed)})
+            except ValueError:
+                raise ValueError(f"{path}: bad manifest record {row!r}") from None
     if not records:
         raise ValueError(f"{path}: empty manifest")
     return records
@@ -408,17 +410,16 @@ def write_manifest(path, records: Iterable[dict]) -> None:
             writer.writerow([rel.as_posix(), rec["split"], rec["seed"]])
 
 
-def load_corpus(source, split: str | None = None, size: int | None = None,
-                subimage: bool = False) -> tuple[list[np.ndarray], list[dict]]:
-    """Load a corpus from a manifest file, a directory, or explicit paths.
+def corpus_records(source, split: str | None = None) -> list[dict]:
+    """The records of a manifest file, a directory, or explicit paths that
+    serve one split, in file name order.
 
-    Returns (images, records) with deterministic filename ordering; when
-    subimage mode is on each input contributes its northwest and southeast
-    corners as separate entries.  A str or Path is read by read_manifest,
-    so one naming nothing raises FileNotFoundError; explicit paths are
-    unlabelled records seeded by position.  A record without a split label
-    (every record of a directory or of a path list) takes the requested
-    split, or "train"; labelled records serve only their own split.
+    A str or Path is read by read_manifest, so one naming nothing raises
+    FileNotFoundError; explicit paths are unlabelled records seeded by
+    position.  A record without a split label (every record of a directory
+    or of a path list) takes the requested split, or "train"; labelled
+    records serve only their own split.  No matching record raises
+    ValueError.
     """
     if isinstance(source, (str, Path)):
         records = read_manifest(source)
@@ -431,10 +432,20 @@ def load_corpus(source, split: str | None = None, size: int | None = None,
     records.sort(key=lambda r: Path(r["path"]).name)
     if not records:
         raise ValueError("empty corpus: no records match the requested split")
+    return records
 
+
+def load_corpus(source, split: str | None = None, size: int | None = None,
+                subimage: bool = False) -> tuple[list[np.ndarray], list[dict]]:
+    """Load the images of corpus_records(source, split).
+
+    Returns (images, records) in the records' file name order; when
+    subimage mode is on each input contributes its northwest and southeast
+    corners as separate entries.
+    """
     images: list[np.ndarray] = []
     out_records: list[dict] = []
-    for rec in records:
+    for rec in corpus_records(source, split):
         img = load_image(rec["path"])
         if subimage:
             if size is None:

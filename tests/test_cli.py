@@ -498,25 +498,65 @@ def _write_corpus(tmp_path, name, splits):
     return tmp_path / name
 
 
-def test_manifest_split_labels(tmp_path):
+def test_manifest_split_labels(tmp_path, capsys):
+    """The CLI reads a manifest split through problems.corpus_records: a
+    record with an empty split column serves every split, and a labelled
+    record only its own split, also in a manifest that mixes the two."""
     cfg = ExperimentConfig(image_size=8, xi=1.0, snr_db=10.0, seed=1,
                            r_train=2, val_count=1)
-    # records carrying none of the split labels serve every split, and so
-    # do records with an empty split column
-    for name, label in (("plain.csv", "all"), ("empty.csv", "")):
-        plain = str(_write_corpus(tmp_path, name, [label] * 3))
-        cfg_plain = replace(cfg, train_manifest=plain,
-                            validation1_manifest=plain)
-        assert len(_split_truths(cfg_plain, "train")) == 2
-        assert len(_split_truths(cfg_plain, "validation_1")) == 3
-    # a labelled manifest serves each split only its own records
-    mixed = str(_write_corpus(tmp_path, "mixed.csv",
-                              ["train", "train", "validation_1"]))
-    cfg_mixed = replace(cfg, validation1_manifest=mixed,
-                        validation2_manifest=mixed)
-    assert len(_split_truths(cfg_mixed, "validation_1")) == 1
-    with pytest.raises(ConfigError, match="empty corpus"):
-        _split_truths(cfg_mixed, "validation_2")
+
+    def counts(manifest):
+        manifest = str(manifest)
+        both = replace(cfg, train_manifest=manifest,
+                       validation1_manifest=manifest,
+                       validation2_manifest=manifest)
+        return [len(list(_split_truths(both, split)))
+                for split in ("train", "validation_1", "validation_2")]
+
+    # an empty split column serves every split; train takes r_train of it
+    assert counts(_write_corpus(tmp_path, "empty.csv", [""] * 3)) == [2, 3, 3]
+    # labelled records serve only their own split
+    assert counts(_write_corpus(
+        tmp_path, "labelled.csv",
+        ["train", "validation_2", "train", "validation_1"])) == [2, 1, 1]
+    # an unlabelled record joins every split of a mixed manifest
+    assert counts(_write_corpus(tmp_path, "mixed.csv",
+                                ["train", "", "validation_1"])) == [2, 2, 1]
+    # labels that name none of the splits serve none of them, so a typo can
+    # not hand a training image to a validation split
+    typo = _write_corpus(tmp_path, "typo.csv", ["trian", "trian", "val1"])
+    config = _write_config(tmp_path, train_manifest=str(typo),
+                           validation1_manifest=str(typo),
+                           validation2_manifest=str(typo))
+    capsys.readouterr()
+    assert main(["--config", str(config), "train"]) == 2
+    assert "empty corpus" in capsys.readouterr().err
+
+
+def test_manifest_splits_stream_one_image_at_a_time(tmp_path, monkeypatch):
+    """validate scores a manifest split one image at a time: when the CLI
+    loads a truth, at most one earlier truth is still alive (the pair that
+    iter_datasets' zip holds until it takes the next one)."""
+    manifest = _write_corpus(tmp_path, "val.csv", ["validation_1"] * 4)
+    cfg = ExperimentConfig.from_json(_write_config(
+        tmp_path, validation1_manifest=str(manifest),
+        output_dir=str(tmp_path / "out")))
+    cmd_train(cfg)
+    real = cli._split_truths
+    alive = []
+
+    def watched(config, split):
+        refs = []
+        for x in real(config, split):
+            alive.append(sum(r() is not None for r in refs))
+            refs.append(weakref.ref(x))
+            yield x
+
+    monkeypatch.setattr(cli, "_split_truths", watched)
+    cmd_validate(cfg, tmp_path / "out" / "params.json")
+    # train's two synthetic truths, then one per split image
+    assert len(alive) == 2 + 4 + 1
+    assert max(alive) <= 1, alive
 
 
 def test_manifest_images_past_r_train_are_not_loaded(tmp_path):

@@ -25,11 +25,12 @@ from specwin.estimators import (
     upre_md_windowed,
     upre_scalar,
     upre_window_separable,
-    windowed_gcv_terms,
+    _trace_complements,
 )
 from specwin.optimize import SearchConfig, minimize_scalar, minimize_vector
-from specwin.solver import (ParamVector, phi_windowed, residual_norm_windowed,
-                            solve_windowed, trace_windowed)
+from specwin.solver import (ParamVector, _Band, phi_windowed,
+                            residual_norm_windowed, solve_windowed,
+                            trace_windowed)
 from specwin.problems import gaussian_psf
 from specwin.spectral import SpectralSystem, dct_decompose, filter_factors, gsvd
 from specwin.windows import (cosine_windows, indicator_windows, make_partitions,
@@ -271,15 +272,19 @@ def test_gcv_md_scalar_reductions_and_dense():
         assert abs(val - ref) <= 1e-10 * max(abs(ref), 1.0)
 
 
-def test_windowed_gcv_terms_bounds():
+def test_trace_complements_bounds():
+    """The coupled windowed GCV's trace complements: the unweighted
+    mu_p = 1 - (1/m) sum_j phi_j(alpha_p) and the window-weighted nu_p lie
+    in (0, 1] with nu >= mu, as the weights are <= 1, and agree for P = 1."""
     _, _, _, sys, _ = _problem(12, 9, "identity", seed=89)
     win = cosine_windows(make_partitions(sys, 3, spacing="log"), sys, spacing="log")
-    terms = windowed_gcv_terms(sys, win, [0.3, 0.9, 2.7])
-    assert terms.mu.shape == (3,) and terms.nu.shape == (3,)
-    assert np.all(terms.mu > 0.0) and np.all(terms.mu <= 1.0)
-    assert np.all(terms.nu >= terms.mu) and np.all(terms.nu <= 1.0)
-    single = windowed_gcv_terms(sys, trivial_window(sys), [0.5])
-    assert single.mu[0] == pytest.approx(single.nu[0], abs=1e-15)
+    _, mu, nu = _trace_complements(_Band(sys, win), [0.3, 0.9, 2.7], sys.m)
+    assert mu.shape == (3,) and nu.shape == (3,)
+    assert np.all(mu > 0.0) and np.all(mu <= 1.0)
+    assert np.all(nu >= mu) and np.all(nu <= 1.0)
+    _, mu, nu = _trace_complements(_Band(sys, trivial_window(sys)), [0.5],
+                                   sys.m)
+    assert mu[0] == pytest.approx(nu[0], abs=1e-15)
 
 
 def _normalized(delta, lam):

@@ -541,10 +541,14 @@ def test_load_corpus_missing_path_is_file_not_found(tmp_path):
 
 
 def test_read_manifest_rejects_bad_rows(tmp_path):
+    # a wrong field count, a header row and a seed that is not an integer:
+    # each error names the file and the record
     p = tmp_path / "m.csv"
-    p.write_text("a.pgm,train\n")
-    with pytest.raises(ValueError, match="bad manifest record"):
-        read_manifest(p)
+    for row in ("a.pgm,train", "path,split,seed", "a.pgm,train,x"):
+        p.write_text(f"{row}\n")
+        with pytest.raises(ValueError, match="bad manifest record") as info:
+            read_manifest(p)
+        assert str(p) in str(info.value), row
     p.write_text("# only a comment\n")
     with pytest.raises(ValueError, match="empty manifest"):
         read_manifest(p)
