@@ -25,8 +25,8 @@ from .estimators import (DataPool, GcvObjective, MseObjective, NoiseModel,
 from .optimize import (BOUNDARY_RTOL, ScalarSearchResult, SearchConfig,
                        VectorSearchResult, minimize_scalar, minimize_vector)
 from .problems import (DataSet, add_noise, blur, blur_spectrum, gaussian_psf,
-                       iter_datasets, load_corpus, make_dataset,
-                       make_datasets, read_pgm, synthetic_image, write_pgm)
+                       iter_datasets, make_dataset, make_datasets,
+                       read_pgm, synthetic_image, write_pgm)
 
 __version__ = "0.1.0"
 
@@ -51,5 +51,5 @@ __all__ = [
     "DataSet", "gaussian_psf", "blur", "blur_spectrum",
     "add_noise", "make_dataset", "make_datasets", "iter_datasets",
     "synthetic_image",
-    "read_pgm", "write_pgm", "load_corpus",
+    "read_pgm", "write_pgm",
 ]

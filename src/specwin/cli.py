@@ -11,9 +11,12 @@ A single flat JSON config drives everything; (config, seed) determines every
 CSV/PGM/JSON output byte.  Wall-clock timings go to a separate plain-text log
 so they cannot perturb the deterministic artifacts.
 
-train and validate stream every split, synthetic or read from a manifest:
-a data set is generated, used and dropped before the next one is drawn, so
-they hold one image at a time.  train folds each set into a `DataPool`,
+Every split serves its configured count: r_train images for train and
+val_count for each validation split, drawn synthetically or taken as the
+first records of a manifest or directory in file name order (a split that
+holds fewer exits 2).  train and validate stream every split: a data set
+is generated, used and dropped before the next one is drawn, so they hold
+one image at a time.  train folds each set into a `DataPool`,
 from which every objective (and each r_sweep step) is prepared; validate
 scores each set as it comes.
 
@@ -206,19 +209,22 @@ def _split_seed(config: ExperimentConfig, stream: int, idx: int) -> int:
 
 
 def _split_truths(config: ExperimentConfig, split: str) -> Iterator[np.ndarray]:
-    """Truth images for one split, drawn lazily one image at a time: the
-    split's records of its manifest (problems.corpus_records: unlabelled
-    records, and so every image of a directory, serve every split) fitted
-    to image_size, else the synthetic corpus.  Deterministic ordering
-    either way.  train takes only the first r_train records by file name,
-    and checks that it has that many before it reads an image.
+    """Truth images for one split, drawn lazily one image at a time.  The
+    split's count is r_train for train and val_count for a validation
+    split.  A synthetic split draws that many images; a manifest or
+    directory split serves its first count records in file name order
+    (problems.corpus_records: unlabelled records, and so every image of a
+    directory, serve every split), fitted to image_size, and raises
+    ConfigError before it reads an image if it holds fewer.
     """
     split_idx = _SPLITS.index(split)
     manifest = {"train": config.train_manifest,
                 "validation_1": config.validation1_manifest,
                 "validation_2": config.validation2_manifest}[split]
+    key, count, name = (("r_train", config.r_train, "training")
+                        if split == "train"
+                        else ("val_count", config.val_count, split))
     if manifest is None:
-        count = config.r_train if split == "train" else config.val_count
         return (synthetic_image(config.image_size,
                                 _split_seed(config, 1000 + split_idx, i))
                 for i in range(count))
@@ -226,13 +232,11 @@ def _split_truths(config: ExperimentConfig, split: str) -> Iterator[np.ndarray]:
         records = corpus_records(manifest, split)
     except ValueError as exc:
         raise ConfigError(f"{split} corpus {manifest}: {exc}") from exc
-    if split == "train":
-        if len(records) < config.r_train:
-            raise ConfigError(f"r_train={config.r_train} exceeds training "
-                              f"corpus size {len(records)}")
-        records = records[:config.r_train]
+    if len(records) < count:
+        raise ConfigError(f"{key}={count} exceeds {name} corpus size "
+                          f"{len(records)}")
     return (fit_to_size(load_image(r["path"]), config.image_size)
-            for r in records)
+            for r in records[:count])
 
 
 def _psf(config: ExperimentConfig) -> np.ndarray:

@@ -5,9 +5,11 @@ Gaussian point-spread functions, exact-SNR noise injection, data sets built
 one at a time from a stream of truths under one blur spectrum
 (`iter_datasets`; `make_datasets` is its list; `spectral.blur_spectrum`,
 re-exported here with `blur`, builds and keeps the spectrum), and a small
-grayscale corpus toolchain (binary PGM + CSV matrices, manifest files, and
-a synthetic cratered-terrain generator used when no external imagery is
-available).
+grayscale corpus toolchain: binary PGM + CSV matrices, manifest files,
+`corpus_records` (the records of a manifest or a directory that serve one
+split, in file name order, which a caller loads one at a time with
+`fit_to_size(load_image(r["path"]), size)`), and a synthetic
+cratered-terrain generator used when no external imagery is available.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ __all__ = [
     "load_image",
     "fit_to_size",
     "corpus_records",
-    "load_corpus",
     "read_manifest",
     "write_manifest",
 ]
@@ -360,21 +361,14 @@ def fit_to_size(image: np.ndarray, size: int) -> np.ndarray:
     return image[r0:r0 + size, c0:c0 + size].copy()
 
 
-def _subimages(image: np.ndarray, size: int) -> list[np.ndarray]:
-    """Northwest and southeast size x size corners of one larger image."""
-    h, w = image.shape
-    if h < size or w < size:
-        raise ValueError(f"image {image.shape} too small for {size}x{size} subimages")
-    return [image[:size, :size].copy(), image[h - size:, w - size:].copy()]
-
-
 def read_manifest(path) -> list[dict]:
     """Corpus manifest: one `path,split,seed` record per line, paths
     resolved relative to the manifest location; an empty split column
     leaves the record unlabelled (split "").  A directory reads as the
     manifest of its PGM, PNM and CSV files: unlabelled, in file name order,
-    seeded by position, and empty if it holds none.  corpus_records gives
-    an unlabelled record the split it is asked for."""
+    seeded by position, and empty if it holds none.  corpus_records keeps
+    the records that serve one split, and gives an unlabelled one that
+    split."""
     if Path(path).is_dir():
         paths = sorted(p for p in Path(path).iterdir()
                        if p.suffix.lower() in (".pgm", ".pnm", ".csv"))
@@ -410,50 +404,17 @@ def write_manifest(path, records: Iterable[dict]) -> None:
             writer.writerow([rel.as_posix(), rec["split"], rec["seed"]])
 
 
-def corpus_records(source, split: str | None = None) -> list[dict]:
-    """The records of a manifest file, a directory, or explicit paths that
+def corpus_records(source, split: str) -> list[dict]:
+    """The records of a manifest file or a directory (read_manifest) that
     serve one split, in file name order.
 
-    A str or Path is read by read_manifest, so one naming nothing raises
-    FileNotFoundError; explicit paths are unlabelled records seeded by
-    position.  A record without a split label (every record of a directory
-    or of a path list) takes the requested split, or "train"; labelled
-    records serve only their own split.  No matching record raises
-    ValueError.
+    An unlabelled record (every record of a directory) takes the requested
+    split; a labelled one serves only its own.  A source naming nothing
+    raises FileNotFoundError, and no matching record raises ValueError.
     """
-    if isinstance(source, (str, Path)):
-        records = read_manifest(source)
-    else:
-        records = [{"path": Path(p), "split": "", "seed": i}
-                   for i, p in enumerate(source)]
-    records = [{**r, "split": r["split"] or split or "train"} for r in records]
-    if split is not None:
-        records = [r for r in records if r["split"] == split]
-    records.sort(key=lambda r: Path(r["path"]).name)
+    records = sorted(({**r, "split": split} for r in read_manifest(source)
+                      if r["split"] in ("", split)),
+                     key=lambda r: Path(r["path"]).name)
     if not records:
         raise ValueError("empty corpus: no records match the requested split")
     return records
-
-
-def load_corpus(source, split: str | None = None, size: int | None = None,
-                subimage: bool = False) -> tuple[list[np.ndarray], list[dict]]:
-    """Load the images of corpus_records(source, split).
-
-    Returns (images, records) in the records' file name order; when
-    subimage mode is on each input contributes its northwest and southeast
-    corners as separate entries.
-    """
-    images: list[np.ndarray] = []
-    out_records: list[dict] = []
-    for rec in corpus_records(source, split):
-        img = load_image(rec["path"])
-        if subimage:
-            if size is None:
-                raise ValueError("subimage mode needs a target size")
-            for tag, sub in zip(("nw", "se"), _subimages(img, size)):
-                images.append(sub)
-                out_records.append({**rec, "tag": tag})
-        else:
-            images.append(fit_to_size(img, size) if size is not None else img)
-            out_records.append({**rec, "tag": ""})
-    return images, out_records

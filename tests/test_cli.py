@@ -501,7 +501,8 @@ def _write_corpus(tmp_path, name, splits):
 def test_manifest_split_labels(tmp_path, capsys):
     """The CLI reads a manifest split through problems.corpus_records: a
     record with an empty split column serves every split, and a labelled
-    record only its own split, also in a manifest that mixes the two."""
+    record only its own split, also in a manifest that mixes the two.  Each
+    split serves its first r_train or val_count records."""
     cfg = ExperimentConfig(image_size=8, xi=1.0, snr_db=10.0, seed=1,
                            r_train=2, val_count=1)
 
@@ -514,14 +515,15 @@ def test_manifest_split_labels(tmp_path, capsys):
                 for split in ("train", "validation_1", "validation_2")]
 
     # an empty split column serves every split; train takes r_train of it
-    assert counts(_write_corpus(tmp_path, "empty.csv", [""] * 3)) == [2, 3, 3]
+    # and each validation split val_count
+    assert counts(_write_corpus(tmp_path, "empty.csv", [""] * 3)) == [2, 1, 1]
     # labelled records serve only their own split
     assert counts(_write_corpus(
         tmp_path, "labelled.csv",
         ["train", "validation_2", "train", "validation_1"])) == [2, 1, 1]
     # an unlabelled record joins every split of a mixed manifest
     assert counts(_write_corpus(tmp_path, "mixed.csv",
-                                ["train", "", "validation_1"])) == [2, 2, 1]
+                                ["train", "", "validation_1"])) == [2, 1, 1]
     # labels that name none of the splits serve none of them, so a typo can
     # not hand a training image to a validation split
     typo = _write_corpus(tmp_path, "typo.csv", ["trian", "trian", "val1"])
@@ -533,13 +535,48 @@ def test_manifest_split_labels(tmp_path, capsys):
     assert "empty corpus" in capsys.readouterr().err
 
 
+def test_short_validation_manifest_is_a_config_error(tmp_path, capsys):
+    """A validation split that holds fewer records than val_count exits 2
+    before it reads an image, as a short training split does for r_train."""
+    manifest = str(_write_corpus(tmp_path, "short.csv",
+                                 ["train", "train", "validation_1",
+                                  "validation_2", "validation_2"]))
+    config = _write_config(tmp_path, train_manifest=manifest,
+                           validation1_manifest=manifest,
+                           validation2_manifest=manifest, val_count=2,
+                           output_dir=str(tmp_path / "out"))
+    assert main(["--config", str(config), "train"]) == 0
+    capsys.readouterr()
+    for cmd in ("validate", "gen"):
+        assert main(["--config", str(config), cmd]) == 2, cmd
+        err = capsys.readouterr().err
+        assert "val_count=2 exceeds validation_1 corpus size 1" in err, cmd
+
+
+def test_gen_serves_val_count_of_a_manifest(tmp_path):
+    """gen reads each split through the same count rule: an unlabelled
+    three-record manifest gives r_train training sets and val_count sets
+    per validation split."""
+    manifest = str(_write_corpus(tmp_path, "all.csv", [""] * 3))
+    cfg = ExperimentConfig.from_json(_write_config(
+        tmp_path, train_manifest=manifest, validation1_manifest=manifest,
+        validation2_manifest=manifest, r_train=2, val_count=1,
+        output_dir=str(tmp_path / "out")))
+    out = cmd_gen(cfg)
+    for split, count in (("train", 2), ("validation_1", 1),
+                         ("validation_2", 1)):
+        assert len(list((out / split).glob("img_*.json"))) == count, split
+        assert len(list((out / split).glob("img_*_x.pgm"))) == count, split
+    assert len((out / "manifest.csv").read_text().splitlines()) == 4
+
+
 def test_manifest_splits_stream_one_image_at_a_time(tmp_path, monkeypatch):
     """validate scores a manifest split one image at a time: when the CLI
     loads a truth, at most one earlier truth is still alive (the pair that
     iter_datasets' zip holds until it takes the next one)."""
     manifest = _write_corpus(tmp_path, "val.csv", ["validation_1"] * 4)
     cfg = ExperimentConfig.from_json(_write_config(
-        tmp_path, validation1_manifest=str(manifest),
+        tmp_path, validation1_manifest=str(manifest), val_count=4,
         output_dir=str(tmp_path / "out")))
     cmd_train(cfg)
     real = cli._split_truths
@@ -554,8 +591,9 @@ def test_manifest_splits_stream_one_image_at_a_time(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_split_truths", watched)
     cmd_validate(cfg, tmp_path / "out" / "params.json")
-    # train's two synthetic truths, then one per split image
-    assert len(alive) == 2 + 4 + 1
+    # train's two synthetic truths, then one per validation image: the
+    # manifest's four and val_count synthetic ones
+    assert len(alive) == 2 + 4 + 4
     assert max(alive) <= 1, alive
 
 
@@ -623,7 +661,8 @@ def test_split_datasets_are_make_dataset_per_image(tmp_path, monkeypatch):
             lines.append(f"ext_{i}.pgm,{split},{i}")
     manifest = tmp_path / "ext.csv"
     manifest.write_text("\n".join(lines) + "\n")
-    external = replace(synthetic, r_train=2, train_manifest=str(manifest),
+    external = replace(synthetic, r_train=2, val_count=1,
+                       train_manifest=str(manifest),
                        validation1_manifest=str(manifest),
                        validation2_manifest=str(manifest))
     for cfg in (synthetic, external):

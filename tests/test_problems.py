@@ -16,10 +16,10 @@ from specwin.problems import (
     add_noise,
     blur,
     blur_spectrum,
+    corpus_records,
     fit_to_size,
     gaussian_psf,
     iter_datasets,
-    load_corpus,
     load_image,
     make_dataset,
     make_datasets,
@@ -484,24 +484,23 @@ def test_manifest_roundtrip_and_split_filter(tmp_path):
     assert [r["seed"] for r in back] == [0, 1, 2]
     assert all(r["path"].exists() for r in back)
 
-    train, recs = load_corpus(mpath, split="train")
-    assert len(train) == 2
-    np.testing.assert_array_equal(train[0], imgs["a.pgm"])
-    val, _ = load_corpus(mpath, split="validate", size=8)
-    assert val[0].shape == (8, 8)
+    train = corpus_records(mpath, "train")
+    assert [r["path"].name for r in train] == ["a.pgm", "b.pgm"]
+    np.testing.assert_array_equal(load_image(train[0]["path"]), imgs["a.pgm"])
+    val = corpus_records(mpath, "validate")
+    assert fit_to_size(load_image(val[0]["path"]), 8).shape == (8, 8)
     with pytest.raises(ValueError, match="empty corpus"):
-        load_corpus(mpath, split="test")
+        corpus_records(mpath, "test")
 
     # an empty split column leaves a record unlabelled: like a directory's,
-    # it serves whichever split is asked, and "train" when none is
+    # it serves whichever split is asked
     plain = tmp_path / "plain.csv"
     write_manifest(plain, [{**r, "split": ""} for r in records])
     for split in ("train", "validation_1"):
-        got, recs = load_corpus(plain, split=split)
+        recs = corpus_records(plain, split)
         assert [r["split"] for r in recs] == [split] * 3
-        np.testing.assert_array_equal(got[2], imgs["c.pgm"])
-    _, recs = load_corpus(plain)
-    assert [r["split"] for r in recs] == ["train"] * 3
+        np.testing.assert_array_equal(load_image(recs[2]["path"]),
+                                      imgs["c.pgm"])
     # in a mixed manifest the labelled records serve only their own split
     mixed = tmp_path / "mixed.csv"
     write_manifest(mixed, [{**records[0], "split": ""}, records[1],
@@ -509,35 +508,36 @@ def test_manifest_roundtrip_and_split_filter(tmp_path):
     for split, names in (("train", ["a.pgm", "b.pgm"]),
                          ("validate", ["a.pgm", "c.pgm"]),
                          ("validation_1", ["a.pgm"])):
-        _, recs = load_corpus(mixed, split=split)
+        recs = corpus_records(mixed, split)
         assert [r["path"].name for r in recs] == names
         assert {r["split"] for r in recs} == {split}
-    _, recs = load_corpus(mixed)
-    assert [r["split"] for r in recs] == ["train", "train", "validate"]
 
 
-def test_load_corpus_from_directory_and_subimages(tmp_path):
-    for i, name in enumerate(["x.pgm", "y.pgm"]):
-        write_pgm(tmp_path / name, synthetic_image(10, seed=20 + i))
-    images, recs = load_corpus(tmp_path, size=10)
-    assert len(images) == 2
-    assert [Path(r["path"]).name for r in recs] == ["x.pgm", "y.pgm"]
-    subs, srecs = load_corpus(tmp_path, size=6, subimage=True)
-    assert len(subs) == 4
-    assert all(s.shape == (6, 6) for s in subs)
-    assert [r["tag"] for r in srecs] == ["nw", "se", "nw", "se"]
-    full = read_pgm(tmp_path / "x.pgm")
-    np.testing.assert_array_equal(subs[0], full[:6, :6])
-    np.testing.assert_array_equal(subs[1], full[-6:, -6:])
-    with pytest.raises(ValueError, match="needs a target size"):
-        load_corpus(tmp_path, subimage=True)
+def test_corpus_records_from_directory_in_file_name_order(tmp_path):
+    # written out of order, with a file of another type in between
+    for i, name in enumerate(["y.pgm", "x.csv", "z.pgm"]):
+        img = synthetic_image(10, seed=20 + i)
+        if name.endswith(".csv"):
+            np.savetxt(tmp_path / name, img, delimiter=",")
+        else:
+            write_pgm(tmp_path / name, img)
+    (tmp_path / "notes.txt").write_text("not an image\n")
+    recs = corpus_records(tmp_path, "validation_2")
+    assert [Path(r["path"]).name for r in recs] == ["x.csv", "y.pgm", "z.pgm"]
+    assert {r["split"] for r in recs} == {"validation_2"}
+    np.testing.assert_array_equal(load_image(recs[1]["path"]),
+                                  read_pgm(tmp_path / "y.pgm"))
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    with pytest.raises(ValueError, match="empty corpus"):
+        corpus_records(empty, "train")
 
 
-def test_load_corpus_missing_path_is_file_not_found(tmp_path):
-    # a path naming nothing is a missing manifest, not a list of paths
+def test_corpus_records_missing_path_is_file_not_found(tmp_path):
+    # a path naming nothing is a missing manifest
     for missing in (str(tmp_path / "missing.csv"), tmp_path / "missing"):
         with pytest.raises(FileNotFoundError):
-            load_corpus(missing, split="train")
+            corpus_records(missing, "train")
 
 
 def test_read_manifest_rejects_bad_rows(tmp_path):
