@@ -278,10 +278,16 @@ def cmd_gen(config: ExperimentConfig, verbose: bool = False) -> Path:
     streaming each split: one data set in memory at a time.
 
     d previews are clipped into [0,1] for PGM storage; downstream stages
-    regenerate the exact noisy data from the stored seeds.
+    regenerate the exact noisy data from the stored seeds.  Every split's
+    count is checked before an earlier run's file is touched, and the
+    earlier manifest goes before its previews do, so a gen that fails on an
+    image leaves no manifest naming a missing file.
     """
+    for split in _SPLITS:
+        _split_truths(config, split)  # raises on a short split, reads no image
     out = Path(config.output_dir) / "gen"
     out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.csv").unlink(missing_ok=True)
     records = []
     for split in _SPLITS:
         split_dir = out / split
@@ -394,8 +400,6 @@ def cmd_train(config: ExperimentConfig, verbose: bool = False) -> Path:
     corpus = hashlib.sha256()
     sweep: dict = {name: [] for name in config.estimators}  # alpha at r < R
     for ds in _split_datasets(config, "train"):
-        if learn_mse and ds.x_true is None:
-            raise ConfigError("mse estimator needs truth images")
         if config.r_sweep and pool.R:
             for name in config.estimators:  # no objective outlives its step
                 sweep[name].append(minimize_scalar(partial(

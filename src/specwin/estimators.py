@@ -10,7 +10,7 @@ coefficients dhat = analyze(d):
 * the supervised learning objective (mean squared solution error against
   known truths): on the DCT backend the weighted fit to the best filter of
   the pooled data sets, with per-window shares on non-overlapping windows;
-  on the dense backend one matrix product per call.
+  on the dense backend `mse_learning` alone, one matrix product per call.
 
 Each estimator has one objective class (`UpreObjective`, `GcvObjective`,
 `MseObjective`), prepared once for data sets sharing one system and one
@@ -20,12 +20,12 @@ one alpha in one pass over the band, obj.windows_at(alpha); each public
 function is one evaluation of a freshly prepared objective.  A `DataPool`
 folds the data sets in one at a time, and `cls.from_pool(pool, windows)`
 prepares an objective from the sets folded so far (the list constructors
-fold each set, then prepare), so a caller need not hold a corpus; the dense
-MSE keeps its column stacks instead.  UPRE, the decoupled GCV and the DCT
-MSE evaluate one band cost (`_Pooled`) on the active band
-[ell, q_star) of the solver's band object (`solver._Band`); obj.window(p,
-alpha) reads its partition cell p, window p or, on overlapping windows, p's
-indicator window over the same partitions, where coupled searches start.
+fold each set, then prepare), so a caller need not hold a corpus.  UPRE,
+the decoupled GCV and the MSE evaluate one band cost (`_Pooled`) on the
+active band [ell, q_star) of the solver's band object (`solver._Band`), one
+built per prepared objective; obj.window(p, alpha) reads its partition cell
+p, window p or, on overlapping windows, p's indicator window over the same
+partitions, where coupled searches start.
 
 Scalar forms keep their constant terms; the multi-data windowed UPRE drops
 alpha-independent constants, so cross-form tests must compare minimizers
@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SaturatedTraceError
-from .solver import _Band, _check_set, _params_for
+from .solver import _Band, _check_set, _params_for, phi_windowed
 from .spectral import SpectralSystem
 from .windows import WindowSet, trivial_window
 
@@ -244,10 +244,10 @@ def gcv_windowed_decoupled(systems: Sequence[SpectralSystem],
 class DataPool:
     """Data sets of one system folded in one at a time, so that a caller
     holds one set at a time: the pooled sums through which alone
-    `UpreObjective`, `GcvObjective` and, on the DCT backend, `MseObjective`
-    read their data.  `UpreObjective.from_pool(pool, windows)`, and likewise
-    the other two, prepares one from the sets folded so far; it owns its
-    arrays, so sets folded later leave it unchanged.
+    `UpreObjective`, `GcvObjective` and `MseObjective` read their data.
+    `UpreObjective.from_pool(pool, windows)`, and likewise the other two,
+    prepares one from the sets folded so far; it owns its arrays, so sets
+    folded later leave it unchanged.
 
     fold(dhat, sigma2, truth) adds dhat[:n]**2 to the per-index energies,
     sum dhat[n:]**2 to `beyond` and sigma2 to the noise variances, each in
@@ -262,7 +262,9 @@ class DataPool:
       c += (phi_old u - t)**2 a_old / (a_old + u**2),  phi_old = s_old / a_old
 
     (phi_old = 0 where a_old = 0, weight 1 where a_old + u**2 = 0).  So only
-    the list of variances grows with R."""
+    the list of variances grows with R.  Folding a truth needs an
+    orthonormal synthesis: on the dense backend it raises, and so does the
+    `MseObjective` list constructor, which folds one."""
 
     def __init__(self, sys: SpectralSystem) -> None:
         self.sys = sys
@@ -343,7 +345,7 @@ def _pool(sys: SpectralSystem, dhats: Sequence[np.ndarray], sigma2=None,
 class _Pooled:
     """The band cost sum_j energy_j (phi_j - target_j)**2 plus a fixed cost,
     through which alone UPRE, GCV (the pooled energies sum_r dhat_r**2, target
-    1 and their sum below ell) and the DCT MSE read the data.  Every phi is 0
+    1 and their sum below ell) and the MSE read the data.  Every phi is 0
     below ell and 1 from q_star on, so an evaluation touches only the active
     band [ell, q_star), runs no transform and costs the same for any R.  The
     list constructors fold each data set into a `DataPool`, then prepare."""
@@ -417,15 +419,15 @@ class _Pooled:
         trace = self._trace(p, phi) if self._traced else None
         return self._value(p, self._resid(p, phi), trace, alpha)
 
-    def _phi(self, p: int | None, alpha: float) -> np.ndarray:
-        """phi(alpha) on cell p's (None: the whole band's) members, for a
-        per-window form."""
-        return self.band.window_phi(p, alpha)
+    def __call__(self, alphas) -> float:
+        """The value at the parameter vector alphas (UPRE and MSE; GCV
+        couples the windows through its trace complements instead)."""
+        return self._at(None, self.band.blend(self.band.rows(alphas)), None)
 
     def window(self, p: int | None, alpha: float) -> float:
         """Cell p's value at alpha; p = None gives the value of the single
         all-ones window on the same band."""
-        return self._at(p, self._phi(p, alpha), alpha)
+        return self._at(p, self.band.window_phi(p, alpha), alpha)
 
     def windows_at(self, alpha: float) -> list[float]:
         """[window(None, alpha), window(0, alpha), ..., window(P-1, alpha)],
@@ -436,7 +438,7 @@ class _Pooled:
         through the operations that window(p, alpha) applies to it.  A value
         whose trace saturates (GCV) reads +inf; an empty cell raises as
         window(p, alpha) does."""
-        phi = self._phi(None, alpha)
+        phi = self.band.window_phi(None, alpha)
         cells = [(None, slice(None))] + [(p, self.band.cell(p).mid)
                                          for p in range(self.P)]
         traces = [self._trace(p, phi[mid]) if self._traced else None
@@ -467,9 +469,6 @@ class UpreObjective(_Pooled):
     def _prepare(self, pool: DataPool, windows: WindowSet) -> None:
         super()._prepare(pool, windows)
         self.s2 = float(np.sum(pool.sigma2))
-
-    def __call__(self, alphas) -> float:
-        return self._at(None, self.band.blend(self.band.rows(alphas)), None)
 
     def _value(self, p, resid: float, trace: float, alpha) -> float:
         return (resid + 2.0 * self.s2 * trace) / self.M
@@ -512,8 +511,9 @@ class MseObjective(_Pooled):
     window set, with fixed data coefficients and truths.  For one data set
     its value is the squared solution error that `validate` reports.
 
-    On a system with an orthonormal synthesis (`synthesis_scale` set: the DCT
-    backend) the error is taken in coefficient space by Parseval.  With
+    The error is taken in coefficient space by Parseval, so the system needs
+    an orthonormal synthesis (`synthesis_scale` set: the DCT backend); on the
+    dense backend the `DataPool` that prepares it raises.  With
     u_r = pinv(delta) dhat_r[:n] / synthesis_scale and t_r = Q^T x_true^(r),
     one filter shared by the R sets gives the `_Pooled` cost
 
@@ -524,40 +524,25 @@ class MseObjective(_Pooled):
     O'Leary, SIAM J. Sci. Comput. 2011), which a `DataPool` folds one set at
     a time by recursive least squares.  Below ell (u = 0) and from q_star
     on (phi = 1) every term joins the fixed cost, so a call touches only the
-    active band, runs no transform and costs the same for any R.  Other
-    systems (the dense backend) keep the heads dhat[:n] and the flattened
-    truths as n-by-R column stacks H and X; a call synthesizes all R
-    solutions in one matrix product,
-
-      (1/R) ||synthesize(phi_win pinv(delta) H) - X||^2 (Frobenius).
+    active band, runs no transform and costs the same for any R.
+    window(p, alpha) is cell p's share of the value at alpha: on
+    non-overlapping windows the shares sum to the value at the assembled
+    vector, and the single all-ones window's share is the value, bit for bit.
     """
 
     _traced = False
 
     def __init__(self, sys: SpectralSystem, dhats: Sequence[np.ndarray],
                  truths: Sequence[np.ndarray], windows: WindowSet) -> None:
-        if truths is None:
-            raise ValueError("missing truths: the learning objective needs x_true")
-        if len(truths) != len(dhats):
-            raise ValueError("data and truths must have equal lengths")
-        if sys.backend != "dense":
-            self._prepare(_pool(sys, dhats, truths=truths), windows)
-            return
-        self._setup(sys, len(dhats), windows)
-        for dhat, truth in zip(dhats, truths):
-            _check_set(sys, dhat, truth)
-        heads = np.stack([dhat[: sys.n] for dhat in dhats], axis=1)
-        flat = np.stack([np.ravel(truth) for truth in truths], axis=1)
-        self._dense = (sys, sys.delta_pinv(), heads, flat)
+        _check_truths(dhats, truths)
+        self._prepare(_pool(sys, dhats, truths=truths), windows)
 
     def _prepare(self, pool: DataPool, windows: WindowSet) -> None:
         """The energies, best filter and fixed costs from the band sums of
-        a DCT pool."""
+        a pool."""
         if pool.truths < pool.R:
             raise ValueError("missing truths: the learning objective needs x_true")
-        sys = pool.sys
-        self._setup(sys, pool.R, windows)
-        self._dense = None
+        self._setup(pool.sys, pool.R, windows)
         self.energy = pool._a.copy()
         self.target = np.divide(pool._s, self.energy,
                                 out=np.zeros(self.energy.size),
@@ -569,26 +554,16 @@ class MseObjective(_Pooled):
         """A cell's share of the fixed cost, over all its members."""
         return float(np.sum(self._fixed_at[cell.members]))
 
-    def __call__(self, alphas) -> float:
-        if self._dense is not None:
-            sys, dpinv, heads, flat = self._dense
-            scaled = self.band.phi_win(alphas) * dpinv
-            x = sys.synthesize(scaled[:, None] * heads)
-            return float(np.sum((x - flat) ** 2)) / self.R
-        return self._at(None, self.band.blend(self.band.rows(alphas)), None)
-
-    def _phi(self, p: int | None, alpha: float) -> np.ndarray:
-        """The per-window forms need a DCT system: there window(p, alpha) is
-        cell p's share of the value at alpha.  On non-overlapping windows the
-        shares sum to the value at the assembled vector, and the single
-        all-ones window's share is the value, bit for bit."""
-        if self._dense is not None:
-            raise ValueError("the per-window MSE needs an orthonormal "
-                             "synthesis (the DCT backend)")
-        return super()._phi(p, alpha)
-
     def _value(self, p, resid: float, trace, alpha) -> float:
         return resid / self.R
+
+
+def _check_truths(dhats: Sequence[np.ndarray], truths) -> None:
+    """ValueError unless there is one truth per data set."""
+    if truths is None:
+        raise ValueError("missing truths: the learning objective needs x_true")
+    if len(truths) != len(dhats):
+        raise ValueError("data and truths must have equal lengths")
 
 
 def mse_learning(systems: Sequence[SpectralSystem], data: Sequence[np.ndarray],
@@ -596,14 +571,29 @@ def mse_learning(systems: Sequence[SpectralSystem], data: Sequence[np.ndarray],
                  dhats: Sequence[np.ndarray] | None = None) -> float:
     """(1/R) sum_r ||x_win^(r)(alphas) - x_true^(r)||^2.
 
-    One evaluation of a freshly prepared `MseObjective`; a search should
-    prepare the objective once instead.  Pass precomputed dhats to skip the
-    analyze transforms.
+    On the DCT backend one evaluation of a freshly prepared `MseObjective`;
+    a search should prepare the objective once instead.  On the dense
+    backend, which has no orthonormal synthesis to pool the error by, the
+    heads dhat[:n] and the flattened truths are stacked as n-by-R columns H
+    and X and all R solutions are synthesized in one matrix product,
+
+      (1/R) ||synthesize(phi_win pinv(delta) H) - X||^2 (Frobenius).
+
+    Pass precomputed dhats to skip the analyze transforms.
     """
     sys = _common_system(systems, data)
     if dhats is None:
         dhats = [sys.analyze(d) for d in data]
-    return MseObjective(sys, dhats, truths, windows)(alphas)
+    if sys.backend != "dense":
+        return MseObjective(sys, dhats, truths, windows)(alphas)
+    _check_truths(dhats, truths)
+    for dhat, truth in zip(dhats, truths):
+        _check_set(sys, dhat, truth)
+    heads = np.stack([dhat[: sys.n] for dhat in dhats], axis=1)
+    flat = np.stack([np.ravel(truth) for truth in truths], axis=1)
+    scaled = phi_windowed(sys, windows, alphas) * sys.delta_pinv()
+    x = sys.synthesize(scaled[:, None] * heads)
+    return float(np.sum((x - flat) ** 2)) / len(dhats)
 
 
 # ---------------------------------------------------------------------------

@@ -48,15 +48,15 @@ __all__ = [
 class DataSet:
     """One blurred-and-noisy observation with its provenance.
 
-    b is exactly blur(x_true) when the truth is known; d = b + e with e
-    scaled so the achieved SNR matches the target to rounding; sigma2 =
-    ||e||^2 / size is the noise power of d - b to 1e-6 relative.
+    b is exactly blur(x_true); d = b + e with e scaled so the achieved SNR
+    matches the target to rounding; sigma2 = ||e||^2 / size is the noise
+    power of d - b to 1e-6 relative.
     truth_dct, where kept (`iter_datasets` keeps it), is the orthonormal
     2D DCT-II of x_true that the blur took, so that a DCT system need not
     transform the truth again (`DataPool.fold`).
     """
 
-    x_true: np.ndarray | None
+    x_true: np.ndarray
     b: np.ndarray
     d: np.ndarray
     sigma2: float

@@ -144,12 +144,6 @@ class _Band:
         """sum_p weights[p] * rows[p] on the band."""
         return np.einsum("pj,pj->j", self.weights, rows)
 
-    def phi_win(self, alphas) -> np.ndarray:
-        """The effective filter over all n indices."""
-        return np.concatenate((np.zeros(self._sys.ell),
-                               self.blend(self.rows(alphas)),
-                               self.tail_weights.sum(axis=0)))
-
     def cell(self, p: int):
         """Partition cell p's record; raises for p out of range or an empty
         cell."""
@@ -178,7 +172,9 @@ def phi_windowed(sys: SpectralSystem, windows: WindowSet,
     The symmetric form W^(1/2) Phi W^(1/2) of the windowed filter equals
     W Phi entrywise because every factor is diagonal.
     """
-    return _Band(sys, windows).phi_win(alphas)
+    band = _Band(sys, windows)
+    return np.concatenate((np.zeros(sys.ell), band.blend(band.rows(alphas)),
+                           band.tail_weights.sum(axis=0)))
 
 
 def _check_set(sys: SpectralSystem, dhat: np.ndarray, truth=None) -> None:

@@ -738,12 +738,45 @@ def test_second_gen_leaves_none_of_the_first_gens_files(tmp_path, monkeypatch):
     base = ExperimentConfig.from_json(_write_config(tmp_path))
 
     def gen(val_count: int, out: str) -> dict:
-        root = cmd_gen(replace(base, val_count=val_count, output_dir=out))
-        return {str(p.relative_to(root)): p.read_bytes()
-                for p in root.rglob("*") if p.is_file()}
+        return _gen_files(cmd_gen(replace(base, val_count=val_count,
+                                          output_dir=out)))
 
     assert "validation_1/img_001.json" in gen(2, "shared")
     assert gen(1, "shared") == gen(1, "fresh")
+
+
+def _gen_files(root: Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+def test_gen_short_of_a_split_leaves_the_earlier_gen_as_it_was(tmp_path):
+    """Every split's count is checked before gen touches a file: a second
+    gen whose validation_1 manifest is one record short of val_count leaves
+    every file of the first byte for byte."""
+    base = ExperimentConfig.from_json(_write_config(
+        tmp_path, val_count=2, output_dir=str(tmp_path / "out")))
+    root = cmd_gen(base)
+    before = _gen_files(root)
+    short = str(_write_corpus(tmp_path, "val.csv", ["validation_1"]))
+    with pytest.raises(ConfigError, match="val_count=2 exceeds"):
+        cmd_gen(replace(base, validation1_manifest=short))
+    assert _gen_files(root) == before
+
+
+def test_gen_failing_on_an_image_leaves_no_manifest(tmp_path):
+    """A gen that fails on an unreadable validation_1 image has removed the
+    earlier gen's manifest before any of its previews, so no manifest names
+    a file that is gone."""
+    base = ExperimentConfig.from_json(_write_config(
+        tmp_path, output_dir=str(tmp_path / "out")))
+    root = cmd_gen(base)
+    assert (root / "manifest.csv").is_file()
+    corrupt = _write_corpus(tmp_path, "val.csv", ["validation_1"])
+    (tmp_path / "val.csv_0.pgm").write_bytes(b"not an image")
+    with pytest.raises(ConfigError, match="not a binary PGM"):
+        cmd_gen(replace(base, validation1_manifest=str(corrupt)))
+    assert not (root / "manifest.csv").exists()
 
 
 def test_coupled_search_keeps_both_starts(tmp_path, monkeypatch):
@@ -1180,27 +1213,6 @@ def test_report_multiple_and_missing(tmp_path, monkeypatch):
         cmd_report([], dup)
     with pytest.raises(ConfigError, match="cannot read report"):
         cmd_report([tmp_path / "ghost.json"], dup)
-
-
-def test_mse_training_requires_truths(tmp_path, monkeypatch):
-    # blurred-only corpora are representable (x_true=None); the learning
-    # objective must be refused for them before any optimization starts
-    import dataclasses
-
-    import specwin.cli as cli_mod
-
-    cfg = ExperimentConfig(image_size=8, xi=1.0, snr_db=10.0, seed=3,
-                           estimators=("mse",), r_train=2,
-                           output_dir=str(tmp_path / "o"))
-    real = cli_mod._split_datasets
-
-    def truthless(config, split):
-        return [dataclasses.replace(ds, x_true=None)
-                for ds in real(config, split)]
-
-    monkeypatch.setattr(cli_mod, "_split_datasets", truthless)
-    with pytest.raises(ConfigError, match="needs truth images"):
-        cmd_train(cfg)
 
 
 @pytest.mark.parametrize("size,xi,seed,fingerprint", [

@@ -954,26 +954,31 @@ def test_pool_rejects_what_the_list_constructors_reject():
     pool.fold(dhat, 0.01)
     with pytest.raises(ValueError, match="missing truths"):
         MseObjective.from_pool(pool, win)
-    # the dense backend keeps its column stacks: its pool folds no truth
+    # the dense backend has no orthonormal synthesis: its pool folds no
+    # truth, so no MseObjective is prepared on it (mse_learning is its MSE)
     _, _, dense, _, dense_dhats = _md_problem(seed=241)
     with pytest.raises(ValueError, match="dense backend"):
         DataPool(dense).fold(dense_dhats[0], 0.01, np.zeros(dense.n))
+    with pytest.raises(ValueError, match="dense backend"):
+        MseObjective(dense, dense_dhats, [np.zeros(dense.n)] * 2,
+                     trivial_window(dense))
 
 
 def test_mse_objective_dense_fallback_is_the_direct_loop():
-    # one gemm over the column stack rounds apart from per-set matvecs
+    """The dense MSE is mse_learning's one product; one gemm over the
+    column stack rounds apart from per-set matvecs."""
     _, _, sys, data, dhats = _md_problem(seed=179)
     assert sys.synthesis_scale is None
     systems = [sys] * 2
     win = indicator_windows(make_partitions(sys, 2), sys)
     rng = np.random.default_rng(3)
     truths = [rng.standard_normal(sys.n) for _ in systems]
-    obj = MseObjective(sys, dhats, truths, win)
     for alphas in ([0.05, 0.7], [1.3, 0.2]):
         ref = direct_mse(systems, dhats, truths, win, alphas)
-        assert abs(obj(alphas) - ref) <= 1e-12 * ref
-        assert abs(mse_learning(systems, data, truths, win, alphas) - ref) \
-            <= 1e-12 * ref
+        val = mse_learning(systems, data, truths, win, alphas)
+        assert abs(val - ref) <= 1e-12 * ref
+        assert mse_learning(systems, data, truths, win, alphas,
+                            dhats=dhats) == val
 
 
 @pytest.fixture(scope="module")
@@ -989,15 +994,17 @@ def test_mse_objective_dense_product_matches_direct_loop(blocked_dense, R):
     sys = blocked_dense
     rng = np.random.default_rng(191 + R)
     win = cosine_windows(make_partitions(sys, 3, "log"), sys, "log")
-    dhats = [sys.analyze(rng.standard_normal(sys.m)) for _ in range(R)]
+    data = [rng.standard_normal(sys.m) for _ in range(R)]
+    dhats = [sys.analyze(d) for d in data]
     truths = [rng.standard_normal(sys.n) for _ in range(R)]
-    flat = MseObjective(sys, dhats, truths, win)
     # 2-D truths are flattened in C order, as the solver flattens images
-    square = MseObjective(sys, dhats, [t.reshape(16, 16) for t in truths], win)
+    squares = [t.reshape(16, 16) for t in truths]
     for alphas in ([0.01, 0.3, 5.0], [2.0, 2.0, 0.02], [1e-4, 1e3, 1.0]):
         ref = direct_mse([sys] * R, dhats, truths, win, alphas)
-        assert abs(flat(alphas) - ref) <= 1e-12 * ref
-        assert square(alphas) == flat(alphas)
+        flat = mse_learning([sys] * R, data, truths, win, alphas, dhats=dhats)
+        assert abs(flat - ref) <= 1e-12 * ref
+        assert mse_learning([sys] * R, data, squares, win, alphas,
+                            dhats=dhats) == flat
 
 
 def test_mse_objective_dense_rejects_mismatched_truths():
@@ -1008,6 +1015,8 @@ def test_mse_objective_dense_rejects_mismatched_truths():
 
 
 def test_mse_objective_matches_direct_loop_on_each_backend():
+    """mse_learning: a prepared MseObjective on the DCT backend, the one
+    product on the dense backend."""
     rng = np.random.default_rng(181)
     box = dct_decompose(_box_psf((8, 6), (4, 2)), "laplacian")
     assert box.ell > 0 and box.q_star < box.n
@@ -1016,18 +1025,21 @@ def test_mse_objective_matches_direct_loop_on_each_backend():
     for sys in (box, blur, dense):
         win = cosine_windows(make_partitions(sys, 3, "log"), sys, "log")
         truths = [rng.standard_normal(sys.dims or sys.n) for _ in range(3)]
-        dhats = [sys.analyze(rng.standard_normal(sys.m)) for _ in range(3)]
-        obj = MseObjective(sys, dhats, truths, win)
+        data = [rng.standard_normal(sys.m) for _ in range(3)]
+        dhats = [sys.analyze(d) for d in data]
         for alphas in ([0.01, 0.3, 5.0], [2.0, 2.0, 0.02]):
             ref = direct_mse([sys] * 3, dhats, truths, win, alphas)
-            assert abs(obj(alphas) - ref) <= 1e-12 * ref
+            val = mse_learning([sys] * 3, data, truths, win, alphas,
+                               dhats=dhats)
+            assert abs(val - ref) <= 1e-12 * ref
 
 
 def test_mse_objective_rejects_data_of_the_wrong_size():
     dct = dct_decompose(gaussian_psf(1.5, (8, 8)), "identity")
     _, _, dense, _, _ = _md_problem(seed=199, m=8, n=6, penalty="identity")
     rng = np.random.default_rng(199)
-    for sys in (dct, dense):
+    # the dense backend has no MseObjective: mse_learning is its MSE
+    for sys, prepared in [(dct, True), (dense, False)]:
         win = trivial_window(sys)
         dhats = [sys.analyze(rng.standard_normal(sys.m)) for _ in range(2)]
         truths = [rng.standard_normal(sys.n) for _ in range(2)]
@@ -1039,8 +1051,9 @@ def test_mse_objective_rejects_data_of_the_wrong_size():
                  f"data length {sys.m + 5} does not match m={sys.m}"),
                 (dhats, [truths[0], wide_truth],
                  f"truth size {sys.n + 3} does not match n={sys.n}")]:
-            with pytest.raises(ValueError, match=message):
-                MseObjective(sys, bad_dhats, bad_truths, win)
+            if prepared:
+                with pytest.raises(ValueError, match=message):
+                    MseObjective(sys, bad_dhats, bad_truths, win)
             with pytest.raises(ValueError, match=message):
                 mse_learning([sys] * 2, data, bad_truths, win, [0.5],
                              dhats=bad_dhats)
@@ -1170,14 +1183,13 @@ def test_mse_window_rejects_what_the_pooled_window_forms_reject():
                 obj.window(p, 0.5)
         assert np.isfinite(obj.window(None, 0.5))
         assert np.isfinite(obj([0.5, 0.5, 0.5]))
-    # the dense backend has no orthonormal synthesis to split the error by;
-    # the pooled forms' all-ones window is still the trivial window's
+    # the dense backend has no orthonormal synthesis to split the error by,
+    # so no MseObjective and no per-window MSE; the pooled forms' all-ones
+    # window is still the trivial window's
     _, _, dense, _, dense_dhats = _md_problem(seed=223)
     win = indicator_windows(make_partitions(dense, 2, "log"), dense, "log")
-    mse = MseObjective(dense, dense_dhats, [np.zeros(dense.n)] * 2, win)
-    for p in (0, None):
-        with pytest.raises(ValueError, match="DCT backend"):
-            mse.window(p, 0.5)
+    with pytest.raises(ValueError, match="dense backend"):
+        MseObjective(dense, dense_dhats, [np.zeros(dense.n)] * 2, win)
     trivial = trivial_window(dense)
     for obj, one in [(UpreObjective(dense, dense_dhats, win, 0.01),
                       UpreObjective(dense, dense_dhats, trivial, 0.01)),
@@ -1423,8 +1435,8 @@ def test_windows_at_is_every_window_form_bit_for_bit(R):
 
 def test_windows_at_rejects_what_window_rejects():
     """An empty cell raises EmptyWindowError with window(p, a)'s message,
-    on hand-built and on overlapping windows; the dense MSE has no
-    per-window form."""
+    on hand-built and on overlapping windows; the dense backend has no
+    MseObjective and so no per-window MSE."""
     sys = dct_decompose(_box_psf((8, 6), (4, 2)), "laplacian")
     rng = np.random.default_rng(337)
     dhats = [sys.analyze(rng.standard_normal(sys.dims)) for _ in range(2)]
@@ -1446,9 +1458,8 @@ def test_windows_at_rejects_what_window_rejects():
             assert str(got.value) == str(want.value)
     _, _, dense, _, dense_dhats = _md_problem(seed=337)
     win = indicator_windows(make_partitions(dense, 2, "log"), dense, "log")
-    mse = MseObjective(dense, dense_dhats, [np.zeros(dense.n)] * 2, win)
-    with pytest.raises(ValueError, match="DCT backend"):
-        mse.windows_at(0.5)
+    with pytest.raises(ValueError, match="dense backend"):
+        MseObjective(dense, dense_dhats, [np.zeros(dense.n)] * 2, win)
 
 
 def test_pool_folds_the_truth_dct_its_blur_took_bit_for_bit():
